@@ -12,11 +12,13 @@ provider through it. Policy entries are ordered, first match wins:
    transcript engine and the depth-first engine;
 3. a default proposing the opening tool call.
 
-Run from the repo root: python scripts/build_scenario_suite.py
+Run from the repo root: python scripts/build_scenario_suite.py [OUT_DIR]
+(OUT_DIR defaults to scenarios/).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -79,7 +81,7 @@ WEATHER = [
 ]
 
 
-def build_weather() -> None:
+def build_weather(root: Path) -> None:
     for city, temp, cond in WEATHER:
         sid = f"weather_{city.lower()}"
         scenario = {
@@ -121,7 +123,7 @@ def build_weather() -> None:
                 tool_call("look up the forecast", "get_weather", {"city": city})
             ),
         }
-        write_pair(ROOT / "core", sid, scenario, policy)
+        write_pair(root / "core", sid, scenario, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +138,7 @@ FLIGHTS = [
 ]
 
 
-def build_flights() -> None:
+def build_flights(root: Path) -> None:
     for origin, dest, fid, price in FLIGHTS:
         sid = f"flight_{origin.lower()}_{dest.lower()}"
         scenario = {
@@ -185,7 +187,7 @@ def build_flights() -> None:
                           {"origin": origin, "destination": dest})
             ),
         }
-        write_pair(ROOT / "core", sid, scenario, policy)
+        write_pair(root / "core", sid, scenario, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,7 @@ CURRENCIES = [
 ]
 
 
-def build_currencies() -> None:
+def build_currencies(root: Path) -> None:
     for amount, frm, to, result in CURRENCIES:
         sid = f"currency_{frm.lower()}_{to.lower()}"
         scenario = {
@@ -239,7 +241,7 @@ def build_currencies() -> None:
                           {"amount": amount, "from_currency": frm, "to_currency": to})
             ),
         }
-        write_pair(ROOT / "core", sid, scenario, policy)
+        write_pair(root / "core", sid, scenario, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,7 @@ TRACKING = [
 ]
 
 
-def build_tracking() -> None:
+def build_tracking(root: Path) -> None:
     for tracking_number, city in TRACKING:
         sid = f"track_{tracking_number.lower()}"
         scenario = {
@@ -293,7 +295,7 @@ def build_tracking() -> None:
             # Deliberately omits the required parameter on the first attempt.
             "default": json.dumps(tool_call("look up the package", "track_package", {})),
         }
-        write_pair(ROOT / "core", sid, scenario, policy)
+        write_pair(root / "core", sid, scenario, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +309,7 @@ FAILOVER = [
 ]
 
 
-def build_failover() -> None:
+def build_failover(root: Path) -> None:
     for slug, datum, token in FAILOVER:
         sid = f"failover_{slug}"
         sentinel = slug.upper()
@@ -353,7 +355,7 @@ def build_failover() -> None:
                 tool_call("query the primary store", "primary_lookup", {"dataset": slug})
             ),
         }
-        write_pair(ROOT / "core", sid, scenario, policy)
+        write_pair(root / "core", sid, scenario, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +369,7 @@ QUOTES = [
 ]
 
 
-def build_quotes() -> None:
+def build_quotes(root: Path) -> None:
     for slug, datum, token in QUOTES:
         sid = f"quote_{slug}"
         scenario = {
@@ -408,7 +410,7 @@ def build_quotes() -> None:
                 tool_call("fetch the quote", "fetch_quote", {"symbol": slug})
             ),
         }
-        write_pair(ROOT / "core", sid, scenario, policy)
+        write_pair(root / "core", sid, scenario, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +421,7 @@ CODE_FILLER = 2500
 PART_FILLER = 1300
 
 
-def build_differential() -> None:
+def build_differential(root: Path) -> None:
     for k in range(1, 6):
         sid = f"vault_{k}"
         code = f"CODE-77{k}"
@@ -485,7 +487,7 @@ def build_differential() -> None:
                 tool_call("get the access code", "fetch_access_code", {"vault_id": f"V{k}"})
             ),
         }
-        write_pair(ROOT / "differential", sid, scenario, policy)
+        write_pair(root / "differential", sid, scenario, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +495,7 @@ def build_differential() -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_search() -> None:
+def build_search(root: Path) -> None:
     sid = "mirror_registry"
     scenario = {
         "id": sid,
@@ -542,7 +544,7 @@ def build_search() -> None:
             tool_call("consult the registry", "query_registry", {"dataset": "D7"})
         ),
     }
-    write_pair(ROOT / "search", sid, scenario, policy)
+    write_pair(root / "search", sid, scenario, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +552,7 @@ def build_search() -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_adversarial() -> None:
+def build_adversarial(root: Path) -> None:
     sid = "never_finish"
     scenario = {
         "id": sid,
@@ -578,21 +580,23 @@ def build_adversarial() -> None:
             tool_call("poll again", "poll_status", {"job_id": "881"})
         ),
     }
-    write_pair(ROOT / "adversarial", sid, scenario, policy)
+    write_pair(root / "adversarial", sid, scenario, policy)
 
 
-def main() -> None:
-    build_weather()
-    build_flights()
-    build_currencies()
-    build_tracking()
-    build_failover()
-    build_quotes()
-    build_differential()
-    build_search()
-    build_adversarial()
-    count = len(list(ROOT.glob("**/*.scenario.json")))
-    print(f"wrote {count} scenarios under {ROOT}")
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "out", nargs="?", type=Path, default=ROOT,
+        help="directory to write the corpus into (default: scenarios/ in the repo)",
+    )
+    out = parser.parse_args(argv).out
+    for build in (
+        build_weather, build_flights, build_currencies, build_tracking, build_failover,
+        build_quotes, build_differential, build_search, build_adversarial,
+    ):
+        build(out)
+    count = len(list(out.glob("**/*.scenario.json")))
+    print(f"wrote {count} scenarios under {out}")
 
 
 if __name__ == "__main__":

@@ -139,11 +139,10 @@ def run_sum2act(provider, instruction: Instruction, tools, config: EngineConfig,
 
 
 def _evict_oldest(transcript: list[str], window_chars: int) -> None:
-    def total() -> int:
-        return sum(len(entry) for entry in transcript) + 2 * max(0, len(transcript) - 1)
-
-    while transcript and total() > window_chars:
-        transcript.pop(0)
+    # Length of the entries joined by blank lines, kept as entries go.
+    total = sum(len(entry) for entry in transcript) + 2 * max(0, len(transcript) - 1)
+    while transcript and total > window_chars:
+        total -= len(transcript.pop(0)) + 2
 
 
 def _react_prompt(instruction, tools, transcript: list[str], config: EngineConfig) -> str:

@@ -31,56 +31,30 @@ def truncate_with_marker(text: str, cap: int) -> str:
     return text[:cap] + f"[truncated {len(text) - cap} chars]"
 
 
+# Where a JSON object can start: "{", optional whitespace, then a key's
+# opening quote or the closing brace of an empty object. ``\s`` covers JSON
+# whitespace, so no object start is missed.
+_OBJECT_START = re.compile(r'\{\s*["}]')
+_DECODER = json.JSONDecoder()
+
+
 def extract_first_json_object(text: str, required_key: str | None = None):
-    """Return the first well-formed JSON object embedded in ``text``.
+    """Return the first JSON object embedded in ``text``, or None.
 
-    Tolerates leading/trailing prose. When ``required_key`` is given, objects
-    lacking that key are skipped so prose containing incidental braces does
-    not shadow the real payload. Returns None when nothing parses.
+    Candidates are the positions of ``{`` that can open an object, tried in
+    text order; each is decoded up to its own closing brace, so prose before
+    and after the object is ignored. A candidate is skipped when it does not
+    decode, decodes to something other than a dict, lacks ``required_key``
+    (when given), or nests deeper than the interpreter's recursion limit, so
+    incidental braces in prose never shadow the real payload. Never raises
+    on any ``str``. One regex scan finds the candidates and each is decoded
+    in C, so no Python loop walks the text.
     """
-    for start in _brace_positions(text):
-        candidate = _balanced_slice(text, start)
-        if candidate is None:
-            continue
+    for match in _OBJECT_START.finditer(text):
         try:
-            obj = json.loads(candidate)
-        except json.JSONDecodeError:
+            obj, _ = _DECODER.raw_decode(text, match.start())
+        except (json.JSONDecodeError, RecursionError):
             continue
-        if not isinstance(obj, dict):
-            continue
-        if required_key is not None and required_key not in obj:
-            continue
-        return obj
-    return None
-
-
-def _brace_positions(text: str):
-    for index, char in enumerate(text):
-        if char == "{":
-            yield index
-
-
-def _balanced_slice(text: str, start: int) -> str | None:
-    depth = 0
-    in_string = False
-    escaped = False
-    for index in range(start, len(text)):
-        char = text[index]
-        if escaped:
-            escaped = False
-            continue
-        if char == "\\":
-            escaped = True
-            continue
-        if char == '"':
-            in_string = not in_string
-            continue
-        if in_string:
-            continue
-        if char == "{":
-            depth += 1
-        elif char == "}":
-            depth -= 1
-            if depth == 0:
-                return text[start : index + 1]
+        if isinstance(obj, dict) and (required_key is None or required_key in obj):
+            return obj
     return None

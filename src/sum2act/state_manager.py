@@ -71,6 +71,11 @@ def rendered_state_length(state: State) -> int:
     return len(render_state(state))
 
 
+def _entry_body_length(entry: ResultEntry) -> int:
+    """Length of a result line after its "  N. " prefix."""
+    return len(f"[step {entry.step_index}] {entry.text}")
+
+
 def render_observation(observation: Observation, window: int = OBSERVATION_WINDOW_CHARS) -> str:
     lines = [
         f"tool: {observation.tool_name}",
@@ -261,29 +266,35 @@ def enforce_cap(
     """
     if cap_chars < 512:
         raise ConfigurationError(f"state cap must be >= 512 chars, got {cap_chars}")
-    if rendered_state_length(state) <= cap_chars:
+    length = rendered_state_length(state)
+    if length <= cap_chars:
         return state
 
     results = list(state.current_results)
     failures = list(state.failure_history)
 
-    def current_length() -> int:
-        return rendered_state_length(State(tuple(results), tuple(failures)))
+    while len(results) > 1 and length > cap_chars:
+        older, newer = results[0], results[1]
+        merged = ResultEntry(text=_merge_texts(provider, older, newer), step_index=newer.step_index)
+        # Two numbered lines become one: the bodies change, and the list
+        # drops one newline and the "  N. " prefix of its old count N.
+        length += (
+            _entry_body_length(merged) - _entry_body_length(older) - _entry_body_length(newer)
+            - len(str(len(results))) - 5
+        )
+        results[:2] = [merged]
 
-    while len(results) > 1 and current_length() > cap_chars:
-        merged = _merge_texts(provider, results[0], results[1])
-        results[:2] = [ResultEntry(text=merged, step_index=results[1].step_index)]
-
-    if current_length() > cap_chars:
+    if length > cap_chars:
         failures = [
             f
             if len(f.reason) <= FAILURE_REASON_CAP_CHARS
             else replace(f, reason=f.reason[: FAILURE_REASON_CAP_CHARS - 3] + "...")
             for f in failures
         ]
+        length = rendered_state_length(State(tuple(results), tuple(failures)))
 
-    if current_length() > cap_chars and results:
-        overflow = current_length() - cap_chars
+    if length > cap_chars and results:
+        overflow = length - cap_chars
         keep = max(0, len(results[0].text) - overflow)
         results = [ResultEntry(text=results[0].text[:keep], step_index=results[0].step_index)]
 

@@ -7,6 +7,7 @@ import pytest
 from sum2act.core import Instruction, ParamSpec, ToolSpec, serialize_episode
 from sum2act.engine import (
     EngineConfig,
+    _evict_oldest,
     default_config,
     run_dfsdt,
     run_episode,
@@ -212,6 +213,14 @@ class TestReact:
         assert "MARK-2" not in step6_prompt
         assert "MARK-5" in step6_prompt
 
+    def test_eviction_keeps_every_entry_that_fits(self):
+        # Entries join with blank lines: four 100-char entries take 406 chars.
+        transcript = [f"{i}" * 100 for i in range(5)]
+        _evict_oldest(transcript, 406)
+        assert transcript == [f"{i}" * 100 for i in range(1, 5)]
+        _evict_oldest(transcript, 405)
+        assert len(transcript) == 3
+
     def test_differential_long_horizon_scenario(self, scenarios_root):
         path = scenarios_root / "differential" / "vault_1.scenario.json"
         scenario = load_scenario(path)
@@ -331,6 +340,19 @@ class TestEngineShared:
             )
             assert episode.terminal.status == "BudgetExhausted"
             assert len(episode.steps) == budget
+
+    @pytest.mark.parametrize("method", ["sum2act", "react", "dfsdt"])
+    def test_over_deep_reply_aborts_as_parse_failure(self, method):
+        deep = '{"a":' * 3000 + "1" + "}" * 3000
+        policy = ScriptedPolicy(
+            default='{"thought": "t", "action": "Finish", "args": {"Answer": ' + deep + "}}"
+        )
+        episode = run_episode(
+            method, ScriptedProvider(policy), INSTRUCTION, list(FAILOVER_TOOLS),
+            default_config(method), ScenarioSession(FAILOVER_SCENARIO).invoke,
+        )
+        assert episode.terminal.status == "AbortedParseFailure"
+        assert episode.steps == ()
 
     def test_dispatcher_rejects_unknown_method(self):
         with pytest.raises(ConfigurationError):

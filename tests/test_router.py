@@ -102,6 +102,11 @@ class TestParseAction:
         with pytest.raises(MalformedOutput):
             parse_action("I could not decide on an action.")
 
+    def test_over_deep_answer_is_malformed(self):
+        deep = '{"a":' * 3000 + "1" + "}" * 3000
+        with pytest.raises(MalformedOutput):
+            parse_action('{"thought": "t", "action": "Finish", "args": {"Answer": ' + deep + "}}")
+
     def test_skips_decoy_objects_without_action_key(self):
         text = 'context {"x": 1} then {"action":"get_weather","args":{}}'
         assert parse_action(text).tool_name == "get_weather"

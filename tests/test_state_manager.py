@@ -14,10 +14,11 @@ from sum2act.core import (
     State,
     args_digest,
 )
-from sum2act.errors import ConfigurationError
+from sum2act.errors import ConfigurationError, MalformedOutput
 from sum2act.provider import PolicyEntry, ScriptedPolicy, ScriptedProvider
 from sum2act.state_manager import (
     FAILURE_REASON_CAP_CHARS,
+    _parse_verdict,
     build_state_prompt,
     enforce_cap,
     render_state,
@@ -145,6 +146,15 @@ class TestUpdate:
         state = update(ScriptedProvider(policy), INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
         assert state.current_results[0].text == "recovered"
 
+    def test_over_deep_verdict_falls_back_mechanically(self):
+        deep = '{"a":' * 3000 + "1" + "}" * 3000
+        reply = '{"verdict": "Success", "summary": "ok", "extra": ' + deep + "}"
+        with pytest.raises(MalformedOutput):
+            _parse_verdict(reply)
+        provider = ScriptedProvider(ScriptedPolicy(default=reply))
+        state = update(provider, INSTRUCTION, State.empty(), _success_obs("p" * 500), step_index=1)
+        assert state.current_results[0].text == "p" * 200
+
 
 class TestEnforceCap:
     def test_identity_under_cap(self):
@@ -188,6 +198,18 @@ class TestEnforceCap:
         capped = enforce_cap(state, 1024, provider=provider)
         assert rendered_state_length(capped) <= 1024
         assert any("merged note" in r.text for r in capped.current_results)
+
+    def test_merges_stop_once_state_fits(self):
+        # Merging renumbers the list, so line lengths change as the count
+        # crosses 100 and 10; compare with merging while re-rendering.
+        results = tuple(ResultEntry("x" * (i % 7 * 5), 95 + i) for i in range(105))
+        for cap in range(512, rendered_state_length(State(results, ())), 37):
+            expected = list(results)
+            while len(expected) > 1 and rendered_state_length(State(tuple(expected), ())) > cap:
+                merged = f"{expected[0].text}; {expected[1].text}"[:240]
+                expected[:2] = [ResultEntry(merged, expected[1].step_index)]
+            if rendered_state_length(State(tuple(expected), ())) <= cap:
+                assert enforce_cap(State(results, ()), cap).current_results == tuple(expected)
 
     @settings(max_examples=40, deadline=None)
     @given(
