@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Instruction, State, deserialize_episode, serialize_episode
+from .core import Instruction, State, read_trace, serialize_episode
 from .engine import (
     DFSDT_STEP_BUDGET,
     EngineConfig,
@@ -73,9 +73,9 @@ class RunManifest:
                     f"live provider requires env vars: {', '.join(missing)}"
                 )
 
-    def make_provider(self, policy_path: str | None = None):
+    def make_provider(self):
         if self.provider_mode == "scripted":
-            return ScriptedProvider(load_policy(policy_path or self.policy_path))
+            return ScriptedProvider(load_policy(self.policy_path))
         return LiveProvider()
 
 
@@ -217,25 +217,26 @@ def cmd_bench(args) -> int:
         raise ConfigurationError("concurrency must be >= 1")
 
     # Fail fast: every scenario (and its policy, in scripted mode) must load
-    # before anything runs.
+    # before anything runs. Each episode gets its own provider over the
+    # policy loaded here.
     scenario_paths = _discover_scenarios(args.scenario_dir)
     loaded = []
     for path in scenario_paths:
         scenario = load_scenario(path)
-        policy_path = None
+        policy = None
         if manifest.provider_mode == "scripted":
             policy_path = Path(manifest.policy_path) if manifest.policy_path else _sibling_policy(path)
             if not policy_path.exists():
                 raise ConfigurationError(
                     f"no policy for scenario {scenario.id!r}: expected {policy_path}"
                 )
-            load_policy(policy_path)
-        loaded.append((scenario, policy_path))
+            policy = load_policy(policy_path)
+        loaded.append((scenario, policy))
     if manifest.provider_mode == "live":
         manifest.validate()
 
-    def run_pair(method: str, scenario, policy_path):
-        provider = manifest.make_provider(policy_path)
+    def run_pair(method: str, scenario, policy):
+        provider = ScriptedProvider(policy) if policy is not None else manifest.make_provider()
         engine_config = _engine_config(method, args, config)
         episode = run_episode(
             method, provider, scenario.instruction, list(scenario.tools),
@@ -316,17 +317,12 @@ def _load_trace_set(path_text: str) -> dict:
         raise ConfigurationError(f"trace path not found: {path_text}")
     episodes: dict = {}
     for file_path in files:
-        with open(file_path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                episode = deserialize_episode(line)
-                if episode.instruction.id in episodes:
-                    raise ConfigurationError(
-                        f"duplicate instruction id in trace set: {episode.instruction.id!r}"
-                    )
-                episodes[episode.instruction.id] = episode
+        for episode in read_trace(file_path):
+            if episode.instruction.id in episodes:
+                raise ConfigurationError(
+                    f"duplicate instruction id in trace set: {episode.instruction.id!r}"
+                )
+            episodes[episode.instruction.id] = episode
     if not episodes:
         raise ConfigurationError(f"no episodes found under {path_text}")
     return episodes
@@ -442,11 +438,10 @@ def cmd_replay(args) -> int:
     path = Path(args.trace)
     if not path.exists():
         raise ConfigurationError(f"trace file not found: {args.trace}")
-    lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-    if not lines:
+    episodes = read_trace(path)
+    if not episodes:
         raise ConfigurationError(f"trace file is empty: {args.trace}")
-    for line in lines:
-        episode = deserialize_episode(line)
+    for episode in episodes:
         print(f"=== {episode.method_label} :: {episode.instruction.id} "
               f"(budget {episode.step_budget}) ===")
         print(f"instruction: {episode.instruction.text}")

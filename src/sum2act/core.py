@@ -319,10 +319,16 @@ def _tool_to_dict(tool: ToolSpec) -> dict:
     }
 
 
-def _tool_from_dict(data: dict) -> ToolSpec:
+def tool_from_dict(data: dict, description_required: bool = False) -> ToolSpec:
+    """Parse one tool record (trace, scenario or catalog file).
+
+    A missing ``description`` reads as ``""`` unless ``description_required``;
+    a malformed record raises KeyError, TypeError or ConfigurationError,
+    which each caller reports against its own file.
+    """
     return ToolSpec(
         name=data["name"],
-        description=data["description"],
+        description=data["description"] if description_required else data.get("description", ""),
         params=tuple(
             ParamSpec(
                 name=p["name"],
@@ -459,7 +465,7 @@ def deserialize_episode(record: str) -> Episode:
         instruction = Instruction(
             id=instr["id"], text=instr["text"], subset_label=instr.get("subset_label")
         )
-        tools = tuple(_tool_from_dict(t) for t in data["tools"])
+        tools = tuple(tool_from_dict(t, description_required=True) for t in data["tools"])
         steps = tuple(_step_from_dict(s) for s in data["steps"])
         episode = Episode(
             instruction=instruction,
@@ -494,13 +500,6 @@ def _validate_episode(episode: Episode) -> None:
         if len(step.state.failure_history) < previous_failures:
             raise TraceFormatError("failure history shrank between steps")
         previous_failures = len(step.state.failure_history)
-
-
-def write_trace(path, episodes) -> None:
-    """Append-safe writer: one serialized episode per line."""
-    with open(path, "a", encoding="utf-8") as handle:
-        for episode in episodes:
-            handle.write(serialize_episode(episode) + "\n")
 
 
 def read_trace(path) -> list[Episode]:

@@ -30,7 +30,7 @@ from .core import (
     new_episode,
 )
 from .errors import ConfigurationError, MalformedOutput
-from .parsing import fill_template
+from .parsing import REASK_RETRIES, fill_template
 from .router import ROUTER_RULES, decompose, propose, propose_from_prompt, render_tools_block
 from .state_manager import enforce_cap, update
 from .templates_loader import load_template
@@ -55,7 +55,7 @@ class EngineConfig:
     use_decomposition: bool = False
     react_memory_window_chars: int = 4096
     dfsdt_max_children: int = 3
-    parse_retries: int = 2
+    parse_retries: int = REASK_RETRIES
     templates_dir: str | None = None
 
     def __post_init__(self):

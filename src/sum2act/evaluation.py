@@ -15,14 +15,11 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .core import Episode, Instruction
 from .errors import ConfigurationError, MalformedOutput
-from .parsing import extract_first_json_object
-from .provider import user_request
+from .parsing import REASK_RETRIES, ask_json, extract_first_json_object
 
 logger = logging.getLogger(__name__)
 
 OUTCOMES = ("AWins", "BWins", "Tie")
-
-JUDGE_RETRIES = 2
 
 _JUDGE_PROMPT = """\
 You compare two solution paths for the same user instruction and pick the
@@ -166,50 +163,51 @@ def _episode_summary(episode: Episode) -> str:
     )
 
 
-class LlmJudge:
-    """Provider-backed judge; unparseable verdicts degrade to a logged tie."""
+_JUDGE_REASK = (
+    "\n\nYour previous reply could not be parsed: {error}. "
+    'Reply with exactly one JSON object holding "winner".'
+)
 
-    def __init__(self, provider, retries: int = JUDGE_RETRIES):
+
+def _parse_judgment(output: str) -> tuple[str, str]:
+    obj = extract_first_json_object(output, required_key="winner")
+    winner = obj.get("winner") if obj else None
+    if winner not in ("A", "B", "Tie"):
+        raise MalformedOutput(f"no winner in judge output: {output[:120]!r}")
+    outcome = {"A": "AWins", "B": "BWins", "Tie": "Tie"}[winner]
+    return outcome, str(obj.get("rationale", ""))
+
+
+class LlmJudge:
+    """Provider-backed judge; unparseable verdicts are re-asked and then
+    degrade to a logged tie. Provider errors escape."""
+
+    def __init__(self, provider, retries: int = REASK_RETRIES):
         self._provider = provider
         self._retries = retries
 
     def judge(self, instruction: Instruction, episode_a: Episode, episode_b: Episode) -> PairJudgment:
         label_a, label_b = side_labels(episode_a, episode_b)
-        base_prompt = _JUDGE_PROMPT.format(
+        prompt = _JUDGE_PROMPT.format(
             instruction=instruction.text,
             label_a=label_a,
             summary_a=_episode_summary(episode_a),
             label_b=label_b,
             summary_b=_episode_summary(episode_b),
         )
-        prompt = base_prompt
-        last_error = None
-        for _ in range(self._retries + 1):
-            output = self._provider.complete(user_request(prompt))
-            obj = extract_first_json_object(output, required_key="winner")
-            winner = obj.get("winner") if obj else None
-            if winner in ("A", "B", "Tie"):
-                outcome = {"A": "AWins", "B": "BWins", "Tie": "Tie"}[winner]
-                rationale = str(obj.get("rationale", ""))
-                return PairJudgment(
-                    instruction_id=instruction.id,
-                    method_a=label_a,
-                    method_b=label_b,
-                    outcome=outcome,
-                    rationale=rationale,
-                )
-            last_error = MalformedOutput(f"no winner in judge output: {output[:120]!r}")
-            prompt = base_prompt + (
-                f"\n\nYour previous reply could not be parsed: {last_error}. "
-                'Reply with exactly one JSON object holding "winner".'
+        try:
+            (outcome, rationale), _ = ask_json(
+                self._provider, prompt, _parse_judgment, _JUDGE_REASK, self._retries
             )
-        logger.warning("judge output unparseable, recording a tie: %s", last_error)
+        except MalformedOutput as exc:
+            logger.warning("judge output unparseable, recording a tie: %s", exc)
+            outcome, rationale = "Tie", "judge output unparseable; recorded as tie"
         return PairJudgment(
             instruction_id=instruction.id,
             method_a=label_a,
             method_b=label_b,
-            outcome="Tie",
-            rationale="judge output unparseable; recorded as tie",
+            outcome=outcome,
+            rationale=rationale,
         )
 
 

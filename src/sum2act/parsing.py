@@ -1,9 +1,16 @@
-"""Text utilities shared by the prompt builders and output parsers."""
+"""Text utilities shared by the prompt builders and output parsers, and the
+one re-ask loop every structured model reply goes through."""
 
 from __future__ import annotations
 
 import json
 import re
+
+from .errors import MalformedOutput
+from .provider import user_request
+
+# Corrective re-asks after the first attempt, for every structured reply.
+REASK_RETRIES = 2
 
 # Known placeholder names; any other brace content in a template is literal,
 # so JSON examples inside rule blocks never need escaping.
@@ -58,3 +65,30 @@ def extract_first_json_object(text: str, required_key: str | None = None):
         if isinstance(obj, dict) and (required_key is None or required_key in obj):
             return obj
     return None
+
+
+def ask_json(provider, prompt: str, parse, reask: str, retries: int, swallow=()):
+    """Send ``prompt`` and return ``(parse(reply), attempt)``.
+
+    ``attempt`` counts the re-asks that were needed (0 on the happy path). A
+    re-ask sends ``prompt`` again with ``reask`` appended, its ``{error}``
+    field filled with the last error; it follows a ``parse`` that raised
+    MalformedOutput or a provider call that raised one of the ``swallow``
+    exception types. Any other exception escapes. Once ``retries`` re-asks
+    are spent, MalformedOutput is raised carrying the last error.
+    """
+    last_error: Exception | None = None
+    for attempt in range(retries + 1):
+        text = prompt if attempt == 0 else prompt + reask.format(error=last_error)
+        try:
+            reply = provider.complete(user_request(text))
+        except swallow as exc:
+            last_error = exc
+            continue
+        try:
+            return parse(reply), attempt
+        except MalformedOutput as exc:
+            last_error = exc
+    raise MalformedOutput(
+        f"model output stayed unparseable after {retries} retries: {last_error}"
+    ) from last_error

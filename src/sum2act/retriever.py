@@ -14,7 +14,7 @@ import math
 import string
 from dataclasses import dataclass
 
-from .core import ParamSpec, ToolSpec
+from .core import ToolSpec, tool_from_dict
 from .errors import CatalogMismatchError, ConfigurationError, OracleLookupError
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
@@ -100,25 +100,10 @@ def load_catalog(path) -> list[ToolSpec]:
         data = json.load(handle)
     if not isinstance(data, list):
         raise ConfigurationError(f"{path}: tool catalog must be a JSON list")
-    tools = []
-    for item in data:
-        tools.append(
-            ToolSpec(
-                name=item["name"],
-                description=item.get("description", ""),
-                params=tuple(
-                    ParamSpec(
-                        name=p["name"],
-                        type_tag=p.get("type", "string"),
-                        required=bool(p.get("required", False)),
-                        description=p.get("description", ""),
-                    )
-                    for p in item.get("params", [])
-                ),
-                category=item.get("category"),
-            )
-        )
-    return tools
+    try:
+        return [tool_from_dict(item) for item in data]
+    except (KeyError, TypeError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{path}: malformed tool record: {exc}") from exc
 
 
 def load_ground_truth(path) -> dict:

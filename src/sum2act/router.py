@@ -15,14 +15,11 @@ from dataclasses import dataclass, replace
 
 from .core import Action, Instruction, State, ToolSpec, normalize_arg_value
 from .errors import ConfigurationError, MalformedOutput, ScriptError
-from .parsing import extract_first_json_object, fill_template
-from .provider import user_request
+from .parsing import REASK_RETRIES, ask_json, extract_first_json_object, fill_template
 from .state_manager import render_state
 from .templates_loader import load_template
 
 logger = logging.getLogger(__name__)
-
-PARSE_RETRIES = 2
 
 ROUTER_RULES = """\
 - Propose exactly one action per reply.
@@ -32,15 +29,6 @@ ROUTER_RULES = """\
   action "Finish" and put the final answer in args under the key "Answer".
 - Reply with exactly one JSON object and nothing else:
   {"thought": "<brief reasoning>", "action": "<tool name or Finish>", "args": {"<param>": "<value>"}}"""
-
-
-@dataclass(frozen=True)
-class RouterPrompt:
-    user_instruction_block: str
-    state_block: str
-    rules_block: str
-    tools_block: str
-    text: str
 
 
 @dataclass(frozen=True)
@@ -82,27 +70,17 @@ def build_router_prompt(
     tools: list[ToolSpec] | tuple[ToolSpec, ...],
     decomposition: Task | None = None,
     templates_dir: str | None = None,
-) -> RouterPrompt:
-    """Deterministic rendering of the four prompt blocks; every failure
-    history entry is rendered, none omitted."""
+) -> str:
+    """Deterministic prompt text from the instruction, state, tools and rules
+    blocks; every failure history entry is rendered, none omitted."""
     if not tools:
         raise ConfigurationError("router prompt requires a non-empty tool list")
-    instruction_block = _instruction_block(instruction, decomposition)
-    state_block = render_state(state)
-    tools_block = render_tools_block(tools)
-    text = fill_template(
+    return fill_template(
         load_template("router", templates_dir),
-        instruction=instruction_block,
-        state=state_block,
-        tools=tools_block,
+        instruction=_instruction_block(instruction, decomposition),
+        state=render_state(state),
+        tools=render_tools_block(tools),
         rules=ROUTER_RULES,
-    )
-    return RouterPrompt(
-        user_instruction_block=instruction_block,
-        state_block=state_block,
-        rules_block=ROUTER_RULES,
-        tools_block=tools_block,
-        text=text,
     )
 
 
@@ -136,30 +114,33 @@ def parse_action(model_output: str) -> Action:
     return Action(kind="ToolCall", tool_name=action_name, args=args, thought=thought)
 
 
-def _corrective_suffix(error: Exception) -> str:
-    return (
-        f"\n\nYour previous reply could not be parsed: {error}. Reply with "
-        'exactly one JSON object with the keys "thought", "action" and "args".'
-    )
+def _parse_task(output: str) -> Task:
+    obj = extract_first_json_object(output, required_key="target")
+    if obj is not None:
+        target = obj.get("target")
+        subtasks = obj.get("subtasks", [])
+        if (
+            isinstance(target, str)
+            and target
+            and isinstance(subtasks, list)
+            and all(isinstance(s, str) for s in subtasks)
+        ):
+            return Task(target=target, subtasks=tuple(subtasks))
+    raise MalformedOutput(f"no task object in output: {output[:120]!r}")
 
 
-def propose_from_prompt(provider, prompt_text: str, retries: int = PARSE_RETRIES) -> Action:
-    """Run one proposal round-trip with corrective re-asks on parse failures.
+_REASK = (
+    "\n\nYour previous reply could not be parsed: {error}. Reply with "
+    'exactly one JSON object with the keys "thought", "action" and "args".'
+)
 
-    The returned action records how many re-asks were needed."""
-    last_error: MalformedOutput | None = None
-    for attempt in range(retries + 1):
-        prompt = prompt_text if attempt == 0 else prompt_text + _corrective_suffix(last_error)
-        output = provider.complete(user_request(prompt))
-        try:
-            action = parse_action(output)
-        except MalformedOutput as exc:
-            last_error = exc
-            continue
-        return replace(action, retry_count=attempt)
-    raise MalformedOutput(
-        f"model output stayed unparseable after {retries} retries: {last_error}"
-    )
+
+def propose_from_prompt(provider, prompt_text: str, retries: int = REASK_RETRIES) -> Action:
+    """Run one proposal round-trip with corrective re-asks on parse failures;
+    provider errors escape. The returned action records how many re-asks
+    were needed."""
+    action, attempt = ask_json(provider, prompt_text, parse_action, _REASK, retries)
+    return replace(action, retry_count=attempt)
 
 
 def propose(
@@ -168,49 +149,33 @@ def propose(
     state: State,
     tools,
     decomposition: Task | None = None,
-    retries: int = PARSE_RETRIES,
+    retries: int = REASK_RETRIES,
     templates_dir: str | None = None,
 ) -> Action:
     prompt = build_router_prompt(instruction, state, tools, decomposition, templates_dir)
-    return propose_from_prompt(provider, prompt.text, retries=retries)
+    return propose_from_prompt(provider, prompt, retries=retries)
 
 
 def decompose(
     provider,
     instruction: Instruction,
     tools,
-    retries: int = PARSE_RETRIES,
+    retries: int = REASK_RETRIES,
     templates_dir: str | None = None,
 ) -> Task | None:
-    """One-shot task decomposition, run before the loop. Unparseable output
-    is logged and the episode proceeds without guidance."""
+    """One-shot task decomposition, run before the loop. Output that stays
+    unparseable, or a scripted policy with no reply for the prompt, is logged
+    and the episode proceeds without guidance."""
     if not tools:
         raise ConfigurationError("decomposition requires a non-empty tool list")
-    base_prompt = fill_template(
+    prompt = fill_template(
         load_template("decompose", templates_dir),
         instruction=instruction.text,
         tools=render_tools_block(tools),
     )
-    prompt = base_prompt
-    last_error: Exception | None = None
-    for _ in range(retries + 1):
-        try:
-            output = provider.complete(user_request(prompt))
-        except ScriptError as exc:
-            last_error = exc
-            break
-        obj = extract_first_json_object(output, required_key="target")
-        if obj is not None:
-            target = obj.get("target")
-            subtasks = obj.get("subtasks", [])
-            if (
-                isinstance(target, str)
-                and target
-                and isinstance(subtasks, list)
-                and all(isinstance(s, str) for s in subtasks)
-            ):
-                return Task(target=target, subtasks=tuple(subtasks))
-        last_error = MalformedOutput(f"no task object in output: {output[:120]!r}")
-        prompt = base_prompt + _corrective_suffix(last_error)
-    logger.warning("task decomposition failed, continuing without it: %s", last_error)
-    return None
+    try:
+        task, _ = ask_json(provider, prompt, _parse_task, _REASK, retries, swallow=(ScriptError,))
+    except MalformedOutput as exc:
+        logger.warning("task decomposition failed, continuing without it: %s", exc)
+        return None
+    return task

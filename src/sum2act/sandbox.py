@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import requests
 
-from .core import Episode, Instruction, Observation, ParamSpec, ToolSpec
+from .core import Episode, Instruction, Observation, ToolSpec, tool_from_dict
 from .errors import ConfigurationError, ScenarioError
 
 BEHAVIOR_KINDS = ("success", "error", "timeout", "verbose")
@@ -128,23 +128,7 @@ def load_scenario(path) -> Scenario:
             text=instruction_data["text"],
             subset_label=instruction_data.get("subset_label"),
         )
-        tools = tuple(
-            ToolSpec(
-                name=t["name"],
-                description=t.get("description", ""),
-                params=tuple(
-                    ParamSpec(
-                        name=p["name"],
-                        type_tag=p.get("type", "string"),
-                        required=bool(p.get("required", False)),
-                        description=p.get("description", ""),
-                    )
-                    for p in t.get("params", [])
-                ),
-                category=t.get("category"),
-            )
-            for t in data["tools"]
-        )
+        tools = tuple(tool_from_dict(t) for t in data["tools"])
         behaviors = {
             name: tuple(_parse_behavior(b) for b in behavior_list)
             for name, behavior_list in data.get("behaviors", {}).items()

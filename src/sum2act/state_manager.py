@@ -11,7 +11,7 @@ abort an episode.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .core import (
     FailureEntry,
@@ -27,7 +27,13 @@ from .errors import (
     RequestTooLarge,
     ScriptError,
 )
-from .parsing import extract_first_json_object, fill_template, truncate_with_marker
+from .parsing import (
+    REASK_RETRIES,
+    ask_json,
+    extract_first_json_object,
+    fill_template,
+    truncate_with_marker,
+)
 from .provider import user_request
 from .templates_loader import load_template
 
@@ -104,21 +110,6 @@ def build_state_prompt(
     )
 
 
-@dataclass(frozen=True)
-class StateUpdate:
-    verdict: str
-    result_entry: str | None = None
-    failure_entry: tuple[str, str, str] | None = None  # (tool, digest, reason)
-
-    def __post_init__(self):
-        if self.verdict not in ("Success", "Failure"):
-            raise ConfigurationError(f"unknown verdict: {self.verdict!r}")
-        if self.verdict == "Success" and self.result_entry is None:
-            raise ConfigurationError("Success verdict requires a result entry")
-        if self.verdict == "Failure" and self.failure_entry is None:
-            raise ConfigurationError("Failure verdict requires a failure entry")
-
-
 def _parse_verdict(output: str) -> tuple[str, str]:
     obj = extract_first_json_object(output, required_key="verdict")
     if obj is None:
@@ -133,81 +124,11 @@ def _parse_verdict(output: str) -> tuple[str, str]:
     return verdict, text
 
 
-def _mechanical_update(observation: Observation) -> StateUpdate:
-    """Status-keyed fallback used when the provider output stays unparseable."""
-    if observation.status == "Success":
-        return StateUpdate(
-            verdict="Success",
-            result_entry=observation.payload[:_FALLBACK_SUMMARY_CHARS],
-        )
-    reason = observation.error or f"tool returned status {observation.status}"
-    return StateUpdate(
-        verdict="Failure",
-        failure_entry=(
-            observation.tool_name,
-            args_digest(observation.args_echo),
-            reason,
-        ),
-    )
-
-
-def judge_observation(
-    provider,
-    instruction: Instruction,
-    state: State,
-    observation: Observation,
-    window: int = OBSERVATION_WINDOW_CHARS,
-    retries: int = 2,
-    templates_dir: str | None = None,
-) -> StateUpdate:
-    """Ask the provider for a verdict; fall back mechanically after retries."""
-    base_prompt = build_state_prompt(instruction, state, observation, window, templates_dir)
-    prompt = base_prompt
-    last_error: Exception | None = None
-    for _ in range(retries + 1):
-        try:
-            output = provider.complete(user_request(prompt))
-            verdict, text = _parse_verdict(output)
-        except (MalformedOutput, ScriptError, RequestTooLarge) as exc:
-            last_error = exc
-            prompt = base_prompt + (
-                f"\n\nYour previous reply could not be used: {exc}. Reply with "
-                'exactly one JSON object holding "verdict" and a "summary" or '
-                '"reason".'
-            )
-            continue
-        if verdict == "Success":
-            return StateUpdate(verdict="Success", result_entry=text)
-        return StateUpdate(
-            verdict="Failure",
-            failure_entry=(
-                observation.tool_name,
-                args_digest(observation.args_echo),
-                text,
-            ),
-        )
-    logger.warning("state verdict unparseable, using mechanical fallback: %s", last_error)
-    return _mechanical_update(observation)
-
-
-def apply_update(state: State, update_value: StateUpdate, step_index: int) -> State:
-    """Pure application of a verdict to a state; duplicates merge."""
-    if update_value.verdict == "Success":
-        entry = ResultEntry(text=update_value.result_entry, step_index=step_index)
-        return State(
-            current_results=state.current_results + (entry,),
-            failure_history=state.failure_history,
-        )
-    tool_name, digest, reason = update_value.failure_entry
-    if state.has_failure(tool_name, digest):
-        return state
-    entry = FailureEntry(
-        tool_name=tool_name, args_digest=digest, reason=reason, step_index=step_index
-    )
-    return State(
-        current_results=state.current_results,
-        failure_history=state.failure_history + (entry,),
-    )
+_REASK = (
+    "\n\nYour previous reply could not be used: {error}. Reply with "
+    'exactly one JSON object holding "verdict" and a "summary" or '
+    '"reason".'
+)
 
 
 def update(
@@ -217,14 +138,40 @@ def update(
     observation: Observation,
     step_index: int,
     window: int = OBSERVATION_WINDOW_CHARS,
-    retries: int = 2,
+    retries: int = REASK_RETRIES,
     templates_dir: str | None = None,
 ) -> State:
-    """Judge one observation and return a new State; the input is unchanged."""
-    verdict = judge_observation(
-        provider, instruction, state, observation, window, retries, templates_dir
+    """Judge one observation and return a new State; the input is unchanged.
+
+    The provider's verdict is re-asked while it is unusable or the provider
+    raises ScriptError or RequestTooLarge; once the re-asks are spent, a
+    mechanical verdict keyed on the observation status is logged and used.
+    A failure already in the history (same tool and args digest) is not
+    added again.
+    """
+    prompt = build_state_prompt(instruction, state, observation, window, templates_dir)
+    try:
+        (verdict, text), _ = ask_json(
+            provider, prompt, _parse_verdict, _REASK, retries,
+            swallow=(ScriptError, RequestTooLarge),
+        )
+    except MalformedOutput as exc:
+        logger.warning("state verdict unparseable, using mechanical fallback: %s", exc)
+        if observation.status == "Success":
+            verdict, text = "Success", observation.payload[:_FALLBACK_SUMMARY_CHARS]
+        else:
+            verdict = "Failure"
+            text = observation.error or f"tool returned status {observation.status}"
+    if verdict == "Success":
+        entry = ResultEntry(text=text, step_index=step_index)
+        return State(state.current_results + (entry,), state.failure_history)
+    digest = args_digest(observation.args_echo)
+    if state.has_failure(observation.tool_name, digest):
+        return state
+    entry = FailureEntry(
+        tool_name=observation.tool_name, args_digest=digest, reason=text, step_index=step_index
     )
-    return apply_update(state, verdict, step_index)
+    return State(state.current_results, state.failure_history + (entry,))
 
 
 # ---------------------------------------------------------------------------

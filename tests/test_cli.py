@@ -7,7 +7,17 @@ from pathlib import Path
 import pytest
 
 from sum2act.cli import main
-from sum2act.core import read_trace
+from sum2act.core import (
+    Action,
+    Instruction,
+    State,
+    Step,
+    Terminal,
+    ToolSpec,
+    new_episode,
+    read_trace,
+    serialize_episode,
+)
 
 
 def _copy_pair(src_dir: Path, name: str, dst: Path) -> None:
@@ -106,6 +116,20 @@ class TestRun:
         ])
         assert code == 0
         assert stub.calls == 1
+
+    @pytest.mark.parametrize("record", [{"description": "x"}, "oops"])
+    def test_malformed_catalog_exits_2(self, core_dir, tmp_path, capsys, record):
+        tools_path = tmp_path / "catalog.json"
+        tools_path.write_text(json.dumps([record]))
+        code = main([
+            "run",
+            "--instruction", "Check the status page.",
+            "--tools", str(tools_path),
+            "--policy", str(core_dir / "weather_miami.policy.json"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "catalog.json" in capsys.readouterr().err
 
     def test_config_file_provides_defaults(self, core_dir, tmp_path):
         config_path = tmp_path / "config.json"
@@ -311,6 +335,18 @@ class TestReplay:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         assert main(["replay", str(empty)]) == 2
+
+    def test_line_separator_in_text_replays(self, tmp_path, capsys):
+        # Traces keep U+2028 unescaped inside strings; only "\n" ends a record.
+        instruction = Instruction(id="sep", text="first\u2028second")
+        episode = new_episode(instruction, [ToolSpec(name="alpha", description="a")], 1, "sum2act")
+        episode = episode.with_step(
+            Step(Action(kind="Finish", args={"Answer": "ok"}), None, State.empty())
+        ).with_terminal(Terminal.finished("ok"))
+        trace = tmp_path / "sep.jsonl"
+        trace.write_text(serialize_episode(episode) + "\n", encoding="utf-8")
+        assert main(["replay", str(trace)]) == 0
+        assert "terminal: Finished answer: ok" in capsys.readouterr().out
 
     def test_corrupt_trace_exits_2(self, tmp_path):
         corrupt = tmp_path / "corrupt.jsonl"

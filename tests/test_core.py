@@ -129,6 +129,12 @@ class TestSerialization:
         with pytest.raises(TraceFormatError):
             deserialize_episode('["a", "list"]')
 
+    def test_tool_record_without_description_rejected(self):
+        data = json.loads(serialize_episode(_finished_episode()))
+        del data["tools"][0]["description"]
+        with pytest.raises(TraceFormatError, match="description"):
+            deserialize_episode(json.dumps(data))
+
     def test_over_budget_record_rejected(self):
         record = serialize_episode(_finished_episode())
         data = json.loads(record)

@@ -1,0 +1,168 @@
+"""Re-ask and error policy of the four callers of ``parsing.ask_json``.
+
+Each caller meets three providers: one whose policy has no reply for the
+prompt (``ScriptError``), one whose request is too large
+(``RequestTooLarge``) and one that replies with garbage. The policy under
+test is whether the error escapes, is re-asked, and what the caller falls
+back to once the re-asks are spent.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from sum2act.core import Action, Instruction, Observation, State, Step, ToolSpec, new_episode
+from sum2act.errors import MalformedOutput, RequestTooLarge, ScriptError
+from sum2act.evaluation import LlmJudge
+from sum2act.parsing import REASK_RETRIES, ask_json
+from sum2act.router import decompose, propose_from_prompt
+from sum2act.state_manager import update
+
+INSTRUCTION = Instruction(id="i1", text="find the weather in Miami")
+TOOLS = (ToolSpec(name="get_weather", description="weather by city"),)
+ATTEMPTS = REASK_RETRIES + 1
+
+
+class StubProvider:
+    """Answers call n with the n-th outcome, repeating the last one; an
+    exception outcome is raised. Keeps every prompt."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = outcomes
+        self.prompts: list[str] = []
+
+    def complete(self, request) -> str:
+        self.prompts.append(request.rendered_prompt())
+        outcome = self.outcomes[min(len(self.prompts), len(self.outcomes)) - 1]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+def _script_error():
+    return StubProvider(ScriptError("no policy entry matched"))
+
+
+def _too_large():
+    return StubProvider(RequestTooLarge("rendered request is too large"))
+
+
+def _garbage():
+    return StubProvider("no JSON here")
+
+
+def _judge(provider):
+    episode = new_episode(INSTRUCTION, TOOLS, 2, "m")
+    episode = episode.with_step(Step(Action(kind="Finish", args={"Answer": "a"}), None, State.empty()))
+    return LlmJudge(provider).judge(INSTRUCTION, episode, episode)
+
+
+def _update(provider):
+    observation = Observation(
+        status="ToolError", payload="", tool_name="get_weather",
+        args_echo={"city": "Miami"}, error="HTTP 502: upstream gone",
+    )
+    return update(provider, INSTRUCTION, State.empty(), observation, step_index=1)
+
+
+class TestAskJson:
+    def test_returns_value_and_attempt(self):
+        def parse(text):
+            if text != "good":
+                raise MalformedOutput(f"reply was {text!r}")
+            return text
+
+        provider = StubProvider("bad", "good")
+        assert ask_json(provider, "P", parse, " [{error}]", 2) == ("good", 1)
+        assert provider.prompts == ["P", "P [reply was 'bad']"]
+
+    def test_spent_retries_raise_with_last_error(self):
+        provider = _script_error()
+        with pytest.raises(MalformedOutput) as info:
+            ask_json(provider, "P", str, " again", retries=1, swallow=(ScriptError,))
+        assert isinstance(info.value.__cause__, ScriptError)
+        assert provider.prompts == ["P", "P again"]
+
+    def test_unlisted_provider_error_escapes(self):
+        provider = _too_large()
+        with pytest.raises(RequestTooLarge):
+            ask_json(provider, "P", str, " again", 2, swallow=(ScriptError,))
+        assert len(provider.prompts) == 1
+
+
+class TestRouterPolicy:
+    """Provider errors escape; garbage is re-asked, then MalformedOutput
+    (the engines end the episode AbortedParseFailure)."""
+
+    @pytest.mark.parametrize("make, error", [(_script_error, ScriptError), (_too_large, RequestTooLarge)])
+    def test_provider_errors_escape(self, make, error):
+        provider = make()
+        with pytest.raises(error):
+            propose_from_prompt(provider, "prompt")
+        assert len(provider.prompts) == 1
+
+    def test_garbage_is_reasked_then_malformed(self):
+        provider = _garbage()
+        with pytest.raises(MalformedOutput):
+            propose_from_prompt(provider, "prompt")
+        assert len(provider.prompts) == ATTEMPTS
+        assert all("could not be parsed" in prompt for prompt in provider.prompts[1:])
+
+
+class TestDecomposePolicy:
+    """ScriptError and garbage are re-asked, then the episode goes on
+    without guidance; RequestTooLarge escapes."""
+
+    @pytest.mark.parametrize("make", [_script_error, _garbage])
+    def test_reasked_then_none(self, make):
+        provider = make()
+        assert decompose(provider, INSTRUCTION, TOOLS) is None
+        assert len(provider.prompts) == ATTEMPTS
+        assert all("could not be parsed" in prompt for prompt in provider.prompts[1:])
+
+    def test_request_too_large_escapes(self):
+        provider = _too_large()
+        with pytest.raises(RequestTooLarge):
+            decompose(provider, INSTRUCTION, TOOLS)
+        assert len(provider.prompts) == 1
+
+    def test_recovers_after_script_error(self):
+        provider = StubProvider(
+            ScriptError("no policy entry matched"), '{"target": "plan trip", "subtasks": []}'
+        )
+        assert decompose(provider, INSTRUCTION, TOOLS).target == "plan trip"
+        assert len(provider.prompts) == 2
+
+
+class TestStateManagerPolicy:
+    """Every error is re-asked, then the mechanical verdict is logged and used."""
+
+    @pytest.mark.parametrize("make", [_script_error, _too_large, _garbage])
+    def test_reasked_then_mechanical_fallback(self, make, caplog):
+        provider = make()
+        state = _update(provider)
+        assert len(provider.prompts) == ATTEMPTS
+        assert all("could not be used" in prompt for prompt in provider.prompts[1:])
+        assert [f.reason for f in state.failure_history] == ["HTTP 502: upstream gone"]
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "state verdict unparseable, using mechanical fallback"
+        ]
+
+
+class TestJudgePolicy:
+    """Provider errors escape; garbage is re-asked, then recorded as a tie."""
+
+    @pytest.mark.parametrize("make, error", [(_script_error, ScriptError), (_too_large, RequestTooLarge)])
+    def test_provider_errors_escape(self, make, error):
+        provider = make()
+        with pytest.raises(error):
+            _judge(provider)
+        assert len(provider.prompts) == 1
+
+    def test_garbage_is_reasked_then_tie(self):
+        provider = _garbage()
+        judgment = _judge(provider)
+        assert judgment.outcome == "Tie"
+        assert judgment.rationale == "judge output unparseable; recorded as tie"
+        assert len(provider.prompts) == ATTEMPTS
+        assert all("could not be parsed" in prompt for prompt in provider.prompts[1:])

@@ -130,3 +130,15 @@ class TestFiles:
         catalog = load_catalog(path)
         assert [t.name for t in catalog] == ["alpha", "beta"]
         assert catalog[0].params[0].required
+
+    def test_catalog_description_defaults_empty(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{"name": "alpha"}]))
+        assert load_catalog(path)[0].description == ""
+
+    @pytest.mark.parametrize("record", [{"description": "x"}, "oops", {"name": "has space"}])
+    def test_malformed_record_names_the_file(self, tmp_path, record):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([record]))
+        with pytest.raises(ConfigurationError, match="catalog.json"):
+            load_catalog(path)

@@ -10,22 +10,30 @@ from sum2act.core import FailureEntry, Instruction, ResultEntry, State, ToolSpec
 from sum2act.errors import ConfigurationError, MalformedOutput
 from sum2act.provider import PolicyEntry, RecordingProvider, ScriptedPolicy, ScriptedProvider
 from sum2act.router import (
+    ROUTER_RULES,
     Task,
     build_router_prompt,
     decompose,
     parse_action,
     propose,
     propose_from_prompt,
+    render_tools_block,
 )
+from sum2act.state_manager import render_state
 
 INSTRUCTION = Instruction(id="i1", text="find the weather in Miami")
 TOOLS = (ToolSpec(name="get_weather", description="weather by city"),)
 
 
+def _section(prompt: str, heading: str) -> str:
+    """The body of the prompt section under ``## heading``."""
+    return prompt.split(f"## {heading}\n", 1)[1].split("\n\n## ", 1)[0].rstrip("\n")
+
+
 class TestBuildRouterPrompt:
     def test_empty_state_rendering(self):
         prompt = build_router_prompt(INSTRUCTION, State.empty(), TOOLS)
-        assert prompt.state_block == "Current results: (none). Failure history: (none)."
+        assert _section(prompt, "State") == "Current results: (none). Failure history: (none)."
 
     def test_all_failures_rendered(self):
         state = State(
@@ -35,26 +43,25 @@ class TestBuildRouterPrompt:
                 FailureEntry("get_weather", "d2", "second reason", 2),
             ),
         )
-        prompt = build_router_prompt(INSTRUCTION, state, TOOLS)
-        assert "get_weather(d1): first reason" in prompt.state_block
-        assert "get_weather(d2): second reason" in prompt.state_block
-        assert prompt.state_block in prompt.text
+        state_section = _section(build_router_prompt(INSTRUCTION, state, TOOLS), "State")
+        assert "get_weather(d1): first reason" in state_section
+        assert "get_weather(d2): second reason" in state_section
+        assert state_section == render_state(state)
 
     def test_decomposition_appends_lines(self):
         bare = build_router_prompt(INSTRUCTION, State.empty(), TOOLS)
         task = Task(target="plan the trip", subtasks=("check weather", "book flight"))
         decorated = build_router_prompt(INSTRUCTION, State.empty(), TOOLS, decomposition=task)
-        extra = len(decorated.user_instruction_block.splitlines()) - len(
-            bare.user_instruction_block.splitlines()
+        extra = len(_section(decorated, "User Instruction").splitlines()) - len(
+            _section(bare, "User Instruction").splitlines()
         )
         assert extra == 3
-        assert "plan the trip" in decorated.text
+        assert "plan the trip" in decorated
 
     def test_deterministic(self):
         state = State(current_results=(ResultEntry("sunny", 1),), failure_history=())
-        assert (
-            build_router_prompt(INSTRUCTION, state, TOOLS).text
-            == build_router_prompt(INSTRUCTION, state, TOOLS).text
+        assert build_router_prompt(INSTRUCTION, state, TOOLS) == build_router_prompt(
+            INSTRUCTION, state, TOOLS
         )
 
     def test_requires_tools(self):
@@ -63,14 +70,10 @@ class TestBuildRouterPrompt:
 
     def test_blocks_all_present(self):
         prompt = build_router_prompt(INSTRUCTION, State.empty(), TOOLS)
-        for block in (
-            prompt.user_instruction_block,
-            prompt.state_block,
-            prompt.tools_block,
-            prompt.rules_block,
-        ):
-            assert block
-            assert block in prompt.text
+        assert _section(prompt, "User Instruction") == INSTRUCTION.text
+        assert _section(prompt, "State") == render_state(State.empty())
+        assert _section(prompt, "Tools") == render_tools_block(TOOLS)
+        assert _section(prompt, "Rules") == ROUTER_RULES
 
 
 class TestParseAction:

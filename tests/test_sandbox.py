@@ -87,6 +87,18 @@ class TestLoadScenario:
         scenario = load_scenario(path)
         assert scenario.pass_condition.values == ("29", "sunny")
 
+    def test_tool_description_defaults_empty(self, tmp_path):
+        path = tmp_path / "ok.scenario.json"
+        path.write_text(json.dumps({
+            "id": "ok",
+            "instruction": {"id": "ok", "text": "x"},
+            "tools": [{"name": "alpha", "params": [{"name": "q"}]}],
+            "pass_condition": {"exact": "x"},
+        }))
+        tool = load_scenario(path).tools[0]
+        assert tool.description == ""
+        assert tool.params == (ParamSpec(name="q"),)
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "bad.scenario.json"
         path.write_text("{\n  broken\n}")
