@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -200,6 +201,27 @@ class TestBench:
         assert serial_files == parallel_files
         for relative in serial_files:
             assert (out_serial / relative).read_bytes() == (out_parallel / relative).read_bytes()
+
+    @pytest.mark.parametrize("concurrency", ["1", "4"])
+    def test_shipped_corpus_bytes_are_pinned(self, scenarios_root, tmp_path, concurrency):
+        # sha256 over report.json, report.txt and every trace, each preceded
+        # by its path relative to the output directory.
+        out_dir = tmp_path / "out"
+        assert main([
+            "bench", "--scenario-dir", str(scenarios_root),
+            "--methods", "sum2act,react,dfsdt", "--concurrency", concurrency,
+            "--out", str(out_dir),
+        ]) == 0
+        files = [out_dir / "report.json", out_dir / "report.txt"]
+        files += sorted((out_dir / "traces").glob("*/*.jsonl"))
+        assert len(files) == 92  # 2 reports + 30 scenarios x 3 methods
+        digest = hashlib.sha256()
+        for path in files:
+            digest.update(path.relative_to(out_dir).as_posix().encode("utf-8") + b"\n")
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "396dcec731eef6d3303055c686475680c82f21e92b560e0b291be398d28352ed"
+        )
 
     def test_fail_fast_on_corrupt_scenario(self, core_dir, tmp_path, capsys):
         suite = tmp_path / "suite"
