@@ -16,7 +16,7 @@ from .core import (
     new_episode,
     serialize_episode,
 )
-from .engine import EngineConfig, default_config, run_dfsdt, run_episode, run_react, run_sum2act
+from .engine import EngineConfig, default_config, run_episode
 from .errors import Sum2ActError
 from .provider import (
     ChatMessage,
@@ -55,10 +55,7 @@ __all__ = [
     "load_policy",
     "load_scenario",
     "new_episode",
-    "run_dfsdt",
     "run_episode",
-    "run_react",
-    "run_sum2act",
     "serialize_episode",
 ]
 

@@ -13,17 +13,11 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .core import Instruction, State, read_trace, serialize_episode
-from .engine import (
-    DFSDT_STEP_BUDGET,
-    EngineConfig,
-    METHOD_LABELS,
-    SUM2ACT_STEP_BUDGET,
-    run_episode,
-)
+from .core import Instruction, State, load_json_file, read_trace, serialize_episode
+from .engine import METHOD_LABELS, EngineConfig, default_config, run_episode
 from .errors import ConfigurationError, Sum2ActError
 from .evaluation import (
     LlmJudge,
@@ -55,8 +49,6 @@ class RunManifest:
     provider_mode: str
     policy_path: str | None
     out_dir: Path
-    method: str = "sum2act"
-    overrides: dict | None = None
 
     def validate(self) -> None:
         if self.provider_mode not in ("scripted", "live"):
@@ -82,47 +74,55 @@ class RunManifest:
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = load_json_file(path, ConfigurationError)
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: config file must hold a JSON object")
     return data
 
 
-def _resolve(cli_value, config: dict, key: str, default):
+def _resolve(cli_value, config: dict, key: str, default, kind: type = str):
+    """The flag's value, else the config file's, else ``default``. A config
+    value that is not a ``kind`` raises ConfigurationError naming its key."""
     if cli_value is not None:
         return cli_value
-    if key in config:
-        return config[key]
-    return default
+    value = config.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigurationError(
+            f"config key {key!r} must be of type {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+# Config key (and flag dest): the EngineConfig field it sets, and its type.
+_ENGINE_KEYS = {
+    "budget": ("step_budget", int),
+    "state_cap": ("state_cap_chars", int),
+    "observation_window": ("observation_window_chars", int),
+    "decompose": ("use_decomposition", bool),
+    "react_window": ("react_memory_window_chars", int),
+    "max_children": ("dfsdt_max_children", int),
+    "templates_dir": ("templates_dir", str),
+}
 
 
 def _engine_config(method: str, args, config: dict) -> EngineConfig:
-    default_budget = DFSDT_STEP_BUDGET if method == "dfsdt" else SUM2ACT_STEP_BUDGET
-    return EngineConfig(
-        step_budget=int(_resolve(args.budget, config, "budget", default_budget)),
-        state_cap_chars=int(_resolve(args.state_cap, config, "state_cap", 4096)),
-        observation_window_chars=int(
-            _resolve(args.observation_window, config, "observation_window", 4096)
-        ),
-        use_decomposition=bool(_resolve(args.decompose, config, "decompose", False)),
-        react_memory_window_chars=int(
-            _resolve(args.react_window, config, "react_window", 4096)
-        ),
-        dfsdt_max_children=int(_resolve(args.max_children, config, "max_children", 3)),
-        templates_dir=_resolve(args.templates_dir, config, "templates_dir", None),
-    )
+    """``method``'s defaults with the given flags and config keys applied."""
+    given = {}
+    for key, (field, kind) in _ENGINE_KEYS.items():
+        value = _resolve(getattr(args, key), config, key, None, kind)
+        if value is not None:
+            given[field] = value
+    return replace(default_config(method), **given)
 
 
-def _manifest(args, config: dict, method: str = "sum2act") -> RunManifest:
-    manifest = RunManifest(
-        provider_mode=_resolve(args.provider, config, "provider", "scripted"),
+def _manifest(args, config: dict, out: str, provider: str = "scripted") -> RunManifest:
+    return RunManifest(
+        provider_mode=_resolve(args.provider, config, "provider", provider),
         policy_path=_resolve(args.policy, config, "policy", None),
-        out_dir=Path(_resolve(args.out, config, "out", "runs")),
-        method=method,
+        out_dir=Path(_resolve(args.out, config, "out", out)),
     )
-    manifest.validate()
-    return manifest
 
 
 def _write_episode(path: Path, episode) -> None:
@@ -138,7 +138,8 @@ def _write_episode(path: Path, episode) -> None:
 def cmd_run(args) -> int:
     config = _load_config_file(args.config)
     method = _resolve(args.method, config, "method", "sum2act")
-    manifest = _manifest(args, config, method)
+    manifest = _manifest(args, config, "runs")
+    manifest.validate()
 
     scenario = None
     if args.scenario:
@@ -207,12 +208,8 @@ def cmd_bench(args) -> int:
     for method in methods:
         if method not in METHOD_LABELS:
             raise ConfigurationError(f"unknown method {method!r}")
-    manifest = RunManifest(
-        provider_mode=_resolve(args.provider, config, "provider", "scripted"),
-        policy_path=_resolve(args.policy, config, "policy", None),
-        out_dir=Path(_resolve(args.out, config, "out", "bench-out")),
-    )
-    concurrency = int(_resolve(args.concurrency, config, "concurrency", 1))
+    manifest = _manifest(args, config, "bench-out")
+    concurrency = _resolve(args.concurrency, config, "concurrency", 1, int)
     if concurrency < 1:
         raise ConfigurationError("concurrency must be >= 1")
 
@@ -361,11 +358,7 @@ def cmd_compare(args) -> int:
 
         judge = RuleJudge(passed)
     elif judge_mode == "llm":
-        manifest = RunManifest(
-            provider_mode=_resolve(args.provider, config, "provider", "live"),
-            policy_path=_resolve(args.policy, config, "policy", None),
-            out_dir=Path(_resolve(args.out, config, "out", "compare-out")),
-        )
+        manifest = _manifest(args, config, "compare-out", provider="live")
         manifest.validate()
         judge = LlmJudge(manifest.make_provider())
     else:
@@ -532,7 +525,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (Sum2ActError, OSError, json.JSONDecodeError) as exc:
+    except (Sum2ActError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -451,7 +451,7 @@ def deserialize_episode(record: str) -> Episode:
     """Parse and validate one trace line; raises TraceFormatError on problems."""
     try:
         data = json.loads(record)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TraceFormatError(f"trace record is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise TraceFormatError("trace record must be a JSON object")
@@ -500,6 +500,20 @@ def _validate_episode(episode: Episode) -> None:
         if len(step.state.failure_history) < previous_failures:
             raise TraceFormatError("failure history shrank between steps")
         previous_failures = len(step.state.failure_history)
+
+
+def load_json_file(path, error: type[Exception], blank=None):
+    """Parse the JSON file at ``path``. Invalid JSON, or JSON nested deeper
+    than the interpreter's recursion limit, raises ``error`` naming the file.
+    A file holding only whitespace gives ``blank`` when one is given."""
+    with open(path, encoding="utf-8") as handle:
+        raw = handle.read()
+    if blank is not None and not raw.strip():
+        return blank
+    try:
+        return json.loads(raw)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
 def read_trace(path) -> list[Episode]:

@@ -1,12 +1,16 @@
-"""The outer loops.
+"""The episode loop and the memories it runs with.
 
-``run_sum2act`` iterates proposal -> execution -> state update with the
-summarized state rendered into every router prompt. ``run_react`` keeps a raw
-append-only transcript instead, dropping the oldest entries whole once it
-exceeds the memory window. ``run_dfsdt`` searches depth-first: a failed
-branch is abandoned and its observation is not carried to sibling branches
-(only the attempted action names are), which is exactly the information loss
-the summarized state avoids.
+``run_episode`` iterates proposal -> execution -> record. The methods differ
+only in what they carry from one step to the next:
+
+- ``Summary`` (sum2act) keeps the summarized state, rendered into every
+  router prompt;
+- ``Window`` (react) keeps a raw append-only transcript, dropping the oldest
+  entries whole once it exceeds the memory window;
+- ``Tree`` (dfsdt) searches depth-first: a failed branch is abandoned and its
+  observation is not carried to sibling branches (only the attempted action
+  names are), which is exactly the information loss the summarized state
+  avoids.
 
 Agent-level failures (unparseable proposals, tool errors, exhausted budgets)
 become terminal episode states; infrastructure failures (provider
@@ -15,7 +19,9 @@ unreachable, scripted-policy holes) raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .core import (
     Action,
@@ -31,15 +37,13 @@ from .core import (
 )
 from .errors import ConfigurationError, MalformedOutput
 from .parsing import REASK_RETRIES, fill_template
-from .router import ROUTER_RULES, decompose, propose, propose_from_prompt, render_tools_block
-from .state_manager import enforce_cap, update
+from .router import ROUTER_RULES, Task, decompose, propose, propose_from_prompt, render_tools_block
+from .state_manager import OBSERVATION_WINDOW_CHARS, STATE_CAP_CHARS, enforce_cap, update
 from .templates_loader import load_template
 
 SUM2ACT_STEP_BUDGET = 30
 DFSDT_STEP_BUDGET = 200
 RESTART_ACTION = "Restart"
-
-METHOD_LABELS = ("sum2act", "react", "dfsdt")
 
 DFSDT_RULES = ROUTER_RULES + (
     '\n- If this branch looks hopeless, reply with the special action '
@@ -50,13 +54,14 @@ DFSDT_RULES = ROUTER_RULES + (
 @dataclass(frozen=True)
 class EngineConfig:
     step_budget: int = SUM2ACT_STEP_BUDGET
-    state_cap_chars: int = 4096
-    observation_window_chars: int = 4096
+    state_cap_chars: int = STATE_CAP_CHARS
+    observation_window_chars: int = OBSERVATION_WINDOW_CHARS
     use_decomposition: bool = False
     react_memory_window_chars: int = 4096
     dfsdt_max_children: int = 3
-    parse_retries: int = REASK_RETRIES
     templates_dir: str | None = None
+    # Re-asks per structured reply; fixed, readable to count provider calls.
+    parse_retries: ClassVar[int] = REASK_RETRIES
 
     def __post_init__(self):
         if self.step_budget < 1:
@@ -68,74 +73,16 @@ class EngineConfig:
             raise ConfigurationError("dfsdt_max_children must be >= 1")
 
 
-def default_config(method: str) -> EngineConfig:
-    if method == "dfsdt":
-        return EngineConfig(step_budget=DFSDT_STEP_BUDGET)
-    return EngineConfig(step_budget=SUM2ACT_STEP_BUDGET)
-
-
-@dataclass
-class SearchNode:
-    """One node of the depth-first search; ``memory`` is the transcript along
-    this branch only."""
-
-    memory: tuple[str, ...]
-    depth: int
-    parent: SearchNode | None = None
-    children_tried: int = 0
-    attempted: tuple[str, ...] = ()
-
-
-def _transcript_entry(action: Action, observation: Observation | None) -> str:
-    lines = [
+def _transcript_entry(action: Action, observation: Observation) -> str:
+    if observation.status == "Success":
+        seen = f"Observation[Success]: {observation.payload}"
+    else:
+        seen = f"Observation[{observation.status}]: {observation.error}"
+    return "\n".join((
         f"Thought: {action.thought or '(none)'}",
         f"Action: {action.tool_name}({canonical_args(action.args)})",
-    ]
-    if observation is None:
-        lines.append("Observation: (none)")
-    elif observation.status == "Success":
-        lines.append(f"Observation[Success]: {observation.payload}")
-    else:
-        lines.append(f"Observation[{observation.status}]: {observation.error}")
-    return "\n".join(lines)
-
-
-def run_sum2act(provider, instruction: Instruction, tools, config: EngineConfig, executor) -> Episode:
-    """Proposal/summarization loop; terminates Finished, BudgetExhausted or
-    AbortedParseFailure within ``step_budget`` proposals."""
-    episode = new_episode(instruction, tools, config.step_budget, "sum2act")
-    decomposition = None
-    if config.use_decomposition:
-        decomposition = decompose(
-            provider, instruction, tools,
-            retries=config.parse_retries, templates_dir=config.templates_dir,
-        )
-    state = State.empty()
-    while len(episode.steps) < config.step_budget:
-        try:
-            action = propose(
-                provider, instruction, state, tools, decomposition,
-                retries=config.parse_retries, templates_dir=config.templates_dir,
-            )
-        except MalformedOutput:
-            return episode.with_terminal(Terminal.aborted_parse_failure())
-        if action.kind == "Finish":
-            episode = episode.with_step(Step(action, None, state))
-            return episode.with_terminal(Terminal.finished(action.answer))
-        observation = executor(action.tool_name, action.args)
-        state = update(
-            provider, instruction, state, observation,
-            step_index=len(episode.steps) + 1,
-            window=config.observation_window_chars,
-            retries=config.parse_retries,
-            templates_dir=config.templates_dir,
-        )
-        state = enforce_cap(
-            state, config.state_cap_chars,
-            provider=provider, templates_dir=config.templates_dir,
-        )
-        episode = episode.with_step(Step(action, observation, state))
-    return episode.with_terminal(Terminal.budget_exhausted())
+        seen,
+    ))
 
 
 def _evict_oldest(transcript: list[str], window_chars: int) -> None:
@@ -145,106 +92,168 @@ def _evict_oldest(transcript: list[str], window_chars: int) -> None:
         total -= len(transcript.pop(0)) + 2
 
 
-def _react_prompt(instruction, tools, transcript: list[str], config: EngineConfig) -> str:
-    return fill_template(
-        load_template("react", config.templates_dir),
-        instruction=instruction.text,
-        tools=render_tools_block(tools),
-        transcript="\n\n".join(transcript) if transcript else "(empty)",
-        rules=ROUTER_RULES,
-    )
+@dataclass
+class Memory:
+    """What a method carries between steps. ``propose`` returns the next
+    action, or None once nothing is left to try; ``record`` runs a proposed
+    tool call and returns its step; ``state`` is the summarized state every
+    step stores (empty except for sum2act)."""
+
+    provider: object
+    instruction: Instruction
+    tools: list[ToolSpec] | tuple[ToolSpec, ...]
+    config: EngineConfig
+    executor: Callable[[str, dict], Observation]
+    state: State = State.empty()
+
+    def _propose(self, template: str, transcript, rules: str, **blocks: str) -> Action:
+        prompt = fill_template(
+            load_template(template, self.config.templates_dir),
+            instruction=self.instruction.text,
+            tools=render_tools_block(self.tools),
+            transcript="\n\n".join(transcript) if transcript else "(empty)",
+            rules=rules,
+            **blocks,
+        )
+        return propose_from_prompt(self.provider, prompt)
 
 
-def run_react(provider, instruction: Instruction, tools, config: EngineConfig, executor) -> Episode:
-    """Linear baseline: same loop shape, raw transcript memory with
-    whole-entry eviction once the window overflows."""
-    if not tools:
-        raise ConfigurationError("react run requires a non-empty tool list")
-    episode = new_episode(instruction, tools, config.step_budget, "react")
-    transcript: list[str] = []
-    while len(episode.steps) < config.step_budget:
-        _evict_oldest(transcript, config.react_memory_window_chars)
-        prompt = _react_prompt(instruction, tools, transcript, config)
-        try:
-            action = propose_from_prompt(provider, prompt, retries=config.parse_retries)
-        except MalformedOutput:
-            return episode.with_terminal(Terminal.aborted_parse_failure())
-        if action.kind == "Finish":
-            episode = episode.with_step(Step(action, None, State.empty()))
-            return episode.with_terminal(Terminal.finished(action.answer))
-        observation = executor(action.tool_name, action.args)
-        transcript.append(_transcript_entry(action, observation))
-        episode = episode.with_step(Step(action, observation, State.empty()))
-    return episode.with_terminal(Terminal.budget_exhausted())
+@dataclass
+class Summary(Memory):
+    """sum2act: the state manager judges each observation into the state,
+    which is then held under its length cap."""
+
+    decomposition: Task | None = None
+
+    def __post_init__(self):
+        if self.config.use_decomposition:
+            self.decomposition = decompose(
+                self.provider, self.instruction, self.tools, templates_dir=self.config.templates_dir
+            )
+
+    def propose(self) -> Action:
+        return propose(
+            self.provider, self.instruction, self.state, self.tools, self.decomposition,
+            templates_dir=self.config.templates_dir,
+        )
+
+    def record(self, action: Action, step_index: int) -> Step:
+        config = self.config
+        observation = self.executor(action.tool_name, action.args)
+        state = update(
+            self.provider, self.instruction, self.state, observation,
+            step_index=step_index,
+            window=config.observation_window_chars,
+            templates_dir=config.templates_dir,
+        )
+        self.state = enforce_cap(
+            state, config.state_cap_chars,
+            provider=self.provider, templates_dir=config.templates_dir,
+        )
+        return Step(action, observation, self.state)
 
 
-def _dfsdt_prompt(instruction, tools, node: SearchNode, config: EngineConfig) -> str:
-    return fill_template(
-        load_template("dfsdt", config.templates_dir),
-        instruction=instruction.text,
-        tools=render_tools_block(tools),
-        transcript="\n\n".join(node.memory) if node.memory else "(empty)",
-        attempted=", ".join(node.attempted) if node.attempted else "(none)",
-        rules=DFSDT_RULES,
-    )
+@dataclass
+class Window(Memory):
+    """react: a raw transcript with whole-entry eviction once the window
+    overflows."""
+
+    transcript: list[str] = field(default_factory=list)
+
+    def propose(self) -> Action:
+        _evict_oldest(self.transcript, self.config.react_memory_window_chars)
+        return self._propose("react", self.transcript, ROUTER_RULES)
+
+    def record(self, action: Action, step_index: int) -> Step:
+        observation = self.executor(action.tool_name, action.args)
+        self.transcript.append(_transcript_entry(action, observation))
+        return Step(action, observation, self.state)
 
 
-def run_dfsdt(provider, instruction: Instruction, tools, config: EngineConfig, executor) -> Episode:
-    """Depth-first search over proposals.
+@dataclass
+class SearchNode:
+    """One node of the depth-first search; ``memory`` is the transcript along
+    this branch only."""
+
+    memory: tuple[str, ...]
+    parent: SearchNode | None = None
+    children_tried: int = 0
+    attempted: tuple[str, ...] = ()
+
+
+@dataclass
+class Tree(Memory):
+    """dfsdt: depth-first search over proposals.
 
     A non-Success observation fails the attempted child: the proposal counts
     against the node's child budget and only the attempted action name is
-    carried to the next sibling attempt. The reserved action ``Restart``
-    abandons the current branch. The global proposal count is bounded by
-    ``step_budget``; an exhausted tree terminates BudgetExhausted.
+    carried to the next sibling attempt. A node whose child budget is spent
+    is left for its parent. The reserved action ``Restart`` abandons the
+    current branch. Leaving the root exhausts the tree.
     """
-    if not tools:
-        raise ConfigurationError("dfsdt run requires a non-empty tool list")
-    episode = new_episode(instruction, tools, config.step_budget, "dfsdt")
-    node = SearchNode(memory=(), depth=0)
-    while len(episode.steps) < config.step_budget:
-        if node.children_tried >= config.dfsdt_max_children:
-            if node.parent is None:
-                return episode.with_terminal(Terminal.budget_exhausted())
-            node = node.parent
-            continue
-        prompt = _dfsdt_prompt(instruction, tools, node, config)
-        try:
-            action = propose_from_prompt(provider, prompt, retries=config.parse_retries)
-        except MalformedOutput:
-            return episode.with_terminal(Terminal.aborted_parse_failure())
-        if action.kind == "Finish":
-            episode = episode.with_step(Step(action, None, State.empty()))
-            return episode.with_terminal(Terminal.finished(action.answer))
+
+    node: SearchNode | None = field(default_factory=lambda: SearchNode(memory=()))
+
+    def propose(self) -> Action | None:
+        while self.node is not None and self.node.children_tried >= self.config.dfsdt_max_children:
+            self.node = self.node.parent
+        if self.node is None:
+            return None
+        node = self.node
+        return self._propose(
+            "dfsdt", node.memory, DFSDT_RULES,
+            attempted=", ".join(node.attempted) if node.attempted else "(none)",
+        )
+
+    def record(self, action: Action, step_index: int) -> Step:
+        node = self.node
         if action.tool_name == RESTART_ACTION:
-            episode = episode.with_step(Step(action, None, State.empty()))
-            if node.parent is None:
-                return episode.with_terminal(Terminal.budget_exhausted())
-            node = node.parent
-            continue
-        observation = executor(action.tool_name, action.args)
-        episode = episode.with_step(Step(action, observation, State.empty()))
+            self.node = node.parent
+            return Step(action, None, self.state)
+        observation = self.executor(action.tool_name, action.args)
         node.children_tried += 1
-        node.attempted = node.attempted + (action.tool_name,)
+        node.attempted += (action.tool_name,)
         if observation.status == "Success":
-            node = SearchNode(
-                memory=node.memory + (_transcript_entry(action, observation),),
-                depth=node.depth + 1,
-                parent=node,
-            )
-    return episode.with_terminal(Terminal.budget_exhausted())
+            self.node = SearchNode(node.memory + (_transcript_entry(action, observation),), node)
+        return Step(action, observation, self.state)
 
 
-ENGINES = {
-    "sum2act": run_sum2act,
-    "react": run_react,
-    "dfsdt": run_dfsdt,
+# method label: (memory, default step budget)
+METHODS = {
+    "sum2act": (Summary, SUM2ACT_STEP_BUDGET),
+    "react": (Window, SUM2ACT_STEP_BUDGET),
+    "dfsdt": (Tree, DFSDT_STEP_BUDGET),
 }
+METHOD_LABELS = tuple(METHODS)
 
 
-def run_episode(method: str, provider, instruction, tools, config: EngineConfig, executor) -> Episode:
-    if method not in ENGINES:
+def _method(method: str) -> tuple[type[Memory], int]:
+    if method not in METHOD_LABELS:
         raise ConfigurationError(
             f"unknown method {method!r}; expected one of {', '.join(METHOD_LABELS)}"
         )
-    return ENGINES[method](provider, instruction, tools, config, executor)
+    return METHODS[method]
+
+
+def default_config(method: str) -> EngineConfig:
+    return EngineConfig(step_budget=_method(method)[1])
+
+
+def run_episode(method: str, provider, instruction: Instruction, tools, config: EngineConfig, executor) -> Episode:
+    """Run one episode with ``method``'s memory; it terminates Finished,
+    BudgetExhausted or AbortedParseFailure within ``step_budget`` steps."""
+    memory_type, _ = _method(method)
+    episode = new_episode(instruction, tools, config.step_budget, method)
+    memory = memory_type(provider, instruction, tools, config, executor)
+    while len(episode.steps) < config.step_budget:
+        try:
+            action = memory.propose()
+        except MalformedOutput:
+            return episode.with_terminal(Terminal.aborted_parse_failure())
+        if action is None:
+            break
+        if action.kind == "Finish":
+            episode = episode.with_step(Step(action, None, memory.state))
+            return episode.with_terminal(Terminal.finished(action.answer))
+        episode = episode.with_step(memory.record(action, len(episode.steps) + 1))
+    return episode.with_terminal(Terminal.budget_exhausted())

@@ -8,7 +8,6 @@ prompt text, so prompt-construction bugs surface directly in tests.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 
 import requests
 
+from .core import load_json_file
 from .errors import (
     PolicyFileError,
     ProviderRejected,
@@ -113,14 +113,7 @@ class ScriptedProvider:
 
 def load_policy(path) -> ScriptedPolicy:
     """Load a scripted policy file: {"entries": [{match, response, is_regex}], "default"?}."""
-    with open(path, encoding="utf-8") as handle:
-        raw = handle.read()
-    try:
-        data = json.loads(raw) if raw.strip() else {}
-    except json.JSONDecodeError as exc:
-        raise PolicyFileError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = load_json_file(path, PolicyFileError, blank={})
     if not isinstance(data, dict):
         raise PolicyFileError(f"{path}: policy file must hold a JSON object")
 

@@ -9,12 +9,11 @@ description), so scores are invariant under duplicating every document.
 
 from __future__ import annotations
 
-import json
 import math
 import string
 from dataclasses import dataclass
 
-from .core import ToolSpec, tool_from_dict
+from .core import ToolSpec, load_json_file, tool_from_dict
 from .errors import CatalogMismatchError, ConfigurationError, OracleLookupError
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
@@ -96,8 +95,7 @@ def oracle(instruction, ground_truth: dict, catalog: list[ToolSpec]) -> list[Too
 
 def load_catalog(path) -> list[ToolSpec]:
     """Tool catalog file: JSON list of ToolSpec records."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = load_json_file(path, ConfigurationError)
     if not isinstance(data, list):
         raise ConfigurationError(f"{path}: tool catalog must be a JSON list")
     try:
@@ -108,8 +106,7 @@ def load_catalog(path) -> list[ToolSpec]:
 
 def load_ground_truth(path) -> dict:
     """Ground-truth file: JSON map of instruction id to tool-name list."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = load_json_file(path, ConfigurationError)
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: ground truth must be a JSON object")
     return {str(key): [str(name) for name in names] for key, names in data.items()}

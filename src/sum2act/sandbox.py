@@ -11,7 +11,6 @@ filler.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 import time
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import requests
 
-from .core import Episode, Instruction, Observation, ToolSpec, tool_from_dict
+from .core import Episode, Instruction, Observation, ToolSpec, load_json_file, tool_from_dict
 from .errors import ConfigurationError, ScenarioError
 
 BEHAVIOR_KINDS = ("success", "error", "timeout", "verbose")
@@ -115,12 +114,7 @@ def _parse_pass_condition(data: dict) -> PassCondition:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as handle:
-        raw = handle.read()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    data = load_json_file(path, ScenarioError)
     try:
         instruction_data = data["instruction"]
         instruction = Instruction(
@@ -253,8 +247,7 @@ def load_endpoint_spec(path) -> dict:
     """Endpoint spec file: map of tool name to {url, method, auth_env?, timeout?}.
     The URL may carry {param} placeholders filled from the call args; leftover
     args go to the query string (GET) or the JSON body (POST)."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = load_json_file(path, ConfigurationError)
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: endpoint spec must be a JSON object")
     for name, entry in data.items():

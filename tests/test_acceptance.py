@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from sum2act.core import Instruction, Observation, State, serialize_episode
-from sum2act.engine import EngineConfig, default_config, run_dfsdt, run_react, run_sum2act
+from sum2act.engine import EngineConfig, default_config, run_episode
 from sum2act.evaluation import PairJudgment, SubsetReport, aggregate, win_rate
 from sum2act.provider import RecordingProvider, ScriptedPolicy, ScriptedProvider, load_policy
 from sum2act.retriever import rank
@@ -34,14 +34,14 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _run_scenario(path: Path, runner, config: EngineConfig | None = None):
+def _run_scenario(path: Path, method: str, config: EngineConfig | None = None):
     scenario = load_scenario(path)
     policy = load_policy(str(path).replace(".scenario.json", ".policy.json"))
     provider = ScriptedProvider(policy)
     if config is None:
         config = EngineConfig()
-    episode = runner(
-        provider, scenario.instruction, list(scenario.tools), config,
+    episode = run_episode(
+        method, provider, scenario.instruction, list(scenario.tools), config,
         ScenarioSession(scenario).invoke,
     )
     return scenario, episode
@@ -94,14 +94,14 @@ def test_deterministic_scenario_suite():
 
     failures = []
     for path in core_paths:
-        scenario, episode = _run_scenario(path, run_sum2act)
+        scenario, episode = _run_scenario(path, "sum2act")
         if not check_pass(scenario, episode):
             failures.append(f"{scenario.id}: {episode.terminal.status}")
         if len(episode.steps) > 30:
             failures.append(f"{scenario.id}: used {len(episode.steps)} steps")
 
     _, exhausted = _run_scenario(
-        SCENARIOS / "adversarial" / "never_finish.scenario.json", run_sum2act
+        SCENARIOS / "adversarial" / "never_finish.scenario.json", "sum2act"
     )
     never_ok = exhausted.terminal.status == "BudgetExhausted" and len(exhausted.steps) == 30
     elapsed = time.perf_counter() - started
@@ -127,9 +127,9 @@ def test_differential_long_horizon_suite():
     summarizing_passes = 0
     transcript_passes = 0
     for path in paths:
-        scenario, episode = _run_scenario(path, run_sum2act)
+        scenario, episode = _run_scenario(path, "sum2act")
         summarizing_passes += check_pass(scenario, episode)
-        scenario, episode = _run_scenario(path, run_react)
+        scenario, episode = _run_scenario(path, "react")
         transcript_passes += check_pass(scenario, episode)
     elapsed = time.perf_counter() - started
     _report(
@@ -152,8 +152,8 @@ def test_dfsdt_information_loss():
     policy = load_policy(str(path).replace(".scenario.json", ".policy.json"))
 
     dfs_provider = RecordingProvider(ScriptedProvider(policy))
-    dfs_episode = run_dfsdt(
-        dfs_provider, scenario.instruction, list(scenario.tools),
+    dfs_episode = run_episode(
+        "dfsdt", dfs_provider, scenario.instruction, list(scenario.tools),
         default_config("dfsdt"), ScenarioSession(scenario).invoke,
     )
     sibling_prompt = dfs_provider.prompts()[1]
@@ -162,8 +162,8 @@ def test_dfsdt_information_loss():
     )
 
     sum_provider = RecordingProvider(ScriptedProvider(policy))
-    sum_episode = run_sum2act(
-        sum_provider, scenario.instruction, list(scenario.tools),
+    sum_episode = run_episode(
+        "sum2act", sum_provider, scenario.instruction, list(scenario.tools),
         EngineConfig(), ScenarioSession(scenario).invoke,
     )
     router_prompts = [p for p in sum_provider.prompts() if "action router" in p]
@@ -263,7 +263,7 @@ def test_episode_replay_determinism():
     path = SCENARIOS / "core" / "weather_miami.scenario.json"
     records = []
     for _ in range(2):
-        _, episode = _run_scenario(path, run_sum2act)
+        _, episode = _run_scenario(path, "sum2act")
         records.append(serialize_episode(episode).encode("utf-8"))
     _report(
         "invariants: identical runs serialize byte-identically",

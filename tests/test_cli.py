@@ -132,6 +132,73 @@ class TestRun:
         assert code == 2
         assert "catalog.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("budget", "abc"),
+        ("budget", "12"),
+        ("budget", True),
+        ("state_cap", 4096.5),
+        ("decompose", "no"),
+        ("decompose", 0),
+        ("max_children", [3]),
+        ("templates_dir", 7),
+        ("method", ["react"]),
+        ("provider", 1),
+    ])
+    def test_wrong_typed_config_value_exits_2(self, core_dir, tmp_path, capsys, key, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: value}))
+        code = main([
+            "run",
+            "--scenario", str(core_dir / "weather_miami.scenario.json"),
+            "--policy", str(core_dir / "weather_miami.policy.json"),
+            "--config", str(config_path),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--scenario", "deep.scenario.json"),
+        ("--tools", "deep.catalog.json"),
+        ("--endpoint-spec", "deep.endpoints.json"),
+        ("--policy", "deep.policy.json"),
+        ("--config", "deep.config.json"),
+    ])
+    @pytest.mark.parametrize("text", ["[" * 100_000, "{broken"], ids=["over_deep", "invalid"])
+    def test_unreadable_json_file_exits_2_naming_it(self, core_dir, tmp_path, capsys, flag, name, text):
+        (tmp_path / name).write_text(text)
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps([{"name": "fetch_page", "description": "Fetch."}]))
+        endpoints = tmp_path / "endpoints.json"
+        endpoints.write_text(json.dumps({"fetch_page": {"url": "http://127.0.0.1:9/x"}}))
+        files = {
+            "--instruction": "Check the status page.",
+            "--tools": str(catalog),
+            "--endpoint-spec": str(endpoints),
+            "--policy": str(core_dir / "weather_miami.policy.json"),
+            "--out": str(tmp_path / "out"),
+        }
+        if flag == "--scenario":
+            files = {"--policy": files["--policy"], "--out": files["--out"]}
+        files[flag] = str(tmp_path / name)
+        code = main(["run"] + [part for item in files.items() for part in item])
+        assert code == 2
+        assert name in capsys.readouterr().err
+
+    def test_engine_defaults_follow_the_method(self, core_dir, tmp_path):
+        # Only the given keys override: dfsdt keeps its own 200-step budget.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"method": "dfsdt", "max_children": 2}))
+        assert main([
+            "run",
+            "--scenario", str(core_dir / "weather_miami.scenario.json"),
+            "--policy", str(core_dir / "weather_miami.policy.json"),
+            "--config", str(config_path),
+            "--out", str(tmp_path),
+        ]) == 0
+        assert read_trace(tmp_path / "dfsdt__weather_miami.jsonl")[0].step_budget == 200
+
     def test_config_file_provides_defaults(self, core_dir, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
@@ -222,6 +289,18 @@ class TestBench:
         assert digest.hexdigest() == (
             "396dcec731eef6d3303055c686475680c82f21e92b560e0b291be398d28352ed"
         )
+
+    @pytest.mark.parametrize("value", ["abc", "4", 2.5, True])
+    def test_wrong_typed_concurrency_exits_2(self, core_dir, tmp_path, capsys, value):
+        suite = tmp_path / "suite"
+        _copy_pair(core_dir, "weather_miami", suite)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"concurrency": value}))
+        code = main(["bench", "--scenario-dir", str(suite), "--config", str(config_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "'concurrency'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_fail_fast_on_corrupt_scenario(self, core_dir, tmp_path, capsys):
         suite = tmp_path / "suite"
@@ -369,6 +448,12 @@ class TestReplay:
         trace.write_text(serialize_episode(episode) + "\n", encoding="utf-8")
         assert main(["replay", str(trace)]) == 0
         assert "terminal: Finished answer: ok" in capsys.readouterr().out
+
+    def test_over_deep_trace_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("[" * 100_000 + "\n")
+        assert main(["replay", str(deep)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_corrupt_trace_exits_2(self, tmp_path):
         corrupt = tmp_path / "corrupt.jsonl"

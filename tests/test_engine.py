@@ -9,12 +9,10 @@ from sum2act.engine import (
     EngineConfig,
     _evict_oldest,
     default_config,
-    run_dfsdt,
     run_episode,
-    run_react,
-    run_sum2act,
 )
 from sum2act.errors import ConfigurationError
+from sum2act.parsing import REASK_RETRIES
 from sum2act.provider import (
     PolicyEntry,
     RecordingProvider,
@@ -95,8 +93,8 @@ class TestSum2Act:
             ),
             default=json.dumps(_call("backup_lookup", {"dataset": "inventory"})),
         )
-        episode = run_sum2act(
-            ScriptedProvider(policy), INSTRUCTION, list(FAILOVER_TOOLS),
+        episode = run_episode(
+            "sum2act", ScriptedProvider(policy), INSTRUCTION, list(FAILOVER_TOOLS),
             EngineConfig(), ScenarioSession(FAILOVER_SCENARIO).invoke,
         )
         assert episode.terminal.status == "Finished"
@@ -105,8 +103,8 @@ class TestSum2Act:
         assert episode.steps[1].action.kind == "Finish"
 
     def test_failure_recovery_exact_trace(self):
-        episode = run_sum2act(
-            ScriptedProvider(FAILOVER_POLICY), INSTRUCTION, list(FAILOVER_TOOLS),
+        episode = run_episode(
+            "sum2act", ScriptedProvider(FAILOVER_POLICY), INSTRUCTION, list(FAILOVER_TOOLS),
             EngineConfig(), ScenarioSession(FAILOVER_SCENARIO).invoke,
         )
         assert episode.terminal.status == "Finished"
@@ -120,8 +118,8 @@ class TestSum2Act:
         assert final_state.failure_history[0].tool_name == "primary_lookup"
 
     def test_never_finishing_policy_exhausts_exactly_at_budget(self):
-        episode = run_sum2act(
-            ScriptedProvider(NEVER_FINISH_POLICY), INSTRUCTION, list(FAILOVER_TOOLS),
+        episode = run_episode(
+            "sum2act", ScriptedProvider(NEVER_FINISH_POLICY), INSTRUCTION, list(FAILOVER_TOOLS),
             EngineConfig(step_budget=30), ScenarioSession(FAILOVER_SCENARIO).invoke,
         )
         assert episode.terminal.status == "BudgetExhausted"
@@ -134,8 +132,8 @@ class TestSum2Act:
             ),
             default="no json here",
         )
-        episode = run_sum2act(
-            ScriptedProvider(policy), INSTRUCTION, list(FAILOVER_TOOLS),
+        episode = run_episode(
+            "sum2act", ScriptedProvider(policy), INSTRUCTION, list(FAILOVER_TOOLS),
             EngineConfig(), ScenarioSession(FAILOVER_SCENARIO).invoke,
         )
         assert episode.terminal.status == "AbortedParseFailure"
@@ -143,8 +141,8 @@ class TestSum2Act:
 
     def test_failure_entries_visible_in_every_later_prompt(self):
         provider = RecordingProvider(ScriptedProvider(FAILOVER_POLICY))
-        episode = run_sum2act(
-            provider, INSTRUCTION, list(FAILOVER_TOOLS),
+        episode = run_episode(
+            "sum2act", provider, INSTRUCTION, list(FAILOVER_TOOLS),
             EngineConfig(), ScenarioSession(FAILOVER_SCENARIO).invoke,
         )
         assert episode.terminal.status == "Finished"
@@ -167,8 +165,8 @@ class TestSum2Act:
             default=json.dumps(_call("backup_lookup", {"dataset": "inventory"})),
         )
         provider = RecordingProvider(ScriptedProvider(policy))
-        episode = run_sum2act(
-            provider, INSTRUCTION, list(FAILOVER_TOOLS),
+        episode = run_episode(
+            "sum2act", provider, INSTRUCTION, list(FAILOVER_TOOLS),
             EngineConfig(use_decomposition=True), ScenarioSession(FAILOVER_SCENARIO).invoke,
         )
         assert episode.terminal.status == "Finished"
@@ -178,8 +176,8 @@ class TestSum2Act:
 
 class TestReact:
     def test_happy_path_matches_sum2act_outcome(self):
-        episode = run_react(
-            ScriptedProvider(FAILOVER_POLICY), INSTRUCTION, list(FAILOVER_TOOLS),
+        episode = run_episode(
+            "react", ScriptedProvider(FAILOVER_POLICY), INSTRUCTION, list(FAILOVER_TOOLS),
             EngineConfig(), ScenarioSession(FAILOVER_SCENARIO).invoke,
         )
         assert episode.terminal.status == "Finished"
@@ -203,8 +201,8 @@ class TestReact:
         )
         policy = ScriptedPolicy(default=json.dumps(_call("probe", {})))
         provider = RecordingProvider(ScriptedProvider(policy))
-        run_react(
-            provider, scenario.instruction, list(tools),
+        run_episode(
+            "react", provider, scenario.instruction, list(tools),
             EngineConfig(step_budget=6, react_memory_window_chars=600),
             ScenarioSession(scenario).invoke,
         )
@@ -225,12 +223,12 @@ class TestReact:
         path = scenarios_root / "differential" / "vault_1.scenario.json"
         scenario = load_scenario(path)
         policy = load_policy(scenarios_root / "differential" / "vault_1.policy.json")
-        sum2act_episode = run_sum2act(
-            ScriptedProvider(policy), scenario.instruction, list(scenario.tools),
+        sum2act_episode = run_episode(
+            "sum2act", ScriptedProvider(policy), scenario.instruction, list(scenario.tools),
             EngineConfig(), ScenarioSession(scenario).invoke,
         )
-        react_episode = run_react(
-            ScriptedProvider(policy), scenario.instruction, list(scenario.tools),
+        react_episode = run_episode(
+            "react", ScriptedProvider(policy), scenario.instruction, list(scenario.tools),
             EngineConfig(), ScenarioSession(scenario).invoke,
         )
         assert check_pass(scenario, sum2act_episode)
@@ -241,8 +239,8 @@ class TestDfsdt:
     def test_backtracks_and_finishes(self, scenarios_root):
         scenario = load_scenario(scenarios_root / "search" / "mirror_registry.scenario.json")
         policy = load_policy(scenarios_root / "search" / "mirror_registry.policy.json")
-        episode = run_dfsdt(
-            ScriptedProvider(policy), scenario.instruction, list(scenario.tools),
+        episode = run_episode(
+            "dfsdt", ScriptedProvider(policy), scenario.instruction, list(scenario.tools),
             default_config("dfsdt"), ScenarioSession(scenario).invoke,
         )
         assert episode.terminal.status == "Finished"
@@ -256,8 +254,8 @@ class TestDfsdt:
         scenario = load_scenario(scenarios_root / "search" / "mirror_registry.scenario.json")
         policy = load_policy(scenarios_root / "search" / "mirror_registry.policy.json")
         provider = RecordingProvider(ScriptedProvider(policy))
-        run_dfsdt(
-            provider, scenario.instruction, list(scenario.tools),
+        run_episode(
+            "dfsdt", provider, scenario.instruction, list(scenario.tools),
             default_config("dfsdt"), ScenarioSession(scenario).invoke,
         )
         sibling_prompt = provider.prompts()[1]
@@ -274,8 +272,8 @@ class TestDfsdt:
             pass_condition=PassCondition(kind="contains_all", values=("never",)),
         )
         policy = ScriptedPolicy(default=json.dumps(_call("flaky", {})))
-        episode = run_dfsdt(
-            ScriptedProvider(policy), scenario.instruction, list(tools),
+        episode = run_episode(
+            "dfsdt", ScriptedProvider(policy), scenario.instruction, list(tools),
             EngineConfig(step_budget=200, dfsdt_max_children=1),
             ScenarioSession(scenario).invoke,
         )
@@ -297,8 +295,8 @@ class TestDfsdt:
             ),
             default=json.dumps(_call("probe", {})),
         )
-        episode = run_dfsdt(
-            ScriptedProvider(policy), scenario.instruction, list(tools),
+        episode = run_episode(
+            "dfsdt", ScriptedProvider(policy), scenario.instruction, list(tools),
             default_config("dfsdt"), ScenarioSession(scenario).invoke,
         )
         assert [s.action.tool_name or "Finish" for s in episode.steps] == [
@@ -309,8 +307,8 @@ class TestDfsdt:
     def test_restart_at_root_exhausts(self):
         tools = (ToolSpec(name="probe", description="probe"),)
         policy = ScriptedPolicy(default=json.dumps({"thought": "give up", "action": "Restart", "args": {}}))
-        episode = run_dfsdt(
-            ScriptedProvider(policy), Instruction(id="r", text="explore"), list(tools),
+        episode = run_episode(
+            "dfsdt", ScriptedProvider(policy), Instruction(id="r", text="explore"), list(tools),
             default_config("dfsdt"), lambda name, args: (_ for _ in ()).throw(AssertionError("no tools")),
         )
         assert episode.terminal.status == "BudgetExhausted"
@@ -323,8 +321,8 @@ class TestEngineShared:
         policy = load_policy(scenarios_root / "core" / "weather_miami.policy.json")
         records = []
         for _ in range(2):
-            episode = run_sum2act(
-                ScriptedProvider(policy), scenario.instruction, list(scenario.tools),
+            episode = run_episode(
+                "sum2act", ScriptedProvider(policy), scenario.instruction, list(scenario.tools),
                 EngineConfig(), ScenarioSession(scenario).invoke,
             )
             records.append(serialize_episode(episode))
@@ -332,10 +330,10 @@ class TestEngineShared:
 
     def test_all_engines_respect_budget_with_never_finishing_policy(self):
         session_factory = lambda: ScenarioSession(FAILOVER_SCENARIO).invoke
-        for runner, budget in ((run_sum2act, 7), (run_react, 7), (run_dfsdt, 7)):
+        for method, budget in (("sum2act", 7), ("react", 7), ("dfsdt", 7)):
             config = EngineConfig(step_budget=budget, dfsdt_max_children=100)
-            episode = runner(
-                ScriptedProvider(NEVER_FINISH_POLICY), INSTRUCTION,
+            episode = run_episode(
+                method, ScriptedProvider(NEVER_FINISH_POLICY), INSTRUCTION,
                 list(FAILOVER_TOOLS), config, session_factory(),
             )
             assert episode.terminal.status == "BudgetExhausted"
@@ -365,6 +363,15 @@ class TestEngineShared:
         assert default_config("sum2act").step_budget == 30
         assert default_config("react").step_budget == 30
         assert default_config("dfsdt").step_budget == 200
+
+    def test_default_config_rejects_unknown_method(self):
+        with pytest.raises(ConfigurationError, match="bfs"):
+            default_config("bfs")
+
+    def test_parse_retries_is_fixed(self):
+        assert EngineConfig().parse_retries == REASK_RETRIES
+        with pytest.raises(TypeError):
+            EngineConfig(parse_retries=5)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -133,6 +133,13 @@ class TestLoadPolicy:
         with pytest.raises(PolicyFileError, match="line"):
             load_policy(path)
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, "{broken"], ids=["over_deep", "invalid"])
+    def test_unreadable_file_names_it(self, tmp_path, text):
+        path = tmp_path / "deep.policy.json"
+        path.write_text(text)
+        with pytest.raises(PolicyFileError, match="deep.policy.json"):
+            load_policy(path)
+
     def test_entry_missing_keys(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"entries": [{"match": "x"}]}))

@@ -142,3 +142,11 @@ class TestFiles:
         path.write_text(json.dumps([record]))
         with pytest.raises(ConfigurationError, match="catalog.json"):
             load_catalog(path)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "{broken"], ids=["over_deep", "invalid"])
+    @pytest.mark.parametrize("loader", [load_catalog, load_ground_truth])
+    def test_unreadable_file_names_it(self, tmp_path, loader, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="deep.json"):
+            loader(path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from sum2act.core import Instruction, ParamSpec, ToolSpec
-from sum2act.errors import ScenarioError
+from sum2act.errors import ConfigurationError, ScenarioError
 from sum2act.sandbox import (
     Behavior,
     PassCondition,
@@ -103,6 +103,13 @@ class TestLoadScenario:
         path = tmp_path / "bad.scenario.json"
         path.write_text("{\n  broken\n}")
         with pytest.raises(ScenarioError, match="line"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "{broken"], ids=["over_deep", "invalid"])
+    def test_unreadable_file_names_it(self, tmp_path, text):
+        path = tmp_path / "deep.scenario.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match="deep.scenario.json"):
             load_scenario(path)
 
 
@@ -238,13 +245,13 @@ class TestSession:
 
 class TestCheckPass:
     def test_contains_all_pass(self, scenarios_root):
-        from sum2act.engine import EngineConfig, run_sum2act
+        from sum2act.engine import EngineConfig, run_episode
         from sum2act.provider import ScriptedProvider, load_policy
 
         scenario = load_scenario(scenarios_root / "core" / "weather_miami.scenario.json")
         policy = load_policy(scenarios_root / "core" / "weather_miami.policy.json")
-        episode = run_sum2act(
-            ScriptedProvider(policy), scenario.instruction, list(scenario.tools),
+        episode = run_episode(
+            "sum2act", ScriptedProvider(policy), scenario.instruction, list(scenario.tools),
             EngineConfig(), ScenarioSession(scenario).invoke,
         )
         assert episode.terminal.answer is not None
@@ -328,3 +335,10 @@ class TestInvokeLive:
         path = tmp_path / "endpoints.json"
         path.write_text(json.dumps({"probe": {"url": "http://example.invalid", "method": "GET"}}))
         assert "probe" in load_endpoint_spec(path)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "{broken"], ids=["over_deep", "invalid"])
+    def test_unreadable_endpoint_spec_names_it(self, tmp_path, text):
+        path = tmp_path / "deep.endpoints.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="deep.endpoints.json"):
+            load_endpoint_spec(path)
