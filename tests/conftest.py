@@ -17,11 +17,13 @@ def scenarios_root() -> Path:
 
 class ScriptedHTTPServer:
     """Local HTTP stub replying from an ordered (status, body) script; the
-    last entry repeats once the script is exhausted."""
+    last entry repeats once the script is exhausted. ``bodies`` keeps the
+    raw bytes of every request body, in arrival order."""
 
     def __init__(self, script: list[tuple[int, str]], delay: float = 0.0):
         self.script = list(script)
         self.calls = 0
+        self.bodies: list[bytes] = []
         self.delay = delay
         outer = self
 
@@ -43,6 +45,8 @@ class ScriptedHTTPServer:
                 self._respond()
 
             def do_POST(self) -> None:
+                length = int(self.headers.get("Content-Length", 0))
+                outer.bodies.append(self.rfile.read(length))
                 self._respond()
 
             def log_message(self, *args) -> None:

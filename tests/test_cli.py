@@ -361,6 +361,27 @@ class TestCompare:
         assert report["average"] == 100.0
         assert report["method_a"] == "sum2act"
 
+    def test_shipped_corpus_rule_winrate_bytes_are_pinned(self, scenarios_root, tmp_path):
+        # sha256 over winrate.txt and winrate.json of sum2act against react
+        # on the whole shipped corpus, each preceded by its file name.
+        out = tmp_path / "bench"
+        self._bench(scenarios_root, out, "sum2act,react")
+        cmp_dir = tmp_path / "cmp"
+        assert main([
+            "compare",
+            "--traces-a", str(out / "traces" / "sum2act"),
+            "--traces-b", str(out / "traces" / "react"),
+            "--judge", "rule", "--scenario-dir", str(scenarios_root),
+            "--out", str(cmp_dir),
+        ]) == 0
+        digest = hashlib.sha256()
+        for name in ("winrate.txt", "winrate.json"):
+            digest.update(name.encode("utf-8") + b"\n")
+            digest.update((cmp_dir / name).read_bytes())
+        assert digest.hexdigest() == (
+            "7f6c174e01cd73cb600f32ed1d4a38244c2449fec130dc2d077cde88a282d4c0"
+        )
+
     def test_mismatched_ids_error_names_them(self, core_dir, tmp_path, capsys):
         suite_a = tmp_path / "suite_a"
         suite_b = tmp_path / "suite_b"

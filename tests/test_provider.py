@@ -154,6 +154,15 @@ class TestLiveProvider:
         assert provider.complete(user_request("hi")) == "hello back"
         assert stub.calls == 1
 
+    def test_request_body_is_pinned(self, http_stub):
+        stub = http_stub([(200, _chat_body("ok"))])
+        provider = LiveProvider(base_url=stub.url, api_key="k", model="m", retries=0)
+        provider.complete(user_request("hi"))
+        assert stub.bodies == [
+            b'{"model": "m", "messages": [{"role": "user", "content": "hi"}], '
+            b'"temperature": 0.0, "max_tokens": 1024}'
+        ]
+
     def test_retries_5xx_then_succeeds(self, http_stub):
         stub = http_stub([(500, "boom"), (503, "boom"), (200, _chat_body("ok"))])
         provider = LiveProvider(
