@@ -25,7 +25,6 @@ from .evaluation import (
     SubsetReport,
     aggregate,
     format_table,
-    judge_pair,
     pass_rate,
     round_half_up,
     win_rate,
@@ -369,7 +368,7 @@ def cmd_compare(args) -> int:
     for instruction_id in sorted(side_a):
         episode_a = side_a[instruction_id]
         episode_b = side_b[instruction_id]
-        judgment = judge_pair(judge, episode_a.instruction, episode_a, episode_b)
+        judgment = judge.judge(episode_a.instruction, episode_a, episode_b)
         subset = episode_a.instruction.subset_label or "default"
         judgments_by_subset.setdefault(subset, []).append(judgment)
         all_judgments.append(judgment)
@@ -460,10 +459,14 @@ def cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--provider", choices=["scripted", "live"], default=None)
     parser.add_argument("--policy", default=None, help="scripted policy file")
-    parser.add_argument("--method", choices=list(METHOD_LABELS), default=None)
+    parser.add_argument("--config", default=None, help="JSON config file; flags override it")
+    parser.add_argument("--out", default=None, help="output directory")
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=None)
     parser.add_argument("--state-cap", dest="state_cap", type=int, default=None)
     parser.add_argument(
@@ -476,8 +479,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="run one task-decomposition call before the loop",
     )
     parser.add_argument("--templates-dir", dest="templates_dir", default=None)
-    parser.add_argument("--config", default=None, help="JSON config file; flags override it")
-    parser.add_argument("--out", default=None, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,14 +496,17 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--endpoint-spec", dest="endpoint_spec", default=None)
     run_parser.add_argument("--top-k", dest="top_k", type=int, default=None,
                             help="rank the catalog and keep the top k tools")
-    _add_common_flags(run_parser)
+    run_parser.add_argument("--method", choices=list(METHOD_LABELS), default=None)
+    _add_io_flags(run_parser)
+    _add_engine_flags(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     bench_parser = subparsers.add_parser("bench", help="run a scenario suite")
     bench_parser.add_argument("--scenario-dir", dest="scenario_dir", required=True)
     bench_parser.add_argument("--methods", default=None, help="comma-separated method labels")
     bench_parser.add_argument("--concurrency", type=int, default=None)
-    _add_common_flags(bench_parser)
+    _add_io_flags(bench_parser)
+    _add_engine_flags(bench_parser)
     bench_parser.set_defaults(func=cmd_bench)
 
     compare_parser = subparsers.add_parser("compare", help="pairwise win rate of two trace sets")
@@ -511,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument("--judge", choices=["rule", "llm"], default=None)
     compare_parser.add_argument("--scenario-dir", dest="scenario_dir", default=None,
                                 help="scenario files for the rule judge's pass checks")
-    _add_common_flags(compare_parser)
+    _add_io_flags(compare_parser)
     compare_parser.set_defaults(func=cmd_compare)
 
     replay_parser = subparsers.add_parser("replay", help="print a step-by-step trace rendering")

@@ -505,9 +505,13 @@ def _validate_episode(episode: Episode) -> None:
 def load_json_file(path, error: type[Exception], blank=None):
     """Parse the JSON file at ``path``. Invalid JSON, or JSON nested deeper
     than the interpreter's recursion limit, raises ``error`` naming the file.
-    A file holding only whitespace gives ``blank`` when one is given."""
-    with open(path, encoding="utf-8") as handle:
-        raw = handle.read()
+    A file that is not UTF-8 raises ``error`` too. A file holding only
+    whitespace gives ``blank`` when one is given."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = handle.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc}") from exc
     if blank is not None and not raw.strip():
         return blank
     try:
@@ -518,9 +522,12 @@ def load_json_file(path, error: type[Exception], blank=None):
 
 def read_trace(path) -> list[Episode]:
     episodes = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                episodes.append(deserialize_episode(line))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                line = line.strip()
+                if line:
+                    episodes.append(deserialize_episode(line))
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8: {exc}") from exc
     return episodes

@@ -146,10 +146,7 @@ class Summary(Memory):
             window=config.observation_window_chars,
             templates_dir=config.templates_dir,
         )
-        self.state = enforce_cap(
-            state, config.state_cap_chars,
-            provider=self.provider, templates_dir=config.templates_dir,
-        )
+        self.state = enforce_cap(state, config.state_cap_chars, provider=self.provider)
         return Step(action, observation, self.state)
 
 

@@ -45,15 +45,3 @@ class MalformedOutput(Sum2ActError):
 
 class ScenarioError(Sum2ActError):
     """A sandbox scenario file failed to parse or validate."""
-
-
-class OracleLookupError(Sum2ActError):
-    """An instruction id is missing from the ground-truth tool map."""
-
-
-class CatalogMismatchError(Sum2ActError):
-    """A ground-truth tool name is absent from the catalog."""
-
-    def __init__(self, tool_name: str):
-        super().__init__(f"tool not in catalog: {tool_name!r}")
-        self.tool_name = tool_name

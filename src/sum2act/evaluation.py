@@ -15,7 +15,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 from .core import Episode, Instruction
 from .errors import ConfigurationError, MalformedOutput
-from .parsing import REASK_RETRIES, ask_json, extract_first_json_object
+from .parsing import ask_json, extract_first_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -182,9 +182,8 @@ class LlmJudge:
     """Provider-backed judge; unparseable verdicts are re-asked and then
     degrade to a logged tie. Provider errors escape."""
 
-    def __init__(self, provider, retries: int = REASK_RETRIES):
+    def __init__(self, provider):
         self._provider = provider
-        self._retries = retries
 
     def judge(self, instruction: Instruction, episode_a: Episode, episode_b: Episode) -> PairJudgment:
         label_a, label_b = side_labels(episode_a, episode_b)
@@ -196,9 +195,7 @@ class LlmJudge:
             summary_b=_episode_summary(episode_b),
         )
         try:
-            (outcome, rationale), _ = ask_json(
-                self._provider, prompt, _parse_judgment, _JUDGE_REASK, self._retries
-            )
+            (outcome, rationale), _ = ask_json(self._provider, prompt, _parse_judgment, _JUDGE_REASK)
         except MalformedOutput as exc:
             logger.warning("judge output unparseable, recording a tie: %s", exc)
             outcome, rationale = "Tie", "judge output unparseable; recorded as tie"
@@ -209,12 +206,6 @@ class LlmJudge:
             outcome=outcome,
             rationale=rationale,
         )
-
-
-def judge_pair(judge, instruction: Instruction, episode_a: Episode, episode_b: Episode) -> PairJudgment:
-    if episode_a.instruction.id != instruction.id or episode_b.instruction.id != instruction.id:
-        raise ConfigurationError("both episodes must belong to the judged instruction")
-    return judge.judge(instruction, episode_a, episode_b)
 
 
 # ---------------------------------------------------------------------------

@@ -67,18 +67,18 @@ def extract_first_json_object(text: str, required_key: str | None = None):
     return None
 
 
-def ask_json(provider, prompt: str, parse, reask: str, retries: int, swallow=()):
+def ask_json(provider, prompt: str, parse, reask: str, swallow=()):
     """Send ``prompt`` and return ``(parse(reply), attempt)``.
 
     ``attempt`` counts the re-asks that were needed (0 on the happy path). A
     re-ask sends ``prompt`` again with ``reask`` appended, its ``{error}``
     field filled with the last error; it follows a ``parse`` that raised
     MalformedOutput or a provider call that raised one of the ``swallow``
-    exception types. Any other exception escapes. Once ``retries`` re-asks
-    are spent, MalformedOutput is raised carrying the last error.
+    exception types. Any other exception escapes. Once ``REASK_RETRIES``
+    re-asks are spent, MalformedOutput is raised carrying the last error.
     """
     last_error: Exception | None = None
-    for attempt in range(retries + 1):
+    for attempt in range(REASK_RETRIES + 1):
         text = prompt if attempt == 0 else prompt + reask.format(error=last_error)
         try:
             reply = provider.complete(user_request(text))
@@ -90,5 +90,5 @@ def ask_json(provider, prompt: str, parse, reask: str, retries: int, swallow=())
         except MalformedOutput as exc:
             last_error = exc
     raise MalformedOutput(
-        f"model output stayed unparseable after {retries} retries: {last_error}"
+        f"model output stayed unparseable after {REASK_RETRIES} retries: {last_error}"
     ) from last_error

@@ -47,28 +47,18 @@ class ChatMessage:
 @dataclass(frozen=True)
 class CompletionRequest:
     messages: tuple[ChatMessage, ...]
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
-    stop: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.messages:
             raise ValueError("completion request requires at least one message")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be positive")
 
     def rendered_prompt(self) -> str:
         """All message contents joined; the text scripted matchers see."""
         return "\n".join(m.content for m in self.messages)
 
 
-def user_request(prompt: str, temperature: float = 0.0) -> CompletionRequest:
-    return CompletionRequest(
-        messages=(ChatMessage(role="user", content=prompt),),
-        temperature=temperature,
-    )
+def user_request(prompt: str) -> CompletionRequest:
+    return CompletionRequest(messages=(ChatMessage(role="user", content=prompt),))
 
 
 @dataclass(frozen=True)
@@ -180,11 +170,9 @@ class LiveProvider:
         body = {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "temperature": 0.0,
+            "max_tokens": 1024,
         }
-        if request.stop:
-            body["stop"] = list(request.stop)
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

@@ -1,5 +1,4 @@
-"""Candidate-tool selection: lexical TF-IDF ranking plus an oracle mode that
-returns the ground-truth tools for an instruction.
+"""Candidate-tool selection: lexical TF-IDF ranking over a tool catalog.
 
 Tokenization contract (stable): lowercase, ASCII punctuation stripped,
 split on Unicode whitespace. Term frequency is the raw token count; inverse
@@ -14,7 +13,7 @@ import string
 from dataclasses import dataclass
 
 from .core import ToolSpec, load_json_file, tool_from_dict
-from .errors import CatalogMismatchError, ConfigurationError, OracleLookupError
+from .errors import ConfigurationError
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
 
@@ -77,22 +76,6 @@ def rank(instruction_text: str, catalog: list[ToolSpec], k: int) -> list[RankedT
     return ranked[: min(k, len(ranked))]
 
 
-def oracle(instruction, ground_truth: dict, catalog: list[ToolSpec]) -> list[ToolSpec]:
-    """Return exactly the ground-truth tools for the instruction, in
-    ground-truth order."""
-    if instruction.id not in ground_truth:
-        raise OracleLookupError(
-            f"instruction id {instruction.id!r} missing from ground truth"
-        )
-    by_name = {tool.name: tool for tool in catalog}
-    selected = []
-    for name in ground_truth[instruction.id]:
-        if name not in by_name:
-            raise CatalogMismatchError(name)
-        selected.append(by_name[name])
-    return selected
-
-
 def load_catalog(path) -> list[ToolSpec]:
     """Tool catalog file: JSON list of ToolSpec records."""
     data = load_json_file(path, ConfigurationError)
@@ -102,11 +85,3 @@ def load_catalog(path) -> list[ToolSpec]:
         return [tool_from_dict(item) for item in data]
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"{path}: malformed tool record: {exc}") from exc
-
-
-def load_ground_truth(path) -> dict:
-    """Ground-truth file: JSON map of instruction id to tool-name list."""
-    data = load_json_file(path, ConfigurationError)
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: ground truth must be a JSON object")
-    return {str(key): [str(name) for name in names] for key, names in data.items()}

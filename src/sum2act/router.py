@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .core import Action, Instruction, State, ToolSpec, normalize_arg_value
 from .errors import ConfigurationError, MalformedOutput, ScriptError
-from .parsing import REASK_RETRIES, ask_json, extract_first_json_object, fill_template
+from .parsing import ask_json, extract_first_json_object, fill_template
 from .state_manager import render_state
 from .templates_loader import load_template
 
@@ -135,11 +135,11 @@ _REASK = (
 )
 
 
-def propose_from_prompt(provider, prompt_text: str, retries: int = REASK_RETRIES) -> Action:
+def propose_from_prompt(provider, prompt_text: str) -> Action:
     """Run one proposal round-trip with corrective re-asks on parse failures;
     provider errors escape. The returned action records how many re-asks
     were needed."""
-    action, attempt = ask_json(provider, prompt_text, parse_action, _REASK, retries)
+    action, attempt = ask_json(provider, prompt_text, parse_action, _REASK)
     return replace(action, retry_count=attempt)
 
 
@@ -149,20 +149,13 @@ def propose(
     state: State,
     tools,
     decomposition: Task | None = None,
-    retries: int = REASK_RETRIES,
     templates_dir: str | None = None,
 ) -> Action:
     prompt = build_router_prompt(instruction, state, tools, decomposition, templates_dir)
-    return propose_from_prompt(provider, prompt, retries=retries)
+    return propose_from_prompt(provider, prompt)
 
 
-def decompose(
-    provider,
-    instruction: Instruction,
-    tools,
-    retries: int = REASK_RETRIES,
-    templates_dir: str | None = None,
-) -> Task | None:
+def decompose(provider, instruction: Instruction, tools, templates_dir: str | None = None) -> Task | None:
     """One-shot task decomposition, run before the loop. Output that stays
     unparseable, or a scripted policy with no reply for the prompt, is logged
     and the episode proceeds without guidance."""
@@ -174,7 +167,7 @@ def decompose(
         tools=render_tools_block(tools),
     )
     try:
-        task, _ = ask_json(provider, prompt, _parse_task, _REASK, retries, swallow=(ScriptError,))
+        task, _ = ask_json(provider, prompt, _parse_task, _REASK, swallow=(ScriptError,))
     except MalformedOutput as exc:
         logger.warning("task decomposition failed, continuing without it: %s", exc)
         return None

@@ -27,13 +27,7 @@ from .errors import (
     RequestTooLarge,
     ScriptError,
 )
-from .parsing import (
-    REASK_RETRIES,
-    ask_json,
-    extract_first_json_object,
-    fill_template,
-    truncate_with_marker,
-)
+from .parsing import ask_json, extract_first_json_object, fill_template, truncate_with_marker
 from .provider import user_request
 from .templates_loader import load_template
 
@@ -138,7 +132,6 @@ def update(
     observation: Observation,
     step_index: int,
     window: int = OBSERVATION_WINDOW_CHARS,
-    retries: int = REASK_RETRIES,
     templates_dir: str | None = None,
 ) -> State:
     """Judge one observation and return a new State; the input is unchanged.
@@ -152,8 +145,7 @@ def update(
     prompt = build_state_prompt(instruction, state, observation, window, templates_dir)
     try:
         (verdict, text), _ = ask_json(
-            provider, prompt, _parse_verdict, _REASK, retries,
-            swallow=(ScriptError, RequestTooLarge),
+            provider, prompt, _parse_verdict, _REASK, swallow=(ScriptError, RequestTooLarge)
         )
     except MalformedOutput as exc:
         logger.warning("state verdict unparseable, using mechanical fallback: %s", exc)
@@ -196,12 +188,7 @@ def _merge_texts(provider, older: ResultEntry, newer: ResultEntry) -> str:
     return f"{older.text}; {newer.text}"[:_MERGED_ENTRY_CHARS]
 
 
-def enforce_cap(
-    state: State,
-    cap_chars: int = STATE_CAP_CHARS,
-    provider=None,
-    templates_dir: str | None = None,
-) -> State:
+def enforce_cap(state: State, cap_chars: int = STATE_CAP_CHARS, provider=None) -> State:
     """Bound the rendered state length.
 
     Oldest result entries are merged first (via the provider when available,

@@ -165,9 +165,11 @@ class TestRun:
         ("--policy", "deep.policy.json"),
         ("--config", "deep.config.json"),
     ])
-    @pytest.mark.parametrize("text", ["[" * 100_000, "{broken"], ids=["over_deep", "invalid"])
-    def test_unreadable_json_file_exits_2_naming_it(self, core_dir, tmp_path, capsys, flag, name, text):
-        (tmp_path / name).write_text(text)
+    @pytest.mark.parametrize(
+        "data", [b"[" * 100_000, b"{broken", b"\xff{}"], ids=["over_deep", "invalid", "not_utf8"]
+    )
+    def test_unreadable_json_file_exits_2_naming_it(self, core_dir, tmp_path, capsys, flag, name, data):
+        (tmp_path / name).write_bytes(data)
         catalog = tmp_path / "catalog.json"
         catalog.write_text(json.dumps([{"name": "fetch_page", "description": "Fetch."}]))
         endpoints = tmp_path / "endpoints.json"
@@ -302,6 +304,17 @@ class TestBench:
         assert "'concurrency'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_method_prefix_selects_only_that_method(self, core_dir, tmp_path):
+        # bench has no --method; argparse reads it as the prefix of --methods.
+        suite = tmp_path / "suite"
+        _copy_pair(core_dir, "weather_miami", suite)
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--scenario-dir", str(suite), "--method", "react",
+                     "--out", str(out_dir)]) == 0
+        assert sorted(p.name for p in (out_dir / "traces").iterdir()) == ["react"]
+        report = json.loads((out_dir / "report.json").read_text())
+        assert list(report["methods"]) == ["react"]
+
     def test_fail_fast_on_corrupt_scenario(self, core_dir, tmp_path, capsys):
         suite = tmp_path / "suite"
         _copy_pair(core_dir, "weather_miami", suite)
@@ -403,6 +416,26 @@ class TestCompare:
         assert "weather_miami" in err
         assert "flight_bos_sfo" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--method", "react"), ("--budget", "3"), ("--state-cap", "1"),
+        ("--observation-window", "4096"), ("--react-window", "4096"),
+        ("--max-children", "2"), ("--decompose", None), ("--templates-dir", "t"),
+    ])
+    def test_engine_flags_are_rejected(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--traces-a", "a", "--traces-b", "b", flag]
+                 + ([value] if value is not None else []))
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_non_utf8_trace_exits_2_naming_it(self, tmp_path, capsys):
+        trace = tmp_path / "latin.jsonl"
+        trace.write_bytes(b"\xff{}\n")
+        code = main(["compare", "--traces-a", str(trace), "--traces-b", str(trace),
+                     "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert "latin.jsonl" in capsys.readouterr().err
+
     def test_llm_judge_with_scripted_provider(self, core_dir, tmp_path):
         suite = tmp_path / "suite"
         _copy_pair(core_dir, "weather_miami", suite)
@@ -475,6 +508,12 @@ class TestReplay:
         deep.write_text("[" * 100_000 + "\n")
         assert main(["replay", str(deep)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_non_utf8_trace_exits_2_naming_it(self, tmp_path, capsys):
+        trace = tmp_path / "latin.jsonl"
+        trace.write_bytes(b"\xff{}\n")
+        assert main(["replay", str(trace)]) == 2
+        assert "latin.jsonl" in capsys.readouterr().err
 
     def test_corrupt_trace_exits_2(self, tmp_path):
         corrupt = tmp_path / "corrupt.jsonl"

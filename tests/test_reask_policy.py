@@ -73,20 +73,20 @@ class TestAskJson:
             return text
 
         provider = StubProvider("bad", "good")
-        assert ask_json(provider, "P", parse, " [{error}]", 2) == ("good", 1)
+        assert ask_json(provider, "P", parse, " [{error}]") == ("good", 1)
         assert provider.prompts == ["P", "P [reply was 'bad']"]
 
     def test_spent_retries_raise_with_last_error(self):
         provider = _script_error()
         with pytest.raises(MalformedOutput) as info:
-            ask_json(provider, "P", str, " again", retries=1, swallow=(ScriptError,))
+            ask_json(provider, "P", str, " again", swallow=(ScriptError,))
         assert isinstance(info.value.__cause__, ScriptError)
-        assert provider.prompts == ["P", "P again"]
+        assert provider.prompts == ["P"] + ["P again"] * REASK_RETRIES
 
     def test_unlisted_provider_error_escapes(self):
         provider = _too_large()
         with pytest.raises(RequestTooLarge):
-            ask_json(provider, "P", str, " again", 2, swallow=(ScriptError,))
+            ask_json(provider, "P", str, " again", swallow=(ScriptError,))
         assert len(provider.prompts) == 1
 
 

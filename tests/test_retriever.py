@@ -4,15 +4,9 @@ import json
 
 import pytest
 
-from sum2act.core import Instruction, ToolSpec
-from sum2act.errors import CatalogMismatchError, ConfigurationError, OracleLookupError
-from sum2act.retriever import (
-    load_catalog,
-    load_ground_truth,
-    oracle,
-    rank,
-    tokenize,
-)
+from sum2act.core import ToolSpec
+from sum2act.errors import ConfigurationError
+from sum2act.retriever import load_catalog, rank, tokenize
 
 CATALOG = [
     ToolSpec(
@@ -95,31 +89,7 @@ class TestTokenize:
         ]
 
 
-class TestOracle:
-    def test_direct_lookup_preserves_order(self):
-        instruction = Instruction(id="q1", text="anything")
-        truth = {"q1": ["flight_search", "weather_forecast"]}
-        selected = oracle(instruction, truth, CATALOG)
-        assert [t.name for t in selected] == ["flight_search", "weather_forecast"]
-
-    def test_missing_id(self):
-        instruction = Instruction(id="absent", text="anything")
-        with pytest.raises(OracleLookupError):
-            oracle(instruction, {}, CATALOG)
-
-    def test_missing_tool_names_the_culprit(self):
-        instruction = Instruction(id="q1", text="anything")
-        with pytest.raises(CatalogMismatchError, match="zeta"):
-            oracle(instruction, {"q1": ["weather_forecast", "zeta"]}, CATALOG)
-
-
 class TestFiles:
-    def test_ground_truth_round_trip(self, tmp_path):
-        mapping = {"q1": ["a", "b"], "q2": ["c"]}
-        path = tmp_path / "truth.json"
-        path.write_text(json.dumps(mapping))
-        assert load_ground_truth(path) == mapping
-
     def test_catalog_file(self, tmp_path):
         path = tmp_path / "catalog.json"
         path.write_text(json.dumps([
@@ -144,7 +114,7 @@ class TestFiles:
             load_catalog(path)
 
     @pytest.mark.parametrize("text", ["[" * 100_000, "{broken"], ids=["over_deep", "invalid"])
-    @pytest.mark.parametrize("loader", [load_catalog, load_ground_truth])
+    @pytest.mark.parametrize("loader", [load_catalog])
     def test_unreadable_file_names_it(self, tmp_path, loader, text):
         path = tmp_path / "deep.json"
         path.write_text(text)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sum2act.core import FailureEntry, Instruction, ResultEntry, State, ToolSpec
 from sum2act.errors import ConfigurationError, MalformedOutput
+from sum2act.parsing import REASK_RETRIES
 from sum2act.provider import PolicyEntry, RecordingProvider, ScriptedPolicy, ScriptedProvider
 from sum2act.router import (
     ROUTER_RULES,
@@ -159,8 +160,8 @@ class TestPropose:
     def test_garbage_on_all_attempts(self):
         provider = RecordingProvider(ScriptedProvider(ScriptedPolicy(default="garbage")))
         with pytest.raises(MalformedOutput):
-            propose(provider, INSTRUCTION, State.empty(), TOOLS, retries=2)
-        assert len(provider.calls) == 3
+            propose(provider, INSTRUCTION, State.empty(), TOOLS)
+        assert len(provider.calls) == REASK_RETRIES + 1
 
     def test_propose_from_prompt_shared_path(self):
         provider = ScriptedProvider(ScriptedPolicy(default=VALID_CALL))
@@ -185,8 +186,8 @@ class TestDecompose:
 
     def test_unparseable_output_yields_none(self):
         provider = RecordingProvider(ScriptedProvider(ScriptedPolicy(default="hmm")))
-        assert decompose(provider, INSTRUCTION, TOOLS, retries=1) is None
-        assert len(provider.calls) == 2
+        assert decompose(provider, INSTRUCTION, TOOLS) is None
+        assert len(provider.calls) == REASK_RETRIES + 1
 
     def test_unscripted_provider_yields_none(self):
         provider = ScriptedProvider(ScriptedPolicy())
