@@ -421,7 +421,7 @@ class TestCompare:
         ("--observation-window", "4096"), ("--react-window", "4096"),
         ("--max-children", "2"), ("--decompose", None), ("--templates-dir", "t"),
     ])
-    def test_engine_flags_are_rejected(self, tmp_path, capsys, flag, value):
+    def test_engine_flags_are_rejected(self, capsys, flag, value):
         with pytest.raises(SystemExit) as info:
             main(["compare", "--traces-a", "a", "--traces-b", "b", flag]
                  + ([value] if value is not None else []))
