@@ -204,6 +204,8 @@ def _sibling_policy(scenario_path: Path) -> Path:
 def cmd_bench(args) -> int:
     config = _load_config_file(args.config)
     methods = [m.strip() for m in _resolve(args.methods, config, "methods", "sum2act").split(",") if m.strip()]
+    if not methods:
+        raise ConfigurationError("no method to run: give at least one method label")
     for method in methods:
         if method not in METHOD_LABELS:
             raise ConfigurationError(f"unknown method {method!r}")
@@ -279,7 +281,7 @@ def cmd_bench(args) -> int:
         machine["methods"][method] = mirror
         method_rows.append(
             [method]
-            + [f"{round_half_up(r.pass_rate, 1):.1f}" for r in reports]
+            + [f"{round_half_up(r.pass_rate):.1f}" for r in reports]
             + [f"{mirror['average']['pass_rate']:.1f}"]
         )
 
@@ -379,11 +381,11 @@ def cmd_compare(args) -> int:
         subset: win_rate(judgments, label_a)
         for subset, judgments in sorted(judgments_by_subset.items())
     }
-    average = round_half_up(sum(subset_rates.values()) / len(subset_rates), 1)
+    average = round_half_up(sum(subset_rates.values()) / len(subset_rates))
 
     headers = ["Method"] + list(subset_rates) + ["Average"]
     row = [f"{label_a} vs {label_b}"] + [
-        f"{round_half_up(rate, 1):.1f}" for rate in subset_rates.values()
+        f"{round_half_up(rate):.1f}" for rate in subset_rates.values()
     ] + [f"{average:.1f}"]
     table = format_table(headers, [row])
 

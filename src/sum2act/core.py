@@ -8,7 +8,8 @@ The trace format is line-delimited JSON, one self-contained episode per line,
 with canonical key ordering so that serialization is byte-identical across
 runs. Top-level field names ``instruction``, ``tools``, ``steps``,
 ``terminal``, ``method_label`` and ``step_budget`` are a stable contract
-(see README).
+(see README). The record table under "Trace serialization" defines every
+record key, in both directions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigurationError, TraceFormatError
 
@@ -58,6 +59,8 @@ class ParamSpec:
     def __post_init__(self):
         if not self.name:
             raise ConfigurationError("parameter name must be non-empty")
+        # Scenario and catalog files may write ``required`` as 0 or 1.
+        object.__setattr__(self, "required", bool(self.required))
 
 
 @dataclass(frozen=True)
@@ -208,10 +211,10 @@ class Episode:
 
     instruction: Instruction
     tools: tuple[ToolSpec, ...]
-    steps: tuple[Step, ...] = ()
-    terminal: Terminal | None = None
-    method_label: str = ""
-    step_budget: int = 1
+    steps: tuple[Step, ...]
+    terminal: Terminal | None
+    method_label: str
+    step_budget: int
 
     def with_step(self, step: Step) -> Episode:
         if len(self.steps) >= self.step_budget:
@@ -302,149 +305,85 @@ def args_digest(args: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _tool_to_dict(tool: ToolSpec) -> dict:
-    return {
-        "name": tool.name,
-        "description": tool.description,
-        "params": [
-            {
-                "name": p.name,
-                "type": p.type_tag,
-                "required": p.required,
-                "description": p.description,
-            }
-            for p in tool.params
-        ],
-        "category": tool.category,
-    }
+# The trace record format, defined here and nowhere else. A record is a
+# type's ``__dict__`` with the keys below renamed; every type listed here is a
+# record type. A field in ``_NESTED`` holds a record of that type, or a list
+# of them when written ``[type]``; it may hold ``null`` only when its
+# annotation ends in ``| None``. Trace, scenario and catalog files all read
+# through this table.
+_RENAMED = {
+    Instruction: {},
+    ParamSpec: {"type_tag": "type"},
+    ToolSpec: {},
+    Action: {},
+    Observation: {},
+    ResultEntry: {"step_index": "step"},
+    FailureEntry: {"tool_name": "tool", "args_digest": "digest", "step_index": "step"},
+    State: {},
+    Step: {},
+    Terminal: {},
+    Episode: {},
+}
+_NESTED = {
+    ToolSpec: {"params": [ParamSpec]},
+    State: {"current_results": [ResultEntry], "failure_history": [FailureEntry]},
+    Step: {"action": Action, "observation": Observation, "state": State},
+    Episode: {"instruction": Instruction, "tools": [ToolSpec], "steps": [Step], "terminal": Terminal},
+}
 
 
-def tool_from_dict(data: dict, description_required: bool = False) -> ToolSpec:
-    """Parse one tool record (trace, scenario or catalog file).
+def _to_record(obj) -> dict:
+    """``default`` hook of the trace encoder; the C encoder does the recursion."""
+    renamed = _RENAMED.get(type(obj))
+    if renamed is None:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not renamed:
+        return obj.__dict__
+    return {renamed.get(name, name): value for name, value in obj.__dict__.items()}
 
-    A missing ``description`` reads as ``""`` unless ``description_required``;
-    a malformed record raises KeyError, TypeError or ConfigurationError,
-    which each caller reports against its own file.
+
+# Records are trees (frozen dataclasses over parsed JSON), so the encoder
+# skips the circular-reference check, which costs a marker insert and delete
+# per record, dict and list inside each timed episode.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False,
+    default=_to_record,
+)
+
+
+def from_record(cls, data):
+    """Build a record type from its parsed record (trace, scenario or catalog).
+
+    A field with no default is required. A malformed record raises KeyError,
+    TypeError or ConfigurationError, which each caller reports against its
+    own file.
     """
-    return ToolSpec(
-        name=data["name"],
-        description=data["description"] if description_required else data.get("description", ""),
-        params=tuple(
-            ParamSpec(
-                name=p["name"],
-                type_tag=p.get("type", "string"),
-                required=bool(p.get("required", False)),
-                description=p.get("description", ""),
-            )
-            for p in data.get("params", [])
-        ),
-        category=data.get("category"),
-    )
-
-
-def _state_to_dict(state: State) -> dict:
-    return {
-        "current_results": [
-            {"text": r.text, "step": r.step_index} for r in state.current_results
-        ],
-        "failure_history": [
-            {
-                "tool": f.tool_name,
-                "digest": f.args_digest,
-                "reason": f.reason,
-                "step": f.step_index,
-            }
-            for f in state.failure_history
-        ],
-    }
-
-
-def _state_from_dict(data: dict) -> State:
-    return State(
-        current_results=tuple(
-            ResultEntry(text=r["text"], step_index=r["step"])
-            for r in data.get("current_results", [])
-        ),
-        failure_history=tuple(
-            FailureEntry(
-                tool_name=f["tool"],
-                args_digest=f["digest"],
-                reason=f["reason"],
-                step_index=f["step"],
-            )
-            for f in data.get("failure_history", [])
-        ),
-    )
-
-
-def _step_to_dict(step: Step) -> dict:
-    obs = None
-    if step.observation is not None:
-        o = step.observation
-        obs = {
-            "status": o.status,
-            "payload": o.payload,
-            "tool_name": o.tool_name,
-            "args_echo": o.args_echo,
-            "latency": o.latency,
-            "error": o.error,
-        }
-    return {
-        "action": {
-            "kind": step.action.kind,
-            "tool_name": step.action.tool_name,
-            "args": step.action.args,
-            "thought": step.action.thought,
-            "retry_count": step.action.retry_count,
-        },
-        "observation": obs,
-        "state": _state_to_dict(step.state),
-    }
-
-
-def _step_from_dict(data: dict) -> Step:
-    a = data["action"]
-    action = Action(
-        kind=a["kind"],
-        tool_name=a.get("tool_name", ""),
-        args=a.get("args", {}),
-        thought=a.get("thought"),
-        retry_count=a.get("retry_count", 0),
-    )
-    obs = None
-    if data.get("observation") is not None:
-        o = data["observation"]
-        obs = Observation(
-            status=o["status"],
-            payload=o["payload"],
-            tool_name=o["tool_name"],
-            args_echo=o.get("args_echo", {}),
-            latency=o.get("latency", 0.0),
-            error=o.get("error"),
-        )
-    return Step(action=action, observation=obs, state=_state_from_dict(data["state"]))
+    if not isinstance(data, dict):
+        raise TypeError(f"{cls.__name__} record must be a JSON object, got {type(data).__name__}")
+    renamed = _RENAMED[cls]
+    nested = _NESTED.get(cls, {})
+    values = {}
+    for spec in fields(cls):
+        key = renamed.get(spec.name, spec.name)
+        if key not in data:
+            if spec.default is MISSING and spec.default_factory is MISSING:
+                raise KeyError(key)
+            continue
+        value = data[key]
+        kind = nested.get(spec.name)
+        if isinstance(kind, list):
+            value = tuple(from_record(kind[0], item) for item in value)
+        elif kind is not None and not (value is None and spec.type.endswith("| None")):
+            value = from_record(kind, value)
+        values[spec.name] = value
+    return cls(**values)
 
 
 def serialize_episode(episode: Episode) -> str:
     """One-line canonical JSON record for a terminal episode."""
     if episode.terminal is None:
         raise TraceFormatError("cannot serialize an episode without a terminal state")
-    payload = {
-        "instruction": {
-            "id": episode.instruction.id,
-            "text": episode.instruction.text,
-            "subset_label": episode.instruction.subset_label,
-        },
-        "tools": [_tool_to_dict(t) for t in episode.tools],
-        "steps": [_step_to_dict(s) for s in episode.steps],
-        "terminal": {
-            "status": episode.terminal.status,
-            "answer": episode.terminal.answer,
-        },
-        "method_label": episode.method_label,
-        "step_budget": episode.step_budget,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(episode)
 
 
 def deserialize_episode(record: str) -> Episode:
@@ -453,43 +392,24 @@ def deserialize_episode(record: str) -> Episode:
         data = json.loads(record)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise TraceFormatError(f"trace record is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise TraceFormatError("trace record must be a JSON object")
-
     try:
-        terminal_data = data["terminal"]
-        status = terminal_data["status"]
-        if status not in TERMINAL_STATUSES:
-            raise TraceFormatError(f"unknown terminal tag: {status!r}")
-        instr = data["instruction"]
-        instruction = Instruction(
-            id=instr["id"], text=instr["text"], subset_label=instr.get("subset_label")
-        )
-        tools = tuple(tool_from_dict(t, description_required=True) for t in data["tools"])
-        steps = tuple(_step_from_dict(s) for s in data["steps"])
-        episode = Episode(
-            instruction=instruction,
-            tools=tools,
-            steps=steps,
-            terminal=Terminal(status=status, answer=terminal_data.get("answer")),
-            method_label=data["method_label"],
-            step_budget=data["step_budget"],
-        )
-    except TraceFormatError:
-        raise
+        episode = from_record(Episode, data)
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise TraceFormatError(f"malformed trace record: {exc}") from exc
-
     _validate_episode(episode)
     return episode
 
 
 def _validate_episode(episode: Episode) -> None:
+    if type(episode.step_budget) is not int:
+        raise TraceFormatError(f"step_budget must be an integer, got {episode.step_budget!r}")
+    if episode.terminal is None:
+        raise TraceFormatError("trace record has no terminal state")
     if len(episode.steps) > episode.step_budget:
         raise TraceFormatError(
             f"episode has {len(episode.steps)} steps, over budget {episode.step_budget}"
         )
-    finished = episode.terminal is not None and episode.terminal.status == "Finished"
+    finished = episode.terminal.status == "Finished"
     last_is_finish = bool(episode.steps) and episode.steps[-1].action.kind == "Finish"
     if finished != last_is_finish:
         raise TraceFormatError(

@@ -41,9 +41,9 @@ and the diversity of tools used.
 """
 
 
-def round_half_up(value: float, ndigits: int = 1) -> float:
-    quantum = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+def round_half_up(value: float) -> float:
+    """Round to one decimal place, halves away from zero."""
+    return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def pass_rate(episodes: list[tuple[Episode, bool]]) -> float:
     if not episodes:
         raise ConfigurationError("pass rate requires at least one episode")
     passes = sum(1 for _, passed in episodes if passed)
-    return round_half_up(100.0 * passes / len(episodes), 1)
+    return round_half_up(100.0 * passes / len(episodes))
 
 
 def win_rate(judgments: list[PairJudgment], for_method: str) -> float:
@@ -228,16 +228,16 @@ def aggregate(reports: list[SubsetReport]) -> tuple[str, dict]:
     if with_win and len(with_win) != len(reports):
         raise ConfigurationError("win_rate must be present for all subsets or none")
 
-    average_pass = round_half_up(sum(r.pass_rate for r in reports) / len(reports), 1)
+    average_pass = round_half_up(sum(r.pass_rate for r in reports) / len(reports))
     average_win = None
     if with_win:
-        average_win = round_half_up(sum(r.win_rate for r in reports) / len(reports), 1)
+        average_win = round_half_up(sum(r.win_rate for r in reports) / len(reports))
 
     labels = [r.subset_label for r in reports] + ["Average"]
-    rows = [["Pass rate"] + [f"{round_half_up(r.pass_rate, 1):.1f}" for r in reports] + [f"{average_pass:.1f}"]]
+    rows = [["Pass rate"] + [f"{round_half_up(r.pass_rate):.1f}" for r in reports] + [f"{average_pass:.1f}"]]
     if with_win:
         rows.append(
-            ["Win rate"] + [f"{round_half_up(r.win_rate, 1):.1f}" for r in reports] + [f"{average_win:.1f}"]
+            ["Win rate"] + [f"{round_half_up(r.win_rate):.1f}" for r in reports] + [f"{average_win:.1f}"]
         )
     rows.append(["n"] + [str(r.n) for r in reports] + [str(sum(r.n for r in reports))])
     table = format_table(["Subset"] + labels, rows)

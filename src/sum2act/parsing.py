@@ -45,14 +45,14 @@ _OBJECT_START = re.compile(r'\{\s*["}]')
 _DECODER = json.JSONDecoder()
 
 
-def extract_first_json_object(text: str, required_key: str | None = None):
-    """Return the first JSON object embedded in ``text``, or None.
+def extract_first_json_object(text: str, required_key: str):
+    """Return the first JSON object in ``text`` holding ``required_key``, or None.
 
     Candidates are the positions of ``{`` that can open an object, tried in
     text order; each is decoded up to its own closing brace, so prose before
     and after the object is ignored. A candidate is skipped when it does not
-    decode, decodes to something other than a dict, lacks ``required_key``
-    (when given), or nests deeper than the interpreter's recursion limit, so
+    decode, decodes to something other than a dict, lacks ``required_key``,
+    or nests deeper than the interpreter's recursion limit, so
     incidental braces in prose never shadow the real payload. Never raises
     on any ``str``. One regex scan finds the candidates and each is decoded
     in C, so no Python loop walks the text.
@@ -62,7 +62,7 @@ def extract_first_json_object(text: str, required_key: str | None = None):
             obj, _ = _DECODER.raw_decode(text, match.start())
         except (json.JSONDecodeError, RecursionError):
             continue
-        if isinstance(obj, dict) and (required_key is None or required_key in obj):
+        if isinstance(obj, dict) and required_key in obj:
             return obj
     return None
 

@@ -12,7 +12,7 @@ import math
 import string
 from dataclasses import dataclass
 
-from .core import ToolSpec, load_json_file, tool_from_dict
+from .core import ToolSpec, from_record, load_json_file
 from .errors import ConfigurationError
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
@@ -82,6 +82,6 @@ def load_catalog(path) -> list[ToolSpec]:
     if not isinstance(data, list):
         raise ConfigurationError(f"{path}: tool catalog must be a JSON list")
     try:
-        return [tool_from_dict(item) for item in data]
+        return [from_record(ToolSpec, {"description": "", **item}) for item in data]
     except (KeyError, TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"{path}: malformed tool record: {exc}") from exc

@@ -15,10 +15,11 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from urllib.parse import quote
 
 import requests
 
-from .core import Episode, Instruction, Observation, ToolSpec, load_json_file, tool_from_dict
+from .core import Episode, Instruction, Observation, ToolSpec, from_record, load_json_file
 from .errors import ConfigurationError, ScenarioError
 
 BEHAVIOR_KINDS = ("success", "error", "timeout", "verbose")
@@ -116,13 +117,8 @@ def _parse_pass_condition(data: dict) -> PassCondition:
 def load_scenario(path) -> Scenario:
     data = load_json_file(path, ScenarioError)
     try:
-        instruction_data = data["instruction"]
-        instruction = Instruction(
-            id=instruction_data["id"],
-            text=instruction_data["text"],
-            subset_label=instruction_data.get("subset_label"),
-        )
-        tools = tuple(tool_from_dict(t) for t in data["tools"])
+        instruction = from_record(Instruction, data["instruction"])
+        tools = tuple(from_record(ToolSpec, {"description": "", **t}) for t in data["tools"])
         behaviors = {
             name: tuple(_parse_behavior(b) for b in behavior_list)
             for name, behavior_list in data.get("behaviors", {}).items()
@@ -279,7 +275,8 @@ def invoke_live(
     for key in list(remaining):
         placeholder = "{" + key + "}"
         if placeholder in url:
-            url = url.replace(placeholder, str(remaining.pop(key)))
+            # Model-chosen values: quoted, so each stays one path segment.
+            url = url.replace(placeholder, quote(str(remaining.pop(key)), safe=""))
     method = entry.get("method", "GET").upper()
     headers = {}
     auth_env = entry.get("auth_env")

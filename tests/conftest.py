@@ -17,12 +17,14 @@ def scenarios_root() -> Path:
 
 class ScriptedHTTPServer:
     """Local HTTP stub replying from an ordered (status, body) script; the
-    last entry repeats once the script is exhausted. ``bodies`` keeps the
-    raw bytes of every request body, in arrival order."""
+    last entry repeats once the script is exhausted. ``paths`` keeps the
+    path of every request and ``bodies`` the raw bytes of every request
+    body, in arrival order."""
 
     def __init__(self, script: list[tuple[int, str]], delay: float = 0.0):
         self.script = list(script)
         self.calls = 0
+        self.paths: list[str] = []
         self.bodies: list[bytes] = []
         self.delay = delay
         outer = self
@@ -31,6 +33,7 @@ class ScriptedHTTPServer:
             def _respond(self) -> None:
                 if outer.delay:
                     time.sleep(outer.delay)
+                outer.paths.append(self.path)
                 index = min(outer.calls, len(outer.script) - 1)
                 status, body = outer.script[index]
                 outer.calls += 1

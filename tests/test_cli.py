@@ -27,6 +27,19 @@ def _copy_pair(src_dir: Path, name: str, dst: Path) -> None:
         shutil.copy(src_dir / f"{name}{suffix}", dst / f"{name}{suffix}")
 
 
+def _trace_with_budget(tmp_path: Path, budget) -> Path:
+    """A one-episode trace file whose ``step_budget`` is set to ``budget``."""
+    episode = new_episode(Instruction(id="b", text="t"), [ToolSpec(name="alpha", description="a")], 1, "sum2act")
+    episode = episode.with_step(
+        Step(Action(kind="Finish", args={"Answer": "ok"}), None, State.empty())
+    ).with_terminal(Terminal.finished("ok"))
+    record = json.loads(serialize_episode(episode))
+    record["step_budget"] = budget
+    trace = tmp_path / "budget.jsonl"
+    trace.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return trace
+
+
 @pytest.fixture
 def core_dir(scenarios_root) -> Path:
     return scenarios_root / "core"
@@ -315,6 +328,21 @@ class TestBench:
         report = json.loads((out_dir / "report.json").read_text())
         assert list(report["methods"]) == ["react"]
 
+    @pytest.mark.parametrize("flag, config", [(",", None), (None, {"methods": ""})])
+    def test_empty_method_list_exits_2(self, core_dir, tmp_path, capsys, flag, config):
+        suite = tmp_path / "suite"
+        _copy_pair(core_dir, "weather_miami", suite)
+        argv = ["bench", "--scenario-dir", str(suite), "--out", str(tmp_path / "out")]
+        if flag is not None:
+            argv += ["--methods", flag]
+        if config is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config))
+            argv += ["--config", str(config_path)]
+        assert main(argv) == 2
+        assert "no method" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_fail_fast_on_corrupt_scenario(self, core_dir, tmp_path, capsys):
         suite = tmp_path / "suite"
         _copy_pair(core_dir, "weather_miami", suite)
@@ -436,6 +464,14 @@ class TestCompare:
         assert code == 2
         assert "latin.jsonl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["x", None])
+    def test_non_integer_step_budget_exits_2(self, tmp_path, capsys, budget):
+        trace = _trace_with_budget(tmp_path, budget)
+        code = main(["compare", "--traces-a", str(trace), "--traces-b", str(trace),
+                     "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert "step_budget" in capsys.readouterr().err
+
     def test_llm_judge_with_scripted_provider(self, core_dir, tmp_path):
         suite = tmp_path / "suite"
         _copy_pair(core_dir, "weather_miami", suite)
@@ -514,6 +550,11 @@ class TestReplay:
         trace.write_bytes(b"\xff{}\n")
         assert main(["replay", str(trace)]) == 2
         assert "latin.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["x", None])
+    def test_non_integer_step_budget_exits_2(self, tmp_path, capsys, budget):
+        assert main(["replay", str(_trace_with_budget(tmp_path, budget))]) == 2
+        assert "step_budget" in capsys.readouterr().err
 
     def test_corrupt_trace_exits_2(self, tmp_path):
         corrupt = tmp_path / "corrupt.jsonl"

@@ -116,6 +116,14 @@ class TestSerialization:
         with pytest.raises(TraceFormatError):
             serialize_episode(episode)
 
+    def test_non_record_value_raises_type_error(self):
+        episode = new_episode(INSTRUCTION, list(TOOLS), 30, "sum2act")
+        episode = episode.with_step(
+            Step(Action(kind="Finish", args={"Answer": object()}), None, State.empty())
+        ).with_terminal(Terminal.finished("hi"))
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            serialize_episode(episode)
+
     def test_unknown_terminal_tag_rejected(self):
         record = serialize_episode(_finished_episode())
         data = json.loads(record)
@@ -133,6 +141,25 @@ class TestSerialization:
         data = json.loads(serialize_episode(_finished_episode()))
         del data["tools"][0]["description"]
         with pytest.raises(TraceFormatError, match="description"):
+            deserialize_episode(json.dumps(data))
+
+    @pytest.mark.parametrize("path, value", [
+        (("terminal",), None),
+        (("instruction",), "i1"),
+        (("tools",), {"name": "alpha"}),
+        (("steps", 0, "action"), None),
+        (("steps", 0, "state"), None),
+        (("steps", 0, "state", "failure_history"), None),
+        (("step_budget",), "x"),
+        (("step_budget",), None),
+    ], ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else repr(p))
+    def test_malformed_field_rejected(self, path, value):
+        data = json.loads(serialize_episode(_finished_episode()))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(TraceFormatError):
             deserialize_episode(json.dumps(data))
 
     def test_over_budget_record_rejected(self):

@@ -236,8 +236,8 @@ class TestAggregate:
 
 class TestRounding:
     def test_half_up_at_one_decimal(self):
-        assert round_half_up(41.08333333, 1) == 41.1
-        assert round_half_up(68.75, 1) == 68.8
-        assert round_half_up(65.75, 1) == 65.8
-        assert round_half_up(54.5833333, 1) == 54.6
-        assert round_half_up(70.6666666, 1) == 70.7
+        assert round_half_up(41.08333333) == 41.1
+        assert round_half_up(68.75) == 68.8
+        assert round_half_up(65.75) == 65.8
+        assert round_half_up(54.5833333) == 54.6
+        assert round_half_up(70.6666666) == 70.7

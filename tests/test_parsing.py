@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sum2act.parsing import extract_first_json_object
 
 
-def _reference_extract(text: str, required_key: str | None = None):
+def _reference_extract(text: str, required_key: str):
     """The brace-matching extractor the decoder scan replaced: pair every
     ``{`` with its closing brace in Python, then ``json.loads`` the slice."""
     for start in (index for index, char in enumerate(text) if char == "{"):
@@ -21,7 +21,7 @@ def _reference_extract(text: str, required_key: str | None = None):
             obj = json.loads(candidate)
         except json.JSONDecodeError:
             continue
-        if isinstance(obj, dict) and (required_key is None or required_key in obj):
+        if isinstance(obj, dict) and required_key in obj:
             return obj
     return None
 
@@ -79,18 +79,16 @@ _REPLIES = st.lists(_FRAGMENTS, max_size=8).map("".join)
 
 class TestMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(text=_REPLIES, required_key=st.sampled_from([None, "action", "a", ""]))
+    @given(text=_REPLIES, required_key=st.sampled_from(["action", "a", ""]))
     def test_same_value_as_brace_matcher(self, text, required_key):
         assert extract_first_json_object(text, required_key) == _reference_extract(text, required_key)
 
     def test_prose_around_object(self):
         text = 'I think {so} the answer is {"action": "Finish", "args": {"Answer": "4"}} ok'
         assert extract_first_json_object(text, "action") == {"action": "Finish", "args": {"Answer": "4"}}
-        assert extract_first_json_object(text) == {"action": "Finish", "args": {"Answer": "4"}}
 
     def test_keyless_and_non_dict_candidates_skipped(self):
         text = '{"x": 1} [{"y": 2}] {"action": "a"}'
-        assert extract_first_json_object(text) == {"x": 1}
         assert extract_first_json_object(text, "action") == {"action": "a"}
         assert extract_first_json_object(text, "z") is None
 
@@ -110,8 +108,8 @@ class TestRobustness:
         assert extract_first_json_object(reply, "action") == {"action": "t"}
 
     def test_no_object(self):
-        assert extract_first_json_object("") is None
-        assert extract_first_json_object("no json here {") is None
+        assert extract_first_json_object("", "action") is None
+        assert extract_first_json_object("no json here {", "action") is None
 
 
 class TestBounds:
@@ -121,7 +119,7 @@ class TestBounds:
     def _timed(self, text: str) -> float:
         start = time.perf_counter()
         extract_first_json_object(text, "action")
-        extract_first_json_object(text)
+        extract_first_json_object(text, "verdict")
         return time.perf_counter() - start
 
     def test_four_thousand_open_braces(self):

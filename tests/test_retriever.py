@@ -106,6 +106,12 @@ class TestFiles:
         path.write_text(json.dumps([{"name": "alpha"}]))
         assert load_catalog(path)[0].description == ""
 
+    @pytest.mark.parametrize("written, read", [(1, True), (0, False)])
+    def test_param_required_reads_as_bool(self, tmp_path, written, read):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([{"name": "alpha", "params": [{"name": "q", "required": written}]}]))
+        assert load_catalog(path)[0].params[0].required is read
+
     @pytest.mark.parametrize("record", [{"description": "x"}, "oops", {"name": "has space"}])
     def test_malformed_record_names_the_file(self, tmp_path, record):
         path = tmp_path / "catalog.json"

@@ -99,6 +99,17 @@ class TestLoadScenario:
         assert tool.description == ""
         assert tool.params == (ParamSpec(name="q"),)
 
+    @pytest.mark.parametrize("written, read", [(1, True), (0, False)])
+    def test_param_required_reads_as_bool(self, tmp_path, written, read):
+        path = tmp_path / "ok.scenario.json"
+        path.write_text(json.dumps({
+            "id": "ok",
+            "instruction": {"id": "ok", "text": "x"},
+            "tools": [{"name": "alpha", "params": [{"name": "q", "required": written}]}],
+            "pass_condition": {"exact": "x"},
+        }))
+        assert load_scenario(path).tools[0].params[0].required is read
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "bad.scenario.json"
         path.write_text("{\n  broken\n}")
@@ -330,6 +341,14 @@ class TestInvokeLive:
         spec = {"probe": {"url": stub.url + "/items/{item_id}", "method": "GET"}}
         obs = invoke_live(spec, "probe", {"item_id": "41"})
         assert obs.status == "Success"
+        assert stub.paths == ["/items/41"]
+
+    def test_url_placeholder_is_one_quoted_segment(self, http_stub):
+        stub = http_stub([(200, "ok")])
+        spec = {"probe": {"url": stub.url + "/users/{id}/profile", "method": "GET"}}
+        obs = invoke_live(spec, "probe", {"id": "../../admin?x=1#"})
+        assert obs.status == "Success"
+        assert stub.paths == ["/users/..%2F..%2Fadmin%3Fx%3D1%23/profile"]
 
     def test_endpoint_spec_file(self, tmp_path):
         path = tmp_path / "endpoints.json"
