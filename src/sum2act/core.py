@@ -330,6 +330,17 @@ _NESTED = {
     Step: {"action": Action, "observation": Observation, "state": State},
     Episode: {"instruction": Instruction, "tools": [ToolSpec], "steps": [Step], "terminal": Terminal},
 }
+# Every other field is a scalar or a map: the JSON values its annotation
+# admits. A ``bool`` never passes as a number, but a number passes as a
+# ``bool``: scenario and catalog files may write ``required`` as 0 or 1.
+_SCALARS = {
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool, int),
+    "dict": (dict,),
+}
 
 
 def _to_record(obj) -> dict:
@@ -354,9 +365,10 @@ _ENCODER = json.JSONEncoder(
 def from_record(cls, data):
     """Build a record type from its parsed record (trace, scenario or catalog).
 
-    A field with no default is required. A malformed record raises KeyError,
-    TypeError or ConfigurationError, which each caller reports against its
-    own file.
+    A field with no default is required, and a scalar field must hold a
+    value its annotation admits (``_SCALARS``). A malformed record raises
+    KeyError, TypeError or ConfigurationError, which each caller reports
+    against its own file.
     """
     if not isinstance(data, dict):
         raise TypeError(f"{cls.__name__} record must be a JSON object, got {type(data).__name__}")
@@ -373,7 +385,13 @@ def from_record(cls, data):
         kind = nested.get(spec.name)
         if isinstance(kind, list):
             value = tuple(from_record(kind[0], item) for item in value)
-        elif kind is not None and not (value is None and spec.type.endswith("| None")):
+        elif kind is None:
+            allowed = _SCALARS[spec.type]
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise TypeError(
+                    f"{cls.__name__} {key!r} must be {spec.type}, got {type(value).__name__}"
+                )
+        elif not (value is None and spec.type.endswith("| None")):
             value = from_record(kind, value)
         values[spec.name] = value
     return cls(**values)
@@ -401,8 +419,6 @@ def deserialize_episode(record: str) -> Episode:
 
 
 def _validate_episode(episode: Episode) -> None:
-    if type(episode.step_budget) is not int:
-        raise TraceFormatError(f"step_budget must be an integer, got {episode.step_budget!r}")
     if episode.terminal is None:
         raise TraceFormatError("trace record has no terminal state")
     if len(episode.steps) > episode.step_budget:

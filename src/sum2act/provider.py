@@ -13,6 +13,8 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 
 import requests
 
@@ -30,6 +32,13 @@ ROLES = ("system", "user", "assistant")
 # Hard ceiling on rendered request size; requests are never truncated
 # silently, they fail loudly instead.
 MAX_REQUEST_CHARS = 200_000
+
+# Longest wait between two live attempts, whatever the exponential backoff
+# or a Retry-After header asks for.
+MAX_BACKOFF_SECONDS = 30.0
+
+# 4xx statuses retried like 5xx: request timeout and rate limiting.
+_RETRIED_4XX = (408, 429)
 
 
 @dataclass(frozen=True)
@@ -134,13 +143,32 @@ def _check_size(prompt: str) -> None:
         )
 
 
+def _retry_after_seconds(value: str | None) -> float | None:
+    """The wait a Retry-After header asks for, in its delay-seconds or its
+    HTTP-date form (a past date waits 0); None when absent or unreadable."""
+    if value is None:
+        return None
+    value = value.strip()
+    if re.fullmatch(r"[0-9]+", value):
+        return float(value)
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+
+
 class LiveProvider:
     """Client for any chat-completions-compatible HTTP endpoint.
 
-    Retries transport failures and 5xx responses with exponential backoff;
-    4xx responses are rejected immediately and never retried. Configuration
-    comes from PROVIDER_BASE_URL, PROVIDER_API_KEY and PROVIDER_MODEL unless
-    passed explicitly.
+    Retries transport failures, 5xx, 408 and 429 responses, waiting as long
+    as the response's Retry-After header asks, or else with exponential
+    backoff, and never longer than MAX_BACKOFF_SECONDS. Other 4xx responses
+    are rejected immediately and never retried. Configuration comes from
+    PROVIDER_BASE_URL, PROVIDER_API_KEY and PROVIDER_MODEL unless passed
+    explicitly.
     """
 
     def __init__(
@@ -180,6 +208,7 @@ class LiveProvider:
         url = f"{self.base_url}/chat/completions"
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
+            wait = None
             try:
                 response = self._session.post(
                     url, json=body, headers=headers, timeout=self.timeout
@@ -187,15 +216,17 @@ class LiveProvider:
             except requests.RequestException as exc:
                 last_error = exc
             else:
-                if 200 <= response.status_code < 300:
+                status = response.status_code
+                if 200 <= status < 300:
                     return self._extract_content(response)
-                if 400 <= response.status_code < 500:
-                    raise ProviderRejected(response.status_code, response.text[:500])
-                last_error = ProviderUnavailable(
-                    f"HTTP {response.status_code}: {response.text[:200]}"
-                )
+                if 400 <= status < 500 and status not in _RETRIED_4XX:
+                    raise ProviderRejected(status, response.text[:500])
+                last_error = ProviderUnavailable(f"HTTP {status}: {response.text[:200]}")
+                wait = _retry_after_seconds(response.headers.get("Retry-After"))
             if attempt < self.retries:
-                time.sleep(self.backoff_base * (2**attempt))
+                if wait is None:
+                    wait = self.backoff_base * (2**attempt)
+                time.sleep(min(wait, MAX_BACKOFF_SECONDS))
         raise ProviderUnavailable(
             f"endpoint unreachable after {self.retries + 1} attempts: {last_error}"
         )

@@ -71,7 +71,7 @@ def build_router_prompt(
     decomposition: Task | None = None,
     templates_dir: str | None = None,
 ) -> str:
-    """Deterministic prompt text from the instruction, state, tools and rules
+    """Deterministic prompt text from the instruction, tools, rules and state
     blocks; every failure history entry is rendered, none omitted."""
     if not tools:
         raise ConfigurationError("router prompt requires a non-empty tool list")

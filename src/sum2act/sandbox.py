@@ -11,6 +11,7 @@ filler.
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 import time
@@ -249,6 +250,18 @@ def load_endpoint_spec(path) -> dict:
     for name, entry in data.items():
         if not isinstance(entry, dict) or "url" not in entry:
             raise ConfigurationError(f"{path}: endpoint {name!r} must define a url")
+        for key in ("url", "method", "auth_env"):
+            if key in entry and not isinstance(entry[key], str):
+                raise ConfigurationError(
+                    f"{path}: endpoint {name!r}: {key!r} must be a string, got {entry[key]!r}"
+                )
+        timeout = entry.get("timeout", LIVE_TIMEOUT_SECONDS)
+        number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+        if not (number and 0 < timeout < math.inf):
+            raise ConfigurationError(
+                f"{path}: endpoint {name!r}: 'timeout' must be a positive number "
+                f"of seconds, got {timeout!r}"
+            )
     return data
 
 

@@ -1,8 +1,8 @@
 """Summarization stage: judge each observation, register results or deduce
 failure reasons, and keep the rendered state within a length cap.
 
-The state renders to a fixed two-section layout ("Current results:" then
-"Failure history:"); that rendering is the contract the router prompt
+The state renders to a fixed two-section layout ("Failure history:" then
+"Current results:"); that rendering is the contract the router prompt
 consumes. Success/failure verdicts are delegated to the provider, with a
 mechanical fallback keyed on the observation status so an update can never
 abort an episode.
@@ -45,16 +45,14 @@ EMPTY_STATE_TEXT = "Current results: (none). Failure history: (none)."
 
 
 def render_state(state: State) -> str:
-    """Canonical two-section rendering consumed by the router prompt."""
+    """Canonical two-section rendering consumed by the router prompt.
+
+    Failure history comes first: its entries are only ever appended, while
+    the cap merges result entries oldest-first, so the failures form a
+    prefix that stays stable from one step's prompts to the next."""
     if not state.current_results and not state.failure_history:
         return EMPTY_STATE_TEXT
     lines = []
-    if state.current_results:
-        lines.append("Current results:")
-        for index, entry in enumerate(state.current_results, 1):
-            lines.append(f"  {index}. [step {entry.step_index}] {entry.text}")
-    else:
-        lines.append("Current results: (none).")
     if state.failure_history:
         lines.append("Failure history:")
         for index, entry in enumerate(state.failure_history, 1):
@@ -64,6 +62,12 @@ def render_state(state: State) -> str:
             )
     else:
         lines.append("Failure history: (none).")
+    if state.current_results:
+        lines.append("Current results:")
+        for index, entry in enumerate(state.current_results, 1):
+            lines.append(f"  {index}. [step {entry.step_index}] {entry.text}")
+    else:
+        lines.append("Current results: (none).")
     return "\n".join(lines)
 
 

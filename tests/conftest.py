@@ -16,12 +16,12 @@ def scenarios_root() -> Path:
 
 
 class ScriptedHTTPServer:
-    """Local HTTP stub replying from an ordered (status, body) script; the
-    last entry repeats once the script is exhausted. ``paths`` keeps the
-    path of every request and ``bodies`` the raw bytes of every request
-    body, in arrival order."""
+    """Local HTTP stub replying from an ordered (status, body) or
+    (status, body, headers) script; the last entry repeats once the script
+    is exhausted. ``paths`` keeps the path of every request and ``bodies``
+    the raw bytes of every request body, in arrival order."""
 
-    def __init__(self, script: list[tuple[int, str]], delay: float = 0.0):
+    def __init__(self, script: list[tuple], delay: float = 0.0):
         self.script = list(script)
         self.calls = 0
         self.paths: list[str] = []
@@ -35,12 +35,14 @@ class ScriptedHTTPServer:
                     time.sleep(outer.delay)
                 outer.paths.append(self.path)
                 index = min(outer.calls, len(outer.script) - 1)
-                status, body = outer.script[index]
+                status, body, *extra = outer.script[index]
                 outer.calls += 1
                 data = body.encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 
@@ -72,7 +74,7 @@ class ScriptedHTTPServer:
 def http_stub():
     servers: list[ScriptedHTTPServer] = []
 
-    def start(script: list[tuple[int, str]], delay: float = 0.0) -> ScriptedHTTPServer:
+    def start(script: list[tuple], delay: float = 0.0) -> ScriptedHTTPServer:
         server = ScriptedHTTPServer(script, delay=delay)
         servers.append(server)
         return server

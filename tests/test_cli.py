@@ -40,6 +40,35 @@ def _trace_with_budget(tmp_path: Path, budget) -> Path:
     return trace
 
 
+def _trace_with_field(core_dir: Path, tmp_path: Path, path: tuple, value) -> Path:
+    """The weather_miami sum2act trace with the field at ``path`` set to ``value``."""
+    assert main([
+        "run",
+        "--scenario", str(core_dir / "weather_miami.scenario.json"),
+        "--policy", str(core_dir / "weather_miami.policy.json"),
+        "--out", str(tmp_path / "run"),
+    ]) == 0
+    trace = tmp_path / "run" / "sum2act__weather_miami.jsonl"
+    record = json.loads(trace.read_text(encoding="utf-8"))
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    trace.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return trace
+
+
+WRONGLY_TYPED_SCALARS = [
+    (("terminal", "answer"), 5),
+    (("terminal", "status"), 5),
+    (("instruction", "subset_label"), 5),
+]
+
+
+def _field_id(value) -> str:
+    return ".".join(value) if isinstance(value, tuple) else repr(value)
+
+
 @pytest.fixture
 def core_dir(scenarios_root) -> Path:
     return scenarios_root / "core"
@@ -130,6 +159,23 @@ class TestRun:
         ])
         assert code == 0
         assert stub.calls == 1
+
+    @pytest.mark.parametrize("key, value", [("method", 5), ("timeout", "x"), ("auth_env", 7)])
+    def test_wrongly_typed_endpoint_key_exits_2(self, core_dir, tmp_path, capsys, key, value):
+        tools_path = tmp_path / "catalog.json"
+        tools_path.write_text(json.dumps([{"name": "fetch_page", "description": "Fetch."}]))
+        endpoints_path = tmp_path / "endpoints.json"
+        endpoints_path.write_text(json.dumps({"fetch_page": {"url": "http://127.0.0.1:9/x", key: value}}))
+        code = main([
+            "run",
+            "--instruction", "Check the status page.",
+            "--tools", str(tools_path),
+            "--endpoint-spec", str(endpoints_path),
+            "--policy", str(core_dir / "weather_miami.policy.json"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert f"'fetch_page': {key!r} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("record", [{"description": "x"}, "oops"])
     def test_malformed_catalog_exits_2(self, core_dir, tmp_path, capsys, record):
@@ -472,6 +518,15 @@ class TestCompare:
         assert code == 2
         assert "step_budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value", WRONGLY_TYPED_SCALARS, ids=_field_id)
+    def test_wrongly_typed_scalar_exits_2(self, core_dir, tmp_path, capsys, path, value):
+        trace = _trace_with_field(core_dir, tmp_path, path, value)
+        code = main(["compare", "--traces-a", str(trace), "--traces-b", str(trace),
+                     "--judge", "rule", "--scenario-dir", str(core_dir),
+                     "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert f"{path[-1]!r} must be" in capsys.readouterr().err
+
     def test_llm_judge_with_scripted_provider(self, core_dir, tmp_path):
         suite = tmp_path / "suite"
         _copy_pair(core_dir, "weather_miami", suite)
@@ -555,6 +610,11 @@ class TestReplay:
     def test_non_integer_step_budget_exits_2(self, tmp_path, capsys, budget):
         assert main(["replay", str(_trace_with_budget(tmp_path, budget))]) == 2
         assert "step_budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", WRONGLY_TYPED_SCALARS, ids=_field_id)
+    def test_wrongly_typed_scalar_exits_2(self, core_dir, tmp_path, capsys, path, value):
+        assert main(["replay", str(_trace_with_field(core_dir, tmp_path, path, value))]) == 2
+        assert f"{path[-1]!r} must be" in capsys.readouterr().err
 
     def test_corrupt_trace_exits_2(self, tmp_path):
         corrupt = tmp_path / "corrupt.jsonl"

@@ -152,6 +152,18 @@ class TestSerialization:
         (("steps", 0, "state", "failure_history"), None),
         (("step_budget",), "x"),
         (("step_budget",), None),
+        (("step_budget",), True),
+        (("terminal", "answer"), 5),
+        (("terminal", "status"), 5),
+        (("instruction", "subset_label"), 5),
+        (("instruction", "text"), ["t"]),
+        (("method_label",), None),
+        (("steps", 0, "action", "retry_count"), "0"),
+        (("steps", 0, "action", "args"), []),
+        (("steps", 0, "observation", "latency"), False),
+        (("steps", 0, "observation", "error"), 1),
+        (("steps", 1, "state", "current_results"), [{"text": "r", "step": 1.5}]),
+        (("tools", 0, "params"), [{"name": "x", "required": "yes"}]),
     ], ids=lambda p: ".".join(map(str, p)) if isinstance(p, tuple) else repr(p))
     def test_malformed_field_rejected(self, path, value):
         data = json.loads(serialize_episode(_finished_episode()))

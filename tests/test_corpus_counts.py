@@ -1,13 +1,16 @@
 """Pins the deterministic cost of the shipped corpus: provider calls, prompt
-chars and the serialized traces of every scenario/policy pair, per method.
+chars, uncached prompt chars and the serialized traces of every
+scenario/policy pair, per method.
 
-An unintended extra provider call, a changed prompt or a changed trace byte
-fails here, before any benchmark run.
+An unintended extra provider call, a changed prompt, a prompt layout that a
+prefix cache can reuse less of, or a changed trace byte fails here, before
+any benchmark run.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import pytest
 
@@ -30,11 +33,40 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("method", sorted(PINNED))
-def test_corpus_counts_are_pinned(method, scenarios_root):
+# method: chars of every prompt past the longest prefix it shares with an
+# earlier prompt of the same episode, summed over the corpus. A prefix cache
+# (RadixAttention and the like) has to process only these chars.
+PINNED_UNCACHED = {
+    "sum2act": 123_539,
+    "react": 84_251,
+    "dfsdt": 128_349,
+}
+
+
+def _common_prefix(a: str, b: str) -> int:
+    low, high = 0, min(len(a), len(b))
+    while low < high:
+        mid = (low + high + 1) // 2
+        if a[:mid] == b[:mid]:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+def _uncached_chars(prompts: list[str]) -> int:
+    return sum(
+        len(prompt) - max((_common_prefix(prompt, earlier) for earlier in prompts[:i]), default=0)
+        for i, prompt in enumerate(prompts)
+    )
+
+
+@lru_cache(maxsize=None)
+def _run_corpus(method: str, scenarios_root) -> tuple[int, int, str, int]:
+    """(provider calls, prompt chars, trace sha256, uncached prompt chars)."""
     paths = sorted(scenarios_root.glob("**/*.scenario.json"))
     assert len(paths) == 30
-    calls = chars = 0
+    calls = chars = uncached = 0
     digest = hashlib.sha256()
     for path in paths:
         scenario = load_scenario(path)
@@ -44,7 +76,19 @@ def test_corpus_counts_are_pinned(method, scenarios_root):
             method, provider, scenario.instruction, list(scenario.tools),
             default_config(method), ScenarioSession(scenario).invoke,
         )
-        calls += len(provider.calls)
-        chars += sum(len(prompt) for prompt, _ in provider.calls)
+        prompts = provider.prompts()
+        calls += len(prompts)
+        chars += sum(map(len, prompts))
+        uncached += _uncached_chars(prompts)
         digest.update(serialize_episode(episode).encode("utf-8") + b"\n")
-    assert (calls, chars, digest.hexdigest()) == PINNED[method]
+    return calls, chars, digest.hexdigest(), uncached
+
+
+@pytest.mark.parametrize("method", sorted(PINNED))
+def test_corpus_counts_are_pinned(method, scenarios_root):
+    assert _run_corpus(method, scenarios_root)[:3] == PINNED[method]
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_UNCACHED))
+def test_corpus_uncached_prompt_chars_are_pinned(method, scenarios_root):
+    assert _run_corpus(method, scenarios_root)[3] == PINNED_UNCACHED[method]

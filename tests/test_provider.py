@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import time
+from email.utils import formatdate
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +14,9 @@ from sum2act.errors import (
     RequestTooLarge,
     ScriptError,
 )
+from sum2act import provider as provider_module
 from sum2act.provider import (
+    MAX_BACKOFF_SECONDS,
     MAX_REQUEST_CHARS,
     ChatMessage,
     CompletionRequest,
@@ -147,6 +152,14 @@ class TestLoadPolicy:
             load_policy(path)
 
 
+@pytest.fixture
+def waits(monkeypatch) -> list[float]:
+    """The live provider's waits between attempts, recorded instead of slept."""
+    recorded: list[float] = []
+    monkeypatch.setattr(provider_module, "time", SimpleNamespace(sleep=recorded.append))
+    return recorded
+
+
 class TestLiveProvider:
     def test_success_response(self, http_stub):
         stub = http_stub([(200, _chat_body("hello back"))])
@@ -196,6 +209,51 @@ class TestLiveProvider:
         with pytest.raises(ProviderUnavailable):
             provider.complete(user_request("hi"))
         assert stub.calls == 3
+
+    def test_429_then_success_waits_retry_after_seconds(self, http_stub, waits):
+        stub = http_stub([(429, "slow down", {"Retry-After": "7"}), (200, _chat_body("ok"))])
+        provider = LiveProvider(
+            base_url=stub.url, api_key="k", model="m", retries=3, backoff_base=0.01
+        )
+        assert provider.complete(user_request("hi")) == "ok"
+        assert stub.calls == 2
+        assert waits == [7.0]
+
+    def test_retry_after_http_date(self, http_stub, waits):
+        soon = formatdate(time.time() + 10, usegmt=True)
+        past = formatdate(time.time() - 3600, usegmt=True)
+        late = formatdate(time.time() + 3600, usegmt=True)
+        stub = http_stub([
+            (429, "", {"Retry-After": soon}),
+            (429, "", {"Retry-After": past}),
+            (503, "", {"Retry-After": late}),
+            (200, _chat_body("ok")),
+        ])
+        provider = LiveProvider(
+            base_url=stub.url, api_key="k", model="m", retries=3, backoff_base=0.01
+        )
+        assert provider.complete(user_request("hi")) == "ok"
+        assert stub.calls == 4
+        assert 5.0 <= waits[0] <= 10.0
+        assert waits[1:] == [0.0, MAX_BACKOFF_SECONDS]
+
+    def test_unreadable_retry_after_falls_back_to_backoff(self, http_stub, waits):
+        stub = http_stub([(503, "", {"Retry-After": "soon"}), (200, _chat_body("ok"))])
+        provider = LiveProvider(
+            base_url=stub.url, api_key="k", model="m", retries=3, backoff_base=0.01
+        )
+        assert provider.complete(user_request("hi")) == "ok"
+        assert waits == [0.01]
+
+    def test_408_retries_run_out(self, http_stub, waits):
+        stub = http_stub([(408, "request timeout")])
+        provider = LiveProvider(
+            base_url=stub.url, api_key="k", model="m", retries=2, backoff_base=0.01
+        )
+        with pytest.raises(ProviderUnavailable, match="HTTP 408"):
+            provider.complete(user_request("hi"))
+        assert stub.calls == 3
+        assert waits == [0.01, 0.02]
 
     def test_malformed_body_surfaces(self, http_stub):
         stub = http_stub([(200, '{"nope": true}')])

@@ -21,6 +21,7 @@ from sum2act.router import (
     render_tools_block,
 )
 from sum2act.state_manager import render_state
+from sum2act.templates_loader import TEMPLATE_NAMES, load_template
 
 INSTRUCTION = Instruction(id="i1", text="find the weather in Miami")
 TOOLS = (ToolSpec(name="get_weather", description="weather by city"),)
@@ -75,6 +76,40 @@ class TestBuildRouterPrompt:
         assert _section(prompt, "State") == render_state(State.empty())
         assert _section(prompt, "Tools") == render_tools_block(TOOLS)
         assert _section(prompt, "Rules") == ROUTER_RULES
+
+
+PER_EPISODE_PLACEHOLDERS = ("{instruction}", "{tools}", "{rules}", "## Rules")
+PER_STEP_PLACEHOLDERS = ("{state}", "{observation}", "{transcript}", "{attempted}")
+
+
+class TestPromptLayout:
+    """Per-step blocks come last, so consecutive prompts of an episode share
+    their whole static prefix with each other."""
+
+    @pytest.mark.parametrize("name", TEMPLATE_NAMES)
+    def test_per_step_blocks_follow_per_episode_blocks(self, name):
+        template = load_template(name)
+        static = [template.index(p) for p in PER_EPISODE_PLACEHOLDERS if p in template]
+        per_step = [template.index(p) for p in PER_STEP_PLACEHOLDERS if p in template]
+        assert static
+        assert not per_step or max(static) < min(per_step)
+
+    def test_router_prompts_share_everything_before_the_state(self):
+        first = build_router_prompt(INSTRUCTION, State.empty(), TOOLS)
+        later = build_router_prompt(
+            INSTRUCTION,
+            State((ResultEntry("sunny", 2),), (FailureEntry("get_weather", "d1", "bad city", 1),)),
+            TOOLS,
+        )
+        static = first[: first.index("## State\n") + len("## State\n")]
+        assert render_tools_block(TOOLS) in static and ROUTER_RULES in static
+        assert later.startswith(static)
+
+    def test_new_result_extends_the_rendered_state(self):
+        failures = (FailureEntry("get_weather", "d1", "bad city", 1),)
+        before = State((ResultEntry("sunny", 2),), failures)
+        after = State(before.current_results + (ResultEntry("humid", 3),), failures)
+        assert render_state(after).startswith(render_state(before))
 
 
 class TestParseAction:

@@ -355,6 +355,23 @@ class TestInvokeLive:
         path.write_text(json.dumps({"probe": {"url": "http://example.invalid", "method": "GET"}}))
         assert "probe" in load_endpoint_spec(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("url", 5),
+        ("method", 5),
+        ("method", None),
+        ("auth_env", ["TOKEN"]),
+        ("timeout", "x"),
+        ("timeout", 0),
+        ("timeout", -1.5),
+        ("timeout", True),
+        ("timeout", float("inf")),
+    ])
+    def test_wrongly_typed_endpoint_key_names_it(self, tmp_path, key, value):
+        path = tmp_path / "endpoints.json"
+        path.write_text(json.dumps({"probe": {"url": "http://127.0.0.1:9/x", key: value}}))
+        with pytest.raises(ConfigurationError, match=f"'probe': {key!r} must be"):
+            load_endpoint_spec(path)
+
     @pytest.mark.parametrize("text", ["[" * 100_000, "{broken"], ids=["over_deep", "invalid"])
     def test_unreadable_endpoint_spec_names_it(self, tmp_path, text):
         path = tmp_path / "deep.endpoints.json"

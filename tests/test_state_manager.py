@@ -48,9 +48,10 @@ class TestRendering:
             failure_history=(FailureEntry("get_flights", "abc123", "bad airport code", 2),),
         )
         text = render_state(state)
-        assert text.splitlines()[0] == "Current results:"
+        assert text.splitlines()[0] == "Failure history:"
         assert "get_flights(abc123): bad airport code" in text
-        assert "Failure history:" in text
+        assert "Current results:" in text
+        assert text.index("Failure history:") < text.index("Current results:")
 
 
 class TestStatePrompt:
