@@ -3,7 +3,10 @@ provider for tests.
 
 A provider is anything with ``complete(request) -> str``. The scripted
 provider matches ordered substring/regex entries against the fully rendered
-prompt text, so prompt-construction bugs surface directly in tests.
+prompt text, so prompt-construction bugs surface directly in tests. Regex
+entries are compiled when built, and an entry is tried only when the prompt
+holds every literal its pattern requires, which never changes the entry that
+matches first.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from email.utils import parsedate_to_datetime
 
 import requests
@@ -70,16 +74,88 @@ def user_request(prompt: str) -> CompletionRequest:
     return CompletionRequest(messages=(ChatMessage(role="user", content=prompt),))
 
 
+# Inline flags under which a plain pattern character matches only itself;
+# i, x and L change what a literal matches.
+_LITERAL_SAFE_FLAGS = frozenset("amsu")
+_LEADING_FLAGS = re.compile(r"\(\?([a-zA-Z]+)\)")
+
+
+def _required_literals(pattern: str) -> tuple[str, ...]:
+    """Runs of plain characters that every match of ``pattern`` contains.
+
+    A short scan of the pattern text, not a parse: any group, class, brace
+    or alternation gives (), as does a leading flag group setting anything but
+    a, m, s or u. A character a quantifier applies to is dropped, and ``.``,
+    ``^``, ``$`` and escapes of letters or digits end a run. ``()`` means the
+    entry always runs its regex.
+    """
+    flags = _LEADING_FLAGS.match(pattern)
+    if flags and not set(flags.group(1)) <= _LITERAL_SAFE_FLAGS:
+        return ()
+    literals: list[str] = []
+    run: list[str] = []
+
+    def end_run() -> None:
+        if run:
+            literals.append("".join(run))
+            run.clear()
+
+    index = flags.end() if flags else 0
+    while index < len(pattern):
+        char = pattern[index]
+        index += 1
+        if char in "()[]{}|":
+            return ()
+        if char == "\\":
+            escaped = pattern[index:index + 1]
+            index += 1
+            if escaped.isdigit() or escaped in ("", "x", "u", "U", "N"):
+                return ()  # a code point or backreference, not one plain char
+            if escaped.isalnum():
+                end_run()
+            else:
+                run.append(escaped)
+        elif char in "*+?":
+            if run:
+                run.pop()
+            end_run()
+        elif char in ".^$":
+            end_run()
+        else:
+            run.append(char)
+    end_run()
+    return tuple(literals)
+
+
 @dataclass(frozen=True)
 class PolicyEntry:
     match: str
     response: str
     is_regex: bool = False
+    # Compiled once, so a bad pattern fails when the entry is built.
+    pattern: re.Pattern | None = field(init=False, repr=False, compare=False)
 
-    def matches(self, prompt: str) -> bool:
-        if self.is_regex:
-            return re.search(self.match, prompt) is not None
-        return self.match in prompt
+    def __post_init__(self):
+        object.__setattr__(self, "pattern", re.compile(self.match) if self.is_regex else None)
+
+    @cached_property
+    def literals(self) -> tuple[str, ...]:
+        """Substrings every matching prompt holds; found on first use, so
+        loading a policy scans no pattern."""
+        return _required_literals(self.match) if self.is_regex else (self.match,)
+
+    def matches(self, prompt: str, present: dict[str, bool] | None = None) -> bool:
+        """Whether the entry matches ``prompt``. ``present`` records which
+        literals ``prompt`` holds, so entries sharing one search it once."""
+        if present is None:
+            present = {}
+        for literal in self.literals:
+            found = present.get(literal)
+            if found is None:
+                found = present[literal] = literal in prompt
+            if not found:
+                return False
+        return self.pattern is None or self.pattern.search(prompt) is not None
 
 
 @dataclass(frozen=True)
@@ -99,8 +175,9 @@ class ScriptedProvider:
     def complete(self, request: CompletionRequest) -> str:
         prompt = request.rendered_prompt()
         _check_size(prompt)
+        present: dict[str, bool] = {}
         for entry in self.policy.entries:
-            if entry.matches(prompt):
+            if entry.matches(prompt, present):
                 return entry.response
         if self.policy.default is not None:
             return self.policy.default
@@ -122,13 +199,16 @@ def load_policy(path) -> ScriptedPolicy:
             raise PolicyFileError(
                 f"{path}: entry {index} must be an object with 'match' and 'response'"
             )
-        entries.append(
-            PolicyEntry(
-                match=str(item["match"]),
-                response=str(item["response"]),
-                is_regex=bool(item.get("is_regex", False)),
+        try:
+            entries.append(
+                PolicyEntry(
+                    match=str(item["match"]),
+                    response=str(item["response"]),
+                    is_regex=bool(item.get("is_regex", False)),
+                )
             )
-        )
+        except re.error as exc:
+            raise PolicyFileError(f"{path}: entry {index} has an invalid regex: {exc}") from exc
     default = data.get("default")
     if default is not None:
         default = str(default)

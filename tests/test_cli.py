@@ -58,6 +58,18 @@ def _trace_with_field(core_dir: Path, tmp_path: Path, path: tuple, value) -> Pat
     return trace
 
 
+def _write_bad_regex_policy(path: Path) -> Path:
+    """A policy whose only entry is a regex that does not compile."""
+    path.write_text(json.dumps({"entries": [{"match": "(", "is_regex": True, "response": "x"}]}))
+    return path
+
+
+def _assert_names_bad_regex(err: str, name: str) -> None:
+    assert name in err
+    assert "entry 0 has an invalid regex" in err
+    assert "Traceback" not in err
+
+
 WRONGLY_TYPED_SCALARS = [
     (("terminal", "answer"), 5),
     (("terminal", "status"), 5),
@@ -112,6 +124,17 @@ class TestRun:
             "--out", str(tmp_path),
         ])
         assert code == 2
+
+    def test_invalid_regex_policy_exits_2(self, core_dir, tmp_path, capsys):
+        policy = _write_bad_regex_policy(tmp_path / "bad.policy.json")
+        code = main([
+            "run",
+            "--scenario", str(core_dir / "weather_cairo.scenario.json"),
+            "--policy", str(policy),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        _assert_names_bad_regex(capsys.readouterr().err, "bad.policy.json")
 
     def test_no_input_exits_2(self, tmp_path, capsys):
         code = main(["run", "--policy", str(tmp_path), "--out", str(tmp_path)])
@@ -398,6 +421,16 @@ class TestBench:
         assert code == 2
         assert not (out_dir / "traces").exists()
 
+    def test_invalid_regex_sibling_policy_exits_2(self, core_dir, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        _copy_pair(core_dir, "weather_miami", suite)
+        _write_bad_regex_policy(suite / "weather_miami.policy.json")
+        out_dir = tmp_path / "out"
+        code = main(["bench", "--scenario-dir", str(suite), "--out", str(out_dir)])
+        assert code == 2
+        _assert_names_bad_regex(capsys.readouterr().err, "weather_miami.policy.json")
+        assert not (out_dir / "traces").exists()
+
     def test_missing_sibling_policy_fails(self, core_dir, tmp_path):
         suite = tmp_path / "suite"
         suite.mkdir()
@@ -547,6 +580,24 @@ class TestCompare:
         assert code == 0
         report = json.loads((tmp_path / "cmp" / "winrate.json").read_text())
         assert report["average"] == 100.0
+
+
+    def test_invalid_regex_judge_policy_exits_2(self, core_dir, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        _copy_pair(core_dir, "weather_miami", suite)
+        out = tmp_path / "bench"
+        self._bench(suite, out, "sum2act,react")
+        capsys.readouterr()
+        policy = _write_bad_regex_policy(tmp_path / "judge.policy.json")
+        code = main([
+            "compare",
+            "--traces-a", str(out / "traces" / "sum2act"),
+            "--traces-b", str(out / "traces" / "react"),
+            "--judge", "llm", "--provider", "scripted", "--policy", str(policy),
+            "--out", str(tmp_path / "cmp"),
+        ])
+        assert code == 2
+        _assert_names_bad_regex(capsys.readouterr().err, "judge.policy.json")
 
 
 class TestReplay:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 from email.utils import formatdate
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sum2act.errors import (
     PolicyFileError,
@@ -83,6 +86,140 @@ class TestScriptedProvider:
             provider.complete(user_request("y" * (MAX_REQUEST_CHARS + 1)))
 
 
+# Patterns over a small alphabet, each drawn with a text that its pieces
+# spell out (case-swapped under (?i)), so that matches are common. Plain and
+# escaped characters, class escapes, classes, anchors and quantifiers, then
+# groups and alternation on top, behind each of the leading flags. Half the
+# bodies have neither groups nor alternation, the only patterns with
+# literals.
+_ATOMS = [("a", "a"), ("b", "b"), ("A", "A"), (" ", " "), (r"\.", "."), (r"\(", "("),
+          (r"\ ", " "), (r"\\", "\\"), (r"\d", "1"), (".", "b"), ("[ab]", "a")]
+_QUANTIFIERS = [("", 1), ("", 1), ("", 1), ("", 1), ("?", 0), ("+", 2), ("*", 0), ("*?", 1),
+                ("{2}", 2)]
+_OTHER_PIECES = [("^", ""), ("$", ""), (r"\b", ""), (".*", "ab"), (".*?", ""), ("a b", "a b")]
+_PROMPT_FRAGMENTS = ["a", "b", "A", " ", ".", "(", "\\", "1", "\n", "aa", "ab", "a b", "aA"]
+PROMPTS = st.lists(st.sampled_from(_PROMPT_FRAGMENTS), max_size=6).map("".join)
+
+
+@st.composite
+def _sequence(draw, atoms, unquantified):
+    # At most four pieces over short prompts, and no quantified group, keep
+    # the backtracking of patterns like ".*.*.*" small.
+    pattern, text = "", ""
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 3)):
+            (atom, sample), (quantifier, times) = draw(atoms), draw(st.sampled_from(_QUANTIFIERS))
+        else:
+            (atom, sample), quantifier, times = draw(unquantified), "", 1
+        pattern, text = pattern + atom + quantifier, text + sample * times
+    return pattern, text
+
+
+def _spelled(pieces: list[tuple[str, str]], flag: str):
+    if flag == "(?i)":
+        pieces = [(piece, text.swapcase()) for piece, text in pieces]
+    if flag == "(?x)":  # a plain space spells nothing
+        pieces = [(piece, text if piece == r"\ " else text.replace(" ", "")) for piece, text in pieces]
+    return st.sampled_from(pieces)
+
+
+def _cases(flag: str):
+    atoms, others = _spelled(_ATOMS, flag), _spelled(_OTHER_PIECES, flag)
+    plain = _sequence(atoms, others)
+    groups = plain.map(lambda case: (f"(?:{case[0]})", case[1]))
+    nested = st.lists(
+        _sequence(atoms, others | groups), min_size=1, max_size=2
+    ).map(lambda branches: ("|".join(b for b, _ in branches), branches[-1][1]))
+    return (plain | nested).map(lambda case: (flag + case[0], case[1]))
+
+
+def _compiles(case) -> bool:
+    try:
+        re.compile(case[0])
+    except re.error:  # (?x) drops spaces, so "a* *" repeats twice
+        return False
+    return True
+
+
+CASES = st.sampled_from(["", "(?s)", "(?i)", "(?x)", "(?m)"]).flatmap(_cases).filter(_compiles)
+
+
+def _prompt_around(text: str):
+    fragment = st.sampled_from([""] + _PROMPT_FRAGMENTS)
+    return st.tuples(fragment, fragment).map(lambda p: p[0] + text + p[1])
+
+
+class TestPolicyMatching:
+    @pytest.mark.parametrize("pattern, literals", [
+        ("(?i)abc", ()),
+        ("ab*c", ("a", "c")),
+        ("x{2}yz", ()),
+        ("a|b", ()),
+        (r"a\.b\(c\)", ("a.b(c)",)),
+        (r"(?s)state manager.*## Newest Observation", ("state manager", "## Newest Observation")),
+        (r"(?ms)^key \d+$", ("key ",)),
+        (r"(?x)a b", ()),
+        (r"a\x41b", ()),
+        (r"a\db+?c", ("a", "c")),
+        ("[ab]c", ()),
+    ])
+    def test_required_literals(self, pattern, literals):
+        assert PolicyEntry(match=pattern, response="r", is_regex=True).literals == literals
+
+    def test_substring_literal_is_the_whole_match(self):
+        assert PolicyEntry(match="a.b*", response="r").literals == ("a.b*",)
+
+    def test_pattern_compiled_once_at_construction(self, monkeypatch):
+        entry = PolicyEntry(match=r"(?s)start.*end", response="ok", is_regex=True)
+        assert isinstance(entry.pattern, re.Pattern) and entry.pattern.pattern == entry.match
+        assert PolicyEntry(match="start", response="ok").pattern is None
+        # Matching goes through the stored pattern, never the re module.
+        monkeypatch.setattr(provider_module, "re", None)
+        assert entry.matches("start\nmiddle\nend")
+        assert not entry.matches("start only")
+
+    def test_invalid_regex_fails_at_construction(self):
+        with pytest.raises(re.error):
+            PolicyEntry(match="(", response="x", is_regex=True)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(case=CASES, data=st.data())
+    def test_prefilter_agrees_with_re_search(self, case, data):
+        pattern, text = case
+        entry = PolicyEntry(match=pattern, response="r", is_regex=True)
+        for prompt in data.draw(st.lists(_prompt_around(text) | PROMPTS, min_size=1, max_size=6)):
+            assert entry.matches(prompt) == (re.search(pattern, prompt) is not None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.one_of(CASES.map(lambda case: (*case, True)), PROMPTS.map(lambda p: (p, p, False))),
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_provider_picks_the_first_matching_entry(self, entries, data):
+        policy = ScriptedPolicy(
+            entries=tuple(
+                PolicyEntry(match=match, response=str(index), is_regex=is_regex)
+                for index, (match, _, is_regex) in enumerate(entries)
+            ),
+            default="none",
+        )
+        provider = ScriptedProvider(policy)
+        around = st.sampled_from([text for _, text, _ in entries] or [""]).flatmap(_prompt_around)
+        for prompt in data.draw(st.lists((around | PROMPTS).filter(bool), min_size=1, max_size=4)):
+            expected = next(
+                (
+                    str(index)
+                    for index, (match, _, is_regex) in enumerate(entries)
+                    if (re.search(match, prompt) is not None if is_regex else match in prompt)
+                ),
+                "none",
+            )
+            assert provider.complete(user_request(prompt)) == expected
+
+
 class TestRequestValidation:
     def test_requires_messages(self):
         with pytest.raises(ValueError):
@@ -150,6 +287,19 @@ class TestLoadPolicy:
         path.write_text(json.dumps({"entries": [{"match": "x"}]}))
         with pytest.raises(PolicyFileError, match="entry 0"):
             load_policy(path)
+
+    def test_invalid_regex_names_file_entry_and_error(self, tmp_path):
+        path = tmp_path / "bad.policy.json"
+        path.write_text(json.dumps({"entries": [
+            {"match": "(", "response": "fine as a substring"},
+            {"match": "(", "is_regex": True, "response": "x"},
+        ]}))
+        with pytest.raises(PolicyFileError) as caught:
+            load_policy(path)
+        message = str(caught.value)
+        assert "bad.policy.json" in message
+        assert "entry 1" in message
+        assert "missing ), unterminated subpattern" in message
 
 
 @pytest.fixture
