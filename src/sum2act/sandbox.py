@@ -11,6 +11,7 @@ filler.
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
 import threading
@@ -22,6 +23,8 @@ import requests
 
 from .core import Episode, Instruction, Observation, ToolSpec, from_record, load_json_file
 from .errors import ConfigurationError, ScenarioError
+from .parsing import truncate_with_marker
+from .provider import MAX_REQUEST_CHARS
 
 BEHAVIOR_KINDS = ("success", "error", "timeout", "verbose")
 REPEAT_MODES = ("once", "forever")
@@ -239,6 +242,9 @@ def check_pass(scenario: Scenario, episode: Episode) -> bool:
 
 LIVE_TIMEOUT_SECONDS = 15.0
 
+# A live body is read in chunks of this many bytes.
+_BODY_CHUNK_BYTES = 64 * 1024
+
 
 def load_endpoint_spec(path) -> dict:
     """Endpoint spec file: map of tool name to {url, method, auth_env?, timeout?}.
@@ -302,13 +308,15 @@ def invoke_live(
         if method == "GET":
             response = http.request(
                 "GET", url, params=remaining, headers=headers,
-                timeout=entry.get("timeout", timeout),
+                timeout=entry.get("timeout", timeout), stream=True,
             )
         else:
             response = http.request(
                 method, url, json=remaining, headers=headers,
-                timeout=entry.get("timeout", timeout),
+                timeout=entry.get("timeout", timeout), stream=True,
             )
+        with response:
+            body = _read_body(response)
     except requests.Timeout as exc:
         return Observation(
             status="Timeout", payload="", tool_name=tool_name,
@@ -322,14 +330,6 @@ def invoke_live(
             error=f"transport error: {exc}",
         )
     latency = time.perf_counter() - started
-    try:
-        body = response.text
-    except Exception as exc:
-        return Observation(
-            status="MalformedResponse", payload="", tool_name=tool_name,
-            args_echo=dict(args), latency=latency,
-            error=f"undecodable response body: {exc}",
-        )
     if 200 <= response.status_code < 300:
         return Observation(
             status="Success", payload=body, tool_name=tool_name,
@@ -340,3 +340,25 @@ def invoke_live(
         args_echo=dict(args), latency=latency,
         error=f"HTTP {response.status_code}: {body[:200]}",
     )
+
+
+def _read_body(response: requests.Response) -> str:
+    """The body as text, read no further than MAX_REQUEST_CHARS chars: no
+    longer text can be passed back to a model. A longer body is clipped with
+    a marker, which counts the chars read past the limit, not the unread
+    rest. Decoded as the response declares (UTF-8 when it declares no known
+    charset), undecodable bytes replaced."""
+    try:
+        decoder = codecs.getincrementaldecoder(response.encoding or "utf-8")("replace")
+    except LookupError:
+        decoder = codecs.getincrementaldecoder("utf-8")("replace")
+    parts: list[str] = []
+    size = 0
+    for chunk in response.iter_content(_BODY_CHUNK_BYTES):
+        parts.append(decoder.decode(chunk))
+        size += len(parts[-1])
+        if size > MAX_REQUEST_CHARS:
+            break
+    else:
+        parts.append(decoder.decode(b"", final=True))
+    return truncate_with_marker("".join(parts), MAX_REQUEST_CHARS)

@@ -44,7 +44,10 @@ class ScriptedHTTPServer:
                 for name, value in (extra[0] if extra else {}).items():
                     self.send_header(name, value)
                 self.end_headers()
-                self.wfile.write(data)
+                try:
+                    self.wfile.write(data)
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the client stopped reading a long body
 
             def do_GET(self) -> None:
                 self._respond()

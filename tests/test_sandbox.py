@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 
 from sum2act.core import Instruction, ParamSpec, ToolSpec
 from sum2act.errors import ConfigurationError, ScenarioError
+from sum2act.provider import MAX_REQUEST_CHARS
 from sum2act.sandbox import (
     Behavior,
     PassCondition,
@@ -335,6 +337,25 @@ class TestInvokeLive:
         obs = invoke_live({}, "ghost", {})
         assert obs.status == "ToolError"
         assert "unknown tool" in obs.error
+
+    def test_body_of_several_mb_is_clipped_at_the_request_limit(self, http_stub):
+        size = 5_000_000
+        stub = http_stub([(200, "x" * size)])
+        spec = {"probe": {"url": stub.url, "method": "GET"}}
+        obs = invoke_live(spec, "probe", {})
+        assert obs.status == "Success"
+        assert obs.payload[:MAX_REQUEST_CHARS] == "x" * MAX_REQUEST_CHARS
+        marker = re.fullmatch(r"\[truncated (\d+) chars\]", obs.payload[MAX_REQUEST_CHARS:])
+        assert marker
+        # Reading stopped soon after the limit, far short of the whole body.
+        assert 0 < int(marker.group(1)) < size // 10
+
+    def test_multibyte_body_at_the_limit_is_kept_whole(self, http_stub):
+        # Two-byte chars straddle the read chunks' boundaries.
+        stub = http_stub([(200, "é" * MAX_REQUEST_CHARS)])
+        spec = {"probe": {"url": stub.url, "method": "GET"}}
+        obs = invoke_live(spec, "probe", {})
+        assert obs.payload == "é" * MAX_REQUEST_CHARS
 
     def test_url_template_substitution(self, http_stub):
         stub = http_stub([(200, "ok")])
