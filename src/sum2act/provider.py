@@ -17,8 +17,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property
 from email.utils import parsedate_to_datetime
+from functools import cached_property
 
 import requests
 
