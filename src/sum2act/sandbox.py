@@ -241,8 +241,6 @@ def check_pass(scenario: Scenario, episode: Episode) -> bool:
 # ---------------------------------------------------------------------------
 
 LIVE_TIMEOUT_SECONDS = 15.0
-
-# A live body is read in chunks of this many bytes.
 _BODY_CHUNK_BYTES = 64 * 1024
 
 
