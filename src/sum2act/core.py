@@ -207,7 +207,11 @@ class Terminal:
 
 @dataclass(frozen=True)
 class Episode:
-    """Ordered trace of steps with a terminal status; the unit of evaluation."""
+    """Ordered trace of steps with a terminal status; the unit of evaluation.
+
+    Every episode holds at most ``step_budget`` steps, and once it has a
+    terminal, that terminal is Finished exactly when the last action is Finish.
+    """
 
     instruction: Instruction
     tools: tuple[ToolSpec, ...]
@@ -216,9 +220,21 @@ class Episode:
     method_label: str
     step_budget: int
 
+    def __post_init__(self):
+        if len(self.steps) > self.step_budget:
+            raise ConfigurationError(
+                f"episode has {len(self.steps)} steps, over budget {self.step_budget}"
+            )
+        if self.terminal is not None:
+            finished = self.terminal.status == "Finished"
+            if finished != (bool(self.steps) and self.steps[-1].action.kind == "Finish"):
+                raise ConfigurationError(
+                    "terminal Finished must coincide with a final Finish action"
+                )
+
+    # Explicit constructor calls, not ``dataclasses.replace``, which costs
+    # about 2 us more per step: a few percent of a short corpus episode.
     def with_step(self, step: Step) -> Episode:
-        if len(self.steps) >= self.step_budget:
-            raise ConfigurationError("episode already at step budget")
         return Episode(
             instruction=self.instruction,
             tools=self.tools,
@@ -229,15 +245,6 @@ class Episode:
         )
 
     def with_terminal(self, terminal: Terminal) -> Episode:
-        if terminal.status == "Finished":
-            if not self.steps or self.steps[-1].action.kind != "Finish":
-                raise ConfigurationError(
-                    "Finished terminal requires the last action to be Finish"
-                )
-        elif self.steps and self.steps[-1].action.kind == "Finish":
-            raise ConfigurationError(
-                "episodes ending in a Finish action must terminate Finished"
-            )
         return Episode(
             instruction=self.instruction,
             tools=self.tools,
@@ -309,8 +316,9 @@ def args_digest(args: dict) -> str:
 # type's ``__dict__`` with the keys below renamed; every type listed here is a
 # record type. A field in ``_NESTED`` holds a record of that type, or a list
 # of them when written ``[type]``; it may hold ``null`` only when its
-# annotation ends in ``| None``. Trace, scenario and catalog files all read
-# through this table.
+# annotation ends in ``| None``. Trace, scenario, catalog and policy files all
+# read through this table; a record type defined elsewhere (a scenario
+# behavior, a policy entry) keeps its field names and holds only scalars.
 _RENAMED = {
     Instruction: {},
     ParamSpec: {"type_tag": "type"},
@@ -337,6 +345,7 @@ _SCALARS = {
     "str": (str,),
     "str | None": (str, type(None)),
     "int": (int,),
+    "int | None": (int, type(None)),
     "float": (int, float),
     "bool": (bool, int),
     "dict": (dict,),
@@ -363,19 +372,23 @@ _ENCODER = json.JSONEncoder(
 
 
 def from_record(cls, data):
-    """Build a record type from its parsed record (trace, scenario or catalog).
+    """Build a record type from its parsed record (trace, scenario, catalog
+    or policy): any frozen dataclass whose fields are in the table or are
+    scalars.
 
-    A field with no default is required, and a scalar field must hold a
-    value its annotation admits (``_SCALARS``). A malformed record raises
-    KeyError, TypeError or ConfigurationError, which each caller reports
-    against its own file.
+    A field with no default is required, a field with ``init=False`` is never
+    read, and a scalar field must hold a value its annotation admits
+    (``_SCALARS``). A malformed record raises KeyError, TypeError or
+    ConfigurationError, which each caller reports against its own file.
     """
     if not isinstance(data, dict):
         raise TypeError(f"{cls.__name__} record must be a JSON object, got {type(data).__name__}")
-    renamed = _RENAMED[cls]
+    renamed = _RENAMED.get(cls, {})
     nested = _NESTED.get(cls, {})
     values = {}
     for spec in fields(cls):
+        if not spec.init:
+            continue
         key = renamed.get(spec.name, spec.name)
         if key not in data:
             if spec.default is MISSING and spec.default_factory is MISSING:
@@ -421,16 +434,6 @@ def deserialize_episode(record: str) -> Episode:
 def _validate_episode(episode: Episode) -> None:
     if episode.terminal is None:
         raise TraceFormatError("trace record has no terminal state")
-    if len(episode.steps) > episode.step_budget:
-        raise TraceFormatError(
-            f"episode has {len(episode.steps)} steps, over budget {episode.step_budget}"
-        )
-    finished = episode.terminal.status == "Finished"
-    last_is_finish = bool(episode.steps) and episode.steps[-1].action.kind == "Finish"
-    if finished != last_is_finish:
-        raise TraceFormatError(
-            "terminal Finished must coincide with a final Finish action"
-        )
     previous_failures = -1
     for step in episode.steps:
         if len(step.state.failure_history) < previous_failures:

@@ -38,10 +38,11 @@ def truncate_with_marker(text: str, cap: int) -> str:
     return text[:cap] + f"[truncated {len(text) - cap} chars]"
 
 
-# Where a JSON object can start: "{", optional whitespace, then a key's
-# opening quote or the closing brace of an empty object. ``\s`` covers JSON
-# whitespace, so no object start is missed.
-_OBJECT_START = re.compile(r'\{\s*["}]')
+# Where a JSON object can start: "{", optional whitespace, then a complete
+# first key and its colon, or the closing brace of an empty object. ``\s``
+# covers JSON whitespace, so no object start is missed, and a run of ``{"``
+# that can never decode is skipped without a decode attempt.
+_OBJECT_START = re.compile(r'\{\s*(?:"(?:[^"\\]|\\.)*"\s*:|\})')
 _DECODER = json.JSONDecoder()
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import requests
 
-from .core import load_json_file
+from .core import from_record, load_json_file
 from .errors import (
     PolicyFileError,
     ProviderRejected,
@@ -192,26 +192,22 @@ def load_policy(path) -> ScriptedPolicy:
     data = load_json_file(path, PolicyFileError, blank={})
     if not isinstance(data, dict):
         raise PolicyFileError(f"{path}: policy file must hold a JSON object")
-
+    items = data.get("entries", [])
+    if not isinstance(items, list):
+        raise PolicyFileError(f"{path}: 'entries' must be a list, got {type(items).__name__}")
+    default = data.get("default")
+    if not isinstance(default, (str, type(None))):
+        raise PolicyFileError(
+            f"{path}: 'default' must be a string or null, got {type(default).__name__}"
+        )
     entries = []
-    for index, item in enumerate(data.get("entries", [])):
-        if not isinstance(item, dict) or "match" not in item or "response" not in item:
-            raise PolicyFileError(
-                f"{path}: entry {index} must be an object with 'match' and 'response'"
-            )
+    for index, item in enumerate(items):
         try:
-            entries.append(
-                PolicyEntry(
-                    match=str(item["match"]),
-                    response=str(item["response"]),
-                    is_regex=bool(item.get("is_regex", False)),
-                )
-            )
+            entries.append(from_record(PolicyEntry, item))
+        except (KeyError, TypeError) as exc:
+            raise PolicyFileError(f"{path}: entry {index} is malformed: {exc}") from exc
         except re.error as exc:
             raise PolicyFileError(f"{path}: entry {index} has an invalid regex: {exc}") from exc
-    default = data.get("default")
-    if default is not None:
-        default = str(default)
     return ScriptedPolicy(entries=tuple(entries), default=default)
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import codecs
 import math
+import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from urllib.parse import quote
 
 import requests
@@ -63,16 +64,21 @@ class PassCondition:
     kind: str
     values: tuple[str, ...] = ()
     pattern: str = ""
+    # Compiled once, so a bad regex fails when the scenario is loaded.
+    compiled: re.Pattern | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("contains_all", "regex", "exact"):
             raise ScenarioError(f"unknown pass condition kind: {self.kind!r}")
+        object.__setattr__(
+            self, "compiled", re.compile(self.pattern) if self.kind == "regex" else None
+        )
 
     def evaluate(self, answer: str) -> bool:
         if self.kind == "contains_all":
             return all(value in answer for value in self.values)
         if self.kind == "regex":
-            return re.search(self.pattern, answer) is not None
+            return self.compiled.search(answer) is not None
         return answer == self.pattern
 
 
@@ -93,26 +99,17 @@ class Scenario:
                 raise ScenarioError(f"behavior list for {name!r} must be non-empty")
 
 
-def _parse_behavior(data: dict) -> Behavior:
-    return Behavior(
-        kind=data.get("kind", ""),
-        payload=data.get("payload", ""),
-        code=data.get("code"),
-        message=data.get("message", ""),
-        filler_chars=int(data.get("filler_chars", 0)),
-        repeat=data.get("repeat", "once"),
-    )
-
-
 def _parse_pass_condition(data: dict) -> PassCondition:
     if "contains_all" in data:
-        return PassCondition(
-            kind="contains_all", values=tuple(str(v) for v in data["contains_all"])
-        )
-    if "regex" in data:
-        return PassCondition(kind="regex", pattern=str(data["regex"]))
-    if "exact" in data:
-        return PassCondition(kind="exact", pattern=str(data["exact"]))
+        values = data["contains_all"]
+        if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+            raise TypeError("pass_condition 'contains_all' must be a list of strings")
+        return PassCondition(kind="contains_all", values=tuple(values))
+    for kind in ("regex", "exact"):
+        if kind in data:
+            if not isinstance(data[kind], str):
+                raise TypeError(f"pass_condition {kind!r} must be a string")
+            return PassCondition(kind=kind, pattern=data[kind])
     raise ScenarioError(
         "pass_condition must define one of: contains_all, regex, exact"
     )
@@ -121,23 +118,27 @@ def _parse_pass_condition(data: dict) -> PassCondition:
 def load_scenario(path) -> Scenario:
     data = load_json_file(path, ScenarioError)
     try:
+        if not isinstance(data["id"], str):
+            raise TypeError(f"'id' must be str, got {type(data['id']).__name__}")
         instruction = from_record(Instruction, data["instruction"])
         tools = tuple(from_record(ToolSpec, {"description": "", **t}) for t in data["tools"])
-        behaviors = {
-            name: tuple(_parse_behavior(b) for b in behavior_list)
-            for name, behavior_list in data.get("behaviors", {}).items()
-        }
+        behaviors = data.get("behaviors", {})
+        if not isinstance(behaviors, dict):
+            raise TypeError(f"'behaviors' must be an object, got {type(behaviors).__name__}")
         return Scenario(
             id=data["id"],
             instruction=instruction,
             tools=tools,
-            behaviors=behaviors,
+            behaviors={
+                name: tuple(from_record(Behavior, b) for b in behavior_list)
+                for name, behavior_list in behaviors.items()
+            },
             pass_condition=_parse_pass_condition(data["pass_condition"]),
         )
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ConfigurationError) as exc:
+    except (KeyError, TypeError, ConfigurationError, ScenarioError) as exc:
         raise ScenarioError(f"{path}: malformed scenario: {exc}") from exc
+    except re.error as exc:
+        raise ScenarioError(f"{path}: pass_condition has an invalid regex: {exc}") from exc
 
 
 def embed_in_filler(payload: str, total_chars: int) -> str:
@@ -269,18 +270,10 @@ def load_endpoint_spec(path) -> dict:
     return data
 
 
-def invoke_live(
-    endpoint_spec: dict,
-    tool_name: str,
-    args: dict,
-    timeout: float = LIVE_TIMEOUT_SECONDS,
-    session: requests.Session | None = None,
-) -> Observation:
+def invoke_live(endpoint_spec: dict, tool_name: str, args: dict) -> Observation:
     """Execute one HTTP tool call, mapping every failure mode onto an
     Observation status; nothing raises into the engine. No retries here: the
     agent loop itself is the retry mechanism."""
-    import os
-
     entry = endpoint_spec.get(tool_name)
     if entry is None:
         return Observation(
@@ -300,19 +293,13 @@ def invoke_live(
     if auth_env and os.environ.get(auth_env):
         headers["Authorization"] = os.environ[auth_env]
 
-    http = session or requests
+    body_arg = {"params": remaining} if method == "GET" else {"json": remaining}
     started = time.perf_counter()
     try:
-        if method == "GET":
-            response = http.request(
-                "GET", url, params=remaining, headers=headers,
-                timeout=entry.get("timeout", timeout), stream=True,
-            )
-        else:
-            response = http.request(
-                method, url, json=remaining, headers=headers,
-                timeout=entry.get("timeout", timeout), stream=True,
-            )
+        response = requests.request(
+            method, url, headers=headers, stream=True,
+            timeout=entry.get("timeout", LIVE_TIMEOUT_SECONDS), **body_arg,
+        )
         with response:
             body = _read_body(response)
     except requests.Timeout as exc:

@@ -50,12 +50,26 @@ def _trace_with_field(core_dir: Path, tmp_path: Path, path: tuple, value) -> Pat
     ]) == 0
     trace = tmp_path / "run" / "sum2act__weather_miami.jsonl"
     record = json.loads(trace.read_text(encoding="utf-8"))
-    target = record
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    _set_path(record, path, value)
     trace.write_text(json.dumps(record) + "\n", encoding="utf-8")
     return trace
+
+
+def _set_path(record, path: tuple, value) -> None:
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = value
+
+
+def _malformed_pair(core_dir: Path, suite: Path, kind: str, path: tuple, value) -> Path:
+    """The weather_miami pair copied to ``suite``, with the field at ``path``
+    of its ``kind`` file ("scenario" or "policy") set to ``value``."""
+    _copy_pair(core_dir, "weather_miami", suite)
+    target = suite / f"weather_miami.{kind}.json"
+    record = json.loads(target.read_text(encoding="utf-8"))
+    _set_path(record, path, value)
+    target.write_text(json.dumps(record), encoding="utf-8")
+    return suite
 
 
 def _write_bad_regex_policy(path: Path) -> Path:
@@ -77,8 +91,26 @@ WRONGLY_TYPED_SCALARS = [
 ]
 
 
+# Malformed scenario and policy fields; each must exit 2 naming the file.
+_BEHAVIOR = ("behaviors", "get_weather", 0)
+MALFORMED_INPUTS = [
+    ("scenario", _BEHAVIOR + ("filler_chars",), "abc"),
+    ("scenario", _BEHAVIOR, "not an object"),
+    ("scenario", ("behaviors",), []),
+    ("scenario", _BEHAVIOR + ("payload",), 5),
+    ("scenario", _BEHAVIOR + ("code",), "x"),
+    ("scenario", ("id",), 7),
+    ("scenario", ("pass_condition",), {"regex": "("}),
+    ("scenario", ("pass_condition",), {"contains_all": "sunny"}),
+    ("scenario", ("pass_condition",), {"exact": 5}),
+    ("policy", ("entries",), 5),
+    ("policy", ("entries",), None),
+    ("policy", ("entries", 0, "match"), 5),
+]
+
+
 def _field_id(value) -> str:
-    return ".".join(value) if isinstance(value, tuple) else repr(value)
+    return ".".join(map(str, value)) if isinstance(value, tuple) else repr(value)
 
 
 @pytest.fixture
@@ -135,6 +167,20 @@ class TestRun:
         ])
         assert code == 2
         _assert_names_bad_regex(capsys.readouterr().err, "bad.policy.json")
+
+    @pytest.mark.parametrize("kind, path, value", MALFORMED_INPUTS, ids=_field_id)
+    def test_malformed_input_exits_2_naming_it(self, core_dir, tmp_path, capsys, kind, path, value):
+        suite = _malformed_pair(core_dir, tmp_path / "suite", kind, path, value)
+        code = main([
+            "run",
+            "--scenario", str(suite / "weather_miami.scenario.json"),
+            "--policy", str(suite / "weather_miami.policy.json"),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"weather_miami.{kind}.json" in err
+        assert "Traceback" not in err
 
     def test_no_input_exits_2(self, tmp_path, capsys):
         code = main(["run", "--policy", str(tmp_path), "--out", str(tmp_path)])
@@ -429,6 +475,14 @@ class TestBench:
         code = main(["bench", "--scenario-dir", str(suite), "--out", str(out_dir)])
         assert code == 2
         _assert_names_bad_regex(capsys.readouterr().err, "weather_miami.policy.json")
+        assert not (out_dir / "traces").exists()
+
+    def test_malformed_sibling_policy_exits_2(self, core_dir, tmp_path, capsys):
+        suite = _malformed_pair(core_dir, tmp_path / "suite", "policy", ("entries", 0, "match"), 5)
+        out_dir = tmp_path / "out"
+        code = main(["bench", "--scenario-dir", str(suite), "--out", str(out_dir)])
+        assert code == 2
+        assert "weather_miami.policy.json: entry 0" in capsys.readouterr().err
         assert not (out_dir / "traces").exists()
 
     def test_missing_sibling_policy_fails(self, core_dir, tmp_path):

@@ -71,6 +71,27 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             Instruction(id="x", text="")
 
+    def test_episode_over_budget_rejected(self):
+        finish = Step(Action(kind="Finish", args={"Answer": "hi"}), None, State.empty())
+        with pytest.raises(ConfigurationError, match="over budget"):
+            Episode(INSTRUCTION, TOOLS, (finish, finish), Terminal.finished("hi"), "sum2act", 1)
+        with pytest.raises(ConfigurationError, match="over budget"):
+            new_episode(INSTRUCTION, TOOLS, 1, "sum2act").with_step(finish).with_step(finish)
+
+    @pytest.mark.parametrize("kinds, terminal", [
+        ((), Terminal.finished("hi")),
+        (("ToolCall",), Terminal.finished("hi")),
+        (("Finish",), Terminal.budget_exhausted()),
+    ], ids=["finished_no_steps", "finished_after_tool_call", "finish_then_budget_exhausted"])
+    def test_finished_must_coincide_with_final_finish(self, kinds, terminal):
+        actions = {
+            "ToolCall": Action(kind="ToolCall", tool_name="alpha"),
+            "Finish": Action(kind="Finish", args={"Answer": "hi"}),
+        }
+        steps = tuple(Step(actions[kind], None, State.empty()) for kind in kinds)
+        with pytest.raises(ConfigurationError, match="coincide"):
+            Episode(INSTRUCTION, TOOLS, steps, terminal, "sum2act", 30)
+
 
 class TestArgsDigest:
     def test_order_insensitive(self):

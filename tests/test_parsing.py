@@ -7,6 +7,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sum2act import parsing
 from sum2act.parsing import extract_first_json_object
 
 
@@ -134,3 +135,21 @@ class TestBounds:
         assert extract_first_json_object(reply, "action") == {"action": "Finish", "args": {"Answer": "x"}}
         assert self._timed(reply) < 0.25
         assert self._timed("{" * 200_000) < 0.25
+
+    def test_unclosed_key_flood_is_never_decoded(self, monkeypatch):
+        """A ``{"`` with no complete key and colon after it is not a candidate,
+        so a flood of them costs no decode attempt (each failed attempt counts
+        lines from the start of the text)."""
+        attempts = []
+
+        class CountingDecoder:
+            def raw_decode(self, text, index):
+                attempts.append(index)
+                return json.JSONDecoder().raw_decode(text, index)
+
+        monkeypatch.setattr(parsing, "_DECODER", CountingDecoder())
+        flood = '{"' * 10_000
+        assert extract_first_json_object(flood, "action") is None
+        assert attempts == []
+        assert extract_first_json_object(flood + '{"action": 1}', "action") == {"action": 1}
+        assert attempts == [len(flood)]
