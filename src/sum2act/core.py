@@ -59,8 +59,6 @@ class ParamSpec:
     def __post_init__(self):
         if not self.name:
             raise ConfigurationError("parameter name must be non-empty")
-        # Scenario and catalog files may write ``required`` as 0 or 1.
-        object.__setattr__(self, "required", bool(self.required))
 
 
 @dataclass(frozen=True)
@@ -339,8 +337,9 @@ _NESTED = {
     Episode: {"instruction": Instruction, "tools": [ToolSpec], "steps": [Step], "terminal": Terminal},
 }
 # Every other field is a scalar or a map: the JSON values its annotation
-# admits. A ``bool`` never passes as a number, but a number passes as a
-# ``bool``: scenario and catalog files may write ``required`` as 0 or 1.
+# admits. A ``bool`` never passes as a number, but 0 and 1 pass as a
+# ``bool`` and are read as false and true: scenario and catalog files may
+# write ``required`` that way.
 _SCALARS = {
     "str": (str,),
     "str | None": (str, type(None)),
@@ -404,6 +403,10 @@ def from_record(cls, data):
                 raise TypeError(
                     f"{cls.__name__} {key!r} must be {spec.type}, got {type(value).__name__}"
                 )
+            if spec.type == "bool":
+                if value not in (0, 1):
+                    raise TypeError(f"{cls.__name__} {key!r} must be a bool, 0 or 1, got {value!r}")
+                value = bool(value)
         elif not (value is None and spec.type.endswith("| None")):
             value = from_record(kind, value)
         values[spec.name] = value

@@ -6,7 +6,11 @@ provider matches ordered substring/regex entries against the fully rendered
 prompt text, so prompt-construction bugs surface directly in tests. Regex
 entries are compiled when built, and an entry is tried only when the prompt
 holds every literal its pattern requires, which never changes the entry that
-matches first.
+matches first. The engines re-send each template's prompt with most of its
+text unchanged, so the scripted provider remembers its last prompt per
+template: an identical prompt gets the same reply unmatched, and a literal
+is searched only from where the new prompt could first differ from that
+last one.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ class CompletionRequest:
 
     def rendered_prompt(self) -> str:
         """All message contents joined; the text scripted matchers see."""
-        return "\n".join(m.content for m in self.messages)
+        return "\n".join([m.content for m in self.messages])
 
 
 def user_request(prompt: str) -> CompletionRequest:
@@ -144,19 +148,6 @@ class PolicyEntry:
         loading a policy scans no pattern."""
         return _required_literals(self.match) if self.is_regex else (self.match,)
 
-    def matches(self, prompt: str, present: dict[str, bool] | None = None) -> bool:
-        """Whether the entry matches ``prompt``. ``present`` records which
-        literals ``prompt`` holds, so entries sharing one search it once."""
-        if present is None:
-            present = {}
-        for literal in self.literals:
-            found = present.get(literal)
-            if found is None:
-                found = present[literal] = literal in prompt
-            if not found:
-                return False
-        return self.pattern is None or self.pattern.search(prompt) is not None
-
 
 @dataclass(frozen=True)
 class ScriptedPolicy:
@@ -165,26 +156,101 @@ class ScriptedPolicy:
     entries: tuple[PolicyEntry, ...] = ()
     default: str | None = None
 
+    @cached_property
+    def _table(self) -> tuple[tuple[tuple[str, ...], re.Pattern | None, str], ...]:
+        """Each entry's literals, pattern and response, read without an
+        attribute lookup per entry on every call."""
+        return tuple((entry.literals, entry.pattern, entry.response) for entry in self.entries)
+
+
+# The shortest block compared while narrowing down a shared prefix.
+_MIN_PREFIX_BLOCK = 64
+
+# Measuring a shared prefix costs about what a search of this many prompt
+# chars does (the Python loop of _shared_prefix dominates on short prompts).
+# A call measures it only when the literals searched in the stored prompt,
+# times the prompt's length, exceed this: short prompts with few literals,
+# where a full search is cheap, are searched whole.
+_PREFIX_COST_CHARS = 32_768
+
+
+def _shared_prefix(a: str, b: str) -> int:
+    """A lower bound, within _MIN_PREFIX_BLOCK chars, on the length of the
+    common prefix of ``a`` and ``b``: blocks of doubling size are compared
+    until one differs, then halving blocks narrow down the difference."""
+    limit = min(len(a), len(b))
+    shared, block = 0, _MIN_PREFIX_BLOCK
+    while shared + block <= limit and a[shared:shared + block] == b[shared:shared + block]:
+        shared += block
+        block *= 2
+    while block > _MIN_PREFIX_BLOCK:
+        block //= 2
+        end = min(shared + block, limit)
+        if a[shared:end] == b[shared:end]:
+            shared = end
+    return shared
+
+
+# The record of a kind not seen yet: no prompt equals it, no literal is known.
+_NOTHING_STORED = (None, None, {})
+
 
 class ScriptedProvider:
-    """Pure, deterministic stand-in for a live model."""
+    """Pure, deterministic stand-in for a live model.
+
+    ``complete`` is a function of the policy and the prompt alone. Per prompt
+    kind (its first line, so one per template) the provider keeps the last
+    prompt it answered, the reply, and the first index of each literal it
+    searched there (-1 when absent). An identical prompt gets the stored
+    reply. Otherwise a literal searched in the stored prompt is searched in
+    the new one only from where an occurrence could end past their shared
+    prefix: any occurrence ending inside it is one the stored prompt has at
+    the same index. The prefix is measured only where that saves more than
+    it costs (_PREFIX_COST_CHARS). Each kind's record is replaced whole and
+    never changed after, so threads may share one provider.
+    """
 
     def __init__(self, policy: ScriptedPolicy):
         self.policy = policy
+        self._last: dict[str, tuple[str, str, dict[str, int]]] = {}
 
     def complete(self, request: CompletionRequest) -> str:
         prompt = request.rendered_prompt()
         _check_size(prompt)
-        present: dict[str, bool] = {}
-        for entry in self.policy.entries:
-            if entry.matches(prompt, present):
-                return entry.response
-        if self.policy.default is not None:
-            return self.policy.default
-        raise ScriptError(
-            "no policy entry matched the prompt and no default is set; "
-            f"prompt started with: {prompt[:160]!r}"
-        )
+        line_end = prompt.find("\n")
+        kind = prompt if line_end < 0 else prompt[:line_end]
+        before, reply, before_found = self._last.get(kind, _NOTHING_STORED)
+        if before == prompt:
+            return reply
+        shared = 0  # until measured, every literal is searched from the start
+        if len(before_found) * len(prompt) > _PREFIX_COST_CHARS:
+            shared = _shared_prefix(prompt, before)
+        found: dict[str, int] = {}
+        for literals, pattern, response in self.policy._table:
+            for literal in literals:
+                index = found.get(literal)
+                if index is None:
+                    index = before_found.get(literal) if shared else None
+                    if index is None:
+                        index = prompt.find(literal)
+                    elif index < 0 or index + len(literal) > shared:
+                        index = prompt.find(literal, max(0, shared - len(literal) + 1))
+                    found[literal] = index
+                if index < 0:
+                    break
+            else:
+                if pattern is None or pattern.search(prompt) is not None:
+                    reply = response
+                    break
+        else:
+            reply = self.policy.default
+            if reply is None:
+                raise ScriptError(
+                    "no policy entry matched the prompt and no default is set; "
+                    f"prompt started with: {prompt[:160]!r}"
+                )
+        self._last[kind] = (prompt, reply, found)
+        return reply
 
 
 def load_policy(path) -> ScriptedPolicy:

@@ -70,6 +70,9 @@ class PassCondition:
     def __post_init__(self):
         if self.kind not in ("contains_all", "regex", "exact"):
             raise ScenarioError(f"unknown pass condition kind: {self.kind!r}")
+        if self.kind == "contains_all" and not self.values:
+            # all() of nothing is true: every answer would pass.
+            raise ScenarioError("pass_condition 'contains_all' must list at least one string")
         object.__setattr__(
             self, "compiled", re.compile(self.pattern) if self.kind == "regex" else None
         )

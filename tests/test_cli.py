@@ -103,9 +103,14 @@ MALFORMED_INPUTS = [
     ("scenario", ("pass_condition",), {"regex": "("}),
     ("scenario", ("pass_condition",), {"contains_all": "sunny"}),
     ("scenario", ("pass_condition",), {"exact": 5}),
+    ("scenario", ("pass_condition",), {"contains_all": []}),
+    ("scenario", ("tools", 0, "params", 0, "required"), 5),
+    ("scenario", ("tools", 0, "params", 0, "required"), -1),
     ("policy", ("entries",), 5),
     ("policy", ("entries",), None),
     ("policy", ("entries", 0, "match"), 5),
+    ("policy", ("entries", 0, "is_regex"), -1),
+    ("policy", ("entries", 0, "is_regex"), 2),
 ]
 
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import random
 import re
+import sys
+import threading
 import time
 from email.utils import formatdate
 from types import SimpleNamespace
@@ -175,8 +178,9 @@ class TestPolicyMatching:
         assert PolicyEntry(match="start", response="ok").pattern is None
         # Matching goes through the stored pattern, never the re module.
         monkeypatch.setattr(provider_module, "re", None)
-        assert entry.matches("start\nmiddle\nend")
-        assert not entry.matches("start only")
+        provider = ScriptedProvider(ScriptedPolicy(entries=(entry,), default="no"))
+        assert provider.complete(user_request("start\nmiddle\nend")) == "ok"
+        assert provider.complete(user_request("start only")) == "no"
 
     def test_invalid_regex_fails_at_construction(self):
         with pytest.raises(re.error):
@@ -186,9 +190,13 @@ class TestPolicyMatching:
     @given(case=CASES, data=st.data())
     def test_prefilter_agrees_with_re_search(self, case, data):
         pattern, text = case
-        entry = PolicyEntry(match=pattern, response="r", is_regex=True)
-        for prompt in data.draw(st.lists(_prompt_around(text) | PROMPTS, min_size=1, max_size=6)):
-            assert entry.matches(prompt) == (re.search(pattern, prompt) is not None)
+        policy = ScriptedPolicy(
+            entries=(PolicyEntry(match=pattern, response="yes", is_regex=True),), default="no"
+        )
+        prompts = st.lists((_prompt_around(text) | PROMPTS).filter(bool), min_size=1, max_size=6)
+        for prompt in data.draw(prompts):
+            expected = "yes" if re.search(pattern, prompt) is not None else "no"
+            assert ScriptedProvider(policy).complete(user_request(prompt)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -220,6 +228,158 @@ class TestPolicyMatching:
             assert provider.complete(user_request(prompt)) == expected
 
 
+def _reference_reply(policy: ScriptedPolicy, prompt: str) -> str:
+    """The reply a plain scan gives: the first entry ``re.search`` or ``in``
+    finds anywhere in the prompt, else the default."""
+    for entry in policy.entries:
+        if re.search(entry.match, prompt) if entry.is_regex else entry.match in prompt:
+            return entry.response
+    if policy.default is None:
+        raise ScriptError("no entry matched")
+    return policy.default
+
+
+# Prompts start with one of a few kind lines, as the templates do. Runs of
+# "z", which no entry below spells, make them long enough for a shared prefix
+# to span several compared blocks; the regexes have several literals or none
+# and backtrack little over such runs.
+_KINDS = ["router", "state manager", "merge"]
+_TAILS = st.lists(
+    st.sampled_from(_PROMPT_FRAGMENTS) | st.integers(1, 150).map(lambda n: "z" * n), max_size=5
+).map("".join)
+_REUSE_ENTRIES = st.one_of(
+    st.lists(st.sampled_from(_PROMPT_FRAGMENTS + ["z"]), min_size=1, max_size=3).map(
+        lambda pieces: ("".join(pieces), False)
+    ),
+    st.sampled_from([r"a.b", r"(?s)a.*1", r"ab*A", r"\(a", r"(?m)^a b$", r"1\\", r"(?i)Ab",
+                     r"z\na", r"a|1", r"b\.?\(", r"[ab]z"]).map(lambda pattern: (pattern, True)),
+)
+
+
+@st.composite
+def _prompt_sequences(draw):
+    """Each prompt derives from the last one of its kind: an exact repeat,
+    that whole prompt with a tail appended (so a literal can start inside the
+    shared prefix and end after it), one character of it replaced, a cut of
+    it with a new tail, or a new body."""
+    prompts, last = [], {}
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(_KINDS))
+        head = kind + "\n"
+        before = last.get(kind, head)
+        how = draw(st.sampled_from(["repeat", "grow", "edit", "cut", "new"]))
+        if how == "repeat":
+            prompt = before
+        elif how == "edit":
+            at = draw(st.integers(len(head), len(before)))
+            prompt = before[:at] + draw(st.sampled_from("ab1z\n")) + before[at + 1:]
+        else:
+            keep = {"grow": len(before), "new": len(head)}.get(how)
+            if keep is None:
+                keep = draw(st.integers(len(head), len(before)))
+            prompt = before[:keep] + draw(_TAILS)
+        last[kind] = prompt
+        prompts.append(prompt)
+    return prompts
+
+
+class TestPromptReuse:
+    # A cost of 0 makes every call with a stored prompt measure the shared
+    # prefix, which these short prompts otherwise never pay for.
+    @pytest.mark.parametrize("prefix_cost", [0, provider_module._PREFIX_COST_CHARS])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(_REUSE_ENTRIES, max_size=8),
+        default=st.none() | st.just("default"),
+        prompts=_prompt_sequences(),
+    )
+    def test_reused_provider_agrees_with_a_fresh_scan(self, prefix_cost, entries, default, prompts):
+        policy = ScriptedPolicy(
+            entries=tuple(
+                PolicyEntry(match=match, response=str(index), is_regex=is_regex)
+                for index, (match, is_regex) in enumerate(entries)
+            ),
+            default=default,
+        )
+        provider = ScriptedProvider(policy)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(provider_module, "_PREFIX_COST_CHARS", prefix_cost)
+            for prompt in prompts:
+                try:
+                    expected = _reference_reply(policy, prompt)
+                except ScriptError:
+                    # Raised again on a repeat: a failed call leaves nothing behind.
+                    with pytest.raises(ScriptError):
+                        provider.complete(user_request(prompt))
+                else:
+                    assert provider.complete(user_request(prompt)) == expected
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 192, 300])
+    @pytest.mark.parametrize("stored, prompt, reply", [
+        ("", "b", "ab"),  # "ab" starts inside the shared prefix and ends after it
+        ("z", "b", "ab"),  # the same, where the prompts differ right after the "a"
+        ("b", "", "none"),  # the stored prompt held "ab"; the new one ends inside it
+    ])
+    def test_literal_at_the_end_of_the_shared_prefix(self, monkeypatch, length, stored, prompt, reply):
+        # "ab" is looked up against the shared prefix: the ``length`` chars
+        # of ``head``, which ends in "a".
+        monkeypatch.setattr(provider_module, "_PREFIX_COST_CHARS", 0)
+        policy = ScriptedPolicy(
+            entries=(PolicyEntry(match="zb", response="zb"), PolicyEntry(match="ab", response="ab")),
+            default="none",
+        )
+        provider = ScriptedProvider(policy)
+        head = "router\n" + "z" * (length - 8) + "a"
+        provider.complete(user_request(head + stored))
+        assert provider.complete(user_request(head + prompt)) == reply
+
+    def test_empty_prompt_is_matched_not_taken_for_a_stored_one(self):
+        request = CompletionRequest(messages=(ChatMessage(role="assistant", content=""),))
+        provider = ScriptedProvider(ScriptedPolicy(default="d"))
+        assert provider.complete(request) == "d"
+        assert provider.complete(request) == "d"
+
+    def test_threads_sharing_a_provider_get_the_reference_replies(self, monkeypatch):
+        monkeypatch.setattr(provider_module, "_PREFIX_COST_CHARS", 0)
+        policy = ScriptedPolicy(
+            entries=(
+                PolicyEntry(match="needle-1", response="one"),
+                PolicyEntry(match=r"(?s)step 2.*needle-2", response="two", is_regex=True),
+                PolicyEntry(match="needle-3", response="three"),
+            ),
+            default="none",
+        )
+        provider = ScriptedProvider(policy)
+        pieces = ["z" * 100, "needle-", "1", "2", "3", "step 2", "\n", "x"]
+        head = "router\n"
+        calls, wrong = [], []
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            prompt = head
+            for _ in range(300):
+                keep = rng.randrange(len(head), len(prompt) + 1)
+                prompt = prompt[:keep] + "".join(rng.choices(pieces, k=3))
+                reply = provider.complete(user_request(prompt))
+                if reply != _reference_reply(policy, prompt):
+                    wrong.append((prompt, reply))
+                calls.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 8 * 300
+        assert wrong == []
+
+
 class TestRequestValidation:
     def test_requires_messages(self):
         with pytest.raises(ValueError):
@@ -247,6 +407,14 @@ class TestLoadPolicy:
         policy = load_policy(path)
         assert [e.match for e in policy.entries] == ["one", "two", "three"]
         assert policy.entries[1].is_regex
+
+    @pytest.mark.parametrize("written, read", [(1, True), (0, False)])
+    def test_is_regex_reads_as_bool(self, tmp_path, written, read):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"entries": [{"match": "a.c", "response": "r", "is_regex": written}]}))
+        entry = load_policy(path).entries[0]
+        assert entry.is_regex is read
+        assert (entry.pattern is not None) is read
 
     def test_empty_file_gives_empty_policy(self, tmp_path):
         path = tmp_path / "p.json"
