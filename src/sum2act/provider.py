@@ -191,6 +191,11 @@ def _shared_prefix(a: str, b: str) -> int:
     return shared
 
 
+# A prompt's kind is its first chars. Every template opens with fixed text,
+# and the templates differ within this many chars, so each gets one record;
+# the key costs a short slice where finding the first line costs a search.
+_KIND_CHARS = 32
+
 # The record of a kind not seen yet: no prompt equals it, no literal is known.
 _NOTHING_STORED = (None, None, {})
 
@@ -199,7 +204,7 @@ class ScriptedProvider:
     """Pure, deterministic stand-in for a live model.
 
     ``complete`` is a function of the policy and the prompt alone. Per prompt
-    kind (its first line, so one per template) the provider keeps the last
+    kind (its first _KIND_CHARS chars, so one per template) it keeps the last
     prompt it answered, the reply, and the first index of each literal it
     searched there (-1 when absent). An identical prompt gets the stored
     reply. Otherwise a literal searched in the stored prompt is searched in
@@ -217,8 +222,7 @@ class ScriptedProvider:
     def complete(self, request: CompletionRequest) -> str:
         prompt = request.rendered_prompt()
         _check_size(prompt)
-        line_end = prompt.find("\n")
-        kind = prompt if line_end < 0 else prompt[:line_end]
+        kind = prompt[:_KIND_CHARS]
         before, reply, before_found = self._last.get(kind, _NOTHING_STORED)
         if before == prompt:
             return reply

@@ -239,11 +239,15 @@ def _reference_reply(policy: ScriptedPolicy, prompt: str) -> str:
     return policy.default
 
 
-# Prompts start with one of a few kind lines, as the templates do. Runs of
+# Prompts open with one of a few fixed heads, as the templates do. Runs of
 # "z", which no entry below spells, make them long enough for a shared prefix
 # to span several compared blocks; the regexes have several literals or none
 # and backtrack little over such runs.
-_KINDS = ["router", "state manager", "merge"]
+_HEADS = [
+    "You are the action router for a tool-using assistant.\n",
+    "You are the state manager for a tool-using assistant.\n",
+    "Merge these two progress notes into one.\n",
+]
 _TAILS = st.lists(
     st.sampled_from(_PROMPT_FRAGMENTS) | st.integers(1, 150).map(lambda n: "z" * n), max_size=5
 ).map("".join)
@@ -264,9 +268,8 @@ def _prompt_sequences(draw):
     it with a new tail, or a new body."""
     prompts, last = [], {}
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(_KINDS))
-        head = kind + "\n"
-        before = last.get(kind, head)
+        head = draw(st.sampled_from(_HEADS))
+        before = last.get(head, head)
         how = draw(st.sampled_from(["repeat", "grow", "edit", "cut", "new"]))
         if how == "repeat":
             prompt = before
@@ -278,7 +281,7 @@ def _prompt_sequences(draw):
             if keep is None:
                 keep = draw(st.integers(len(head), len(before)))
             prompt = before[:keep] + draw(_TAILS)
-        last[kind] = prompt
+        last[head] = prompt
         prompts.append(prompt)
     return prompts
 
@@ -329,7 +332,7 @@ class TestPromptReuse:
             default="none",
         )
         provider = ScriptedProvider(policy)
-        head = "router\n" + "z" * (length - 8) + "a"
+        head = _HEADS[0] + "z" * (length - len(_HEADS[0]) - 1) + "a"
         provider.complete(user_request(head + stored))
         assert provider.complete(user_request(head + prompt)) == reply
 
@@ -351,7 +354,7 @@ class TestPromptReuse:
         )
         provider = ScriptedProvider(policy)
         pieces = ["z" * 100, "needle-", "1", "2", "3", "step 2", "\n", "x"]
-        head = "router\n"
+        head = _HEADS[0]
         calls, wrong = [], []
 
         def worker(seed: int) -> None:
