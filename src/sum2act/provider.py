@@ -162,6 +162,14 @@ class ScriptedPolicy:
         attribute lookup per entry on every call."""
         return tuple((entry.literals, entry.pattern, entry.response) for entry in self.entries)
 
+    @cached_property
+    def _recorded_from_chars(self) -> int:
+        """Prompts longer than this are recorded (see ScriptedProvider): only
+        they, searched for every literal of the policy, could measure a
+        shared prefix."""
+        literals = {literal for entry in self.entries for literal in entry.literals}
+        return _PREFIX_COST_CHARS // max(len(literals), 1)
+
 
 # The shortest block compared while narrowing down a shared prefix.
 _MIN_PREFIX_BLOCK = 64
@@ -170,7 +178,8 @@ _MIN_PREFIX_BLOCK = 64
 # chars does (the Python loop of _shared_prefix dominates on short prompts).
 # A call measures it only when the literals searched in the stored prompt,
 # times the prompt's length, exceed this: short prompts with few literals,
-# where a full search is cheap, are searched whole.
+# where a full search is cheap, are searched whole and not recorded, since
+# keeping records costs about a microsecond per call.
 _PREFIX_COST_CHARS = 32_768
 
 
@@ -204,15 +213,16 @@ class ScriptedProvider:
     """Pure, deterministic stand-in for a live model.
 
     ``complete`` is a function of the policy and the prompt alone. Per prompt
-    kind (its first _KIND_CHARS chars, so one per template) it keeps the last
-    prompt it answered, the reply, and the first index of each literal it
-    searched there (-1 when absent). An identical prompt gets the stored
-    reply. Otherwise a literal searched in the stored prompt is searched in
-    the new one only from where an occurrence could end past their shared
-    prefix: any occurrence ending inside it is one the stored prompt has at
-    the same index. The prefix is measured only where that saves more than
-    it costs (_PREFIX_COST_CHARS). Each kind's record is replaced whole and
-    never changed after, so threads may share one provider.
+    kind (its first _KIND_CHARS chars, so one per template) it records the
+    last long prompt it answered, the reply, and the first index of each
+    literal it searched there (-1 when absent). An identical prompt gets the
+    stored reply. Otherwise a literal searched in the stored prompt is
+    searched in the new one only from where an occurrence could end past
+    their shared prefix: any occurrence ending inside it is one the stored
+    prompt has at the same index. Records are kept and the prefix measured
+    only where that can save more than it costs (_PREFIX_COST_CHARS). Each
+    kind's record is replaced whole and never changed after, so threads may
+    share one provider.
     """
 
     def __init__(self, policy: ScriptedPolicy):
@@ -222,13 +232,16 @@ class ScriptedProvider:
     def complete(self, request: CompletionRequest) -> str:
         prompt = request.rendered_prompt()
         _check_size(prompt)
-        kind = prompt[:_KIND_CHARS]
-        before, reply, before_found = self._last.get(kind, _NOTHING_STORED)
-        if before == prompt:
-            return reply
+        kind = None
+        before, _, before_found = _NOTHING_STORED
         shared = 0  # until measured, every literal is searched from the start
-        if len(before_found) * len(prompt) > _PREFIX_COST_CHARS:
-            shared = _shared_prefix(prompt, before)
+        if len(prompt) > self.policy._recorded_from_chars:
+            kind = prompt[:_KIND_CHARS]
+            before, reply, before_found = self._last.get(kind, _NOTHING_STORED)
+            if before == prompt:
+                return reply
+            if len(before_found) * len(prompt) > _PREFIX_COST_CHARS:
+                shared = _shared_prefix(prompt, before)
         found: dict[str, int] = {}
         for literals, pattern, response in self.policy._table:
             for literal in literals:
@@ -253,7 +266,8 @@ class ScriptedProvider:
                     "no policy entry matched the prompt and no default is set; "
                     f"prompt started with: {prompt[:160]!r}"
                 )
-        self._last[kind] = (prompt, reply, found)
+        if kind is not None:
+            self._last[kind] = (prompt, reply, found)
         return reply
 
 

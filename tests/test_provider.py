@@ -336,12 +336,6 @@ class TestPromptReuse:
         provider.complete(user_request(head + stored))
         assert provider.complete(user_request(head + prompt)) == reply
 
-    def test_empty_prompt_is_matched_not_taken_for_a_stored_one(self):
-        request = CompletionRequest(messages=(ChatMessage(role="assistant", content=""),))
-        provider = ScriptedProvider(ScriptedPolicy(default="d"))
-        assert provider.complete(request) == "d"
-        assert provider.complete(request) == "d"
-
     def test_threads_sharing_a_provider_get_the_reference_replies(self, monkeypatch):
         monkeypatch.setattr(provider_module, "_PREFIX_COST_CHARS", 0)
         policy = ScriptedPolicy(
