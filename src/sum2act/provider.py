@@ -157,16 +157,9 @@ class ScriptedPolicy:
     default: str | None = None
 
     @cached_property
-    def _table(self) -> tuple[tuple[tuple[str, ...], re.Pattern | None, str], ...]:
-        """Each entry's literals, pattern and response, read without an
-        attribute lookup per entry on every call."""
-        return tuple((entry.literals, entry.pattern, entry.response) for entry in self.entries)
-
-    @cached_property
     def _recorded_from_chars(self) -> int:
-        """Prompts longer than this are recorded (see ScriptedProvider): only
-        they, searched for every literal of the policy, could measure a
-        shared prefix."""
+        """Prompts longer than this are recorded (see ScriptedProvider and
+        _PREFIX_COST_CHARS)."""
         literals = {literal for entry in self.entries for literal in entry.literals}
         return _PREFIX_COST_CHARS // max(len(literals), 1)
 
@@ -176,10 +169,11 @@ _MIN_PREFIX_BLOCK = 64
 
 # Measuring a shared prefix costs about what a search of this many prompt
 # chars does (the Python loop of _shared_prefix dominates on short prompts).
-# A call measures it only when the literals searched in the stored prompt,
-# times the prompt's length, exceed this: short prompts with few literals,
-# where a full search is cheap, are searched whole and not recorded, since
-# keeping records costs about a microsecond per call.
+# A prompt is recorded, and the next of its kind measures the prefix, only
+# when its length times the policy's distinct literal count exceeds this:
+# short prompts with few literals, where a full search is cheap, are searched
+# whole and not recorded, since keeping records costs about a microsecond per
+# call.
 _PREFIX_COST_CHARS = 32_768
 
 
@@ -240,11 +234,11 @@ class ScriptedProvider:
             before, reply, before_found = self._last.get(kind, _NOTHING_STORED)
             if before == prompt:
                 return reply
-            if len(before_found) * len(prompt) > _PREFIX_COST_CHARS:
+            if before is not None:
                 shared = _shared_prefix(prompt, before)
         found: dict[str, int] = {}
-        for literals, pattern, response in self.policy._table:
-            for literal in literals:
+        for entry in self.policy.entries:
+            for literal in entry.literals:
                 index = found.get(literal)
                 if index is None:
                     index = before_found.get(literal) if shared else None
@@ -256,8 +250,8 @@ class ScriptedProvider:
                 if index < 0:
                     break
             else:
-                if pattern is None or pattern.search(prompt) is not None:
-                    reply = response
+                if entry.pattern is None or entry.pattern.search(prompt) is not None:
+                    reply = entry.response
                     break
         else:
             reply = self.policy.default

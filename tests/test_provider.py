@@ -287,8 +287,9 @@ def _prompt_sequences(draw):
 
 
 class TestPromptReuse:
-    # A cost of 0 makes every call with a stored prompt measure the shared
-    # prefix, which these short prompts otherwise never pay for.
+    # A cost of 0 records every prompt, so each call after the first of its
+    # kind measures a shared prefix; at the real cost these short prompts
+    # are searched whole.
     @pytest.mark.parametrize("prefix_cost", [0, provider_module._PREFIX_COST_CHARS])
     @settings(max_examples=300, deadline=None)
     @given(
