@@ -7,7 +7,7 @@ prompt text, so prompt-construction bugs surface directly in tests. Regex
 entries are compiled when built, and an entry is tried only when the prompt
 holds every literal its pattern requires, which never changes the entry that
 matches first. The engines re-send each template's prompt with most of its
-text unchanged, so the scripted provider remembers its last prompt per
+text unchanged, so the scripted provider remembers its last long prompt per
 template: an identical prompt gets the same reply unmatched, and a literal
 is searched only from where the new prompt could first differ from that
 last one.
@@ -213,10 +213,10 @@ class ScriptedProvider:
     stored reply. Otherwise a literal searched in the stored prompt is
     searched in the new one only from where an occurrence could end past
     their shared prefix: any occurrence ending inside it is one the stored
-    prompt has at the same index. Records are kept and the prefix measured
-    only where that can save more than it costs (_PREFIX_COST_CHARS). Each
-    kind's record is replaced whole and never changed after, so threads may
-    share one provider.
+    prompt has at the same index. Only prompts long enough for that to save
+    more than it costs are recorded (_PREFIX_COST_CHARS). Each kind's record
+    is replaced whole and never changed after, so threads may share one
+    provider.
     """
 
     def __init__(self, policy: ScriptedPolicy):
