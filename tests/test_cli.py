@@ -78,6 +78,21 @@ def _write_bad_regex_policy(path: Path) -> Path:
     return path
 
 
+_FINISH_REPLY = json.dumps(
+    {"thought": "done", "action": "Finish", "args": {"Answer": "FINISH-REPLY"}}
+)
+
+
+def _live_stub(http_stub, monkeypatch):
+    """A chat-completions stub answering every call with a Finish proposal,
+    with the PROVIDER_* variables pointing at it."""
+    stub = http_stub([(200, json.dumps({"choices": [{"message": {"content": _FINISH_REPLY}}]}))])
+    monkeypatch.setenv("PROVIDER_BASE_URL", stub.url)
+    monkeypatch.setenv("PROVIDER_MODEL", "stub-model")
+    monkeypatch.delenv("PROVIDER_API_KEY", raising=False)
+    return stub
+
+
 def _assert_names_bad_regex(err: str, name: str) -> None:
     assert name in err
     assert "entry 0 has an invalid regex" in err
@@ -496,6 +511,37 @@ class TestBench:
         shutil.copy(core_dir / "weather_miami.scenario.json", suite / "weather_miami.scenario.json")
         code = main(["bench", "--scenario-dir", str(suite), "--out", str(tmp_path / "out")])
         assert code == 2
+
+    def test_live_provider_serves_every_episode(self, core_dir, tmp_path, http_stub, monkeypatch):
+        stub = _live_stub(http_stub, monkeypatch)
+        suite = tmp_path / "suite"
+        for name in ("weather_miami", "flight_bos_sfo"):
+            _copy_pair(core_dir, name, suite)
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--scenario-dir", str(suite), "--methods", "sum2act,react",
+                     "--provider", "live", "--out", str(out_dir)]) == 0
+        # One Finish proposal per episode: 2 scenarios x 2 methods.
+        assert stub.calls == 4
+        assert set(stub.paths) == {"/chat/completions"}
+        for name in ("weather_miami", "flight_bos_sfo"):
+            text = json.loads((suite / f"{name}.scenario.json").read_text())["instruction"]["text"]
+            assert sum(text in body.decode("utf-8") for body in stub.bodies) == 2
+        report = json.loads((out_dir / "report.json").read_text())
+        assert [e["terminal"] for e in report["episodes"]] == ["Finished"] * 4
+
+    def test_global_policy_serves_every_scenario(self, core_dir, tmp_path):
+        suite = tmp_path / "suite"
+        for name in ("weather_miami", "flight_bos_sfo"):
+            _copy_pair(core_dir, name, suite)
+        policy = tmp_path / "global.policy.json"
+        policy.write_text(json.dumps({"entries": [], "default": _FINISH_REPLY}))
+        out_dir = tmp_path / "out"
+        assert main(["bench", "--scenario-dir", str(suite), "--methods", "sum2act,react",
+                     "--policy", str(policy), "--out", str(out_dir)]) == 0
+        traces = sorted((out_dir / "traces").glob("*/*.jsonl"))
+        assert len(traces) == 4
+        for trace in traces:
+            assert read_trace(trace)[0].terminal.answer == "FINISH-REPLY"
 
 
 class TestCompare:
