@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .core import Instruction, State, load_json_file, read_trace, serialize_episode
@@ -37,37 +36,6 @@ from .state_manager import render_state
 EXIT_OK = 0
 EXIT_EPISODE_FAILURE = 1
 EXIT_CONFIG = 2
-
-_LIVE_ENV_VARS = ("PROVIDER_BASE_URL", "PROVIDER_MODEL")
-
-
-@dataclass
-class RunManifest:
-    """Resolved execution settings for one command invocation."""
-
-    provider_mode: str
-    policy_path: str | None
-    out_dir: Path
-
-    def validate(self) -> None:
-        if self.provider_mode not in ("scripted", "live"):
-            raise ConfigurationError(f"unknown provider mode: {self.provider_mode!r}")
-        if self.provider_mode == "scripted":
-            if not self.policy_path:
-                raise ConfigurationError("scripted provider requires --policy")
-            if not Path(self.policy_path).exists():
-                raise ConfigurationError(f"policy file not found: {self.policy_path}")
-        else:
-            missing = [name for name in _LIVE_ENV_VARS if not os.environ.get(name)]
-            if missing:
-                raise ConfigurationError(
-                    f"live provider requires env vars: {', '.join(missing)}"
-                )
-
-    def make_provider(self):
-        if self.provider_mode == "scripted":
-            return ScriptedProvider(load_policy(self.policy_path))
-        return LiveProvider()
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -94,34 +62,48 @@ def _resolve(cli_value, config: dict, key: str, default, kind: type = str):
     return value
 
 
-# Config key (and flag dest): the EngineConfig field it sets, and its type.
+# Config key (and flag dest, dashed as --flag): the EngineConfig field it sets,
+# its type and the flag's help.
 _ENGINE_KEYS = {
-    "budget": ("step_budget", int),
-    "state_cap": ("state_cap_chars", int),
-    "observation_window": ("observation_window_chars", int),
-    "decompose": ("use_decomposition", bool),
-    "react_window": ("react_memory_window_chars", int),
-    "max_children": ("dfsdt_max_children", int),
-    "templates_dir": ("templates_dir", str),
+    "budget": ("step_budget", int, None),
+    "state_cap": ("state_cap_chars", int, None),
+    "observation_window": ("observation_window_chars", int, None),
+    "react_window": ("react_memory_window_chars", int, None),
+    "max_children": ("dfsdt_max_children", int, None),
+    "decompose": ("use_decomposition", bool, "run one task-decomposition call before the loop"),
+    "templates_dir": ("templates_dir", str, None),
 }
 
 
 def _engine_config(method: str, args, config: dict) -> EngineConfig:
-    """``method``'s defaults with the given flags and config keys applied."""
+    """``method``'s defaults with the given flags and config keys applied; an
+    unknown method raises ConfigurationError."""
     given = {}
-    for key, (field, kind) in _ENGINE_KEYS.items():
+    for key, (field, kind, _) in _ENGINE_KEYS.items():
         value = _resolve(getattr(args, key), config, key, None, kind)
         if value is not None:
             given[field] = value
     return replace(default_config(method), **given)
 
 
-def _manifest(args, config: dict, out: str, provider: str = "scripted") -> RunManifest:
-    return RunManifest(
-        provider_mode=_resolve(args.provider, config, "provider", provider),
-        policy_path=_resolve(args.policy, config, "policy", None),
-        out_dir=Path(_resolve(args.out, config, "out", out)),
-    )
+def _provider_settings(args, config: dict, default_mode: str = "scripted", need_policy=True):
+    """Resolve and check every provider setting before anything runs.
+
+    Returns ``(live, policy)``. Live mode is checked by building one
+    LiveProvider, whose constructor names a missing environment variable.
+    Scripted mode loads the ``--policy`` file once; without one, ``policy``
+    is None, which only a caller passing ``need_policy=False`` accepts.
+    """
+    mode = _resolve(args.provider, config, "provider", default_mode)
+    if mode == "live":
+        LiveProvider()
+        return True, None
+    if mode != "scripted":
+        raise ConfigurationError(f"unknown provider mode: {mode!r}")
+    path = _resolve(args.policy, config, "policy", None)
+    if not path and need_policy:
+        raise ConfigurationError("scripted provider requires --policy")
+    return False, load_policy(path) if path else None
 
 
 def _write_episode(path: Path, episode) -> None:
@@ -137,8 +119,9 @@ def _write_episode(path: Path, episode) -> None:
 def cmd_run(args) -> int:
     config = _load_config_file(args.config)
     method = _resolve(args.method, config, "method", "sum2act")
-    manifest = _manifest(args, config, "runs")
-    manifest.validate()
+    engine_config = _engine_config(method, args, config)
+    live, policy = _provider_settings(args, config)
+    out_dir = Path(_resolve(args.out, config, "out", "runs"))
 
     scenario = None
     if args.scenario:
@@ -163,11 +146,10 @@ def cmd_run(args) -> int:
     else:
         raise ConfigurationError("provide --scenario, or --instruction with --tools")
 
-    provider = manifest.make_provider()
-    engine_config = _engine_config(method, args, config)
+    provider = LiveProvider() if live else ScriptedProvider(policy)
     episode = run_episode(method, provider, instruction, tools, engine_config, executor)
 
-    trace_path = manifest.out_dir / f"{method}__{instruction.id}.jsonl"
+    trace_path = out_dir / f"{method}__{instruction.id}.jsonl"
     _write_episode(trace_path, episode)
 
     if episode.terminal.status == "Finished":
@@ -206,10 +188,9 @@ def cmd_bench(args) -> int:
     methods = [m.strip() for m in _resolve(args.methods, config, "methods", "sum2act").split(",") if m.strip()]
     if not methods:
         raise ConfigurationError("no method to run: give at least one method label")
-    for method in methods:
-        if method not in METHOD_LABELS:
-            raise ConfigurationError(f"unknown method {method!r}")
-    manifest = _manifest(args, config, "bench-out")
+    engine_configs = {method: _engine_config(method, args, config) for method in methods}
+    live, global_policy = _provider_settings(args, config, need_policy=False)
+    out_dir = Path(_resolve(args.out, config, "out", "bench-out"))
     concurrency = _resolve(args.concurrency, config, "concurrency", 1, int)
     if concurrency < 1:
         raise ConfigurationError("concurrency must be >= 1")
@@ -217,30 +198,26 @@ def cmd_bench(args) -> int:
     # Fail fast: every scenario (and its policy, in scripted mode) must load
     # before anything runs. Each episode gets its own provider over the
     # policy loaded here.
-    scenario_paths = _discover_scenarios(args.scenario_dir)
     loaded = []
-    for path in scenario_paths:
+    for path in _discover_scenarios(args.scenario_dir):
         scenario = load_scenario(path)
-        policy = None
-        if manifest.provider_mode == "scripted":
-            policy_path = Path(manifest.policy_path) if manifest.policy_path else _sibling_policy(path)
+        policy = global_policy
+        if not live and policy is None:
+            policy_path = _sibling_policy(path)
             if not policy_path.exists():
                 raise ConfigurationError(
                     f"no policy for scenario {scenario.id!r}: expected {policy_path}"
                 )
             policy = load_policy(policy_path)
         loaded.append((scenario, policy))
-    if manifest.provider_mode == "live":
-        manifest.validate()
 
     def run_pair(method: str, scenario, policy):
-        provider = ScriptedProvider(policy) if policy is not None else manifest.make_provider()
-        engine_config = _engine_config(method, args, config)
+        provider = LiveProvider() if live else ScriptedProvider(policy)
         episode = run_episode(
             method, provider, scenario.instruction, list(scenario.tools),
-            engine_config, ScenarioSession(scenario).invoke,
+            engine_configs[method], ScenarioSession(scenario).invoke,
         )
-        trace_path = manifest.out_dir / "traces" / method / f"{scenario.id}.jsonl"
+        trace_path = out_dir / "traces" / method / f"{scenario.id}.jsonl"
         _write_episode(trace_path, episode)
         return method, scenario, episode, check_pass(scenario, episode)
 
@@ -288,15 +265,15 @@ def cmd_bench(args) -> int:
     subset_labels = sorted({s["subset"] for s in machine["episodes"]})
     combined = format_table(["Method"] + subset_labels + ["Average"], method_rows)
 
-    manifest.out_dir.mkdir(parents=True, exist_ok=True)
-    (manifest.out_dir / "report.txt").write_text(
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.txt").write_text(
         combined + "\n\n" + "\n\n".join(report_sections) + "\n", encoding="utf-8"
     )
-    (manifest.out_dir / "report.json").write_text(
+    (out_dir / "report.json").write_text(
         json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(combined)
-    print(f"report: {manifest.out_dir / 'report.json'}")
+    print(f"report: {out_dir / 'report.json'}")
     return EXIT_OK
 
 
@@ -328,6 +305,7 @@ def _load_trace_set(path_text: str) -> dict:
 
 def cmd_compare(args) -> int:
     config = _load_config_file(args.config)
+    out_dir = Path(_resolve(args.out, config, "out", "compare-out"))
     side_a = _load_trace_set(args.traces_a)
     side_b = _load_trace_set(args.traces_b)
 
@@ -359,9 +337,8 @@ def cmd_compare(args) -> int:
 
         judge = RuleJudge(passed)
     elif judge_mode == "llm":
-        manifest = _manifest(args, config, "compare-out", provider="live")
-        manifest.validate()
-        judge = LlmJudge(manifest.make_provider())
+        live, policy = _provider_settings(args, config, default_mode="live")
+        judge = LlmJudge(LiveProvider() if live else ScriptedProvider(policy))
     else:
         raise ConfigurationError(f"unknown judge mode: {judge_mode!r}")
 
@@ -403,7 +380,6 @@ def cmd_compare(args) -> int:
             for j in all_judgments
         ],
     }
-    out_dir = Path(_resolve(args.out, config, "out", "compare-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "winrate.txt").write_text(table + "\n", encoding="utf-8")
     (out_dir / "winrate.json").write_text(
@@ -469,18 +445,11 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument("--state-cap", dest="state_cap", type=int, default=None)
-    parser.add_argument(
-        "--observation-window", dest="observation_window", type=int, default=None
-    )
-    parser.add_argument("--react-window", dest="react_window", type=int, default=None)
-    parser.add_argument("--max-children", dest="max_children", type=int, default=None)
-    parser.add_argument(
-        "--decompose", action=argparse.BooleanOptionalAction, default=None,
-        help="run one task-decomposition call before the loop",
-    )
-    parser.add_argument("--templates-dir", dest="templates_dir", default=None)
+    for key, (_, kind, help_text) in _ENGINE_KEYS.items():
+        parse = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
+        parser.add_argument(
+            "--" + key.replace("_", "-"), dest=key, default=None, help=help_text, **parse
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

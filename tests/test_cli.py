@@ -544,6 +544,29 @@ class TestBench:
             assert read_trace(trace)[0].terminal.answer == "FINISH-REPLY"
 
 
+@pytest.mark.parametrize("command", ["run", "bench", "compare"])
+def test_unknown_provider_mode_exits_2_before_any_call(
+    core_dir, tmp_path, capsys, http_stub, monkeypatch, command
+):
+    stub = _live_stub(http_stub, monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": "Scripted"}))
+    suite = tmp_path / "suite"
+    _copy_pair(core_dir, "weather_miami", suite)
+    trace = _trace_with_budget(tmp_path, 1)
+    argv = {
+        "run": ["--scenario", str(suite / "weather_miami.scenario.json"),
+                "--policy", str(suite / "weather_miami.policy.json")],
+        "bench": ["--scenario-dir", str(suite)],
+        "compare": ["--traces-a", str(trace), "--traces-b", str(trace), "--judge", "llm"],
+    }[command]
+    out_dir = tmp_path / "out"
+    assert main([command, *argv, "--config", str(config), "--out", str(out_dir)]) == 2
+    assert "unknown provider mode: 'Scripted'" in capsys.readouterr().err
+    assert stub.calls == 0
+    assert not out_dir.exists()
+
+
 class TestCompare:
     def _bench(self, suite: Path, out: Path, methods: str) -> None:
         assert main(["bench", "--scenario-dir", str(suite), "--methods", methods,
