@@ -156,6 +156,14 @@ def embed_in_filler(payload: str, total_chars: int) -> str:
     return filler[:prefix_len] + payload + filler[:suffix_len]
 
 
+def _failed(status: str, tool_name: str, args: dict, error: str, latency=0.0) -> Observation:
+    """The non-Success observation of one call: no payload, ``error`` says why."""
+    return Observation(
+        status=status, payload="", tool_name=tool_name, args_echo=dict(args),
+        latency=latency, error=error,
+    )
+
+
 class ScenarioSession:
     """Per-episode executor over one scenario; deterministic given the call
     order. Once-behaviors advance the cursor, forever-behaviors persist."""
@@ -169,64 +177,38 @@ class ScenarioSession:
     def invoke(self, tool_name: str, args: dict) -> Observation:
         tool = self._tools.get(tool_name)
         if tool is None:
-            return Observation(
-                status="ToolError",
-                payload="",
-                tool_name=tool_name,
-                args_echo=dict(args),
-                error=f"unknown tool: {tool_name}",
-            )
+            return _failed("ToolError", tool_name, args, f"unknown tool: {tool_name}")
         for param in tool.required_params():
             if param.name not in args:
                 # Validation failures do not consume a behavior.
-                return Observation(
-                    status="ToolError",
-                    payload="",
-                    tool_name=tool_name,
-                    args_echo=dict(args),
-                    error=f"missing required parameter: {param.name}",
+                return _failed(
+                    "ToolError", tool_name, args, f"missing required parameter: {param.name}"
                 )
         with self._lock:
             queue = self.scenario.behaviors.get(tool_name, ())
             cursor = self._cursors.get(tool_name, 0)
             if cursor >= len(queue):
-                return Observation(
-                    status="ToolError",
-                    payload="",
-                    tool_name=tool_name,
-                    args_echo=dict(args),
-                    error=f"behavior queue exhausted for tool: {tool_name}",
-                )
+                error = f"behavior queue exhausted for tool: {tool_name}"
+                return _failed("ToolError", tool_name, args, error)
             behavior = queue[cursor]
             if behavior.repeat == "once":
                 self._cursors[tool_name] = cursor + 1
-        return self._observe(behavior, tool_name, dict(args))
+        return self._observe(behavior, tool_name, args)
 
     @staticmethod
     def _observe(behavior: Behavior, tool_name: str, args: dict) -> Observation:
-        if behavior.kind == "success":
-            return Observation(
-                status="Success", payload=behavior.payload,
-                tool_name=tool_name, args_echo=args,
-            )
-        if behavior.kind == "verbose":
-            return Observation(
-                status="Success",
-                payload=embed_in_filler(behavior.payload, behavior.filler_chars),
-                tool_name=tool_name, args_echo=args,
-            )
         if behavior.kind == "timeout":
-            return Observation(
-                status="Timeout", payload="",
-                tool_name=tool_name, args_echo=args,
-                error=behavior.message or "simulated timeout",
-            )
-        descriptor = behavior.message or "tool error"
-        if behavior.code is not None:
-            descriptor = f"HTTP {behavior.code}: {descriptor}"
+            return _failed("Timeout", tool_name, args, behavior.message or "simulated timeout")
+        if behavior.kind == "error":
+            descriptor = behavior.message or "tool error"
+            if behavior.code is not None:
+                descriptor = f"HTTP {behavior.code}: {descriptor}"
+            return _failed("ToolError", tool_name, args, descriptor)
+        payload = behavior.payload
+        if behavior.kind == "verbose":
+            payload = embed_in_filler(payload, behavior.filler_chars)
         return Observation(
-            status="ToolError", payload="",
-            tool_name=tool_name, args_echo=args, error=descriptor,
+            status="Success", payload=payload, tool_name=tool_name, args_echo=dict(args)
         )
 
 
@@ -279,10 +261,7 @@ def invoke_live(endpoint_spec: dict, tool_name: str, args: dict) -> Observation:
     agent loop itself is the retry mechanism."""
     entry = endpoint_spec.get(tool_name)
     if entry is None:
-        return Observation(
-            status="ToolError", payload="", tool_name=tool_name,
-            args_echo=dict(args), error=f"unknown tool: {tool_name}",
-        )
+        return _failed("ToolError", tool_name, args, f"unknown tool: {tool_name}")
     url = entry["url"]
     remaining = dict(args)
     for key in list(remaining):
@@ -306,28 +285,19 @@ def invoke_live(endpoint_spec: dict, tool_name: str, args: dict) -> Observation:
         with response:
             body = _read_body(response)
     except requests.Timeout as exc:
-        return Observation(
-            status="Timeout", payload="", tool_name=tool_name,
-            args_echo=dict(args), latency=time.perf_counter() - started,
-            error=f"timeout: {exc}",
-        )
+        latency = time.perf_counter() - started
+        return _failed("Timeout", tool_name, args, f"timeout: {exc}", latency)
     except requests.RequestException as exc:
-        return Observation(
-            status="ToolError", payload="", tool_name=tool_name,
-            args_echo=dict(args), latency=time.perf_counter() - started,
-            error=f"transport error: {exc}",
-        )
+        latency = time.perf_counter() - started
+        return _failed("ToolError", tool_name, args, f"transport error: {exc}", latency)
     latency = time.perf_counter() - started
     if 200 <= response.status_code < 300:
         return Observation(
             status="Success", payload=body, tool_name=tool_name,
             args_echo=dict(args), latency=latency,
         )
-    return Observation(
-        status="ToolError", payload="", tool_name=tool_name,
-        args_echo=dict(args), latency=latency,
-        error=f"HTTP {response.status_code}: {body[:200]}",
-    )
+    error = f"HTTP {response.status_code}: {body[:200]}"
+    return _failed("ToolError", tool_name, args, error, latency)
 
 
 def _read_body(response: requests.Response) -> str:
