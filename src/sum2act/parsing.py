@@ -12,6 +12,11 @@ from .provider import user_request
 # Corrective re-asks after the first attempt, for every structured reply.
 REASK_RETRIES = 2
 
+# Longest reply parsed, in chars. A longer one is unusable and is re-asked
+# like any other, so no reply makes parsing walk an unbounded text. Every
+# scripted reply, shipped or generated by the benchmark, is under 3,000 chars.
+MAX_REPLY_CHARS = 32_768
+
 # Known placeholder names; any other brace content in a template is literal,
 # so JSON examples inside rule blocks never need escaping.
 _PLACEHOLDER = re.compile(
@@ -75,7 +80,8 @@ def ask_json(provider, prompt: str, parse, reask: str, swallow=()):
     re-ask sends ``prompt`` again with ``reask`` appended, its ``{error}``
     field filled with the last error; it follows a ``parse`` that raised
     MalformedOutput or a provider call that raised one of the ``swallow``
-    exception types. Any other exception escapes. Once ``REASK_RETRIES``
+    exception types, or a reply longer than ``MAX_REPLY_CHARS``, which is
+    never parsed. Any other exception escapes. Once ``REASK_RETRIES``
     re-asks are spent, MalformedOutput is raised carrying the last error.
     """
     last_error: Exception | None = None
@@ -87,6 +93,8 @@ def ask_json(provider, prompt: str, parse, reask: str, swallow=()):
             last_error = exc
             continue
         try:
+            if len(reply) > MAX_REPLY_CHARS:
+                raise MalformedOutput(f"reply of {len(reply)} chars is over {MAX_REPLY_CHARS}")
             return parse(reply), attempt
         except MalformedOutput as exc:
             last_error = exc

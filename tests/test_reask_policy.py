@@ -14,8 +14,9 @@ import pytest
 from sum2act.core import Action, Instruction, Observation, State, Step, ToolSpec, new_episode
 from sum2act.errors import MalformedOutput, RequestTooLarge, ScriptError
 from sum2act.evaluation import LlmJudge
-from sum2act.parsing import REASK_RETRIES, ask_json
-from sum2act.router import decompose, propose_from_prompt
+from sum2act import parsing
+from sum2act.parsing import MAX_REPLY_CHARS, REASK_RETRIES, ask_json
+from sum2act.router import decompose, parse_action, propose_from_prompt
 from sum2act.state_manager import update
 
 INSTRUCTION = Instruction(id="i1", text="find the weather in Miami")
@@ -82,6 +83,30 @@ class TestAskJson:
             ask_json(provider, "P", str, " again", swallow=(ScriptError,))
         assert isinstance(info.value.__cause__, ScriptError)
         assert provider.prompts == ["P"] + ["P again"] * REASK_RETRIES
+
+    def test_reply_over_the_cap_is_reasked(self):
+        at_cap = "x" * MAX_REPLY_CHARS
+        provider = StubProvider(at_cap + "x", at_cap)
+        assert ask_json(provider, "P", str, " [{error}]") == (at_cap, 1)
+        assert provider.prompts[1] == f"P [reply of {MAX_REPLY_CHARS + 1} chars is over {MAX_REPLY_CHARS}]"
+
+    def test_over_long_flood_is_never_decoded(self, monkeypatch):
+        # 198 KB of real object starts: each one would be decoded down to the
+        # recursion limit if the reply reached the parser.
+        decodes = []
+        decoder = parsing._DECODER
+
+        class CountingDecoder:
+            def raw_decode(self, text, index):
+                decodes.append(index)
+                return decoder.raw_decode(text, index)
+
+        monkeypatch.setattr(parsing, "_DECODER", CountingDecoder())
+        provider = StubProvider('{"a": ' * 33000)
+        with pytest.raises(MalformedOutput, match="chars is over"):
+            ask_json(provider, "P", parse_action, " again")
+        assert len(provider.prompts) == ATTEMPTS
+        assert decodes == []
 
     def test_unlisted_provider_error_escapes(self):
         provider = _too_large()
