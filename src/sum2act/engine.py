@@ -174,7 +174,6 @@ class SearchNode:
 
     memory: tuple[str, ...]
     parent: SearchNode | None = None
-    children_tried: int = 0
     attempted: tuple[str, ...] = ()
 
 
@@ -192,7 +191,7 @@ class Tree(Memory):
     node: SearchNode | None = field(default_factory=lambda: SearchNode(memory=()))
 
     def propose(self) -> Action | None:
-        while self.node is not None and self.node.children_tried >= self.config.dfsdt_max_children:
+        while self.node is not None and len(self.node.attempted) >= self.config.dfsdt_max_children:
             self.node = self.node.parent
         if self.node is None:
             return None
@@ -208,7 +207,6 @@ class Tree(Memory):
             self.node = node.parent
             return Step(action, None, self.state)
         observation = self.executor(action.tool_name, action.args)
-        node.children_tried += 1
         node.attempted += (action.tool_name,)
         if observation.status == "Success":
             self.node = SearchNode(node.memory + (_transcript_entry(action, observation),), node)
