@@ -28,7 +28,7 @@ from .evaluation import (
     round_half_up,
     win_rate,
 )
-from .provider import LiveProvider, ScriptedProvider, load_policy
+from .provider import LiveProvider, ScriptedPolicy, ScriptedProvider, load_policy
 from .retriever import load_catalog, rank
 from .sandbox import ScenarioSession, check_pass, invoke_live, load_endpoint_spec, load_scenario
 from .state_manager import render_state
@@ -86,7 +86,9 @@ def _engine_config(method: str, args, config: dict) -> EngineConfig:
     return replace(default_config(method), **given)
 
 
-def _provider_settings(args, config: dict, default_mode: str = "scripted", need_policy=True):
+def _provider_settings(
+    args, config: dict, default_mode: str = "scripted", need_policy: bool = True
+) -> tuple[bool, ScriptedPolicy | None]:
     """Resolve and check every provider setting before anything runs.
 
     Returns ``(live, policy)``. Live mode is checked by building one
