@@ -88,7 +88,8 @@ class TestAskJson:
         at_cap = "x" * MAX_REPLY_CHARS
         provider = StubProvider(at_cap + "x", at_cap)
         assert ask_json(provider, "P", str, " [{error}]") == (at_cap, 1)
-        assert provider.prompts[1] == f"P [reply of {MAX_REPLY_CHARS + 1} chars is over {MAX_REPLY_CHARS}]"
+        error = f"reply of {MAX_REPLY_CHARS + 1} chars is over {MAX_REPLY_CHARS}"
+        assert provider.prompts[1] == f"P [{error}]"
 
     def test_over_long_flood_is_never_decoded(self, monkeypatch):
         # 198 KB of real object starts: each one would be decoded down to the
