@@ -1,10 +1,10 @@
 """Pins the deterministic cost of the shipped corpus: provider calls, prompt
-chars, uncached prompt chars and the serialized traces of every
-scenario/policy pair, per method.
+chars, the bytes of every prompt, uncached prompt chars and the serialized
+traces of every scenario/policy pair, per method.
 
-An unintended extra provider call, a changed prompt, a prompt layout that a
-prefix cache can reuse less of, or a changed trace byte fails here, before
-any benchmark run.
+An unintended extra provider call, a changed prompt (even one of the same
+length), a prompt layout that a prefix cache can reuse less of, or a changed
+trace byte fails here, before any benchmark run.
 """
 
 from __future__ import annotations
@@ -25,11 +25,21 @@ from sum2act import (
     serialize_episode,
 )
 
-# method: (provider calls, prompt chars, sha256 of the traces joined by "\n")
+# method: (provider calls, prompt chars, sha256 of the traces joined by "\n",
+# sha256 over the sha256 of every prompt sent, in order)
 PINNED = {
-    "sum2act": (217, 297_836, "f6fdabfabbd9f10b3f687a077da7296049ee0bd9ae33c06be8dcdd4863b6e9c0"),
-    "react": (235, 333_661, "cd12fd6de0770bf5f643ac9f53531c12e54661dc5c02eed068b48e3be039e465"),
-    "dfsdt": (293, 2_730_072, "ef50149495ae1bd0131a3d93ed3ba7db8958cadd5614551d08c1449989a9d356"),
+    "sum2act": (
+        217, 297_836, "f6fdabfabbd9f10b3f687a077da7296049ee0bd9ae33c06be8dcdd4863b6e9c0",
+        "a41dadd4f4002c5a0e31f2cc2df3b02f853a3654140940eaf6de35d5e31959d4",
+    ),
+    "react": (
+        235, 333_661, "cd12fd6de0770bf5f643ac9f53531c12e54661dc5c02eed068b48e3be039e465",
+        "1e4a972a200971b743cddfafd01d51ff9b6b07543a26547e2fe636827f293b0a",
+    ),
+    "dfsdt": (
+        293, 2_730_072, "ef50149495ae1bd0131a3d93ed3ba7db8958cadd5614551d08c1449989a9d356",
+        "170df0e346be94738fce5751dcd1ead715acd993bf91a621aa0b38d0669d2cbd",
+    ),
 }
 
 
@@ -62,12 +72,14 @@ def _uncached_chars(prompts: list[str]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _run_corpus(method: str, scenarios_root) -> tuple[int, int, str, int]:
-    """(provider calls, prompt chars, trace sha256, uncached prompt chars)."""
+def _run_corpus(method: str, scenarios_root) -> tuple[int, int, str, str, int]:
+    """(provider calls, prompt chars, trace sha256, prompt sha256, uncached
+    prompt chars)."""
     paths = sorted(scenarios_root.glob("**/*.scenario.json"))
     assert len(paths) == 30
     calls = chars = uncached = 0
     digest = hashlib.sha256()
+    prompt_digest = hashlib.sha256()
     for path in paths:
         scenario = load_scenario(path)
         policy = load_policy(path.with_name(path.name.replace(".scenario.json", ".policy.json")))
@@ -81,14 +93,16 @@ def _run_corpus(method: str, scenarios_root) -> tuple[int, int, str, int]:
         chars += sum(map(len, prompts))
         uncached += _uncached_chars(prompts)
         digest.update(serialize_episode(episode).encode("utf-8") + b"\n")
-    return calls, chars, digest.hexdigest(), uncached
+        for prompt in prompts:
+            prompt_digest.update(hashlib.sha256(prompt.encode("utf-8")).digest())
+    return calls, chars, digest.hexdigest(), prompt_digest.hexdigest(), uncached
 
 
 @pytest.mark.parametrize("method", sorted(PINNED))
 def test_corpus_counts_are_pinned(method, scenarios_root):
-    assert _run_corpus(method, scenarios_root)[:3] == PINNED[method]
+    assert _run_corpus(method, scenarios_root)[:4] == PINNED[method]
 
 
 @pytest.mark.parametrize("method", sorted(PINNED_UNCACHED))
 def test_corpus_uncached_prompt_chars_are_pinned(method, scenarios_root):
-    assert _run_corpus(method, scenarios_root)[3] == PINNED_UNCACHED[method]
+    assert _run_corpus(method, scenarios_root)[4] == PINNED_UNCACHED[method]

@@ -4,11 +4,12 @@ import json
 import random
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sum2act import parsing
-from sum2act.parsing import extract_first_json_object
+from sum2act.parsing import extract_first_json_object, fill_template
 
 
 def _reference_extract(text: str, required_key: str):
@@ -153,3 +154,28 @@ class TestBounds:
         assert attempts == []
         assert extract_first_json_object(flood + '{"action": 1}', "action") == {"action": 1}
         assert attempts == [len(flood)]
+
+
+class TestFillTemplate:
+    def test_unknown_placeholder_raises_naming_it(self):
+        with pytest.raises(KeyError, match=r"\{state\}"):
+            fill_template("## State\n{state}\n## Tools\n{tools}", tools="t")
+
+    def test_non_placeholder_braces_are_left_alone(self):
+        template = '{instruction}\nReply {"thought": "...", "args": {}} or {unknown} {{x}} }{'
+        assert fill_template(template, instruction="go") == (
+            'go\nReply {"thought": "...", "args": {}} or {unknown} {{x}} }{'
+        )
+
+    def test_placeholder_inside_doubled_braces_is_filled(self):
+        assert fill_template("{{state}}", state="s") == "{s}"
+
+    def test_substituted_value_is_not_substituted_again(self):
+        filled = fill_template("{instruction} / {state}", instruction="say {state}", state="S")
+        assert filled == "say {state} / S"
+
+    def test_placeholder_used_twice_is_filled_both_times(self):
+        assert fill_template("{tools}|{rules}|{tools}", tools="T", rules="R") == "T|R|T"
+
+    def test_values_the_template_does_not_name_are_ignored(self):
+        assert fill_template("no placeholders {x}", state="unused") == "no placeholders {x}"
