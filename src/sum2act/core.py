@@ -291,13 +291,12 @@ def normalize_arg_value(value):
         return value
     if isinstance(value, list) and all(isinstance(v, _SCALAR_TYPES) for v in value):
         return value
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(value)
 
 
 def canonical_args(args: dict) -> str:
     """Sorted-key canonical JSON rendering of an args map."""
-    normalized = {str(k): normalize_arg_value(v) for k, v in args.items()}
-    return json.dumps(normalized, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode({str(k): normalize_arg_value(v) for k, v in args.items()})
 
 
 def args_digest(args: dict) -> str:
@@ -361,9 +360,10 @@ def _to_record(obj) -> dict:
     return {renamed.get(name, name): value for name, value in obj.__dict__.items()}
 
 
-# Records are trees (frozen dataclasses over parsed JSON), so the encoder
-# skips the circular-reference check, which costs a marker insert and delete
-# per record, dict and list inside each timed episode.
+# Records and args maps are trees (frozen dataclasses over parsed JSON), so
+# the encoder skips the circular-reference check, which costs a marker insert
+# and delete per record, dict and list inside each timed episode. The trace
+# writer and the canonical args rendering share this one encoder.
 _ENCODER = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False,
     default=_to_record,

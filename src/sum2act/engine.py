@@ -31,7 +31,6 @@ from .core import (
     State,
     Step,
     Terminal,
-    ToolSpec,
     canonical_args,
     new_episode,
 )
@@ -97,11 +96,12 @@ class Memory:
     """What a method carries between steps. ``propose`` returns the next
     action, or None once nothing is left to try; ``record`` runs a proposed
     tool call and returns its step; ``state`` is the summarized state every
-    step stores (empty except for sum2act)."""
+    step stores (empty except for sum2act). ``tools_block`` is the episode's
+    tool list as every prompt shows it, rendered once."""
 
     provider: object
     instruction: Instruction
-    tools: list[ToolSpec] | tuple[ToolSpec, ...]
+    tools_block: str
     config: EngineConfig
     executor: Callable[[str, dict], Observation]
     state: State = State.empty()
@@ -110,7 +110,7 @@ class Memory:
         prompt = fill_template(
             load_template(template, self.config.templates_dir),
             instruction=self.instruction.text,
-            tools=render_tools_block(self.tools),
+            tools=self.tools_block,
             transcript="\n\n".join(transcript) if transcript else "(empty)",
             rules=rules,
             **blocks,
@@ -128,12 +128,12 @@ class Summary(Memory):
     def __post_init__(self):
         if self.config.use_decomposition:
             self.decomposition = decompose(
-                self.provider, self.instruction, self.tools, templates_dir=self.config.templates_dir
+                self.provider, self.instruction, self.tools_block, templates_dir=self.config.templates_dir
             )
 
     def propose(self) -> Action:
         return propose(
-            self.provider, self.instruction, self.state, self.tools, self.decomposition,
+            self.provider, self.instruction, self.state, self.tools_block, self.decomposition,
             templates_dir=self.config.templates_dir,
         )
 
@@ -239,7 +239,7 @@ def run_episode(method: str, provider, instruction: Instruction, tools, config: 
     BudgetExhausted or AbortedParseFailure within ``step_budget`` steps."""
     memory_type, _ = _method(method)
     episode = new_episode(instruction, tools, config.step_budget, method)
-    memory = memory_type(provider, instruction, tools, config, executor)
+    memory = memory_type(provider, instruction, render_tools_block(tools), config, executor)
     while len(episode.steps) < config.step_budget:
         try:
             action = memory.propose()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
 
 from .errors import MalformedOutput
 from .provider import user_request
@@ -24,16 +25,21 @@ _PLACEHOLDER = re.compile(
 )
 
 
+@lru_cache(maxsize=64)
+def _split_template(template: str) -> tuple[str, ...]:
+    # Literal text at even indices, placeholder names at odd ones.
+    return tuple(_PLACEHOLDER.split(template))
+
+
 def fill_template(template: str, **values: str) -> str:
-    """Substitute ``{name}`` placeholders, leaving all other braces alone."""
-
-    def _sub(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in values:
-            raise KeyError(f"template placeholder {{{name}}} has no value")
-        return values[name]
-
-    return _PLACEHOLDER.sub(_sub, template)
+    """Substitute ``{name}`` placeholders, leaving all other braces alone.
+    Values are inserted as they are: a placeholder inside one is not filled."""
+    parts = list(_split_template(template))
+    try:
+        parts[1::2] = [values[name] for name in parts[1::2]]
+    except KeyError as exc:
+        raise KeyError(f"template placeholder {{{exc.args[0]}}} has no value") from None
+    return "".join(parts)
 
 
 def truncate_with_marker(text: str, cap: int) -> str:

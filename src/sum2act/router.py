@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-from .core import Action, Instruction, State, ToolSpec, normalize_arg_value
+from .core import Action, Instruction, State, normalize_arg_value
 from .errors import ConfigurationError, MalformedOutput, ScriptError
 from .parsing import ask_json, extract_first_json_object, fill_template
 from .state_manager import render_state
@@ -45,6 +45,8 @@ class Task:
 
 
 def render_tools_block(tools) -> str:
+    """The tool list as every prompt shows it; fixed for an episode, so the
+    engine renders it once per episode and passes the text on."""
     lines = []
     for tool in tools:
         lines.append(f"- {tool.name}: {tool.description}")
@@ -67,19 +69,20 @@ def _instruction_block(instruction: Instruction, decomposition: Task | None) -> 
 def build_router_prompt(
     instruction: Instruction,
     state: State,
-    tools: list[ToolSpec] | tuple[ToolSpec, ...],
+    tools_block: str,
     decomposition: Task | None = None,
     templates_dir: str | None = None,
 ) -> str:
-    """Deterministic prompt text from the instruction, tools, rules and state
-    blocks; every failure history entry is rendered, none omitted."""
-    if not tools:
+    """Deterministic prompt text from the instruction, the rendered tools
+    block (``render_tools_block``), the rules and the state; every failure
+    history entry is rendered, none omitted."""
+    if not tools_block:
         raise ConfigurationError("router prompt requires a non-empty tool list")
     return fill_template(
         load_template("router", templates_dir),
         instruction=_instruction_block(instruction, decomposition),
         state=render_state(state),
-        tools=render_tools_block(tools),
+        tools=tools_block,
         rules=ROUTER_RULES,
     )
 
@@ -140,31 +143,33 @@ def propose_from_prompt(provider, prompt_text: str) -> Action:
     provider errors escape. The returned action records how many re-asks
     were needed."""
     action, attempt = ask_json(provider, prompt_text, parse_action, _REASK)
-    return replace(action, retry_count=attempt)
+    # parse_action leaves retry_count at 0, so the happy path needs no copy.
+    return action if attempt == 0 else replace(action, retry_count=attempt)
 
 
 def propose(
     provider,
     instruction: Instruction,
     state: State,
-    tools,
+    tools_block: str,
     decomposition: Task | None = None,
     templates_dir: str | None = None,
 ) -> Action:
-    prompt = build_router_prompt(instruction, state, tools, decomposition, templates_dir)
+    prompt = build_router_prompt(instruction, state, tools_block, decomposition, templates_dir)
     return propose_from_prompt(provider, prompt)
 
 
-def decompose(provider, instruction: Instruction, tools, templates_dir: str | None = None) -> Task | None:
-    """One-shot task decomposition, run before the loop. Output that stays
-    unparseable, or a scripted policy with no reply for the prompt, is logged
-    and the episode proceeds without guidance."""
-    if not tools:
+def decompose(provider, instruction: Instruction, tools_block: str, templates_dir: str | None = None) -> Task | None:
+    """One-shot task decomposition, run before the loop, over the rendered
+    tools block. Output that stays unparseable, or a scripted policy with no
+    reply for the prompt, is logged and the episode proceeds without
+    guidance."""
+    if not tools_block:
         raise ConfigurationError("decomposition requires a non-empty tool list")
     prompt = fill_template(
         load_template("decompose", templates_dir),
         instruction=instruction.text,
-        tools=render_tools_block(tools),
+        tools=tools_block,
     )
     try:
         task, _ = ask_json(provider, prompt, _parse_task, _REASK, swallow=(ScriptError,))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sum2act import engine
 from sum2act.core import Instruction, ParamSpec, ToolSpec, serialize_episode
 from sum2act.engine import (
     EngineConfig,
@@ -20,6 +21,7 @@ from sum2act.provider import (
     ScriptedProvider,
     load_policy,
 )
+from sum2act.router import render_tools_block
 from sum2act.sandbox import (
     Behavior,
     PassCondition,
@@ -351,6 +353,32 @@ class TestEngineShared:
         )
         assert episode.terminal.status == "AbortedParseFailure"
         assert episode.steps == ()
+
+    @pytest.mark.parametrize("method, decompose", [
+        ("sum2act", False), ("sum2act", True), ("react", False), ("dfsdt", False),
+    ])
+    def test_tools_block_is_rendered_once_per_episode(self, method, decompose, monkeypatch):
+        rendered = []
+
+        def counting(tools):
+            rendered.append(tools)
+            return render_tools_block(tools)
+
+        monkeypatch.setattr(engine, "render_tools_block", counting)
+        provider = RecordingProvider(ScriptedProvider(FAILOVER_POLICY))
+        config = EngineConfig(step_budget=default_config(method).step_budget, use_decomposition=decompose)
+        episode = run_episode(
+            method, provider, INSTRUCTION, list(FAILOVER_TOOLS), config,
+            ScenarioSession(FAILOVER_SCENARIO).invoke,
+        )
+        assert len(episode.steps) >= 3
+        assert rendered == [list(FAILOVER_TOOLS)]
+        sections = [
+            prompt.split("## Tools\n", 1)[1].split("\n\n## ", 1)[0]
+            for prompt in provider.prompts() if "## Tools\n" in prompt
+        ]
+        assert len(sections) >= len(episode.steps) + decompose
+        assert set(sections) == {render_tools_block(FAILOVER_TOOLS)}
 
     def test_dispatcher_rejects_unknown_method(self):
         with pytest.raises(ConfigurationError):

@@ -16,7 +16,7 @@ from sum2act.errors import MalformedOutput, RequestTooLarge, ScriptError
 from sum2act.evaluation import LlmJudge
 from sum2act import parsing
 from sum2act.parsing import MAX_REPLY_CHARS, REASK_RETRIES, ask_json
-from sum2act.router import decompose, parse_action, propose_from_prompt
+from sum2act.router import decompose, parse_action, propose_from_prompt, render_tools_block
 from sum2act.state_manager import update
 
 INSTRUCTION = Instruction(id="i1", text="find the weather in Miami")
@@ -142,21 +142,21 @@ class TestDecomposePolicy:
     @pytest.mark.parametrize("make", [_script_error, _garbage])
     def test_reasked_then_none(self, make):
         provider = make()
-        assert decompose(provider, INSTRUCTION, TOOLS) is None
+        assert decompose(provider, INSTRUCTION, render_tools_block(TOOLS)) is None
         assert len(provider.prompts) == ATTEMPTS
         assert all("could not be parsed" in prompt for prompt in provider.prompts[1:])
 
     def test_request_too_large_escapes(self):
         provider = _too_large()
         with pytest.raises(RequestTooLarge):
-            decompose(provider, INSTRUCTION, TOOLS)
+            decompose(provider, INSTRUCTION, render_tools_block(TOOLS))
         assert len(provider.prompts) == 1
 
     def test_recovers_after_script_error(self):
         provider = StubProvider(
             ScriptError("no policy entry matched"), '{"target": "plan trip", "subtasks": []}'
         )
-        assert decompose(provider, INSTRUCTION, TOOLS).target == "plan trip"
+        assert decompose(provider, INSTRUCTION, render_tools_block(TOOLS)).target == "plan trip"
         assert len(provider.prompts) == 2
 
 

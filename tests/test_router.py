@@ -25,6 +25,7 @@ from sum2act.templates_loader import TEMPLATE_NAMES, load_template
 
 INSTRUCTION = Instruction(id="i1", text="find the weather in Miami")
 TOOLS = (ToolSpec(name="get_weather", description="weather by city"),)
+TOOLS_BLOCK = render_tools_block(TOOLS)
 
 
 def _section(prompt: str, heading: str) -> str:
@@ -34,7 +35,7 @@ def _section(prompt: str, heading: str) -> str:
 
 class TestBuildRouterPrompt:
     def test_empty_state_rendering(self):
-        prompt = build_router_prompt(INSTRUCTION, State.empty(), TOOLS)
+        prompt = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK)
         assert _section(prompt, "State") == "Current results: (none). Failure history: (none)."
 
     def test_all_failures_rendered(self):
@@ -45,15 +46,15 @@ class TestBuildRouterPrompt:
                 FailureEntry("get_weather", "d2", "second reason", 2),
             ),
         )
-        state_section = _section(build_router_prompt(INSTRUCTION, state, TOOLS), "State")
+        state_section = _section(build_router_prompt(INSTRUCTION, state, TOOLS_BLOCK), "State")
         assert "get_weather(d1): first reason" in state_section
         assert "get_weather(d2): second reason" in state_section
         assert state_section == render_state(state)
 
     def test_decomposition_appends_lines(self):
-        bare = build_router_prompt(INSTRUCTION, State.empty(), TOOLS)
+        bare = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK)
         task = Task(target="plan the trip", subtasks=("check weather", "book flight"))
-        decorated = build_router_prompt(INSTRUCTION, State.empty(), TOOLS, decomposition=task)
+        decorated = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK, decomposition=task)
         extra = len(_section(decorated, "User Instruction").splitlines()) - len(
             _section(bare, "User Instruction").splitlines()
         )
@@ -62,16 +63,16 @@ class TestBuildRouterPrompt:
 
     def test_deterministic(self):
         state = State(current_results=(ResultEntry("sunny", 1),), failure_history=())
-        assert build_router_prompt(INSTRUCTION, state, TOOLS) == build_router_prompt(
-            INSTRUCTION, state, TOOLS
+        assert build_router_prompt(INSTRUCTION, state, TOOLS_BLOCK) == build_router_prompt(
+            INSTRUCTION, state, TOOLS_BLOCK
         )
 
     def test_requires_tools(self):
         with pytest.raises(ConfigurationError):
-            build_router_prompt(INSTRUCTION, State.empty(), ())
+            build_router_prompt(INSTRUCTION, State.empty(), render_tools_block(()))
 
     def test_blocks_all_present(self):
-        prompt = build_router_prompt(INSTRUCTION, State.empty(), TOOLS)
+        prompt = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK)
         assert _section(prompt, "User Instruction") == INSTRUCTION.text
         assert _section(prompt, "State") == render_state(State.empty())
         assert _section(prompt, "Tools") == render_tools_block(TOOLS)
@@ -95,11 +96,11 @@ class TestPromptLayout:
         assert not per_step or max(static) < min(per_step)
 
     def test_router_prompts_share_everything_before_the_state(self):
-        first = build_router_prompt(INSTRUCTION, State.empty(), TOOLS)
+        first = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK)
         later = build_router_prompt(
             INSTRUCTION,
             State((ResultEntry("sunny", 2),), (FailureEntry("get_weather", "d1", "bad city", 1),)),
-            TOOLS,
+            TOOLS_BLOCK,
         )
         static = first[: first.index("## State\n") + len("## State\n")]
         assert render_tools_block(TOOLS) in static and ROUTER_RULES in static
@@ -176,7 +177,7 @@ VALID_CALL = '{"thought":"t","action":"get_weather","args":{"city":"Miami"}}'
 class TestPropose:
     def test_happy_path(self):
         provider = ScriptedProvider(ScriptedPolicy(default=VALID_CALL))
-        action = propose(provider, INSTRUCTION, State.empty(), TOOLS)
+        action = propose(provider, INSTRUCTION, State.empty(), TOOLS_BLOCK)
         assert action.tool_name == "get_weather"
         assert action.retry_count == 0
 
@@ -187,7 +188,7 @@ class TestPropose:
             default="sorry, no idea",
         )
         provider = RecordingProvider(ScriptedProvider(policy))
-        action = propose(provider, INSTRUCTION, State.empty(), TOOLS)
+        action = propose(provider, INSTRUCTION, State.empty(), TOOLS_BLOCK)
         assert action.tool_name == "get_weather"
         assert action.retry_count == 1
         assert len(provider.calls) == 2
@@ -195,7 +196,7 @@ class TestPropose:
     def test_garbage_on_all_attempts(self):
         provider = RecordingProvider(ScriptedProvider(ScriptedPolicy(default="garbage")))
         with pytest.raises(MalformedOutput):
-            propose(provider, INSTRUCTION, State.empty(), TOOLS)
+            propose(provider, INSTRUCTION, State.empty(), TOOLS_BLOCK)
         assert len(provider.calls) == REASK_RETRIES + 1
 
     def test_propose_from_prompt_shared_path(self):
@@ -209,21 +210,21 @@ class TestDecompose:
         provider = ScriptedProvider(
             ScriptedPolicy(default='{"target":"plan trip","subtasks":["weather","flights"]}')
         )
-        task = decompose(provider, INSTRUCTION, TOOLS)
+        task = decompose(provider, INSTRUCTION, TOOLS_BLOCK)
         assert task == Task(target="plan trip", subtasks=("weather", "flights"))
 
     def test_empty_subtasks_valid(self):
         provider = ScriptedProvider(
             ScriptedPolicy(default='{"target":"plan trip","subtasks":[]}')
         )
-        task = decompose(provider, INSTRUCTION, TOOLS)
+        task = decompose(provider, INSTRUCTION, TOOLS_BLOCK)
         assert task.subtasks == ()
 
     def test_unparseable_output_yields_none(self):
         provider = RecordingProvider(ScriptedProvider(ScriptedPolicy(default="hmm")))
-        assert decompose(provider, INSTRUCTION, TOOLS) is None
+        assert decompose(provider, INSTRUCTION, TOOLS_BLOCK) is None
         assert len(provider.calls) == REASK_RETRIES + 1
 
     def test_unscripted_provider_yields_none(self):
         provider = ScriptedProvider(ScriptedPolicy())
-        assert decompose(provider, INSTRUCTION, TOOLS) is None
+        assert decompose(provider, INSTRUCTION, TOOLS_BLOCK) is None
