@@ -190,6 +190,9 @@ def cmd_bench(args) -> int:
     methods = [m.strip() for m in _resolve(args.methods, config, "methods", "sum2act").split(",") if m.strip()]
     if not methods:
         raise ConfigurationError("no method to run: give at least one method label")
+    repeated = sorted({method for method in methods if methods.count(method) > 1})
+    if repeated:
+        raise ConfigurationError(f"method {repeated[0]!r} is listed more than once")
     engine_configs = {method: _engine_config(method, args, config) for method in methods}
     live, global_policy = _provider_settings(args, config, need_policy=False)
     out_dir = Path(_resolve(args.out, config, "out", "bench-out"))
@@ -197,12 +200,19 @@ def cmd_bench(args) -> int:
     if concurrency < 1:
         raise ConfigurationError("concurrency must be >= 1")
 
-    # Fail fast: every scenario (and its policy, in scripted mode) must load
-    # before anything runs. Each episode gets its own provider over the
-    # policy loaded here.
+    # Fail fast: every scenario (and its policy, in scripted mode) must load,
+    # and no two may share an id (their traces would share one path), before
+    # anything runs. Each episode gets its own provider over the policy
+    # loaded here.
     loaded = []
+    paths_by_id: dict[str, Path] = {}
     for path in _discover_scenarios(args.scenario_dir):
         scenario = load_scenario(path)
+        if scenario.id in paths_by_id:
+            raise ConfigurationError(
+                f"scenario id {scenario.id!r} is used by both {paths_by_id[scenario.id]} and {path}"
+            )
+        paths_by_id[scenario.id] = path
         policy = global_policy
         if not live and policy is None:
             policy_path = _sibling_policy(path)

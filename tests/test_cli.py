@@ -478,6 +478,30 @@ class TestBench:
         assert "no method" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_method_exits_2(self, core_dir, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        _copy_pair(core_dir, "weather_miami", suite)
+        out_dir = tmp_path / "out"
+        code = main(["bench", "--scenario-dir", str(suite), "--methods", "react,sum2act,react",
+                     "--out", str(out_dir)])
+        assert code == 2
+        assert "method 'react' is listed more than once" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_duplicate_scenario_id_exits_2(self, core_dir, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        _copy_pair(core_dir, "weather_miami", suite)
+        for suffix in (".scenario.json", ".policy.json"):
+            shutil.copy(core_dir / f"weather_miami{suffix}", suite / f"weather_copy{suffix}")
+        out_dir = tmp_path / "out"
+        code = main(["bench", "--scenario-dir", str(suite), "--out", str(out_dir),
+                     "--concurrency", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scenario id 'weather_miami'" in err
+        assert "weather_copy.scenario.json" in err and "weather_miami.scenario.json" in err
+        assert not out_dir.exists()
+
     def test_fail_fast_on_corrupt_scenario(self, core_dir, tmp_path, capsys):
         suite = tmp_path / "suite"
         _copy_pair(core_dir, "weather_miami", suite)
