@@ -159,7 +159,9 @@ def propose(
     return propose_from_prompt(provider, prompt)
 
 
-def decompose(provider, instruction: Instruction, tools_block: str, templates_dir: str | None = None) -> Task | None:
+def decompose(
+    provider, instruction: Instruction, tools_block: str, templates_dir: str | None = None
+) -> Task | None:
     """One-shot task decomposition, run before the loop, over the rendered
     tools block. Output that stays unparseable, or a scripted policy with no
     reply for the prompt, is logged and the episode proceeds without
