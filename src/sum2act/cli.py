@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .provider import LiveProvider, ScriptedPolicy, ScriptedProvider, load_policy
 from .retriever import load_catalog, rank
-from .sandbox import ScenarioSession, check_pass, invoke_live, load_endpoint_spec, load_scenario
+from .sandbox import Scenario, ScenarioSession, check_pass, invoke_live, load_endpoint_spec, load_scenario
 from .state_manager import render_state
 
 EXIT_OK = 0
@@ -169,14 +169,28 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _discover_scenarios(scenario_dir: str) -> list[Path]:
+def _load_scenarios(scenario_dir: str, key_name: str, key) -> list[tuple[Path, Scenario]]:
+    """Every ``*.scenario.json`` under ``scenario_dir``, loaded, with its path.
+    Two scenarios with one ``key(scenario)`` raise ConfigurationError naming
+    both files."""
     root = Path(scenario_dir)
     if not root.is_dir():
         raise ConfigurationError(f"scenario directory not found: {scenario_dir}")
     paths = sorted(root.glob("**/*.scenario.json"))
     if not paths:
         raise ConfigurationError(f"no *.scenario.json files under {scenario_dir}")
-    return paths
+    loaded = []
+    paths_by_key: dict[str, Path] = {}
+    for path in paths:
+        scenario = load_scenario(path)
+        value = key(scenario)
+        if value in paths_by_key:
+            raise ConfigurationError(
+                f"{key_name} {value!r} is used by both {paths_by_key[value]} and {path}"
+            )
+        paths_by_key[value] = path
+        loaded.append((path, scenario))
+    return loaded
 
 
 def _sibling_policy(scenario_path: Path) -> Path:
@@ -205,14 +219,7 @@ def cmd_bench(args) -> int:
     # anything runs. Each episode gets its own provider over the policy
     # loaded here.
     loaded = []
-    paths_by_id: dict[str, Path] = {}
-    for path in _discover_scenarios(args.scenario_dir):
-        scenario = load_scenario(path)
-        if scenario.id in paths_by_id:
-            raise ConfigurationError(
-                f"scenario id {scenario.id!r} is used by both {paths_by_id[scenario.id]} and {path}"
-            )
-        paths_by_id[scenario.id] = path
+    for path, scenario in _load_scenarios(args.scenario_dir, "scenario id", lambda s: s.id):
         policy = global_policy
         if not live and policy is None:
             policy_path = _sibling_policy(path)
@@ -335,10 +342,12 @@ def cmd_compare(args) -> int:
     if judge_mode == "rule":
         if not args.scenario_dir:
             raise ConfigurationError("the rule judge requires --scenario-dir to evaluate passes")
-        scenarios = {}
-        for path in _discover_scenarios(args.scenario_dir):
-            scenario = load_scenario(path)
-            scenarios[scenario.instruction.id] = scenario
+        scenarios = {
+            scenario.instruction.id: scenario
+            for _, scenario in _load_scenarios(
+                args.scenario_dir, "instruction id", lambda s: s.instruction.id
+            )
+        }
 
         def passed(episode):
             if episode.instruction.id not in scenarios:

@@ -20,11 +20,8 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from email.utils import parsedate_to_datetime
 from functools import cached_property
-
-import requests
+from typing import TYPE_CHECKING
 
 from .core import from_record, load_json_file
 from .errors import (
@@ -34,6 +31,9 @@ from .errors import (
     RequestTooLarge,
     ScriptError,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 ROLES = ("system", "user", "assistant")
 
@@ -305,6 +305,9 @@ def _retry_after_seconds(value: str | None) -> float | None:
     value = value.strip()
     if re.fullmatch(r"[0-9]+", value):
         return float(value)
+    from datetime import datetime, timezone
+    from email.utils import parsedate_to_datetime
+
     try:
         when = parsedate_to_datetime(value)
     except (TypeError, ValueError):
@@ -322,7 +325,8 @@ class LiveProvider:
     backoff, and never longer than MAX_BACKOFF_SECONDS. Other 4xx responses
     are rejected immediately and never retried. Configuration comes from
     PROVIDER_BASE_URL, PROVIDER_API_KEY and PROVIDER_MODEL unless passed
-    explicitly.
+    explicitly. ``requests`` is imported by the methods, not with the module,
+    so scripted runs never load the HTTP stack.
     """
 
     def __init__(
@@ -335,6 +339,8 @@ class LiveProvider:
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
+        import requests
+
         self.base_url = (base_url or os.environ.get("PROVIDER_BASE_URL", "")).rstrip("/")
         self.api_key = api_key or os.environ.get("PROVIDER_API_KEY", "")
         self.model = model or os.environ.get("PROVIDER_MODEL", "")
@@ -348,6 +354,8 @@ class LiveProvider:
         self._session = session or requests.Session()
 
     def complete(self, request: CompletionRequest) -> str:
+        import requests
+
         _check_size(request.rendered_prompt())
         body = {
             "model": self.model,

@@ -18,14 +18,16 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 from urllib.parse import quote
-
-import requests
 
 from .core import Episode, Instruction, Observation, ToolSpec, from_record, load_json_file
 from .errors import ConfigurationError, ScenarioError
 from .parsing import truncate_with_marker
 from .provider import MAX_REQUEST_CHARS
+
+if TYPE_CHECKING:
+    import requests
 
 BEHAVIOR_KINDS = ("success", "error", "timeout", "verbose")
 REPEAT_MODES = ("once", "forever")
@@ -258,7 +260,11 @@ def load_endpoint_spec(path) -> dict:
 def invoke_live(endpoint_spec: dict, tool_name: str, args: dict) -> Observation:
     """Execute one HTTP tool call, mapping every failure mode onto an
     Observation status; nothing raises into the engine. No retries here: the
-    agent loop itself is the retry mechanism."""
+    agent loop itself is the retry mechanism. ``requests`` is imported here,
+    not with the module, so offline runs never load the HTTP stack."""
+    import requests
+    from urllib3.exceptions import ReadTimeoutError
+
     entry = endpoint_spec.get(tool_name)
     if entry is None:
         return _failed("ToolError", tool_name, args, f"unknown tool: {tool_name}")
@@ -284,11 +290,13 @@ def invoke_live(endpoint_spec: dict, tool_name: str, args: dict) -> Observation:
         )
         with response:
             body = _read_body(response)
-    except requests.Timeout as exc:
-        latency = time.perf_counter() - started
-        return _failed("Timeout", tool_name, args, f"timeout: {exc}", latency)
     except requests.RequestException as exc:
         latency = time.perf_counter() - started
+        # A body that stalls past the timeout raises ConnectionError from
+        # iter_content, wrapping urllib3's ReadTimeoutError.
+        cause = exc.args[0] if exc.args else None
+        if isinstance(exc, requests.Timeout) or isinstance(cause, ReadTimeoutError):
+            return _failed("Timeout", tool_name, args, f"timeout: {exc}", latency)
         return _failed("ToolError", tool_name, args, f"transport error: {exc}", latency)
     latency = time.perf_counter() - started
     if 200 <= response.status_code < 300:

@@ -18,15 +18,18 @@ def scenarios_root() -> Path:
 class ScriptedHTTPServer:
     """Local HTTP stub replying from an ordered (status, body) or
     (status, body, headers) script; the last entry repeats once the script
-    is exhausted. ``paths`` keeps the path of every request and ``bodies``
-    the raw bytes of every request body, in arrival order."""
+    is exhausted. ``delay`` seconds pass before the headers are sent and
+    ``stall`` seconds between the headers and the body. ``paths`` keeps the
+    path of every request and ``bodies`` the raw bytes of every request
+    body, in arrival order."""
 
-    def __init__(self, script: list[tuple], delay: float = 0.0):
+    def __init__(self, script: list[tuple], delay: float = 0.0, stall: float = 0.0):
         self.script = list(script)
         self.calls = 0
         self.paths: list[str] = []
         self.bodies: list[bytes] = []
         self.delay = delay
+        self.stall = stall
         outer = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
@@ -44,6 +47,8 @@ class ScriptedHTTPServer:
                 for name, value in (extra[0] if extra else {}).items():
                     self.send_header(name, value)
                 self.end_headers()
+                if outer.stall:
+                    time.sleep(outer.stall)
                 try:
                     self.wfile.write(data)
                 except (BrokenPipeError, ConnectionResetError):
@@ -77,8 +82,8 @@ class ScriptedHTTPServer:
 def http_stub():
     servers: list[ScriptedHTTPServer] = []
 
-    def start(script: list[tuple], delay: float = 0.0) -> ScriptedHTTPServer:
-        server = ScriptedHTTPServer(script, delay=delay)
+    def start(script: list[tuple], delay: float = 0.0, stall: float = 0.0) -> ScriptedHTTPServer:
+        server = ScriptedHTTPServer(script, delay=delay, stall=stall)
         servers.append(server)
         return server
 

@@ -675,6 +675,31 @@ class TestCompare:
         assert "weather_miami" in err
         assert "flight_bos_sfo" in err
 
+    def test_duplicate_instruction_id_exits_2_naming_both_files(self, core_dir, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        _copy_pair(core_dir, "weather_miami", suite)
+        out = tmp_path / "bench"
+        self._bench(suite, out, "sum2act")
+        # A second scenario for the same instruction that no answer passes:
+        # whichever file were read last would decide every pass.
+        record = json.loads((suite / "weather_miami.scenario.json").read_text())
+        record["id"] = "weather_copy"
+        record["pass_condition"] = {"exact": "never"}
+        (suite / "weather_copy.scenario.json").write_text(json.dumps(record))
+        cmp_dir = tmp_path / "cmp"
+        code = main([
+            "compare",
+            "--traces-a", str(out / "traces" / "sum2act"),
+            "--traces-b", str(out / "traces" / "sum2act"),
+            "--judge", "rule", "--scenario-dir", str(suite),
+            "--out", str(cmp_dir),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"instruction id {record['instruction']['id']!r}" in err
+        assert "weather_copy.scenario.json" in err and "weather_miami.scenario.json" in err
+        assert not cmp_dir.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--method", "react"), ("--budget", "3"), ("--state-cap", "1"),
         ("--observation-window", "4096"), ("--react-window", "4096"),

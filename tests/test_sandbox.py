@@ -327,6 +327,15 @@ class TestInvokeLive:
         obs = invoke_live(spec, "probe", {})
         assert obs.status == "Timeout"
 
+    def test_body_stalled_past_the_timeout_maps_timeout(self, http_stub):
+        # The headers arrive in time; the body read is what times out.
+        stub = http_stub([(200, "late body")], stall=0.6)
+        spec = {"probe": {"url": stub.url, "method": "GET", "timeout": 0.1}}
+        obs = invoke_live(spec, "probe", {})
+        assert obs.status == "Timeout"
+        assert obs.error.startswith("timeout: ")
+        assert obs.latency < 0.6
+
     def test_transport_error_maps(self):
         spec = {"probe": {"url": "http://127.0.0.1:9/x", "method": "GET", "timeout": 0.2}}
         obs = invoke_live(spec, "probe", {})
