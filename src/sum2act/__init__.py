@@ -19,7 +19,6 @@ from .core import (
 from .engine import EngineConfig, default_config, run_episode
 from .errors import Sum2ActError
 from .provider import (
-    ChatMessage,
     CompletionRequest,
     LiveProvider,
     RecordingProvider,
@@ -31,7 +30,6 @@ from .sandbox import Scenario, ScenarioSession, check_pass, load_scenario
 
 __all__ = [
     "Action",
-    "ChatMessage",
     "CompletionRequest",
     "EngineConfig",
     "Episode",

@@ -28,7 +28,7 @@ from .evaluation import (
     round_half_up,
     win_rate,
 )
-from .provider import LiveProvider, ScriptedPolicy, ScriptedProvider, load_policy
+from .provider import LiveProvider, ScriptedProvider, load_policy
 from .retriever import load_catalog, rank
 from .sandbox import Scenario, ScenarioSession, check_pass, invoke_live, load_endpoint_spec, load_scenario
 from .state_manager import render_state
@@ -86,26 +86,23 @@ def _engine_config(method: str, args, config: dict) -> EngineConfig:
     return replace(default_config(method), **given)
 
 
-def _provider_settings(
-    args, config: dict, default_mode: str = "scripted", need_policy: bool = True
-) -> tuple[bool, ScriptedPolicy | None]:
-    """Resolve and check every provider setting before anything runs.
+def _provider(args, config: dict, default_mode: str = "scripted", need_policy: bool = True):
+    """The command's one provider, built and checked before anything runs.
 
-    Returns ``(live, policy)``. Live mode is checked by building one
-    LiveProvider, whose constructor names a missing environment variable.
-    Scripted mode loads the ``--policy`` file once; without one, ``policy``
-    is None, which only a caller passing ``need_policy=False`` accepts.
+    Live mode builds the LiveProvider, whose constructor names a missing
+    environment variable. Scripted mode loads the ``--policy`` file into a
+    ScriptedProvider; without one it returns None, which only a caller
+    passing ``need_policy=False`` accepts.
     """
     mode = _resolve(args.provider, config, "provider", default_mode)
     if mode == "live":
-        LiveProvider()
-        return True, None
+        return LiveProvider()
     if mode != "scripted":
         raise ConfigurationError(f"unknown provider mode: {mode!r}")
     path = _resolve(args.policy, config, "policy", None)
     if not path and need_policy:
         raise ConfigurationError("scripted provider requires --policy")
-    return False, load_policy(path) if path else None
+    return ScriptedProvider(load_policy(path)) if path else None
 
 
 def _write_episode(path: Path, episode) -> None:
@@ -122,7 +119,7 @@ def cmd_run(args) -> int:
     config = _load_config_file(args.config)
     method = _resolve(args.method, config, "method", "sum2act")
     engine_config = _engine_config(method, args, config)
-    live, policy = _provider_settings(args, config)
+    provider = _provider(args, config)
     out_dir = Path(_resolve(args.out, config, "out", "runs"))
 
     scenario = None
@@ -134,7 +131,7 @@ def cmd_run(args) -> int:
     elif args.instruction and args.tools:
         catalog = load_catalog(args.tools)
         instruction = Instruction(id=args.instruction_id or "cli", text=args.instruction)
-        if args.top_k:
+        if args.top_k is not None:
             tools = [ranked.tool for ranked in rank(instruction.text, catalog, args.top_k)]
         else:
             tools = catalog
@@ -148,7 +145,6 @@ def cmd_run(args) -> int:
     else:
         raise ConfigurationError("provide --scenario, or --instruction with --tools")
 
-    provider = LiveProvider() if live else ScriptedProvider(policy)
     episode = run_episode(method, provider, instruction, tools, engine_config, executor)
 
     trace_path = out_dir / f"{method}__{instruction.id}.jsonl"
@@ -208,30 +204,29 @@ def cmd_bench(args) -> int:
     if repeated:
         raise ConfigurationError(f"method {repeated[0]!r} is listed more than once")
     engine_configs = {method: _engine_config(method, args, config) for method in methods}
-    live, global_policy = _provider_settings(args, config, need_policy=False)
+    global_provider = _provider(args, config, need_policy=False)
     out_dir = Path(_resolve(args.out, config, "out", "bench-out"))
     concurrency = _resolve(args.concurrency, config, "concurrency", 1, int)
     if concurrency < 1:
         raise ConfigurationError("concurrency must be >= 1")
 
-    # Fail fast: every scenario (and its policy, in scripted mode) must load,
-    # and no two may share an id (their traces would share one path), before
-    # anything runs. Each episode gets its own provider over the policy
-    # loaded here.
+    # Fail fast: every scenario (and its policy, without a global provider)
+    # must load, and no two may share an id (their traces would share one
+    # path), before anything runs. Every episode of a scenario, whatever its
+    # method or thread, shares the one provider picked here.
     loaded = []
     for path, scenario in _load_scenarios(args.scenario_dir, "scenario id", lambda s: s.id):
-        policy = global_policy
-        if not live and policy is None:
+        provider = global_provider
+        if provider is None:
             policy_path = _sibling_policy(path)
             if not policy_path.exists():
                 raise ConfigurationError(
                     f"no policy for scenario {scenario.id!r}: expected {policy_path}"
                 )
-            policy = load_policy(policy_path)
-        loaded.append((scenario, policy))
+            provider = ScriptedProvider(load_policy(policy_path))
+        loaded.append((scenario, provider))
 
-    def run_pair(method: str, scenario, policy):
-        provider = LiveProvider() if live else ScriptedProvider(policy)
+    def run_pair(method: str, scenario, provider):
         episode = run_episode(
             method, provider, scenario.instruction, list(scenario.tools),
             engine_configs[method], ScenarioSession(scenario).invoke,
@@ -240,7 +235,7 @@ def cmd_bench(args) -> int:
         _write_episode(trace_path, episode)
         return method, scenario, episode, check_pass(scenario, episode)
 
-    pairs = [(method, scenario, policy) for method in methods for scenario, policy in loaded]
+    pairs = [(method, scenario, provider) for method in methods for scenario, provider in loaded]
     if concurrency == 1:
         results = [run_pair(*pair) for pair in pairs]
     else:
@@ -358,8 +353,7 @@ def cmd_compare(args) -> int:
 
         judge = RuleJudge(passed)
     elif judge_mode == "llm":
-        live, policy = _provider_settings(args, config, default_mode="live")
-        judge = LlmJudge(LiveProvider() if live else ScriptedProvider(policy))
+        judge = LlmJudge(_provider(args, config, default_mode="live"))
     else:
         raise ConfigurationError(f"unknown judge mode: {judge_mode!r}")
 

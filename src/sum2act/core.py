@@ -376,9 +376,10 @@ def from_record(cls, data):
     scalars.
 
     A field with no default is required, a field with ``init=False`` is never
-    read, and a scalar field must hold a value its annotation admits
-    (``_SCALARS``). A malformed record raises KeyError, TypeError or
-    ConfigurationError, which each caller reports against its own file.
+    read, a key that names no field is refused, and a scalar field must hold
+    a value its annotation admits (``_SCALARS``). A malformed record raises
+    KeyError, TypeError or ConfigurationError, which each caller reports
+    against its own file.
     """
     if not isinstance(data, dict):
         raise TypeError(f"{cls.__name__} record must be a JSON object, got {type(data).__name__}")
@@ -410,6 +411,10 @@ def from_record(cls, data):
         elif not (value is None and spec.type.endswith("| None")):
             value = from_record(kind, value)
         values[spec.name] = value
+    if len(values) < len(data):
+        known = {renamed.get(spec.name, spec.name) for spec in fields(cls) if spec.init}
+        unknown = next(key for key in data if key not in known)
+        raise KeyError(f"{cls.__name__} has no key {unknown!r}")
     return cls(**values)
 
 

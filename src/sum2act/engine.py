@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import ClassVar
 
 from .core import (
@@ -70,6 +71,8 @@ class EngineConfig:
                 raise ConfigurationError(f"{name} must be >= 512")
         if self.dfsdt_max_children < 1:
             raise ConfigurationError("dfsdt_max_children must be >= 1")
+        if self.templates_dir is not None and not Path(self.templates_dir).is_dir():
+            raise ConfigurationError(f"templates_dir is not a directory: {self.templates_dir}")
 
 
 def _transcript_entry(action: Action, observation: Observation) -> str:

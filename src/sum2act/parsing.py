@@ -8,7 +8,7 @@ import re
 from functools import lru_cache
 
 from .errors import MalformedOutput
-from .provider import user_request
+from .provider import CompletionRequest
 
 # Corrective re-asks after the first attempt, for every structured reply.
 REASK_RETRIES = 2
@@ -94,7 +94,7 @@ def ask_json(provider, prompt: str, parse, reask: str, swallow=()):
     for attempt in range(REASK_RETRIES + 1):
         text = prompt if attempt == 0 else prompt + reask.format(error=last_error)
         try:
-            reply = provider.complete(user_request(text))
+            reply = provider.complete(CompletionRequest(text))
         except swallow as exc:
             last_error = exc
             continue

@@ -35,8 +35,6 @@ from .errors import (
 if TYPE_CHECKING:
     import requests
 
-ROLES = ("system", "user", "assistant")
-
 # Hard ceiling on rendered request size; requests are never truncated
 # silently, they fail loudly instead.
 MAX_REQUEST_CHARS = 200_000
@@ -50,32 +48,16 @@ _RETRIED_4XX = (408, 429)
 
 
 @dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError(f"unknown chat role: {self.role!r}")
-        if self.role in ("system", "user") and not self.content:
-            raise ValueError(f"{self.role} messages must have non-empty content")
-
-
-@dataclass(frozen=True)
 class CompletionRequest:
-    messages: tuple[ChatMessage, ...]
+    prompt: str
 
     def __post_init__(self):
-        if not self.messages:
-            raise ValueError("completion request requires at least one message")
+        if not self.prompt:
+            raise ValueError("completion request requires a non-empty prompt")
 
     def rendered_prompt(self) -> str:
-        """All message contents joined; the text scripted matchers see."""
-        return "\n".join([m.content for m in self.messages])
-
-
-def user_request(prompt: str) -> CompletionRequest:
-    return CompletionRequest(messages=(ChatMessage(role="user", content=prompt),))
+        """The prompt; the text scripted matchers see."""
+        return self.prompt
 
 
 # Inline flags under which a plain pattern character matches only itself;
@@ -356,10 +338,10 @@ class LiveProvider:
     def complete(self, request: CompletionRequest) -> str:
         import requests
 
-        _check_size(request.rendered_prompt())
+        _check_size(request.prompt)
         body = {
             "model": self.model,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+            "messages": [{"role": "user", "content": request.prompt}],
             "temperature": 0.0,
             "max_tokens": 1024,
         }

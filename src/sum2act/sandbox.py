@@ -230,6 +230,7 @@ def check_pass(scenario: Scenario, episode: Episode) -> bool:
 
 LIVE_TIMEOUT_SECONDS = 15.0
 _BODY_CHUNK_BYTES = 64 * 1024
+_ENDPOINT_KEYS = ("url", "method", "auth_env", "timeout")
 
 
 def load_endpoint_spec(path) -> dict:
@@ -242,6 +243,9 @@ def load_endpoint_spec(path) -> dict:
     for name, entry in data.items():
         if not isinstance(entry, dict) or "url" not in entry:
             raise ConfigurationError(f"{path}: endpoint {name!r} must define a url")
+        unknown = [key for key in entry if key not in _ENDPOINT_KEYS]
+        if unknown:
+            raise ConfigurationError(f"{path}: endpoint {name!r} has no key {unknown[0]!r}")
         for key in ("url", "method", "auth_env"):
             if key in entry and not isinstance(entry[key], str):
                 raise ConfigurationError(

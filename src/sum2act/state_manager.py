@@ -28,7 +28,7 @@ from .errors import (
     ScriptError,
 )
 from .parsing import ask_json, extract_first_json_object, fill_template, truncate_with_marker
-from .provider import user_request
+from .provider import CompletionRequest
 from .templates_loader import load_template
 
 logger = logging.getLogger(__name__)
@@ -184,10 +184,10 @@ def _merge_texts(provider, older: ResultEntry, newer: ResultEntry) -> str:
             f"1) {older.text}\n2) {newer.text}"
         )
         try:
-            merged = provider.complete(user_request(prompt)).strip()
+            merged = provider.complete(CompletionRequest(prompt)).strip()
             if merged:
                 return merged[:_MERGED_ENTRY_CHARS]
-        except (ScriptError, MalformedOutput, RequestTooLarge):
+        except (ScriptError, RequestTooLarge):
             pass
     return f"{older.text}; {newer.text}"[:_MERGED_ENTRY_CHARS]
 

@@ -20,23 +20,29 @@ class ScriptedHTTPServer:
     (status, body, headers) script; the last entry repeats once the script
     is exhausted. ``delay`` seconds pass before the headers are sent and
     ``stall`` seconds between the headers and the body. ``paths`` keeps the
-    path of every request and ``bodies`` the raw bytes of every request
-    body, in arrival order."""
+    path of every request, ``bodies`` the raw bytes of every request body
+    and ``clients`` the client address of every request, in arrival order.
+    It speaks HTTP/1.1, so a client may send many requests over one
+    connection, and the distinct ``clients`` count the connections."""
 
     def __init__(self, script: list[tuple], delay: float = 0.0, stall: float = 0.0):
         self.script = list(script)
         self.calls = 0
         self.paths: list[str] = []
         self.bodies: list[bytes] = []
+        self.clients: list[tuple[str, int]] = []
         self.delay = delay
         self.stall = stall
         outer = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def _respond(self) -> None:
                 if outer.delay:
                     time.sleep(outer.delay)
                 outer.paths.append(self.path)
+                outer.clients.append(self.client_address)
                 index = min(outer.calls, len(outer.script) - 1)
                 status, body, *extra = outer.script[index]
                 outer.calls += 1

@@ -19,6 +19,7 @@ from sum2act.core import (
     read_trace,
     serialize_episode,
 )
+from sum2act.templates_loader import load_template
 
 
 def _copy_pair(src_dir: Path, name: str, dst: Path) -> None:
@@ -126,6 +127,11 @@ MALFORMED_INPUTS = [
     ("policy", ("entries", 0, "match"), 5),
     ("policy", ("entries", 0, "is_regex"), -1),
     ("policy", ("entries", 0, "is_regex"), 2),
+    # A misspelled key is refused, not dropped.
+    ("scenario", _BEHAVIOR + ("filler_char",), 100),
+    ("scenario", ("tools", 0, "params", 0, "requird"), True),
+    ("scenario", ("instruction", "subset"), "G1"),
+    ("policy", ("entries", 0, "isregex"), True),
 ]
 
 
@@ -202,6 +208,35 @@ class TestRun:
         assert f"weather_miami.{kind}.json" in err
         assert "Traceback" not in err
 
+    def test_missing_templates_dir_exits_2_naming_it(self, core_dir, tmp_path, capsys):
+        missing = tmp_path / "no-such-templates"
+        code = main([
+            "run",
+            "--scenario", str(core_dir / "weather_miami.scenario.json"),
+            "--policy", str(core_dir / "weather_miami.policy.json"),
+            "--templates-dir", str(missing),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_templates_dir_overriding_some_templates_runs(self, core_dir, tmp_path):
+        # A template the directory lacks comes from the built-in set.
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "decompose.txt").write_text(load_template("decompose"), encoding="utf-8")
+        traces = []
+        for name, extra in (("plain", []), ("override", ["--templates-dir", str(templates)])):
+            assert main([
+                "run",
+                "--scenario", str(core_dir / "weather_miami.scenario.json"),
+                "--policy", str(core_dir / "weather_miami.policy.json"),
+                "--out", str(tmp_path / name), *extra,
+            ]) == 0
+            traces.append((tmp_path / name / "sum2act__weather_miami.jsonl").read_bytes())
+        assert traces[0] == traces[1]
+
     def test_no_input_exits_2(self, tmp_path, capsys):
         code = main(["run", "--policy", str(tmp_path), "--out", str(tmp_path)])
         assert code == 2
@@ -265,6 +300,43 @@ class TestRun:
         ])
         assert code == 2
         assert f"'fetch_page': {key!r} must be" in capsys.readouterr().err
+
+    def test_unknown_endpoint_key_exits_2(self, core_dir, tmp_path, capsys):
+        tools_path = tmp_path / "catalog.json"
+        tools_path.write_text(json.dumps([{"name": "fetch_page", "description": "Fetch."}]))
+        endpoints_path = tmp_path / "endpoints.json"
+        endpoints_path.write_text(json.dumps(
+            {"fetch_page": {"url": "http://127.0.0.1:9/x", "timout": 5}}
+        ))
+        code = main([
+            "run",
+            "--instruction", "Check the status page.",
+            "--tools", str(tools_path),
+            "--endpoint-spec", str(endpoints_path),
+            "--policy", str(core_dir / "weather_miami.policy.json"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "endpoints.json: endpoint 'fetch_page' has no key 'timout'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_exits_2(self, core_dir, tmp_path, capsys, top_k):
+        tools_path = tmp_path / "catalog.json"
+        tools_path.write_text(json.dumps([{"name": "fetch_page", "description": "Fetch."}]))
+        endpoints_path = tmp_path / "endpoints.json"
+        endpoints_path.write_text(json.dumps({"fetch_page": {"url": "http://127.0.0.1:9/x"}}))
+        code = main([
+            "run",
+            "--instruction", "Check the status page.",
+            "--tools", str(tools_path),
+            "--endpoint-spec", str(endpoints_path),
+            "--top-k", top_k,
+            "--policy", str(core_dir / "weather_miami.policy.json"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert f"k must be >= 1, got {top_k}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("record", [{"description": "x"}, "oops"])
     def test_malformed_catalog_exits_2(self, core_dir, tmp_path, capsys, record):
@@ -552,6 +624,24 @@ class TestBench:
             assert sum(text in body.decode("utf-8") for body in stub.bodies) == 2
         report = json.loads((out_dir / "report.json").read_text())
         assert [e["terminal"] for e in report["episodes"]] == ["Finished"] * 4
+        # One provider serves the whole run, over one client connection.
+        assert len(set(stub.clients)) == 1
+
+    def test_live_provider_is_shared_across_threads(self, core_dir, tmp_path, http_stub, monkeypatch):
+        stub = _live_stub(http_stub, monkeypatch)
+        suite = tmp_path / "suite"
+        for name in ("weather_miami", "flight_bos_sfo"):
+            _copy_pair(core_dir, name, suite)
+        reports = []
+        for concurrency in ("1", "4"):
+            out_dir = tmp_path / f"out-{concurrency}"
+            assert main(["bench", "--scenario-dir", str(suite), "--methods", "sum2act,react",
+                         "--provider", "live", "--concurrency", concurrency,
+                         "--out", str(out_dir)]) == 0
+            reports.append((out_dir / "report.json").read_bytes())
+        assert len(stub.paths) == 8
+        assert [e["terminal"] for e in json.loads(reports[1])["episodes"]] == ["Finished"] * 4
+        assert reports[1] == reports[0]
 
     def test_global_policy_serves_every_scenario(self, core_dir, tmp_path):
         suite = tmp_path / "suite"
@@ -843,6 +933,13 @@ class TestReplay:
     def test_wrongly_typed_scalar_exits_2(self, core_dir, tmp_path, capsys, path, value):
         assert main(["replay", str(_trace_with_field(core_dir, tmp_path, path, value))]) == 2
         assert f"{path[-1]!r} must be" in capsys.readouterr().err
+
+    def test_unknown_record_key_exits_2_naming_it(self, core_dir, tmp_path, capsys):
+        trace = _trace_with_field(core_dir, tmp_path, ("terminal", "anwser"), "sunny")
+        assert main(["replay", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert "Terminal has no key 'anwser'" in err
+        assert "Traceback" not in err
 
     def test_corrupt_trace_exits_2(self, tmp_path):
         corrupt = tmp_path / "corrupt.jsonl"

@@ -24,14 +24,12 @@ from sum2act import provider as provider_module
 from sum2act.provider import (
     MAX_BACKOFF_SECONDS,
     MAX_REQUEST_CHARS,
-    ChatMessage,
     CompletionRequest,
     LiveProvider,
     PolicyEntry,
     ScriptedPolicy,
     ScriptedProvider,
     load_policy,
-    user_request,
 )
 
 
@@ -48,22 +46,22 @@ class TestScriptedProvider:
             )
         )
         provider = ScriptedProvider(policy)
-        out = provider.complete(user_request("what is the weather like"))
+        out = provider.complete(CompletionRequest("what is the weather like"))
         assert out == '{"action":"get_weather","args":{}}'
 
     def test_default_when_nothing_matches(self):
         policy = ScriptedPolicy(entries=(PolicyEntry(match="nope", response="n"),), default="X")
-        assert ScriptedProvider(policy).complete(user_request("hello")) == "X"
+        assert ScriptedProvider(policy).complete(CompletionRequest("hello")) == "X"
 
     def test_no_match_no_default_raises(self):
         provider = ScriptedProvider(ScriptedPolicy())
         with pytest.raises(ScriptError):
-            provider.complete(user_request("anything"))
+            provider.complete(CompletionRequest("anything"))
 
     def test_deterministic(self):
         policy = ScriptedPolicy(entries=(PolicyEntry(match="a", response="r"),), default="d")
         provider = ScriptedProvider(policy)
-        request = user_request("aaa")
+        request = CompletionRequest("aaa")
         assert provider.complete(request) == provider.complete(request)
 
     def test_regex_entry(self):
@@ -71,22 +69,12 @@ class TestScriptedProvider:
             entries=(PolicyEntry(match=r"(?s)start.*end", response="ok", is_regex=True),)
         )
         provider = ScriptedProvider(policy)
-        assert provider.complete(user_request("start\nmiddle\nend")) == "ok"
-
-    def test_matcher_sees_all_messages(self):
-        request = CompletionRequest(
-            messages=(
-                ChatMessage(role="system", content="sys part"),
-                ChatMessage(role="user", content="user part"),
-            )
-        )
-        policy = ScriptedPolicy(entries=(PolicyEntry(match="sys part", response="seen"),))
-        assert ScriptedProvider(policy).complete(request) == "seen"
+        assert provider.complete(CompletionRequest("start\nmiddle\nend")) == "ok"
 
     def test_over_long_request_raises(self):
         provider = ScriptedProvider(ScriptedPolicy(default="x"))
         with pytest.raises(RequestTooLarge):
-            provider.complete(user_request("y" * (MAX_REQUEST_CHARS + 1)))
+            provider.complete(CompletionRequest("y" * (MAX_REQUEST_CHARS + 1)))
 
 
 # Patterns over a small alphabet, each drawn with a text that its pieces
@@ -179,8 +167,8 @@ class TestPolicyMatching:
         # Matching goes through the stored pattern, never the re module.
         monkeypatch.setattr(provider_module, "re", None)
         provider = ScriptedProvider(ScriptedPolicy(entries=(entry,), default="no"))
-        assert provider.complete(user_request("start\nmiddle\nend")) == "ok"
-        assert provider.complete(user_request("start only")) == "no"
+        assert provider.complete(CompletionRequest("start\nmiddle\nend")) == "ok"
+        assert provider.complete(CompletionRequest("start only")) == "no"
 
     def test_invalid_regex_fails_at_construction(self):
         with pytest.raises(re.error):
@@ -196,7 +184,7 @@ class TestPolicyMatching:
         prompts = st.lists((_prompt_around(text) | PROMPTS).filter(bool), min_size=1, max_size=6)
         for prompt in data.draw(prompts):
             expected = "yes" if re.search(pattern, prompt) is not None else "no"
-            assert ScriptedProvider(policy).complete(user_request(prompt)) == expected
+            assert ScriptedProvider(policy).complete(CompletionRequest(prompt)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -225,7 +213,7 @@ class TestPolicyMatching:
                 ),
                 "none",
             )
-            assert provider.complete(user_request(prompt)) == expected
+            assert provider.complete(CompletionRequest(prompt)) == expected
 
 
 def _reference_reply(policy: ScriptedPolicy, prompt: str) -> str:
@@ -314,9 +302,9 @@ class TestPromptReuse:
                 except ScriptError:
                     # Raised again on a repeat: a failed call leaves nothing behind.
                     with pytest.raises(ScriptError):
-                        provider.complete(user_request(prompt))
+                        provider.complete(CompletionRequest(prompt))
                 else:
-                    assert provider.complete(user_request(prompt)) == expected
+                    assert provider.complete(CompletionRequest(prompt)) == expected
 
     @pytest.mark.parametrize("length", [63, 64, 65, 192, 300])
     @pytest.mark.parametrize("stored, prompt, reply", [
@@ -334,8 +322,8 @@ class TestPromptReuse:
         )
         provider = ScriptedProvider(policy)
         head = _HEADS[0] + "z" * (length - len(_HEADS[0]) - 1) + "a"
-        provider.complete(user_request(head + stored))
-        assert provider.complete(user_request(head + prompt)) == reply
+        provider.complete(CompletionRequest(head + stored))
+        assert provider.complete(CompletionRequest(head + prompt)) == reply
 
     def test_threads_sharing_a_provider_get_the_reference_replies(self, monkeypatch):
         monkeypatch.setattr(provider_module, "_PREFIX_COST_CHARS", 0)
@@ -358,7 +346,7 @@ class TestPromptReuse:
             for _ in range(300):
                 keep = rng.randrange(len(head), len(prompt) + 1)
                 prompt = prompt[:keep] + "".join(rng.choices(pieces, k=3))
-                reply = provider.complete(user_request(prompt))
+                reply = provider.complete(CompletionRequest(prompt))
                 if reply != _reference_reply(policy, prompt):
                     wrong.append((prompt, reply))
                 calls.append(seed)
@@ -379,17 +367,9 @@ class TestPromptReuse:
 
 
 class TestRequestValidation:
-    def test_requires_messages(self):
+    def test_prompt_must_be_non_empty(self):
         with pytest.raises(ValueError):
-            CompletionRequest(messages=())
-
-    def test_user_content_non_empty(self):
-        with pytest.raises(ValueError):
-            ChatMessage(role="user", content="")
-
-    def test_unknown_role(self):
-        with pytest.raises(ValueError):
-            ChatMessage(role="robot", content="x")
+            CompletionRequest("")
 
 
 class TestLoadPolicy:
@@ -421,7 +401,7 @@ class TestLoadPolicy:
         assert policy.entries == ()
         assert policy.default is None
         with pytest.raises(ScriptError):
-            ScriptedProvider(policy).complete(user_request("anything"))
+            ScriptedProvider(policy).complete(CompletionRequest("anything"))
 
     def test_duplicate_matchers_earlier_wins(self, tmp_path):
         path = tmp_path / "p.json"
@@ -433,7 +413,7 @@ class TestLoadPolicy:
         }))
         policy = load_policy(path)
         assert len(policy.entries) == 2
-        assert ScriptedProvider(policy).complete(user_request("same same")) == "first"
+        assert ScriptedProvider(policy).complete(CompletionRequest("same same")) == "first"
 
     def test_malformed_file_reports_line(self, tmp_path):
         path = tmp_path / "p.json"
@@ -480,13 +460,13 @@ class TestLiveProvider:
     def test_success_response(self, http_stub):
         stub = http_stub([(200, _chat_body("hello back"))])
         provider = LiveProvider(base_url=stub.url, api_key="k", model="m", retries=0)
-        assert provider.complete(user_request("hi")) == "hello back"
+        assert provider.complete(CompletionRequest("hi")) == "hello back"
         assert stub.calls == 1
 
     def test_request_body_is_pinned(self, http_stub):
         stub = http_stub([(200, _chat_body("ok"))])
         provider = LiveProvider(base_url=stub.url, api_key="k", model="m", retries=0)
-        provider.complete(user_request("hi"))
+        provider.complete(CompletionRequest("hi"))
         assert stub.bodies == [
             b'{"model": "m", "messages": [{"role": "user", "content": "hi"}], '
             b'"temperature": 0.0, "max_tokens": 1024}'
@@ -497,7 +477,7 @@ class TestLiveProvider:
         provider = LiveProvider(
             base_url=stub.url, api_key="k", model="m", retries=3, backoff_base=0.01
         )
-        assert provider.complete(user_request("hi")) == "ok"
+        assert provider.complete(CompletionRequest("hi")) == "ok"
         assert stub.calls == 3
 
     def test_4xx_rejected_without_retry(self, http_stub):
@@ -506,7 +486,7 @@ class TestLiveProvider:
             base_url=stub.url, api_key="k", model="m", retries=3, backoff_base=0.01
         )
         with pytest.raises(ProviderRejected):
-            provider.complete(user_request("hi"))
+            provider.complete(CompletionRequest("hi"))
         assert stub.calls == 1
 
     def test_unreachable_after_retries(self):
@@ -515,7 +495,7 @@ class TestLiveProvider:
             retries=1, backoff_base=0.01, timeout=0.2,
         )
         with pytest.raises(ProviderUnavailable):
-            provider.complete(user_request("hi"))
+            provider.complete(CompletionRequest("hi"))
 
     def test_exhausted_retries_on_5xx(self, http_stub):
         stub = http_stub([(500, "down")])
@@ -523,7 +503,7 @@ class TestLiveProvider:
             base_url=stub.url, api_key="k", model="m", retries=2, backoff_base=0.01
         )
         with pytest.raises(ProviderUnavailable):
-            provider.complete(user_request("hi"))
+            provider.complete(CompletionRequest("hi"))
         assert stub.calls == 3
 
     def test_429_then_success_waits_retry_after_seconds(self, http_stub, waits):
@@ -531,7 +511,7 @@ class TestLiveProvider:
         provider = LiveProvider(
             base_url=stub.url, api_key="k", model="m", retries=3, backoff_base=0.01
         )
-        assert provider.complete(user_request("hi")) == "ok"
+        assert provider.complete(CompletionRequest("hi")) == "ok"
         assert stub.calls == 2
         assert waits == [7.0]
 
@@ -548,7 +528,7 @@ class TestLiveProvider:
         provider = LiveProvider(
             base_url=stub.url, api_key="k", model="m", retries=3, backoff_base=0.01
         )
-        assert provider.complete(user_request("hi")) == "ok"
+        assert provider.complete(CompletionRequest("hi")) == "ok"
         assert stub.calls == 4
         assert 5.0 <= waits[0] <= 10.0
         assert waits[1:] == [0.0, MAX_BACKOFF_SECONDS]
@@ -558,7 +538,7 @@ class TestLiveProvider:
         provider = LiveProvider(
             base_url=stub.url, api_key="k", model="m", retries=3, backoff_base=0.01
         )
-        assert provider.complete(user_request("hi")) == "ok"
+        assert provider.complete(CompletionRequest("hi")) == "ok"
         assert waits == [0.01]
 
     def test_408_retries_run_out(self, http_stub, waits):
@@ -567,7 +547,7 @@ class TestLiveProvider:
             base_url=stub.url, api_key="k", model="m", retries=2, backoff_base=0.01
         )
         with pytest.raises(ProviderUnavailable, match="HTTP 408"):
-            provider.complete(user_request("hi"))
+            provider.complete(CompletionRequest("hi"))
         assert stub.calls == 3
         assert waits == [0.01, 0.02]
 
@@ -575,7 +555,7 @@ class TestLiveProvider:
         stub = http_stub([(200, '{"nope": true}')])
         provider = LiveProvider(base_url=stub.url, api_key="k", model="m", retries=0)
         with pytest.raises(ProviderUnavailable, match="malformed"):
-            provider.complete(user_request("hi"))
+            provider.complete(CompletionRequest("hi"))
 
     def test_missing_configuration(self, monkeypatch):
         monkeypatch.delenv("PROVIDER_BASE_URL", raising=False)
