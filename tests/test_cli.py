@@ -94,6 +94,24 @@ def _live_stub(http_stub, monkeypatch):
     return stub
 
 
+def _run_live_tools(core_dir: Path, tmp_path: Path, endpoint: dict, *flags: str) -> int:
+    """``run`` over a one-tool catalog whose endpoint spec entry is an
+    unreachable url plus ``endpoint``, with ``flags`` added."""
+    tools_path = tmp_path / "catalog.json"
+    tools_path.write_text(json.dumps([{"name": "fetch_page", "description": "Fetch."}]))
+    endpoints_path = tmp_path / "endpoints.json"
+    endpoints_path.write_text(json.dumps({"fetch_page": {"url": "http://127.0.0.1:9/x", **endpoint}}))
+    return main([
+        "run",
+        "--instruction", "Check the status page.",
+        "--tools", str(tools_path),
+        "--endpoint-spec", str(endpoints_path),
+        "--policy", str(core_dir / "weather_miami.policy.json"),
+        "--out", str(tmp_path / "out"),
+        *flags,
+    ])
+
+
 def _assert_names_bad_regex(err: str, name: str) -> None:
     assert name in err
     assert "entry 0 has an invalid regex" in err
@@ -286,55 +304,16 @@ class TestRun:
 
     @pytest.mark.parametrize("key, value", [("method", 5), ("timeout", "x"), ("auth_env", 7)])
     def test_wrongly_typed_endpoint_key_exits_2(self, core_dir, tmp_path, capsys, key, value):
-        tools_path = tmp_path / "catalog.json"
-        tools_path.write_text(json.dumps([{"name": "fetch_page", "description": "Fetch."}]))
-        endpoints_path = tmp_path / "endpoints.json"
-        endpoints_path.write_text(json.dumps({"fetch_page": {"url": "http://127.0.0.1:9/x", key: value}}))
-        code = main([
-            "run",
-            "--instruction", "Check the status page.",
-            "--tools", str(tools_path),
-            "--endpoint-spec", str(endpoints_path),
-            "--policy", str(core_dir / "weather_miami.policy.json"),
-            "--out", str(tmp_path / "out"),
-        ])
-        assert code == 2
+        assert _run_live_tools(core_dir, tmp_path, {key: value}) == 2
         assert f"'fetch_page': {key!r} must be" in capsys.readouterr().err
 
     def test_unknown_endpoint_key_exits_2(self, core_dir, tmp_path, capsys):
-        tools_path = tmp_path / "catalog.json"
-        tools_path.write_text(json.dumps([{"name": "fetch_page", "description": "Fetch."}]))
-        endpoints_path = tmp_path / "endpoints.json"
-        endpoints_path.write_text(json.dumps(
-            {"fetch_page": {"url": "http://127.0.0.1:9/x", "timout": 5}}
-        ))
-        code = main([
-            "run",
-            "--instruction", "Check the status page.",
-            "--tools", str(tools_path),
-            "--endpoint-spec", str(endpoints_path),
-            "--policy", str(core_dir / "weather_miami.policy.json"),
-            "--out", str(tmp_path / "out"),
-        ])
-        assert code == 2
+        assert _run_live_tools(core_dir, tmp_path, {"timout": 5}) == 2
         assert "endpoints.json: endpoint 'fetch_page' has no key 'timout'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("top_k", ["0", "-1"])
     def test_top_k_below_one_exits_2(self, core_dir, tmp_path, capsys, top_k):
-        tools_path = tmp_path / "catalog.json"
-        tools_path.write_text(json.dumps([{"name": "fetch_page", "description": "Fetch."}]))
-        endpoints_path = tmp_path / "endpoints.json"
-        endpoints_path.write_text(json.dumps({"fetch_page": {"url": "http://127.0.0.1:9/x"}}))
-        code = main([
-            "run",
-            "--instruction", "Check the status page.",
-            "--tools", str(tools_path),
-            "--endpoint-spec", str(endpoints_path),
-            "--top-k", top_k,
-            "--policy", str(core_dir / "weather_miami.policy.json"),
-            "--out", str(tmp_path / "out"),
-        ])
-        assert code == 2
+        assert _run_live_tools(core_dir, tmp_path, {}, "--top-k", top_k) == 2
         assert f"k must be >= 1, got {top_k}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
