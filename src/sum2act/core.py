@@ -8,8 +8,8 @@ The trace format is line-delimited JSON, one self-contained episode per line,
 with canonical key ordering so that serialization is byte-identical across
 runs. Top-level field names ``instruction``, ``tools``, ``steps``,
 ``terminal``, ``method_label`` and ``step_budget`` are a stable contract
-(see README). The record table under "Trace serialization" defines every
-record key, in both directions.
+(see README). The field annotations define every record key, and the table
+of renamed keys under "Trace serialization" applies in both directions.
 """
 
 from __future__ import annotations
@@ -17,9 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigurationError, TraceFormatError
+from .errors import ConfigurationError, Sum2ActError, TraceFormatError
 
 TOOL_NAME_PATTERN = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -309,13 +312,10 @@ def args_digest(args: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-# The trace record format, defined here and nowhere else. A record is a
-# type's ``__dict__`` with the keys below renamed; every type listed here is a
-# record type. A field in ``_NESTED`` holds a record of that type, or a list
-# of them when written ``[type]``; it may hold ``null`` only when its
-# annotation ends in ``| None``. Trace, scenario, catalog and policy files all
-# read through this table; a record type defined elsewhere (a scenario
-# behavior, a policy entry) keeps its field names and holds only scalars.
+# The record format is defined by the field annotations (see ``from_record``)
+# and nowhere else. A trace record is a type's ``__dict__`` with the keys
+# below renamed; the types listed here are the trace record types, the ones
+# the trace encoder writes.
 _RENAMED = {
     Instruction: {},
     ParamSpec: {"type_tag": "type"},
@@ -329,25 +329,17 @@ _RENAMED = {
     Terminal: {},
     Episode: {},
 }
-_NESTED = {
-    ToolSpec: {"params": [ParamSpec]},
-    State: {"current_results": [ResultEntry], "failure_history": [FailureEntry]},
-    Step: {"action": Action, "observation": Observation, "state": State},
-    Episode: {"instruction": Instruction, "tools": [ToolSpec], "steps": [Step], "terminal": Terminal},
-}
-# Every other field is a scalar or a map: the JSON values its annotation
-# admits. A ``bool`` never passes as a number, but 0 and 1 pass as a
-# ``bool`` and are read as false and true: scenario and catalog files may
-# write ``required`` that way.
-_SCALARS = {
-    "str": (str,),
-    "str | None": (str, type(None)),
-    "int": (int,),
-    "int | None": (int, type(None)),
-    "float": (int, float),
-    "bool": (bool, int),
-    "dict": (dict,),
-}
+
+
+class Defaulted:
+    """An annotation: record type ``record`` whose keys in ``defaults`` may be left out."""
+
+    def __init__(self, record: type, **defaults):
+        self.record, self.defaults = record, defaults
+
+
+# Scenario and catalog tools may leave out ``description`` (read as ""); trace tools may not.
+CatalogTool = Defaulted(ToolSpec, description="")
 
 
 def _to_record(obj) -> dict:
@@ -370,52 +362,112 @@ _ENCODER = json.JSONEncoder(
 )
 
 
-def from_record(cls, data):
-    """Build a record type from its parsed record (trace, scenario, catalog
-    or policy): any frozen dataclass whose fields are in the table or are
-    scalars.
+def from_record(annotation, data):
+    """Read ``data``, a parsed JSON value, as a value of ``annotation``: a
+    record type (a frozen dataclass) or a record field's annotation, which
+    alone define every trace, scenario, catalog, policy and endpoint format.
+    A record is an object of its ``init`` fields, each required unless it has
+    a default, and no other key; ``tuple[T, ...]`` is a list, ``dict[str,
+    T]`` an object, ``T | None`` T or null, ``Defaulted`` its record with
+    some keys optional, and a scalar a JSON value its type admits (a bool is
+    never a number, but 0 and 1 pass as a bool). A malformed value raises
+    ConfigurationError naming the keys and entries leading to it, or the top
+    record's own check's error."""
+    return _reader(annotation)(data)
 
-    A field with no default is required, a field with ``init=False`` is never
-    read, a key that names no field is refused, and a scalar field must hold
-    a value its annotation admits (``_SCALARS``). A malformed record raises
-    KeyError, TypeError or ConfigurationError, which each caller reports
-    against its own file.
-    """
-    if not isinstance(data, dict):
-        raise TypeError(f"{cls.__name__} record must be a JSON object, got {type(data).__name__}")
+
+class _Mismatch(ConfigurationError):
+    """A JSON value of the wrong type: "must be ..., got ..."."""
+
+
+def _located(where: str, exc: Sum2ActError) -> ConfigurationError:
+    """``exc``, raised reading the value at ``where``, naming ``where``."""
+    return ConfigurationError(f"{where}{' ' if isinstance(exc, _Mismatch) else ': '}{exc}")
+
+
+@cache
+def _reader(annotation):
+    """The function reading a JSON value as a value of ``annotation``, built
+    once: reading the annotations costs far more than reading a record."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if isinstance(annotation, Defaulted):
+        return _record_reader(annotation.record, annotation.defaults)
+    if is_dataclass(annotation):
+        return _record_reader(annotation, {})
+    if origin in (Union, UnionType) and len(args) == 2 and NoneType in args:
+        read = _reader(args[args[0] is NoneType])
+        return lambda value: None if value is None else read(value)
+    if origin is tuple and args[1:] == (Ellipsis,):
+        return _items_reader(list, _reader(args[0]))
+    if origin is dict and args[0] is str:
+        return _items_reader(dict, _reader(args[1]))
+    if annotation is bool:
+        return _read_bool
+    if annotation not in (str, int, float, dict):
+        raise TypeError(f"no record reader for {annotation!r}")
+    types = (int, float) if annotation is float else (annotation,)
+
+    def read_scalar(value):
+        if type(value) in types:
+            return value
+        raise _Mismatch(f"must be {annotation.__name__}, got {type(value).__name__}")
+
+    return read_scalar
+
+
+def _record_reader(cls, defaults: dict):
+    """The reader of record type ``cls``; keys in ``defaults`` may be left out."""
+    hints = get_type_hints(cls)
     renamed = _RENAMED.get(cls, {})
-    nested = _NESTED.get(cls, {})
-    values = {}
-    for spec in fields(cls):
-        if not spec.init:
-            continue
-        key = renamed.get(spec.name, spec.name)
-        if key not in data:
-            if spec.default is MISSING and spec.default_factory is MISSING:
-                raise KeyError(key)
-            continue
-        value = data[key]
-        kind = nested.get(spec.name)
-        if isinstance(kind, list):
-            value = tuple(from_record(kind[0], item) for item in value)
-        elif kind is None:
-            allowed = _SCALARS[spec.type]
-            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-                raise TypeError(
-                    f"{cls.__name__} {key!r} must be {spec.type}, got {type(value).__name__}"
-                )
-            if spec.type == "bool":
-                if value not in (0, 1):
-                    raise TypeError(f"{cls.__name__} {key!r} must be a bool, 0 or 1, got {value!r}")
-                value = bool(value)
-        elif not (value is None and spec.type.endswith("| None")):
-            value = from_record(kind, value)
-        values[spec.name] = value
-    if len(values) < len(data):
-        known = {renamed.get(spec.name, spec.name) for spec in fields(cls) if spec.init}
-        unknown = next(key for key in data if key not in known)
-        raise KeyError(f"{cls.__name__} has no key {unknown!r}")
-    return cls(**values)
+    spec = [
+        (f.name, renamed.get(f.name, f.name), _reader(hints[f.name]),
+         f.default is MISSING and f.default_factory is MISSING and f.name not in defaults)
+        for f in fields(cls) if f.init
+    ]
+    keys = {key for _, key, _, _ in spec}
+
+    def read(data):
+        if type(data) is not dict:
+            raise _Mismatch(f"must be an object, got {type(data).__name__}")
+        values = {}
+        for name, key, read_value, required in spec:
+            if key in data:
+                try:
+                    values[name] = read_value(data[key])
+                except Sum2ActError as exc:
+                    raise _located(repr(key), exc) from exc
+            elif required:
+                raise ConfigurationError(f"{cls.__name__} is missing key {key!r}")
+        if len(values) < len(data):
+            unknown = next(key for key in data if key not in keys)
+            raise ConfigurationError(f"{cls.__name__} has no key {unknown!r}")
+        return cls(**{**defaults, **values}) if defaults else cls(**values)
+
+    return read
+
+
+def _items_reader(kind: type, read_item):
+    """The reader of a JSON list (as a tuple) or object whose items ``read_item`` reads."""
+    expected = "a list" if kind is list else "an object"
+
+    def read(value):
+        if type(value) is not kind:
+            raise _Mismatch(f"must be {expected}, got {type(value).__name__}")
+        items = {}
+        for key, item in enumerate(value) if kind is list else value.items():
+            try:
+                items[key] = read_item(item)
+            except Sum2ActError as exc:
+                raise _located(f"entry {key}" if kind is list else repr(key), exc) from exc
+        return tuple(items.values()) if kind is list else items
+
+    return read
+
+
+def _read_bool(value):
+    if type(value) in (bool, int) and value in (0, 1):
+        return bool(value)
+    raise _Mismatch(f"must be a bool, 0 or 1, got {type(value).__name__}")
 
 
 def serialize_episode(episode: Episode) -> str:
@@ -433,7 +485,7 @@ def deserialize_episode(record: str) -> Episode:
         raise TraceFormatError(f"trace record is not valid JSON: {exc}") from exc
     try:
         episode = from_record(Episode, data)
-    except (KeyError, TypeError, ConfigurationError) as exc:
+    except ConfigurationError as exc:
         raise TraceFormatError(f"malformed trace record: {exc}") from exc
     _validate_episode(episode)
     return episode
@@ -465,6 +517,16 @@ def load_json_file(path, error: type[Exception], blank=None):
         return json.loads(raw)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_record(path, annotation, what: str, error: type[Exception], blank=None):
+    """The JSON file at ``path`` read as ``annotation`` (see ``from_record``).
+    An unreadable file or a malformed record raises ``error`` naming the file."""
+    data = load_json_file(path, error, blank)
+    try:
+        return from_record(annotation, data)
+    except Sum2ActError as exc:
+        raise error(f"{path}: malformed {what}: {exc}") from exc
 
 
 def read_trace(path) -> list[Episode]:

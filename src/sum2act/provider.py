@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .core import from_record, load_json_file
+from .core import load_record
 from .errors import (
+    ConfigurationError,
     PolicyFileError,
     ProviderRejected,
     ProviderUnavailable,
@@ -122,7 +123,10 @@ class PolicyEntry:
     pattern: re.Pattern | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pattern", re.compile(self.match) if self.is_regex else None)
+        try:
+            object.__setattr__(self, "pattern", re.compile(self.match) if self.is_regex else None)
+        except re.error as exc:
+            raise ConfigurationError(f"'match' is not a valid regex: {exc}") from exc
 
     @cached_property
     def literals(self) -> tuple[str, ...]:
@@ -248,27 +252,8 @@ class ScriptedProvider:
 
 
 def load_policy(path) -> ScriptedPolicy:
-    """Load a scripted policy file: {"entries": [{match, response, is_regex}], "default"?}."""
-    data = load_json_file(path, PolicyFileError, blank={})
-    if not isinstance(data, dict):
-        raise PolicyFileError(f"{path}: policy file must hold a JSON object")
-    items = data.get("entries", [])
-    if not isinstance(items, list):
-        raise PolicyFileError(f"{path}: 'entries' must be a list, got {type(items).__name__}")
-    default = data.get("default")
-    if not isinstance(default, (str, type(None))):
-        raise PolicyFileError(
-            f"{path}: 'default' must be a string or null, got {type(default).__name__}"
-        )
-    entries = []
-    for index, item in enumerate(items):
-        try:
-            entries.append(from_record(PolicyEntry, item))
-        except (KeyError, TypeError) as exc:
-            raise PolicyFileError(f"{path}: entry {index} is malformed: {exc}") from exc
-        except re.error as exc:
-            raise PolicyFileError(f"{path}: entry {index} has an invalid regex: {exc}") from exc
-    return ScriptedPolicy(entries=tuple(entries), default=default)
+    """Load a scripted policy file, a ScriptedPolicy record; an empty file is an empty policy."""
+    return load_record(path, ScriptedPolicy, "policy", PolicyFileError, blank={})
 
 
 def _check_size(prompt: str) -> None:
@@ -326,8 +311,10 @@ class LiveProvider:
         self.base_url = (base_url or os.environ.get("PROVIDER_BASE_URL", "")).rstrip("/")
         self.api_key = api_key or os.environ.get("PROVIDER_API_KEY", "")
         self.model = model or os.environ.get("PROVIDER_MODEL", "")
-        if not self.base_url:
-            raise ProviderUnavailable("PROVIDER_BASE_URL is not configured")
+        if not self.base_url.lower().startswith(("http://", "https://")):
+            raise ProviderUnavailable(
+                f"PROVIDER_BASE_URL must start with http:// or https://, got {self.base_url!r}"
+            )
         if not self.model:
             raise ProviderUnavailable("PROVIDER_MODEL is not configured")
         self.retries = retries

@@ -12,7 +12,7 @@ import math
 import string
 from dataclasses import dataclass
 
-from .core import ToolSpec, from_record, load_json_file
+from .core import CatalogTool, ToolSpec, load_record
 from .errors import ConfigurationError
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
@@ -78,10 +78,4 @@ def rank(instruction_text: str, catalog: list[ToolSpec], k: int) -> list[RankedT
 
 def load_catalog(path) -> list[ToolSpec]:
     """Tool catalog file: JSON list of ToolSpec records."""
-    data = load_json_file(path, ConfigurationError)
-    if not isinstance(data, list):
-        raise ConfigurationError(f"{path}: tool catalog must be a JSON list")
-    try:
-        return [from_record(ToolSpec, {"description": "", **item}) for item in data]
-    except (KeyError, TypeError, ConfigurationError) as exc:
-        raise ConfigurationError(f"{path}: malformed tool record: {exc}") from exc
+    return list(load_record(path, tuple[CatalogTool, ...], "tool catalog", ConfigurationError))

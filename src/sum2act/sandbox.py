@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 from urllib.parse import quote
 
-from .core import Episode, Instruction, Observation, ToolSpec, from_record, load_json_file
+from .core import CatalogTool, Episode, Instruction, Observation, load_record
 from .errors import ConfigurationError, ScenarioError
 from .parsing import truncate_with_marker
 from .provider import MAX_REQUEST_CHARS
@@ -53,47 +53,49 @@ class Behavior:
         if self.repeat not in REPEAT_MODES:
             raise ScenarioError(f"unknown repeat mode: {self.repeat!r}")
         if self.kind == "verbose" and self.filler_chars < len(self.payload):
-            raise ScenarioError(
-                "verbose behavior filler_chars must be >= payload length"
-            )
+            raise ScenarioError("a verbose behavior's 'filler_chars' must be >= its payload length")
 
 
 @dataclass(frozen=True)
 class PassCondition:
-    """Deterministic predicate over the final answer: contains-all substrings,
-    a regex, or an exact match."""
+    """Deterministic predicate over the final answer, given by exactly one
+    key: ``contains_all`` substrings, a ``regex`` to search for, or the
+    ``exact`` answer."""
 
-    kind: str
-    values: tuple[str, ...] = ()
-    pattern: str = ""
+    contains_all: tuple[str, ...] | None = None
+    regex: str | None = None
+    exact: str | None = None
     # Compiled once, so a bad regex fails when the scenario is loaded.
     compiled: re.Pattern | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("contains_all", "regex", "exact"):
-            raise ScenarioError(f"unknown pass condition kind: {self.kind!r}")
-        if self.kind == "contains_all" and not self.values:
+        given = [k for k in ("contains_all", "regex", "exact") if getattr(self, k) is not None]
+        if len(given) != 1:
+            raise ScenarioError(f"give exactly one of contains_all, regex, exact; got {given}")
+        if self.contains_all is not None and not self.contains_all:
             # all() of nothing is true: every answer would pass.
-            raise ScenarioError("pass_condition 'contains_all' must list at least one string")
-        object.__setattr__(
-            self, "compiled", re.compile(self.pattern) if self.kind == "regex" else None
-        )
+            raise ScenarioError("'contains_all' must list at least one string")
+        try:
+            compiled = None if self.regex is None else re.compile(self.regex)
+        except re.error as exc:
+            raise ScenarioError(f"'regex' is not a valid regex: {exc}") from exc
+        object.__setattr__(self, "compiled", compiled)
 
     def evaluate(self, answer: str) -> bool:
-        if self.kind == "contains_all":
-            return all(value in answer for value in self.values)
-        if self.kind == "regex":
+        if self.contains_all is not None:
+            return all(value in answer for value in self.contains_all)
+        if self.compiled is not None:
             return self.compiled.search(answer) is not None
-        return answer == self.pattern
+        return answer == self.exact
 
 
 @dataclass(frozen=True)
 class Scenario:
     id: str
     instruction: Instruction
-    tools: tuple[ToolSpec, ...]
-    behaviors: dict
+    tools: tuple[CatalogTool, ...]
     pass_condition: PassCondition
+    behaviors: dict[str, tuple[Behavior, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         tool_names = {tool.name for tool in self.tools}
@@ -104,46 +106,8 @@ class Scenario:
                 raise ScenarioError(f"behavior list for {name!r} must be non-empty")
 
 
-def _parse_pass_condition(data: dict) -> PassCondition:
-    if "contains_all" in data:
-        values = data["contains_all"]
-        if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
-            raise TypeError("pass_condition 'contains_all' must be a list of strings")
-        return PassCondition(kind="contains_all", values=tuple(values))
-    for kind in ("regex", "exact"):
-        if kind in data:
-            if not isinstance(data[kind], str):
-                raise TypeError(f"pass_condition {kind!r} must be a string")
-            return PassCondition(kind=kind, pattern=data[kind])
-    raise ScenarioError(
-        "pass_condition must define one of: contains_all, regex, exact"
-    )
-
-
 def load_scenario(path) -> Scenario:
-    data = load_json_file(path, ScenarioError)
-    try:
-        if not isinstance(data["id"], str):
-            raise TypeError(f"'id' must be str, got {type(data['id']).__name__}")
-        instruction = from_record(Instruction, data["instruction"])
-        tools = tuple(from_record(ToolSpec, {"description": "", **t}) for t in data["tools"])
-        behaviors = data.get("behaviors", {})
-        if not isinstance(behaviors, dict):
-            raise TypeError(f"'behaviors' must be an object, got {type(behaviors).__name__}")
-        return Scenario(
-            id=data["id"],
-            instruction=instruction,
-            tools=tools,
-            behaviors={
-                name: tuple(from_record(Behavior, b) for b in behavior_list)
-                for name, behavior_list in behaviors.items()
-            },
-            pass_condition=_parse_pass_condition(data["pass_condition"]),
-        )
-    except (KeyError, TypeError, ConfigurationError, ScenarioError) as exc:
-        raise ScenarioError(f"{path}: malformed scenario: {exc}") from exc
-    except re.error as exc:
-        raise ScenarioError(f"{path}: pass_condition has an invalid regex: {exc}") from exc
+    return load_record(path, Scenario, "scenario", ScenarioError)
 
 
 def embed_in_filler(payload: str, total_chars: int) -> str:
@@ -230,38 +194,31 @@ def check_pass(scenario: Scenario, episode: Episode) -> bool:
 
 LIVE_TIMEOUT_SECONDS = 15.0
 _BODY_CHUNK_BYTES = 64 * 1024
-_ENDPOINT_KEYS = ("url", "method", "auth_env", "timeout")
 
 
-def load_endpoint_spec(path) -> dict:
-    """Endpoint spec file: map of tool name to {url, method, auth_env?, timeout?}.
-    The URL may carry {param} placeholders filled from the call args; leftover
-    args go to the query string (GET) or the JSON body (POST)."""
-    data = load_json_file(path, ConfigurationError)
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: endpoint spec must be a JSON object")
-    for name, entry in data.items():
-        if not isinstance(entry, dict) or "url" not in entry:
-            raise ConfigurationError(f"{path}: endpoint {name!r} must define a url")
-        unknown = [key for key in entry if key not in _ENDPOINT_KEYS]
-        if unknown:
-            raise ConfigurationError(f"{path}: endpoint {name!r} has no key {unknown[0]!r}")
-        for key in ("url", "method", "auth_env"):
-            if key in entry and not isinstance(entry[key], str):
-                raise ConfigurationError(
-                    f"{path}: endpoint {name!r}: {key!r} must be a string, got {entry[key]!r}"
-                )
-        timeout = entry.get("timeout", LIVE_TIMEOUT_SECONDS)
-        number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
-        if not (number and 0 < timeout < math.inf):
+@dataclass(frozen=True)
+class Endpoint:
+    """A live tool's HTTP endpoint. Call args fill the url's {param} placeholders, the rest go
+    to the query (GET) or JSON body; a set ``auth_env`` variable is the Authorization header."""
+
+    url: str
+    method: str = "GET"
+    auth_env: str = ""
+    timeout: float = LIVE_TIMEOUT_SECONDS
+
+    def __post_init__(self):
+        if not 0 < self.timeout < math.inf:
             raise ConfigurationError(
-                f"{path}: endpoint {name!r}: 'timeout' must be a positive number "
-                f"of seconds, got {timeout!r}"
+                f"'timeout' must be a positive number of seconds, got {self.timeout!r}"
             )
-    return data
 
 
-def invoke_live(endpoint_spec: dict, tool_name: str, args: dict) -> Observation:
+def load_endpoint_spec(path) -> dict[str, Endpoint]:
+    """Endpoint spec file: an object from tool name to Endpoint record."""
+    return load_record(path, dict[str, Endpoint], "endpoint spec", ConfigurationError)
+
+
+def invoke_live(endpoints: dict[str, Endpoint], tool_name: str, args: dict) -> Observation:
     """Execute one HTTP tool call, mapping every failure mode onto an
     Observation status; nothing raises into the engine. No retries here: the
     agent loop itself is the retry mechanism. ``requests`` is imported here,
@@ -269,28 +226,27 @@ def invoke_live(endpoint_spec: dict, tool_name: str, args: dict) -> Observation:
     import requests
     from urllib3.exceptions import ReadTimeoutError
 
-    entry = endpoint_spec.get(tool_name)
-    if entry is None:
+    endpoint = endpoints.get(tool_name)
+    if endpoint is None:
         return _failed("ToolError", tool_name, args, f"unknown tool: {tool_name}")
-    url = entry["url"]
+    url = endpoint.url
     remaining = dict(args)
     for key in list(remaining):
         placeholder = "{" + key + "}"
         if placeholder in url:
             # Model-chosen values: quoted, so each stays one path segment.
             url = url.replace(placeholder, quote(str(remaining.pop(key)), safe=""))
-    method = entry.get("method", "GET").upper()
+    method = endpoint.method.upper()
     headers = {}
-    auth_env = entry.get("auth_env")
-    if auth_env and os.environ.get(auth_env):
-        headers["Authorization"] = os.environ[auth_env]
+    if endpoint.auth_env and os.environ.get(endpoint.auth_env):
+        headers["Authorization"] = os.environ[endpoint.auth_env]
 
     body_arg = {"params": remaining} if method == "GET" else {"json": remaining}
     started = time.perf_counter()
     try:
         response = requests.request(
             method, url, headers=headers, stream=True,
-            timeout=entry.get("timeout", LIVE_TIMEOUT_SECONDS), **body_arg,
+            timeout=endpoint.timeout, **body_arg,
         )
         with response:
             body = _read_body(response)

@@ -114,7 +114,7 @@ def _run_live_tools(core_dir: Path, tmp_path: Path, endpoint: dict, *flags: str)
 
 def _assert_names_bad_regex(err: str, name: str) -> None:
     assert name in err
-    assert "entry 0 has an invalid regex" in err
+    assert "'entries': entry 0: 'match' is not a valid regex: missing ), unterminated subpattern" in err
     assert "Traceback" not in err
 
 
@@ -125,7 +125,8 @@ WRONGLY_TYPED_SCALARS = [
 ]
 
 
-# Malformed scenario and policy fields; each must exit 2 naming the file.
+# Malformed scenario and policy fields; each must exit 2 naming the file and,
+# where the path ends in a key, that key.
 _BEHAVIOR = ("behaviors", "get_weather", 0)
 MALFORMED_INPUTS = [
     ("scenario", _BEHAVIOR + ("filler_chars",), "abc"),
@@ -150,6 +151,10 @@ MALFORMED_INPUTS = [
     ("scenario", ("tools", 0, "params", 0, "requird"), True),
     ("scenario", ("instruction", "subset"), "G1"),
     ("policy", ("entries", 0, "isregex"), True),
+    # ... at the top of a file too.
+    ("policy", ("defualt",), "x"),
+    ("scenario", ("behaviours",), {}),
+    ("scenario", ("pass_condition",), {"regex": "sunny", "exact": "never"}),
 ]
 
 
@@ -224,7 +229,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 2
         assert f"weather_miami.{kind}.json" in err
+        if isinstance(path[-1], str):
+            assert repr(path[-1]) in err
         assert "Traceback" not in err
+
+    def test_live_base_url_without_scheme_exits_2(self, core_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PROVIDER_BASE_URL", "localhost:9")
+        monkeypatch.setenv("PROVIDER_MODEL", "stub-model")
+        code = main([
+            "run",
+            "--scenario", str(core_dir / "weather_miami.scenario.json"),
+            "--provider", "live",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "PROVIDER_BASE_URL must start with http:// or https://, got 'localhost:9'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_templates_dir_exits_2_naming_it(self, core_dir, tmp_path, capsys):
         missing = tmp_path / "no-such-templates"
@@ -309,7 +329,8 @@ class TestRun:
 
     def test_unknown_endpoint_key_exits_2(self, core_dir, tmp_path, capsys):
         assert _run_live_tools(core_dir, tmp_path, {"timout": 5}) == 2
-        assert "endpoints.json: endpoint 'fetch_page' has no key 'timout'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "endpoints.json: malformed endpoint spec: 'fetch_page': Endpoint has no key 'timout'" in err
 
     @pytest.mark.parametrize("top_k", ["0", "-1"])
     def test_top_k_below_one_exits_2(self, core_dir, tmp_path, capsys, top_k):
@@ -577,7 +598,8 @@ class TestBench:
         out_dir = tmp_path / "out"
         code = main(["bench", "--scenario-dir", str(suite), "--out", str(out_dir)])
         assert code == 2
-        assert "weather_miami.policy.json: entry 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "weather_miami.policy.json: malformed policy: 'entries': entry 0: 'match' must be str" in err
         assert not (out_dir / "traces").exists()
 
     def test_missing_sibling_policy_fails(self, core_dir, tmp_path):

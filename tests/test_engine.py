@@ -65,7 +65,7 @@ FAILOVER_SCENARIO = Scenario(
             Behavior(kind="success", payload="Replica answered: 73 units (SVCB-T1).", repeat="forever"),
         ),
     },
-    pass_condition=PassCondition(kind="contains_all", values=("73 units",)),
+    pass_condition=PassCondition(contains_all=("73 units",)),
 )
 
 FAILOVER_POLICY = ScriptedPolicy(
@@ -199,7 +199,7 @@ class TestReact:
         scenario = Scenario(
             id="probe", instruction=Instruction(id="probe", text="probe it"),
             tools=tools, behaviors=behaviors,
-            pass_condition=PassCondition(kind="contains_all", values=("never",)),
+            pass_condition=PassCondition(contains_all=("never",)),
         )
         policy = ScriptedPolicy(default=json.dumps(_call("probe", {})))
         provider = RecordingProvider(ScriptedProvider(policy))
@@ -271,7 +271,7 @@ class TestDfsdt:
             id="flaky", instruction=Instruction(id="flaky", text="try it"),
             tools=tools,
             behaviors={"flaky": (Behavior(kind="error", code=500, message="down", repeat="forever"),)},
-            pass_condition=PassCondition(kind="contains_all", values=("never",)),
+            pass_condition=PassCondition(contains_all=("never",)),
         )
         policy = ScriptedPolicy(default=json.dumps(_call("flaky", {})))
         episode = run_episode(
@@ -288,7 +288,7 @@ class TestDfsdt:
             id="restart", instruction=Instruction(id="restart", text="explore"),
             tools=tools,
             behaviors={"probe": (Behavior(kind="success", payload="dead end data", repeat="forever"),)},
-            pass_condition=PassCondition(kind="contains_all", values=("done",)),
+            pass_condition=PassCondition(contains_all=("done",)),
         )
         policy = ScriptedPolicy(
             entries=(

@@ -88,7 +88,7 @@ def episode_inputs(draw):
                         payload="last", repeat="forever"),)
             for name in names
         },
-        pass_condition=PassCondition(kind="contains_all", values=("needle",)),
+        pass_condition=PassCondition(contains_all=("needle",)),
     )
     config = EngineConfig(
         step_budget=draw(st.integers(1, 12)),

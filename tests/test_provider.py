@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sum2act.errors import (
+    ConfigurationError,
     PolicyFileError,
     ProviderRejected,
     ProviderUnavailable,
@@ -171,7 +172,7 @@ class TestPolicyMatching:
         assert provider.complete(CompletionRequest("start only")) == "no"
 
     def test_invalid_regex_fails_at_construction(self):
-        with pytest.raises(re.error):
+        with pytest.raises(ConfigurationError, match="'match' is not a valid regex: missing"):
             PolicyEntry(match="(", response="x", is_regex=True)
 
     @settings(max_examples=1000, deadline=None)
@@ -562,3 +563,11 @@ class TestLiveProvider:
         monkeypatch.delenv("PROVIDER_MODEL", raising=False)
         with pytest.raises(ProviderUnavailable):
             LiveProvider()
+
+    @pytest.mark.parametrize("base_url", ["localhost:9", "ftp://127.0.0.1:9", "127.0.0.1:9/v1"])
+    def test_base_url_without_http_scheme_is_refused(self, base_url):
+        with pytest.raises(ProviderUnavailable, match="PROVIDER_BASE_URL must start with http"):
+            LiveProvider(base_url=base_url, model="m")
+
+    def test_base_url_scheme_is_case_insensitive(self):
+        assert LiveProvider(base_url="HTTPS://127.0.0.1:9/", model="m").base_url == "HTTPS://127.0.0.1:9"

@@ -12,6 +12,7 @@ from sum2act.errors import ConfigurationError, ScenarioError
 from sum2act.provider import MAX_REQUEST_CHARS
 from sum2act.sandbox import (
     Behavior,
+    Endpoint,
     PassCondition,
     Scenario,
     ScenarioSession,
@@ -42,7 +43,7 @@ def _weather_scenario() -> Scenario:
                 Behavior(kind="success", payload="sunny 29C", repeat="forever"),
             )
         },
-        pass_condition=PassCondition(kind="contains_all", values=("sunny", "29")),
+        pass_condition=PassCondition(contains_all=("sunny", "29")),
     )
 
 
@@ -51,7 +52,7 @@ class TestLoadScenario:
         scenario = load_scenario(scenarios_root / "core" / "flight_bos_sfo.scenario.json")
         assert len(scenario.behaviors) == 2
         assert scenario.instruction.subset_label == "core"
-        assert scenario.pass_condition.kind == "contains_all"
+        assert scenario.pass_condition == PassCondition(contains_all=("UA482", "412"))
 
     def test_behavior_for_undeclared_tool(self, tmp_path):
         path = tmp_path / "bad.scenario.json"
@@ -87,7 +88,7 @@ class TestLoadScenario:
             "pass_condition": {"contains_all": ["29", "sunny"]},
         }))
         scenario = load_scenario(path)
-        assert scenario.pass_condition.values == ("29", "sunny")
+        assert scenario.pass_condition.contains_all == ("29", "sunny")
 
     def test_tool_description_defaults_empty(self, tmp_path):
         path = tmp_path / "ok.scenario.json"
@@ -158,7 +159,7 @@ class TestSession:
             id="once", instruction=Instruction(id="once", text="x"),
             tools=(ToolSpec(name="solo", description="s"),),
             behaviors={"solo": (Behavior(kind="success", payload="one shot", repeat="once"),)},
-            pass_condition=PassCondition(kind="exact", pattern="x"),
+            pass_condition=PassCondition(exact="x"),
         )
         session = ScenarioSession(scenario)
         assert session.invoke("solo", {}).status == "Success"
@@ -171,7 +172,7 @@ class TestSession:
             id="slow", instruction=Instruction(id="slow", text="x"),
             tools=(ToolSpec(name="slow_tool", description="s"),),
             behaviors={"slow_tool": (Behavior(kind="timeout", repeat="forever"),)},
-            pass_condition=PassCondition(kind="exact", pattern="x"),
+            pass_condition=PassCondition(exact="x"),
         )
         obs = ScenarioSession(scenario).invoke("slow_tool", {})
         assert obs.status == "Timeout"
@@ -185,7 +186,7 @@ class TestSession:
             behaviors={"search": (
                 Behavior(kind="verbose", payload=needle, filler_chars=8000, repeat="forever"),
             )},
-            pass_condition=PassCondition(kind="contains_all", values=("UA123",)),
+            pass_condition=PassCondition(contains_all=("UA123",)),
         )
         obs = ScenarioSession(scenario).invoke("search", {})
         assert obs.status == "Success"
@@ -220,7 +221,7 @@ class TestSession:
             behaviors={"get_weather": tuple(
                 Behavior(kind="success", payload=f"shot-{i}", repeat="once") for i in range(3)
             )},
-            pass_condition=PassCondition(kind="exact", pattern="x"),
+            pass_condition=PassCondition(exact="x"),
         )
         session = ScenarioSession(scenario)
         payloads = []
@@ -289,7 +290,7 @@ class TestCheckPass:
             instruction=episode.instruction,
             tools=episode.tools,
             behaviors={},
-            pass_condition=PassCondition(kind="regex", pattern=""),  # matches anything
+            pass_condition=PassCondition(regex=""),  # matches anything
         )
         if episode.terminal.status != "Finished":
             assert not check_pass(scenario, episode)
@@ -297,10 +298,10 @@ class TestCheckPass:
             assert check_pass(scenario, episode)
 
     def test_exact_and_regex_conditions(self):
-        exact = PassCondition(kind="exact", pattern="42")
+        exact = PassCondition(exact="42")
         assert exact.evaluate("42")
         assert not exact.evaluate("42!")
-        regex = PassCondition(kind="regex", pattern=r"\b29\b")
+        regex = PassCondition(regex=r"\b29\b")
         assert regex.evaluate("it is 29 degrees")
         assert not regex.evaluate("2950 degrees")
 
@@ -308,7 +309,7 @@ class TestCheckPass:
 class TestInvokeLive:
     def test_success_maps_body(self, http_stub):
         stub = http_stub([(200, '{"ok": true}')])
-        spec = {"probe": {"url": stub.url + "/probe", "method": "GET"}}
+        spec = {"probe": Endpoint(url=stub.url + "/probe", method="GET")}
         obs = invoke_live(spec, "probe", {"q": "x"})
         assert obs.status == "Success"
         assert obs.payload == '{"ok": true}'
@@ -316,28 +317,28 @@ class TestInvokeLive:
 
     def test_404_maps_tool_error(self, http_stub):
         stub = http_stub([(404, "not here")])
-        spec = {"probe": {"url": stub.url, "method": "GET"}}
+        spec = {"probe": Endpoint(url=stub.url, method="GET")}
         obs = invoke_live(spec, "probe", {})
         assert obs.status == "ToolError"
         assert "HTTP 404" in obs.error
 
     def test_timeout_maps(self, http_stub):
         stub = http_stub([(200, "slow body")], delay=0.6)
-        spec = {"probe": {"url": stub.url, "method": "GET", "timeout": 0.1}}
+        spec = {"probe": Endpoint(url=stub.url, method="GET", timeout=0.1)}
         obs = invoke_live(spec, "probe", {})
         assert obs.status == "Timeout"
 
     def test_body_stalled_past_the_timeout_maps_timeout(self, http_stub):
         # The headers arrive in time; the body read is what times out.
         stub = http_stub([(200, "late body")], stall=0.6)
-        spec = {"probe": {"url": stub.url, "method": "GET", "timeout": 0.1}}
+        spec = {"probe": Endpoint(url=stub.url, method="GET", timeout=0.1)}
         obs = invoke_live(spec, "probe", {})
         assert obs.status == "Timeout"
         assert obs.error.startswith("timeout: ")
         assert obs.latency < 0.6
 
     def test_transport_error_maps(self):
-        spec = {"probe": {"url": "http://127.0.0.1:9/x", "method": "GET", "timeout": 0.2}}
+        spec = {"probe": Endpoint(url="http://127.0.0.1:9/x", method="GET", timeout=0.2)}
         obs = invoke_live(spec, "probe", {})
         assert obs.status == "ToolError"
         assert "transport error" in obs.error
@@ -350,7 +351,7 @@ class TestInvokeLive:
     def test_body_of_several_mb_is_clipped_at_the_request_limit(self, http_stub):
         size = 5_000_000
         stub = http_stub([(200, "x" * size)])
-        spec = {"probe": {"url": stub.url, "method": "GET"}}
+        spec = {"probe": Endpoint(url=stub.url, method="GET")}
         obs = invoke_live(spec, "probe", {})
         assert obs.status == "Success"
         assert obs.payload[:MAX_REQUEST_CHARS] == "x" * MAX_REQUEST_CHARS
@@ -362,20 +363,20 @@ class TestInvokeLive:
     def test_multibyte_body_at_the_limit_is_kept_whole(self, http_stub):
         # Two-byte chars straddle the read chunks' boundaries.
         stub = http_stub([(200, "é" * MAX_REQUEST_CHARS)])
-        spec = {"probe": {"url": stub.url, "method": "GET"}}
+        spec = {"probe": Endpoint(url=stub.url, method="GET")}
         obs = invoke_live(spec, "probe", {})
         assert obs.payload == "é" * MAX_REQUEST_CHARS
 
     def test_url_template_substitution(self, http_stub):
         stub = http_stub([(200, "ok")])
-        spec = {"probe": {"url": stub.url + "/items/{item_id}", "method": "GET"}}
+        spec = {"probe": Endpoint(url=stub.url + "/items/{item_id}", method="GET")}
         obs = invoke_live(spec, "probe", {"item_id": "41"})
         assert obs.status == "Success"
         assert stub.paths == ["/items/41"]
 
     def test_url_placeholder_is_one_quoted_segment(self, http_stub):
         stub = http_stub([(200, "ok")])
-        spec = {"probe": {"url": stub.url + "/users/{id}/profile", "method": "GET"}}
+        spec = {"probe": Endpoint(url=stub.url + "/users/{id}/profile", method="GET")}
         obs = invoke_live(spec, "probe", {"id": "../../admin?x=1#"})
         assert obs.status == "Success"
         assert stub.paths == ["/users/..%2F..%2Fadmin%3Fx%3D1%23/profile"]
@@ -383,7 +384,7 @@ class TestInvokeLive:
     def test_endpoint_spec_file(self, tmp_path):
         path = tmp_path / "endpoints.json"
         path.write_text(json.dumps({"probe": {"url": "http://example.invalid", "method": "GET"}}))
-        assert "probe" in load_endpoint_spec(path)
+        assert load_endpoint_spec(path) == {"probe": Endpoint(url="http://example.invalid")}
 
     @pytest.mark.parametrize("key, value", [
         ("url", 5),
