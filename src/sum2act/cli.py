@@ -373,7 +373,7 @@ def cmd_compare(args) -> int:
         subset: win_rate(judgments, label_a)
         for subset, judgments in sorted(judgments_by_subset.items())
     }
-    average = round_half_up(sum(subset_rates.values()) / len(subset_rates))
+    average = round_half_up(*subset_rates.values())
 
     headers = ["Method"] + list(subset_rates) + ["Average"]
     row = [f"{label_a} vs {label_b}"] + [

@@ -41,9 +41,11 @@ and the diversity of tools used.
 """
 
 
-def round_half_up(value: float) -> float:
-    """Round to one decimal place, halves away from zero."""
-    return float(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+def round_half_up(*values: float) -> float:
+    """Round the mean of ``values`` to one decimal place, halves away from zero.
+    Each value's repr is summed in decimal: a float sum can cross a half."""
+    mean = sum(Decimal(repr(value)) for value in values) / len(values)
+    return float(mean.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
 @dataclass(frozen=True)
@@ -150,9 +152,7 @@ class RuleJudge:
 
 
 def _episode_summary(episode: Episode) -> str:
-    tools_used = sorted(
-        {s.action.tool_name for s in episode.steps if s.action.kind == "ToolCall"}
-    )
+    tools_used = sorted({s.action.tool_name for s in episode.steps if s.action.kind == "ToolCall"})
     terminal = episode.terminal.status if episode.terminal else "(running)"
     answer = episode.terminal.answer if episode.terminal else None
     return (
@@ -228,10 +228,10 @@ def aggregate(reports: list[SubsetReport]) -> tuple[str, dict]:
     if with_win and len(with_win) != len(reports):
         raise ConfigurationError("win_rate must be present for all subsets or none")
 
-    average_pass = round_half_up(sum(r.pass_rate for r in reports) / len(reports))
+    average_pass = round_half_up(*(r.pass_rate for r in reports))
     average_win = None
     if with_win:
-        average_win = round_half_up(sum(r.win_rate for r in reports) / len(reports))
+        average_win = round_half_up(*(r.win_rate for r in reports))
 
     labels = [r.subset_label for r in reports] + ["Average"]
     rows = [["Pass rate"] + [f"{round_half_up(r.pass_rate):.1f}" for r in reports] + [f"{average_pass:.1f}"]]

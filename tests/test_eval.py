@@ -241,3 +241,11 @@ class TestRounding:
         assert round_half_up(65.75) == 65.8
         assert round_half_up(54.5833333) == 54.6
         assert round_half_up(70.6666666) == 70.7
+
+    def test_mean_is_not_moved_across_a_half_by_float_summation(self):
+        # The float sum of these is 1.0 (mean 0.25); the values' reprs sum below 1.
+        assert round_half_up(0.0, 1 / 3, 1 / 3, 1 / 3) == 0.2
+        _, machine = aggregate(
+            [SubsetReport(subset_label=f"s{i}", pass_rate=r, n=1) for i, r in enumerate([0.0] + [1 / 3] * 3)]
+        )
+        assert machine["average"]["pass_rate"] == 0.2
