@@ -121,14 +121,35 @@ class Memory:
         return propose_from_prompt(self.provider, prompt)
 
 
+class _Replies:
+    """The provider as the state manager sees it in one episode: a prompt
+    already answered gets the stored reply, with no new call. Both providers
+    answer one prompt one way (scripted by construction, live at temperature
+    0). A call that raises stores nothing."""
+
+    def __init__(self, provider):
+        self._provider = provider
+        self._replies: dict[str, str] = {}
+
+    def complete(self, request) -> str:
+        reply = self._replies.get(request.prompt)
+        if reply is None:
+            reply = self._replies[request.prompt] = self._provider.complete(request)
+        return reply
+
+
 @dataclass
 class Summary(Memory):
     """sum2act: the state manager judges each observation into the state,
-    which is then held under its length cap."""
+    which is then held under its length cap. Its calls go through
+    ``replies``, so it sends each distinct prompt once per episode; router
+    calls go to the provider, as the trace counts each one."""
 
     decomposition: Task | None = None
+    replies: _Replies = field(init=False)
 
     def __post_init__(self):
+        self.replies = _Replies(self.provider)
         if self.config.use_decomposition:
             self.decomposition = decompose(
                 self.provider, self.instruction, self.tools_block, templates_dir=self.config.templates_dir
@@ -144,12 +165,12 @@ class Summary(Memory):
         config = self.config
         observation = self.executor(action.tool_name, action.args)
         state = update(
-            self.provider, self.instruction, self.state, observation,
+            self.replies, self.instruction, self.state, observation,
             step_index=step_index,
             window=config.observation_window_chars,
             templates_dir=config.templates_dir,
         )
-        self.state = enforce_cap(state, config.state_cap_chars, provider=self.provider)
+        self.state = enforce_cap(state, config.state_cap_chars, provider=self.replies)
         return Step(action, observation, self.state)
 
 

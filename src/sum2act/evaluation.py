@@ -68,13 +68,10 @@ class SubsetReport:
     subset_label: str
     pass_rate: float
     n: int
-    win_rate: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.pass_rate <= 100:
             raise ConfigurationError("pass_rate must be within [0, 100]")
-        if self.win_rate is not None and not 0 <= self.win_rate <= 100:
-            raise ConfigurationError("win_rate must be within [0, 100]")
         if self.n < 1:
             raise ConfigurationError("subset count must be >= 1")
 
@@ -214,8 +211,9 @@ class LlmJudge:
 
 
 def aggregate(reports: list[SubsetReport]) -> tuple[str, dict]:
-    """Per-subset columns plus an unweighted-mean Average column to one
-    decimal; returns the monospace table and its machine-readable mirror."""
+    """Per-subset pass-rate columns plus an unweighted-mean Average column to
+    one decimal; returns the monospace table and its machine-readable mirror.
+    Win rates are ``compare``'s; the mirror keeps a null ``win_rate`` key."""
     if not reports:
         raise ConfigurationError("aggregate requires at least one subset report")
     seen = set()
@@ -224,22 +222,12 @@ def aggregate(reports: list[SubsetReport]) -> tuple[str, dict]:
             raise ConfigurationError(f"duplicate subset label: {report.subset_label!r}")
         seen.add(report.subset_label)
 
-    with_win = [r for r in reports if r.win_rate is not None]
-    if with_win and len(with_win) != len(reports):
-        raise ConfigurationError("win_rate must be present for all subsets or none")
-
     average_pass = round_half_up(*(r.pass_rate for r in reports))
-    average_win = None
-    if with_win:
-        average_win = round_half_up(*(r.win_rate for r in reports))
-
     labels = [r.subset_label for r in reports] + ["Average"]
-    rows = [["Pass rate"] + [f"{round_half_up(r.pass_rate):.1f}" for r in reports] + [f"{average_pass:.1f}"]]
-    if with_win:
-        rows.append(
-            ["Win rate"] + [f"{round_half_up(r.win_rate):.1f}" for r in reports] + [f"{average_win:.1f}"]
-        )
-    rows.append(["n"] + [str(r.n) for r in reports] + [str(sum(r.n for r in reports))])
+    rows = [
+        ["Pass rate"] + [f"{round_half_up(r.pass_rate):.1f}" for r in reports] + [f"{average_pass:.1f}"],
+        ["n"] + [str(r.n) for r in reports] + [str(sum(r.n for r in reports))],
+    ]
     table = format_table(["Subset"] + labels, rows)
 
     machine = {
@@ -247,12 +235,12 @@ def aggregate(reports: list[SubsetReport]) -> tuple[str, dict]:
             {
                 "label": r.subset_label,
                 "pass_rate": r.pass_rate,
-                "win_rate": r.win_rate,
+                "win_rate": None,
                 "n": r.n,
             }
             for r in reports
         ],
-        "average": {"pass_rate": average_pass, "win_rate": average_win},
+        "average": {"pass_rate": average_pass, "win_rate": None},
     }
     return table, machine
 

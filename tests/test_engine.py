@@ -5,7 +5,7 @@ import json
 import pytest
 
 from sum2act import engine
-from sum2act.core import Instruction, ParamSpec, ToolSpec, serialize_episode
+from sum2act.core import Action, Instruction, ParamSpec, State, ToolSpec, serialize_episode
 from sum2act.engine import (
     EngineConfig,
     _evict_oldest,
@@ -126,6 +126,73 @@ class TestSum2Act:
         )
         assert episode.terminal.status == "BudgetExhausted"
         assert len(episode.steps) == 30
+
+    def test_state_prompt_is_sent_once_and_router_prompt_every_step(self):
+        # The router keeps proposing the same failing call, and the state
+        # manager judges it a failure already in the history, so from step
+        # 2 on every step repeats one state prompt and one router prompt.
+        policy = ScriptedPolicy(
+            entries=(
+                _entry(r"(?s)state manager.*SVCA-T1", {"verdict": "Failure", "reason": "primary store unreachable"}),
+            ),
+            default=json.dumps(_call("primary_lookup", {"dataset": "inventory"})),
+        )
+        provider = RecordingProvider(ScriptedProvider(policy))
+        episode = run_episode(
+            "sum2act", provider, INSTRUCTION, list(FAILOVER_TOOLS),
+            EngineConfig(step_budget=5), ScenarioSession(FAILOVER_SCENARIO).invoke,
+        )
+        assert episode.terminal.status == "BudgetExhausted"
+        state_prompts = [p for p in provider.prompts() if "state manager" in p]
+        router_prompts = [p for p in provider.prompts() if "action router" in p]
+        assert len(state_prompts) + len(router_prompts) == len(provider.prompts())
+        assert len(state_prompts) == len(set(state_prompts)) == 2
+        assert len(router_prompts) == len(episode.steps) == 5
+        assert len(set(router_prompts)) == 2
+
+    def test_identical_reask_is_not_sent_again(self, caplog):
+        # Both re-asks carry the same parse error, so the second is the first
+        # again and gets its stored reply.
+        policy = ScriptedPolicy(
+            entries=(PolicyEntry(match="state manager", response="no verdict here"),),
+            default=json.dumps(_call("primary_lookup", {"dataset": "inventory"})),
+        )
+        provider = RecordingProvider(ScriptedProvider(policy))
+        episode = run_episode(
+            "sum2act", provider, INSTRUCTION, list(FAILOVER_TOOLS),
+            EngineConfig(step_budget=1), ScenarioSession(FAILOVER_SCENARIO).invoke,
+        )
+        state_prompts = [p for p in provider.prompts() if "state manager" in p]
+        assert len(state_prompts) == 2
+        assert "could not be used" in state_prompts[1]
+        step = episode.steps[0]
+        assert [f.reason for f in step.state.failure_history] == [step.observation.error]
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "state verdict unparseable, using mechanical fallback"
+        ]
+
+    def test_reused_success_verdict_is_recorded_under_the_new_step(self):
+        policy = ScriptedPolicy(
+            entries=(
+                _entry(r"(?s)state manager.*SVCB-T1", {"verdict": "Success", "summary": "replica answered: 73 units"}),
+            ),
+        )
+        provider = RecordingProvider(ScriptedProvider(policy))
+        memory = engine.Summary(
+            provider, INSTRUCTION, render_tools_block(FAILOVER_TOOLS), EngineConfig(),
+            ScenarioSession(FAILOVER_SCENARIO).invoke,
+        )
+        action = Action(kind="ToolCall", tool_name="backup_lookup", args={"dataset": "inventory"})
+        first = memory.record(action, 1)
+        memory.state = State.empty()
+        second = memory.record(action, 2)
+        assert len(provider.prompts()) == 1
+        assert [(e.text, e.step_index) for e in first.state.current_results] == [
+            ("replica answered: 73 units", 1)
+        ]
+        assert [(e.text, e.step_index) for e in second.state.current_results] == [
+            ("replica answered: 73 units", 2)
+        ]
 
     def test_unparseable_proposals_abort(self):
         policy = ScriptedPolicy(

@@ -102,26 +102,55 @@ def episode_inputs(draw):
     return scenario, config, provider
 
 
-@pytest.mark.parametrize("method", [
-    "sum2act",
-    "react",
-    pytest.param("dfsdt", marks=pytest.mark.xfail(
-        raises=RequestTooLarge, strict=False,
-        reason="dfsdt keeps whole observations in its branch memory, unclipped, "
-               "so a verbose payload can push its prompt over the request limit",
-    )),
-])
+def _run(method, scenario, config, provider):
+    return run_episode(
+        method, provider, scenario.instruction, list(scenario.tools),
+        config, ScenarioSession(scenario).invoke,
+    )
+
+
+@pytest.mark.parametrize("method", ["sum2act", "react", "dfsdt"])
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inputs=episode_inputs())
 def test_episode_ends_validly_and_round_trips(method, inputs):
     scenario, config, provider = inputs
-    episode = run_episode(
-        method, provider, scenario.instruction, list(scenario.tools),
-        config, ScenarioSession(scenario).invoke,
-    )
+    try:
+        episode = _run(method, scenario, config, provider)
+    except RequestTooLarge:
+        if method == "dfsdt":
+            return  # the known defect, pinned by test_verbose_payload_in_branch_memory
+        raise
     assert episode.terminal.status in ("Finished", "BudgetExhausted", "AbortedParseFailure")
     assert len(episode.steps) <= config.step_budget
     ends_with_finish = bool(episode.steps) and episode.steps[-1].action.kind == "Finish"
     assert (episode.terminal.status == "Finished") == ends_with_finish
     record = serialize_episode(episode)
     assert serialize_episode(deserialize_episode(record)) == record
+
+
+@pytest.mark.parametrize("method", [
+    "sum2act",
+    "react",
+    pytest.param("dfsdt", marks=pytest.mark.xfail(
+        raises=RequestTooLarge, strict=True,
+        reason="dfsdt keeps whole observations in its branch memory, unclipped, "
+               "so a verbose payload can push its prompt over the request limit",
+    )),
+])
+def test_verbose_payload_in_branch_memory(method):
+    scenario = Scenario(
+        id="prop",
+        instruction=Instruction(id="prop", text="find the needle"),
+        tools=(ToolSpec(name="alpha", description="tool alpha"),),
+        behaviors={"alpha": (
+            Behavior(kind="verbose", payload="needle", filler_chars=VERBOSE_CHARS),
+            Behavior(kind="success", payload="last", repeat="forever"),
+        )},
+        pass_condition=PassCondition(contains_all=("needle",)),
+    )
+    provider = QueueProvider(
+        [json.dumps({"thought": "look", "action": "alpha", "args": {}})],
+        [json.dumps({"verdict": "Success", "summary": "found it"})],
+    )
+    episode = _run(method, scenario, EngineConfig(step_budget=2, dfsdt_max_children=1), provider)
+    assert episode.terminal.status == "BudgetExhausted"
