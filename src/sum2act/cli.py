@@ -12,10 +12,11 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
-from .core import Instruction, State, load_json_file, read_trace, serialize_episode
+from .core import Instruction, State, load_record, read_trace, serialize_episode
 from .engine import METHOD_LABELS, EngineConfig, default_config, run_episode
 from .errors import ConfigurationError, Sum2ActError
 from .evaluation import (
@@ -38,55 +39,61 @@ EXIT_EPISODE_FAILURE = 1
 EXIT_CONFIG = 2
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    data = load_json_file(path, ConfigurationError)
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: config file must hold a JSON object")
-    return data
+@dataclass(frozen=True)
+class Config:
+    """A ``--config`` file: one field per key that some subcommand reads, so
+    one file serves every subcommand and any other key exits 2. The engine
+    flags take their types from these annotations."""
+
+    method: str | None = None
+    methods: str | None = None
+    provider: str | None = None
+    policy: str | None = None
+    out: str | None = None
+    concurrency: int | None = None
+    judge: str | None = None
+    budget: int | None = None
+    state_cap: int | None = None
+    observation_window: int | None = None
+    react_window: int | None = None
+    max_children: int | None = None
+    templates_dir: str | None = None
 
 
-def _resolve(cli_value, config: dict, key: str, default, kind: type = str):
-    """The flag's value, else the config file's, else ``default``. A config
-    value that is not a ``kind`` raises ConfigurationError naming its key."""
+def _load_config(path: str | None) -> Config:
+    return load_record(path, Config, "config file", ConfigurationError) if path else Config()
+
+
+def _resolve(cli_value, config_value, default):
+    """The flag's value, else the config file's, else ``default``."""
     if cli_value is not None:
         return cli_value
-    value = config.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigurationError(
-            f"config key {key!r} must be of type {kind.__name__}, got {value!r}"
-        )
-    return value
+    return default if config_value is None else config_value
 
 
-# Config key (and flag dest, dashed as --flag): the EngineConfig field it sets,
-# its type and the flag's help.
+# Config key (and flag dest, dashed as --flag): the EngineConfig field it sets.
 _ENGINE_KEYS = {
-    "budget": ("step_budget", int, None),
-    "state_cap": ("state_cap_chars", int, None),
-    "observation_window": ("observation_window_chars", int, None),
-    "react_window": ("react_memory_window_chars", int, None),
-    "max_children": ("dfsdt_max_children", int, None),
-    "decompose": ("use_decomposition", bool, "run one task-decomposition call before the loop"),
-    "templates_dir": ("templates_dir", str, None),
+    "budget": "step_budget",
+    "state_cap": "state_cap_chars",
+    "observation_window": "observation_window_chars",
+    "react_window": "react_memory_window_chars",
+    "max_children": "dfsdt_max_children",
+    "templates_dir": "templates_dir",
 }
 
 
-def _engine_config(method: str, args, config: dict) -> EngineConfig:
+def _engine_config(method: str, args, config: Config) -> EngineConfig:
     """``method``'s defaults with the given flags and config keys applied; an
     unknown method raises ConfigurationError."""
     given = {}
-    for key, (field, kind, _) in _ENGINE_KEYS.items():
-        value = _resolve(getattr(args, key), config, key, None, kind)
+    for key, field in _ENGINE_KEYS.items():
+        value = _resolve(getattr(args, key), getattr(config, key), None)
         if value is not None:
             given[field] = value
     return replace(default_config(method), **given)
 
 
-def _provider(args, config: dict, default_mode: str = "scripted", need_policy: bool = True):
+def _provider(args, config: Config, default_mode: str = "scripted", need_policy: bool = True):
     """The command's one provider, built and checked before anything runs.
 
     Live mode builds the LiveProvider, whose constructor names a missing
@@ -94,12 +101,12 @@ def _provider(args, config: dict, default_mode: str = "scripted", need_policy: b
     ScriptedProvider; without one it returns None, which only a caller
     passing ``need_policy=False`` accepts.
     """
-    mode = _resolve(args.provider, config, "provider", default_mode)
+    mode = _resolve(args.provider, config.provider, default_mode)
     if mode == "live":
         return LiveProvider()
     if mode != "scripted":
         raise ConfigurationError(f"unknown provider mode: {mode!r}")
-    path = _resolve(args.policy, config, "policy", None)
+    path = _resolve(args.policy, config.policy, None)
     if not path and need_policy:
         raise ConfigurationError("scripted provider requires --policy")
     return ScriptedProvider(load_policy(path)) if path else None
@@ -116,11 +123,11 @@ def _write_episode(path: Path, episode) -> None:
 
 
 def cmd_run(args) -> int:
-    config = _load_config_file(args.config)
-    method = _resolve(args.method, config, "method", "sum2act")
+    config = _load_config(args.config)
+    method = _resolve(args.method, config.method, "sum2act")
     engine_config = _engine_config(method, args, config)
     provider = _provider(args, config)
-    out_dir = Path(_resolve(args.out, config, "out", "runs"))
+    out_dir = Path(_resolve(args.out, config.out, "runs"))
 
     scenario = None
     if args.scenario:
@@ -196,8 +203,8 @@ def _sibling_policy(scenario_path: Path) -> Path:
 
 
 def cmd_bench(args) -> int:
-    config = _load_config_file(args.config)
-    methods = [m.strip() for m in _resolve(args.methods, config, "methods", "sum2act").split(",") if m.strip()]
+    config = _load_config(args.config)
+    methods = [m.strip() for m in _resolve(args.methods, config.methods, "sum2act").split(",") if m.strip()]
     if not methods:
         raise ConfigurationError("no method to run: give at least one method label")
     repeated = sorted({method for method in methods if methods.count(method) > 1})
@@ -205,8 +212,8 @@ def cmd_bench(args) -> int:
         raise ConfigurationError(f"method {repeated[0]!r} is listed more than once")
     engine_configs = {method: _engine_config(method, args, config) for method in methods}
     global_provider = _provider(args, config, need_policy=False)
-    out_dir = Path(_resolve(args.out, config, "out", "bench-out"))
-    concurrency = _resolve(args.concurrency, config, "concurrency", 1, int)
+    out_dir = Path(_resolve(args.out, config.out, "bench-out"))
+    concurrency = _resolve(args.concurrency, config.concurrency, 1)
     if concurrency < 1:
         raise ConfigurationError("concurrency must be >= 1")
 
@@ -318,8 +325,8 @@ def _load_trace_set(path_text: str) -> dict:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config_file(args.config)
-    out_dir = Path(_resolve(args.out, config, "out", "compare-out"))
+    config = _load_config(args.config)
+    out_dir = Path(_resolve(args.out, config.out, "compare-out"))
     side_a = _load_trace_set(args.traces_a)
     side_b = _load_trace_set(args.traces_b)
 
@@ -333,7 +340,7 @@ def cmd_compare(args) -> int:
             details.append(f"missing from A: {', '.join(missing_in_a)}")
         raise ConfigurationError(f"trace sets cover different instructions; {'; '.join(details)}")
 
-    judge_mode = _resolve(args.judge, config, "judge", "rule")
+    judge_mode = _resolve(args.judge, config.judge, "rule")
     if judge_mode == "rule":
         if not args.scenario_dir:
             raise ConfigurationError("the rule judge requires --scenario-dir to evaluate passes")
@@ -460,10 +467,11 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    for key, (_, kind, help_text) in _ENGINE_KEYS.items():
-        parse = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
+    hints = get_type_hints(Config)
+    for key in _ENGINE_KEYS:
+        # Each annotation is ``T | None``; the flag's value is read as T.
         parser.add_argument(
-            "--" + key.replace("_", "-"), dest=key, default=None, help=help_text, **parse
+            "--" + key.replace("_", "-"), dest=key, type=get_args(hints[key])[0], default=None
         )
 
 

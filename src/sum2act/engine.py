@@ -37,7 +37,7 @@ from .core import (
 )
 from .errors import ConfigurationError, MalformedOutput
 from .parsing import REASK_RETRIES, fill_template
-from .router import ROUTER_RULES, Task, decompose, propose, propose_from_prompt, render_tools_block
+from .router import ROUTER_RULES, propose, propose_from_prompt, render_tools_block
 from .state_manager import OBSERVATION_WINDOW_CHARS, STATE_CAP_CHARS, enforce_cap, update
 from .templates_loader import load_template
 
@@ -56,7 +56,6 @@ class EngineConfig:
     step_budget: int = SUM2ACT_STEP_BUDGET
     state_cap_chars: int = STATE_CAP_CHARS
     observation_window_chars: int = OBSERVATION_WINDOW_CHARS
-    use_decomposition: bool = False
     react_memory_window_chars: int = 4096
     dfsdt_max_children: int = 3
     templates_dir: str | None = None
@@ -145,19 +144,14 @@ class Summary(Memory):
     ``replies``, so it sends each distinct prompt once per episode; router
     calls go to the provider, as the trace counts each one."""
 
-    decomposition: Task | None = None
     replies: _Replies = field(init=False)
 
     def __post_init__(self):
         self.replies = _Replies(self.provider)
-        if self.config.use_decomposition:
-            self.decomposition = decompose(
-                self.provider, self.instruction, self.tools_block, templates_dir=self.config.templates_dir
-            )
 
     def propose(self) -> Action:
         return propose(
-            self.provider, self.instruction, self.state, self.tools_block, self.decomposition,
+            self.provider, self.instruction, self.state, self.tools_block,
             templates_dir=self.config.templates_dir,
         )
 

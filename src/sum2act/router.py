@@ -1,6 +1,5 @@
 """Action proposal stage: build the router prompt, invoke the provider, and
-parse the output into an Action; optionally prepend a one-shot task
-decomposition.
+parse the output into an Action.
 
 The output contract is one JSON object with keys ``thought``, ``action`` and
 ``args``; ``action`` is either a tool name or the reserved ``Finish``, whose
@@ -10,16 +9,13 @@ the failure history instead of crashing the proposal."""
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .core import Action, Instruction, State, normalize_arg_value
-from .errors import ConfigurationError, MalformedOutput, ScriptError
+from .errors import ConfigurationError, MalformedOutput
 from .parsing import ask_json, extract_first_json_object, fill_template
 from .state_manager import render_state
 from .templates_loader import load_template
-
-logger = logging.getLogger(__name__)
 
 ROUTER_RULES = """\
 - Propose exactly one action per reply.
@@ -29,19 +25,6 @@ ROUTER_RULES = """\
   action "Finish" and put the final answer in args under the key "Answer".
 - Reply with exactly one JSON object and nothing else:
   {"thought": "<brief reasoning>", "action": "<tool name or Finish>", "args": {"<param>": "<value>"}}"""
-
-
-@dataclass(frozen=True)
-class Task:
-    """A decomposed target task with optional subtasks, attached to router
-    prompts as guidance."""
-
-    target: str
-    subtasks: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.target:
-            raise ConfigurationError("task target must be non-empty")
 
 
 def render_tools_block(tools) -> str:
@@ -57,20 +40,10 @@ def render_tools_block(tools) -> str:
     return "\n".join(lines)
 
 
-def _instruction_block(instruction: Instruction, decomposition: Task | None) -> str:
-    if decomposition is None:
-        return instruction.text
-    lines = [instruction.text, f"Target task: {decomposition.target}"]
-    for index, subtask in enumerate(decomposition.subtasks, 1):
-        lines.append(f"  {index}. {subtask}")
-    return "\n".join(lines)
-
-
 def build_router_prompt(
     instruction: Instruction,
     state: State,
     tools_block: str,
-    decomposition: Task | None = None,
     templates_dir: str | None = None,
 ) -> str:
     """Deterministic prompt text from the instruction, the rendered tools
@@ -80,7 +53,7 @@ def build_router_prompt(
         raise ConfigurationError("router prompt requires a non-empty tool list")
     return fill_template(
         load_template("router", templates_dir),
-        instruction=_instruction_block(instruction, decomposition),
+        instruction=instruction.text,
         state=render_state(state),
         tools=tools_block,
         rules=ROUTER_RULES,
@@ -117,21 +90,6 @@ def parse_action(model_output: str) -> Action:
     return Action(kind="ToolCall", tool_name=action_name, args=args, thought=thought)
 
 
-def _parse_task(output: str) -> Task:
-    obj = extract_first_json_object(output, required_key="target")
-    if obj is not None:
-        target = obj.get("target")
-        subtasks = obj.get("subtasks", [])
-        if (
-            isinstance(target, str)
-            and target
-            and isinstance(subtasks, list)
-            and all(isinstance(s, str) for s in subtasks)
-        ):
-            return Task(target=target, subtasks=tuple(subtasks))
-    raise MalformedOutput(f"no task object in output: {output[:120]!r}")
-
-
 _REASK = (
     "\n\nYour previous reply could not be parsed: {error}. Reply with "
     'exactly one JSON object with the keys "thought", "action" and "args".'
@@ -152,30 +110,8 @@ def propose(
     instruction: Instruction,
     state: State,
     tools_block: str,
-    decomposition: Task | None = None,
     templates_dir: str | None = None,
 ) -> Action:
-    prompt = build_router_prompt(instruction, state, tools_block, decomposition, templates_dir)
+    prompt = build_router_prompt(instruction, state, tools_block, templates_dir)
     return propose_from_prompt(provider, prompt)
 
-
-def decompose(
-    provider, instruction: Instruction, tools_block: str, templates_dir: str | None = None
-) -> Task | None:
-    """One-shot task decomposition, run before the loop, over the rendered
-    tools block. Output that stays unparseable, or a scripted policy with no
-    reply for the prompt, is logged and the episode proceeds without
-    guidance."""
-    if not tools_block:
-        raise ConfigurationError("decomposition requires a non-empty tool list")
-    prompt = fill_template(
-        load_template("decompose", templates_dir),
-        instruction=instruction.text,
-        tools=tools_block,
-    )
-    try:
-        task, _ = ask_json(provider, prompt, _parse_task, _REASK, swallow=(ScriptError,))
-    except MalformedOutput as exc:
-        logger.warning("task decomposition failed, continuing without it: %s", exc)
-        return None
-    return task

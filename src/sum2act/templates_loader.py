@@ -6,7 +6,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-TEMPLATE_NAMES = ("router", "state", "decompose", "react", "dfsdt")
+TEMPLATE_NAMES = ("router", "state", "react", "dfsdt")
 
 
 @lru_cache(maxsize=None)

@@ -263,7 +263,7 @@ class TestRun:
         # A template the directory lacks comes from the built-in set.
         templates = tmp_path / "templates"
         templates.mkdir()
-        (templates / "decompose.txt").write_text(load_template("decompose"), encoding="utf-8")
+        (templates / "dfsdt.txt").write_text(load_template("dfsdt"), encoding="utf-8")
         traces = []
         for name, extra in (("plain", []), ("override", ["--templates-dir", str(templates)])):
             assert main([
@@ -659,6 +659,21 @@ class TestBench:
             assert read_trace(trace)[0].terminal.answer == "FINISH-REPLY"
 
 
+def _provider_argv(command: str, core_dir: Path, tmp_path: Path) -> list[str]:
+    """The inputs ``command`` needs to reach its provider: the weather_miami
+    pair copied to a suite for ``run`` and ``bench``, and a trace for
+    ``compare --judge llm``."""
+    suite = tmp_path / "suite"
+    _copy_pair(core_dir, "weather_miami", suite)
+    trace = _trace_with_budget(tmp_path, 1)
+    return {
+        "run": ["--scenario", str(suite / "weather_miami.scenario.json"),
+                "--policy", str(suite / "weather_miami.policy.json")],
+        "bench": ["--scenario-dir", str(suite)],
+        "compare": ["--traces-a", str(trace), "--traces-b", str(trace), "--judge", "llm"],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["run", "bench", "compare"])
 def test_unknown_provider_mode_exits_2_before_any_call(
     core_dir, tmp_path, capsys, http_stub, monkeypatch, command
@@ -666,20 +681,58 @@ def test_unknown_provider_mode_exits_2_before_any_call(
     stub = _live_stub(http_stub, monkeypatch)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"provider": "Scripted"}))
-    suite = tmp_path / "suite"
-    _copy_pair(core_dir, "weather_miami", suite)
-    trace = _trace_with_budget(tmp_path, 1)
-    argv = {
-        "run": ["--scenario", str(suite / "weather_miami.scenario.json"),
-                "--policy", str(suite / "weather_miami.policy.json")],
-        "bench": ["--scenario-dir", str(suite)],
-        "compare": ["--traces-a", str(trace), "--traces-b", str(trace), "--judge", "llm"],
-    }[command]
+    argv = _provider_argv(command, core_dir, tmp_path)
     out_dir = tmp_path / "out"
     assert main([command, *argv, "--config", str(config), "--out", str(out_dir)]) == 2
     assert "unknown provider mode: 'Scripted'" in capsys.readouterr().err
     assert stub.calls == 0
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "compare"])
+def test_misspelled_config_key_exits_2_naming_file_and_key(core_dir, tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"budgte": 3}))
+    argv = _provider_argv(command, core_dir, tmp_path)
+    out_dir = tmp_path / "out"
+    assert main([command, *argv, "--config", str(config), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and "'budgte'" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("flag", ["--decompose", "--no-decompose"])
+def test_removed_decompose_flag_is_a_usage_error(core_dir, tmp_path, capsys, command, flag):
+    argv = _provider_argv(command, core_dir, tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([command, *argv, "--out", str(tmp_path / "out"), flag])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_one_config_file_with_every_key_serves_every_command(core_dir, tmp_path):
+    suite = tmp_path / "suite"
+    _copy_pair(core_dir, "weather_miami", suite)
+    (tmp_path / "templates").mkdir()
+    out_dir = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "method": "sum2act", "methods": "sum2act", "provider": "scripted",
+        "policy": str(suite / "weather_miami.policy.json"), "out": str(out_dir),
+        "concurrency": 1, "judge": "rule", "budget": 30, "state_cap": 4096,
+        "observation_window": 4096, "react_window": 4096, "max_children": 3,
+        "templates_dir": str(tmp_path / "templates"),
+    }))
+    traces = str(out_dir / "traces")
+    for argv in (
+        ["run", "--scenario", str(suite / "weather_miami.scenario.json")],
+        ["bench", "--scenario-dir", str(suite)],
+        ["compare", "--traces-a", traces, "--traces-b", traces, "--scenario-dir", str(suite)],
+    ):
+        assert main([*argv, "--config", str(config)]) == 0
+    assert (out_dir / "sum2act__weather_miami.jsonl").exists()
+    assert (out_dir / "report.json").exists() and (out_dir / "winrate.json").exists()
 
 
 class TestCompare:

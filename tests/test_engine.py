@@ -224,25 +224,6 @@ class TestSum2Act:
             assert "primary_lookup" in prompt
             assert "primary store unreachable" in prompt
 
-    def test_decomposition_attached_when_enabled(self):
-        policy = ScriptedPolicy(
-            entries=(
-                _entry(r"(?s)planning assistant",
-                       {"target": "fetch the figure", "subtasks": ["query the replica"]}),
-                _entry(r"(?s)state manager.*SVCB-T1", {"verdict": "Success", "summary": "got 73 units"}),
-                _entry(r"(?s)73 units", _finish("73 units")),
-            ),
-            default=json.dumps(_call("backup_lookup", {"dataset": "inventory"})),
-        )
-        provider = RecordingProvider(ScriptedProvider(policy))
-        episode = run_episode(
-            "sum2act", provider, INSTRUCTION, list(FAILOVER_TOOLS),
-            EngineConfig(use_decomposition=True), ScenarioSession(FAILOVER_SCENARIO).invoke,
-        )
-        assert episode.terminal.status == "Finished"
-        router_prompts = [p for p in provider.prompts() if "action router" in p]
-        assert all("Target task: fetch the figure" in p for p in router_prompts)
-
 
 class TestReact:
     def test_happy_path_matches_sum2act_outcome(self):
@@ -422,10 +403,11 @@ class TestEngineShared:
         assert episode.terminal.status == "AbortedParseFailure"
         assert episode.steps == ()
 
-    @pytest.mark.parametrize("method, decompose", [
-        ("sum2act", False), ("sum2act", True), ("react", False), ("dfsdt", False),
-    ])
-    def test_tools_block_is_rendered_once_per_episode(self, method, decompose, monkeypatch):
+    # The ids keep the names these cases had when the test also varied a flag.
+    @pytest.mark.parametrize(
+        "method", ["sum2act", "react", "dfsdt"], ids=lambda method: f"{method}-False"
+    )
+    def test_tools_block_is_rendered_once_per_episode(self, method, monkeypatch):
         rendered = []
 
         def counting(tools):
@@ -434,9 +416,8 @@ class TestEngineShared:
 
         monkeypatch.setattr(engine, "render_tools_block", counting)
         provider = RecordingProvider(ScriptedProvider(FAILOVER_POLICY))
-        config = EngineConfig(step_budget=default_config(method).step_budget, use_decomposition=decompose)
         episode = run_episode(
-            method, provider, INSTRUCTION, list(FAILOVER_TOOLS), config,
+            method, provider, INSTRUCTION, list(FAILOVER_TOOLS), default_config(method),
             ScenarioSession(FAILOVER_SCENARIO).invoke,
         )
         assert len(episode.steps) >= 3
@@ -445,7 +426,7 @@ class TestEngineShared:
             prompt.split("## Tools\n", 1)[1].split("\n\n## ", 1)[0]
             for prompt in provider.prompts() if "## Tools\n" in prompt
         ]
-        assert len(sections) >= len(episode.steps) + decompose
+        assert len(sections) >= len(episode.steps)
         assert set(sections) == {render_tools_block(FAILOVER_TOOLS)}
 
     def test_dispatcher_rejects_unknown_method(self):

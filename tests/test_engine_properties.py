@@ -26,7 +26,7 @@ VERBOSE_CHARS = 200_000
 
 class QueueProvider:
     """Answers router calls from one list of drawn replies and every other
-    call (state verdict, merge, decomposition) from another, each cycling,
+    call (state verdict, merge) from another, each cycling,
     under the request size limit every provider enforces."""
 
     def __init__(self, router_replies: list[str], other_replies: list[str]):
@@ -92,7 +92,6 @@ def episode_inputs(draw):
     )
     config = EngineConfig(
         step_budget=draw(st.integers(1, 12)),
-        use_decomposition=draw(st.booleans()),
         dfsdt_max_children=draw(st.integers(1, 3)),
     )
     provider = QueueProvider(

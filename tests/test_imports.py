@@ -1,0 +1,37 @@
+"""Every name a package module imports is used in that module, so a deletion
+that leaves an import behind fails here; no linter is assumed.
+``__init__.py`` is left out: it imports names to re-export them."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sum2act"
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_found():
+    source = "from dataclasses import dataclass, replace\nimport logging\nreplace(1)\n"
+    assert _unused_imports(source) == ["line 1: dataclass", "line 2: logging"]

@@ -1,4 +1,4 @@
-"""Re-ask and error policy of the four callers of ``parsing.ask_json``.
+"""Re-ask and error policy of the three callers of ``parsing.ask_json``.
 
 Each caller meets three providers: one whose policy has no reply for the
 prompt (``ScriptError``), one whose request is too large
@@ -16,7 +16,7 @@ from sum2act.errors import MalformedOutput, RequestTooLarge, ScriptError
 from sum2act.evaluation import LlmJudge
 from sum2act import parsing
 from sum2act.parsing import MAX_REPLY_CHARS, REASK_RETRIES, ask_json
-from sum2act.router import decompose, parse_action, propose_from_prompt, render_tools_block
+from sum2act.router import parse_action, propose_from_prompt
 from sum2act.state_manager import update
 
 INSTRUCTION = Instruction(id="i1", text="find the weather in Miami")
@@ -133,31 +133,6 @@ class TestRouterPolicy:
             propose_from_prompt(provider, "prompt")
         assert len(provider.prompts) == ATTEMPTS
         assert all("could not be parsed" in prompt for prompt in provider.prompts[1:])
-
-
-class TestDecomposePolicy:
-    """ScriptError and garbage are re-asked, then the episode goes on
-    without guidance; RequestTooLarge escapes."""
-
-    @pytest.mark.parametrize("make", [_script_error, _garbage])
-    def test_reasked_then_none(self, make):
-        provider = make()
-        assert decompose(provider, INSTRUCTION, render_tools_block(TOOLS)) is None
-        assert len(provider.prompts) == ATTEMPTS
-        assert all("could not be parsed" in prompt for prompt in provider.prompts[1:])
-
-    def test_request_too_large_escapes(self):
-        provider = _too_large()
-        with pytest.raises(RequestTooLarge):
-            decompose(provider, INSTRUCTION, render_tools_block(TOOLS))
-        assert len(provider.prompts) == 1
-
-    def test_recovers_after_script_error(self):
-        provider = StubProvider(
-            ScriptError("no policy entry matched"), '{"target": "plan trip", "subtasks": []}'
-        )
-        assert decompose(provider, INSTRUCTION, render_tools_block(TOOLS)).target == "plan trip"
-        assert len(provider.prompts) == 2
 
 
 class TestStateManagerPolicy:

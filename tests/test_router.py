@@ -12,9 +12,7 @@ from sum2act.parsing import REASK_RETRIES
 from sum2act.provider import PolicyEntry, RecordingProvider, ScriptedPolicy, ScriptedProvider
 from sum2act.router import (
     ROUTER_RULES,
-    Task,
     build_router_prompt,
-    decompose,
     parse_action,
     propose,
     propose_from_prompt,
@@ -50,16 +48,6 @@ class TestBuildRouterPrompt:
         assert "get_weather(d1): first reason" in state_section
         assert "get_weather(d2): second reason" in state_section
         assert state_section == render_state(state)
-
-    def test_decomposition_appends_lines(self):
-        bare = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK)
-        task = Task(target="plan the trip", subtasks=("check weather", "book flight"))
-        decorated = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK, decomposition=task)
-        extra = len(_section(decorated, "User Instruction").splitlines()) - len(
-            _section(bare, "User Instruction").splitlines()
-        )
-        assert extra == 3
-        assert "plan the trip" in decorated
 
     def test_deterministic(self):
         state = State(current_results=(ResultEntry("sunny", 1),), failure_history=())
@@ -203,28 +191,3 @@ class TestPropose:
         provider = ScriptedProvider(ScriptedPolicy(default=VALID_CALL))
         action = propose_from_prompt(provider, "any prompt text")
         assert action.kind == "ToolCall"
-
-
-class TestDecompose:
-    def test_parses_task(self):
-        provider = ScriptedProvider(
-            ScriptedPolicy(default='{"target":"plan trip","subtasks":["weather","flights"]}')
-        )
-        task = decompose(provider, INSTRUCTION, TOOLS_BLOCK)
-        assert task == Task(target="plan trip", subtasks=("weather", "flights"))
-
-    def test_empty_subtasks_valid(self):
-        provider = ScriptedProvider(
-            ScriptedPolicy(default='{"target":"plan trip","subtasks":[]}')
-        )
-        task = decompose(provider, INSTRUCTION, TOOLS_BLOCK)
-        assert task.subtasks == ()
-
-    def test_unparseable_output_yields_none(self):
-        provider = RecordingProvider(ScriptedProvider(ScriptedPolicy(default="hmm")))
-        assert decompose(provider, INSTRUCTION, TOOLS_BLOCK) is None
-        assert len(provider.calls) == REASK_RETRIES + 1
-
-    def test_unscripted_provider_yields_none(self):
-        provider = ScriptedProvider(ScriptedPolicy())
-        assert decompose(provider, INSTRUCTION, TOOLS_BLOCK) is None
