@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -428,6 +430,28 @@ class TestEngineShared:
         ]
         assert len(sections) >= len(episode.steps)
         assert set(sections) == {render_tools_block(FAILOVER_TOOLS)}
+
+    @pytest.mark.parametrize(
+        "method, used", [("sum2act", ("router", "state")), ("react", ("react",)), ("dfsdt", ("dfsdt",))]
+    )
+    def test_override_templates_are_the_prompts_sent(self, method, used, tmp_path):
+        # Each override is the built-in text under a marker line naming it, so
+        # the policy still matches and every template prompt shows its source.
+        built_in = Path(engine.__file__).parent / "templates"
+        first_lines = {}
+        for name in ("router", "state", "react", "dfsdt"):
+            text = (built_in / f"{name}.txt").read_text(encoding="utf-8")
+            first_lines[f"OVERRIDE {name}"] = text.split("\n", 1)[0]
+            (tmp_path / f"{name}.txt").write_text(f"OVERRIDE {name}\n{text}", encoding="utf-8")
+        provider = RecordingProvider(ScriptedProvider(FAILOVER_POLICY))
+        config = replace(default_config(method), templates_dir=str(tmp_path))
+        run_episode(
+            method, provider, INSTRUCTION, list(FAILOVER_TOOLS), config,
+            ScenarioSession(FAILOVER_SCENARIO).invoke,
+        )
+        heads = [prompt.split("\n", 2)[:2] for prompt in provider.prompts()]
+        assert {marker for marker, _ in heads} == {f"OVERRIDE {name}" for name in used}
+        assert all(line == first_lines[marker] for marker, line in heads)
 
     def test_dispatcher_rejects_unknown_method(self):
         with pytest.raises(ConfigurationError):
