@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import ClassVar
 
 from .core import (
@@ -36,10 +35,9 @@ from .core import (
     new_episode,
 )
 from .errors import ConfigurationError, MalformedOutput
-from .parsing import REASK_RETRIES, fill_template
+from .parsing import REASK_RETRIES, fill_template, load_templates
 from .router import ROUTER_RULES, propose, propose_from_prompt, render_tools_block
 from .state_manager import OBSERVATION_WINDOW_CHARS, STATE_CAP_CHARS, enforce_cap, update
-from .templates_loader import load_template
 
 SUM2ACT_STEP_BUDGET = 30
 DFSDT_STEP_BUDGET = 200
@@ -59,6 +57,8 @@ class EngineConfig:
     react_memory_window_chars: int = 4096
     dfsdt_max_children: int = 3
     templates_dir: str | None = None
+    # Each template's text by name, read from templates_dir when built.
+    templates: dict[str, str] = field(init=False, repr=False, compare=False)
     # Re-asks per structured reply; fixed, readable to count provider calls.
     parse_retries: ClassVar[int] = REASK_RETRIES
 
@@ -70,8 +70,7 @@ class EngineConfig:
                 raise ConfigurationError(f"{name} must be >= 512")
         if self.dfsdt_max_children < 1:
             raise ConfigurationError("dfsdt_max_children must be >= 1")
-        if self.templates_dir is not None and not Path(self.templates_dir).is_dir():
-            raise ConfigurationError(f"templates_dir is not a directory: {self.templates_dir}")
+        object.__setattr__(self, "templates", load_templates(self.templates_dir))
 
 
 def _transcript_entry(action: Action, observation: Observation) -> str:
@@ -108,9 +107,9 @@ class Memory:
     executor: Callable[[str, dict], Observation]
     state: State = State.empty()
 
-    def _propose(self, template: str, transcript, rules: str, **blocks: str) -> Action:
+    def _propose(self, name: str, transcript, rules: str, **blocks: str) -> Action:
         prompt = fill_template(
-            load_template(template, self.config.templates_dir),
+            self.config.templates[name],
             instruction=self.instruction.text,
             tools=self.tools_block,
             transcript="\n\n".join(transcript) if transcript else "(empty)",
@@ -151,18 +150,17 @@ class Summary(Memory):
 
     def propose(self) -> Action:
         return propose(
-            self.provider, self.instruction, self.state, self.tools_block,
-            templates_dir=self.config.templates_dir,
+            self.provider, self.config.templates["router"], self.instruction, self.state,
+            self.tools_block,
         )
 
     def record(self, action: Action, step_index: int) -> Step:
         config = self.config
         observation = self.executor(action.tool_name, action.args)
         state = update(
-            self.replies, self.instruction, self.state, observation,
+            self.replies, config.templates["state"], self.instruction, self.state, observation,
             step_index=step_index,
             window=config.observation_window_chars,
-            templates_dir=config.templates_dir,
         )
         self.state = enforce_cap(state, config.state_cap_chars, provider=self.replies)
         return Step(action, observation, self.state)

@@ -1,13 +1,15 @@
-"""Text utilities shared by the prompt builders and output parsers, and the
-one re-ask loop every structured model reply goes through."""
+"""Text utilities shared by the prompt builders and output parsers, the
+prompt templates they fill, and the one re-ask loop every structured model
+reply goes through."""
 
 from __future__ import annotations
 
 import json
 import re
 from functools import lru_cache
+from pathlib import Path
 
-from .errors import MalformedOutput
+from .errors import ConfigurationError, MalformedOutput
 from .provider import CompletionRequest
 
 # Corrective re-asks after the first attempt, for every structured reply.
@@ -18,11 +20,19 @@ REASK_RETRIES = 2
 # scripted reply, shipped or generated by the benchmark, is under 3,000 chars.
 MAX_REPLY_CHARS = 32_768
 
-# Known placeholder names; any other brace content in a template is literal,
-# so JSON examples inside rule blocks never need escaping.
+# Each prompt template by name, with the placeholders its prompt fills. Any
+# other brace content in a template is literal, so JSON examples inside rule
+# blocks never need escaping.
+TEMPLATE_PLACEHOLDERS = {
+    "router": ("instruction", "tools", "rules", "state"),
+    "state": ("instruction", "state", "observation"),
+    "react": ("instruction", "tools", "rules", "transcript"),
+    "dfsdt": ("instruction", "tools", "rules", "transcript", "attempted"),
+}
 _PLACEHOLDER = re.compile(
-    r"\{(instruction|state|tools|rules|observation|transcript|attempted)\}"
+    r"\{(" + "|".join(sorted(set().union(*TEMPLATE_PLACEHOLDERS.values()))) + r")\}"
 )
+_BUILT_IN = Path(__file__).with_name("templates")
 
 
 @lru_cache(maxsize=64)
@@ -40,6 +50,29 @@ def fill_template(template: str, **values: str) -> str:
     except KeyError as exc:
         raise KeyError(f"template placeholder {{{exc.args[0]}}} has no value") from None
     return "".join(parts)
+
+
+def load_templates(templates_dir: str | None = None) -> dict[str, str]:
+    """Each template's text by name: ``templates_dir``'s ``<name>.txt`` where
+    it exists, else the built-in. A missing directory, a file that is not UTF-8
+    or a placeholder its prompt does not fill raises ConfigurationError."""
+    if templates_dir is not None and not Path(templates_dir).is_dir():
+        raise ConfigurationError(f"templates_dir is not a directory: {templates_dir}")
+    templates = {}
+    for name, filled in TEMPLATE_PLACEHOLDERS.items():
+        source = Path(_BUILT_IN if templates_dir is None else templates_dir, f"{name}.txt")
+        if not source.exists():
+            source = _BUILT_IN / f"{name}.txt"
+        try:
+            templates[name] = text = source.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"template {source}: not UTF-8: {exc}") from None
+        unfilled = [part for part in _split_template(text)[1::2] if part not in filled]
+        if unfilled:
+            raise ConfigurationError(
+                f"template {source}: the {name} prompt fills no {{{unfilled[0]}}}"
+            )
+    return templates
 
 
 def truncate_with_marker(text: str, cap: int) -> str:

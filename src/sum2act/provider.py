@@ -57,7 +57,8 @@ class CompletionRequest:
             raise ValueError("completion request requires a non-empty prompt")
 
     def rendered_prompt(self) -> str:
-        """The prompt; the text scripted matchers see."""
+        """The prompt. Kept for ``perfbench/tracing.py``'s ``ModelledProvider``,
+        which calls it; code here reads ``prompt``."""
         return self.prompt
 
 
@@ -210,7 +211,7 @@ class ScriptedProvider:
         self._last: dict[str, tuple[str, str, dict[str, int]]] = {}
 
     def complete(self, request: CompletionRequest) -> str:
-        prompt = request.rendered_prompt()
+        prompt = request.prompt
         _check_size(prompt)
         kind = None
         before, _, before_found = _NOTHING_STORED
@@ -388,7 +389,7 @@ class RecordingProvider:
     def complete(self, request: CompletionRequest) -> str:
         response = self._inner.complete(request)
         with self._lock:
-            self.calls.append((request.rendered_prompt(), response))
+            self.calls.append((request.prompt, response))
         return response
 
     def prompts(self) -> list[str]:

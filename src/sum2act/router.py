@@ -15,7 +15,6 @@ from .core import Action, Instruction, State, normalize_arg_value
 from .errors import ConfigurationError, MalformedOutput
 from .parsing import ask_json, extract_first_json_object, fill_template
 from .state_manager import render_state
-from .templates_loader import load_template
 
 ROUTER_RULES = """\
 - Propose exactly one action per reply.
@@ -41,18 +40,15 @@ def render_tools_block(tools) -> str:
 
 
 def build_router_prompt(
-    instruction: Instruction,
-    state: State,
-    tools_block: str,
-    templates_dir: str | None = None,
+    template: str, instruction: Instruction, state: State, tools_block: str
 ) -> str:
-    """Deterministic prompt text from the instruction, the rendered tools
-    block (``render_tools_block``), the rules and the state; every failure
-    history entry is rendered, none omitted."""
+    """Deterministic prompt text: ``template`` filled with the instruction, the
+    rendered tools block (``render_tools_block``), the rules and the state;
+    every failure history entry is rendered, none omitted."""
     if not tools_block:
         raise ConfigurationError("router prompt requires a non-empty tool list")
     return fill_template(
-        load_template("router", templates_dir),
+        template,
         instruction=instruction.text,
         state=render_state(state),
         tools=tools_block,
@@ -106,12 +102,8 @@ def propose_from_prompt(provider, prompt_text: str) -> Action:
 
 
 def propose(
-    provider,
-    instruction: Instruction,
-    state: State,
-    tools_block: str,
-    templates_dir: str | None = None,
+    provider, template: str, instruction: Instruction, state: State, tools_block: str
 ) -> Action:
-    prompt = build_router_prompt(instruction, state, tools_block, templates_dir)
+    prompt = build_router_prompt(template, instruction, state, tools_block)
     return propose_from_prompt(provider, prompt)
 

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .parsing import ask_json, extract_first_json_object, fill_template, truncate_with_marker
 from .provider import CompletionRequest
-from .templates_loader import load_template
 
 logger = logging.getLogger(__name__)
 
@@ -92,16 +91,13 @@ def render_observation(observation: Observation, window: int = OBSERVATION_WINDO
 
 
 def build_state_prompt(
-    instruction: Instruction,
-    state: State,
-    observation: Observation,
+    template: str, instruction: Instruction, state: State, observation: Observation,
     window: int = OBSERVATION_WINDOW_CHARS,
-    templates_dir: str | None = None,
 ) -> str:
-    """Deterministic prompt: instruction, full current state, and the
-    observation payload clipped to the observation window."""
+    """Deterministic prompt: ``template`` filled with the instruction, full
+    current state, and the observation payload clipped to the observation window."""
     return fill_template(
-        load_template("state", templates_dir),
+        template,
         instruction=instruction.text,
         state=render_state(state),
         observation=render_observation(observation, window),
@@ -131,12 +127,12 @@ _REASK = (
 
 def update(
     provider,
+    template: str,
     instruction: Instruction,
     state: State,
     observation: Observation,
     step_index: int,
     window: int = OBSERVATION_WINDOW_CHARS,
-    templates_dir: str | None = None,
 ) -> State:
     """Judge one observation and return a new State; the input is unchanged.
 
@@ -146,7 +142,7 @@ def update(
     A failure already in the history (same tool and args digest) is not
     added again.
     """
-    prompt = build_state_prompt(instruction, state, observation, window, templates_dir)
+    prompt = build_state_prompt(template, instruction, state, observation, window)
     try:
         (verdict, text), _ = ask_json(
             provider, prompt, _parse_verdict, _REASK, swallow=(ScriptError, RequestTooLarge)

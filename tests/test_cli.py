@@ -19,7 +19,7 @@ from sum2act.core import (
     read_trace,
     serialize_episode,
 )
-from sum2act.templates_loader import load_template
+from sum2act.parsing import load_templates
 
 
 def _copy_pair(src_dir: Path, name: str, dst: Path) -> None:
@@ -263,7 +263,7 @@ class TestRun:
         # A template the directory lacks comes from the built-in set.
         templates = tmp_path / "templates"
         templates.mkdir()
-        (templates / "dfsdt.txt").write_text(load_template("dfsdt"), encoding="utf-8")
+        (templates / "dfsdt.txt").write_text(load_templates()["dfsdt"], encoding="utf-8")
         traces = []
         for name, extra in (("plain", []), ("override", ["--templates-dir", str(templates)])):
             assert main([
@@ -733,6 +733,50 @@ def test_one_config_file_with_every_key_serves_every_command(core_dir, tmp_path)
         assert main([*argv, "--config", str(config)]) == 0
     assert (out_dir / "sum2act__weather_miami.jsonl").exists()
     assert (out_dir / "report.json").exists() and (out_dir / "winrate.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, placeholder",
+    [("run", "router", "{observation}"), ("bench", "react", "{state}")],
+)
+def test_template_placeholder_its_prompt_does_not_fill_exits_2(
+    core_dir, tmp_path, capsys, command, name, placeholder
+):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    override = templates / f"{name}.txt"
+    override.write_text(load_templates()[name] + f"\n{placeholder}\n", encoding="utf-8")
+    argv = _provider_argv(command, core_dir, tmp_path)
+    methods = ["--methods", "sum2act,react"] if command == "bench" else []
+    code = main([command, *argv, *methods, "--templates-dir", str(templates),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(override) in err and placeholder in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_template_that_is_not_utf8_exits_2_naming_it(core_dir, tmp_path, capsys, command):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    (templates / "router.txt").write_bytes(b"## Rules\n{rules}\n\xff\xfe\n")
+    argv = _provider_argv(command, core_dir, tmp_path)
+    code = main([command, *argv, "--templates-dir", str(templates), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(templates / "router.txt") in err and "not UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_template_braces_naming_no_placeholder_are_literal(core_dir, tmp_path):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    router = load_templates()["router"] + '\nFor example {city}, or {"city": "Miami"}.\n'
+    (templates / "router.txt").write_text(router, encoding="utf-8")
+    assert load_templates(str(templates))["router"] == router
+    argv = _provider_argv("run", core_dir, tmp_path)
+    assert main(["run", *argv, "--templates-dir", str(templates), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestCompare:

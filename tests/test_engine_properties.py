@@ -34,7 +34,7 @@ class QueueProvider:
         self.calls = {True: 0, False: 0}
 
     def complete(self, request) -> str:
-        router = ROUTER_RULES in request.rendered_prompt()
+        router = ROUTER_RULES in request.prompt
         queue = self.queues[router]
         reply = queue[self.calls[router] % len(queue)]
         self.calls[router] += 1

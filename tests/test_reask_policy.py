@@ -15,7 +15,7 @@ from sum2act.core import Action, Instruction, Observation, State, Step, ToolSpec
 from sum2act.errors import MalformedOutput, RequestTooLarge, ScriptError
 from sum2act.evaluation import LlmJudge
 from sum2act import parsing
-from sum2act.parsing import MAX_REPLY_CHARS, REASK_RETRIES, ask_json
+from sum2act.parsing import MAX_REPLY_CHARS, REASK_RETRIES, ask_json, load_templates
 from sum2act.router import parse_action, propose_from_prompt
 from sum2act.state_manager import update
 
@@ -33,7 +33,7 @@ class StubProvider:
         self.prompts: list[str] = []
 
     def complete(self, request) -> str:
-        self.prompts.append(request.rendered_prompt())
+        self.prompts.append(request.prompt)
         outcome = self.outcomes[min(len(self.prompts), len(self.outcomes)) - 1]
         if isinstance(outcome, Exception):
             raise outcome
@@ -63,7 +63,8 @@ def _update(provider):
         status="ToolError", payload="", tool_name="get_weather",
         args_echo={"city": "Miami"}, error="HTTP 502: upstream gone",
     )
-    return update(provider, INSTRUCTION, State.empty(), observation, step_index=1)
+    template = load_templates()["state"]
+    return update(provider, template, INSTRUCTION, State.empty(), observation, step_index=1)
 
 
 class TestAskJson:

@@ -15,6 +15,7 @@ from sum2act.core import (
     args_digest,
 )
 from sum2act.errors import ConfigurationError, MalformedOutput
+from sum2act.parsing import load_templates
 from sum2act.provider import PolicyEntry, ScriptedPolicy, ScriptedProvider
 from sum2act.state_manager import (
     FAILURE_REASON_CAP_CHARS,
@@ -27,6 +28,7 @@ from sum2act.state_manager import (
 )
 
 INSTRUCTION = Instruction(id="i1", text="weather in Miami")
+STATE = load_templates()["state"]
 UNSCRIPTED = ScriptedProvider(ScriptedPolicy())  # every call errors -> mechanical path
 
 
@@ -56,23 +58,23 @@ class TestRendering:
 
 class TestStatePrompt:
     def test_payload_under_cap_untouched(self):
-        prompt = build_state_prompt(INSTRUCTION, State.empty(), _success_obs("x" * 200), window=4096)
+        prompt = build_state_prompt(STATE, INSTRUCTION, State.empty(), _success_obs("x" * 200), window=4096)
         assert "x" * 200 in prompt
         assert "[truncated" not in prompt
 
     def test_payload_over_cap_marker_arithmetic(self):
-        prompt = build_state_prompt(INSTRUCTION, State.empty(), _success_obs("y" * 10000), window=4096)
+        prompt = build_state_prompt(STATE, INSTRUCTION, State.empty(), _success_obs("y" * 10000), window=4096)
         assert "y" * 4096 + "[truncated 5904 chars]" in prompt
         assert "y" * 4097 not in prompt
 
     def test_error_descriptor_present(self):
-        prompt = build_state_prompt(INSTRUCTION, State.empty(), _error_obs("HTTP 500: boom"))
+        prompt = build_state_prompt(STATE, INSTRUCTION, State.empty(), _error_obs("HTTP 500: boom"))
         assert "HTTP 500: boom" in prompt
 
     def test_deterministic(self):
         obs = _success_obs("hello")
-        assert build_state_prompt(INSTRUCTION, State.empty(), obs) == build_state_prompt(
-            INSTRUCTION, State.empty(), obs
+        assert build_state_prompt(STATE, INSTRUCTION, State.empty(), obs) == build_state_prompt(
+            STATE, INSTRUCTION, State.empty(), obs
         )
 
 
@@ -83,13 +85,13 @@ def _verdict_provider(verdict: dict) -> ScriptedProvider:
 class TestUpdate:
     def test_scripted_success_appends_result(self):
         provider = _verdict_provider({"verdict": "Success", "summary": "Miami: sunny, 29 degrees"})
-        state = update(provider, INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
+        state = update(provider, STATE, INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
         assert [r.text for r in state.current_results] == ["Miami: sunny, 29 degrees"]
         assert state.failure_history == ()
 
     def test_scripted_failure_appends_entry(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "endpoint returned server error"})
-        state = update(provider, INSTRUCTION, State.empty(), _error_obs("HTTP 500: boom"), step_index=1)
+        state = update(provider, STATE, INSTRUCTION, State.empty(), _error_obs("HTTP 500: boom"), step_index=1)
         assert state.current_results == ()
         assert len(state.failure_history) == 1
         entry = state.failure_history[0]
@@ -100,19 +102,19 @@ class TestUpdate:
     def test_duplicate_failures_merge(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "same failure"})
         obs = _error_obs("HTTP 500: boom")
-        state = update(provider, INSTRUCTION, State.empty(), obs, step_index=1)
-        state = update(provider, INSTRUCTION, state, obs, step_index=2)
+        state = update(provider, STATE, INSTRUCTION, State.empty(), obs, step_index=1)
+        state = update(provider, STATE, INSTRUCTION, state, obs, step_index=2)
         assert len(state.failure_history) == 1
         assert state.failure_history[0].step_index == 1
 
     def test_distinct_args_not_merged(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "r"})
         state = update(
-            provider, INSTRUCTION, State.empty(),
+            provider, STATE, INSTRUCTION, State.empty(),
             _error_obs("HTTP 500: a", args={"city": "Miami"}), step_index=1,
         )
         state = update(
-            provider, INSTRUCTION, state,
+            provider, STATE, INSTRUCTION, state,
             _error_obs("HTTP 500: b", args={"city": "Boston"}), step_index=2,
         )
         assert len(state.failure_history) == 2
@@ -121,17 +123,17 @@ class TestUpdate:
         provider = _verdict_provider({"verdict": "Success", "summary": "new"})
         original = State(current_results=(ResultEntry("old", 1),), failure_history=())
         snapshot = State(tuple(original.current_results), tuple(original.failure_history))
-        updated = update(provider, INSTRUCTION, original, _success_obs("..."), step_index=2)
+        updated = update(provider, STATE, INSTRUCTION, original, _success_obs("..."), step_index=2)
         assert original == snapshot
         assert updated is not original
 
     def test_mechanical_fallback_success(self):
         payload = "z" * 500
-        state = update(UNSCRIPTED, INSTRUCTION, State.empty(), _success_obs(payload), step_index=1)
+        state = update(UNSCRIPTED, STATE, INSTRUCTION, State.empty(), _success_obs(payload), step_index=1)
         assert state.current_results[0].text == payload[:200]
 
     def test_mechanical_fallback_failure_uses_descriptor(self):
-        state = update(UNSCRIPTED, INSTRUCTION, State.empty(), _error_obs("HTTP 502: upstream gone"), step_index=1)
+        state = update(UNSCRIPTED, STATE, INSTRUCTION, State.empty(), _error_obs("HTTP 502: upstream gone"), step_index=1)
         assert state.failure_history[0].reason == "HTTP 502: upstream gone"
 
     def test_recovers_after_corrective_retry(self):
@@ -144,7 +146,7 @@ class TestUpdate:
             ),
             default="not a verdict",
         )
-        state = update(ScriptedProvider(policy), INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
+        state = update(ScriptedProvider(policy), STATE, INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
         assert state.current_results[0].text == "recovered"
 
     def test_over_deep_verdict_falls_back_mechanically(self):
@@ -153,7 +155,7 @@ class TestUpdate:
         with pytest.raises(MalformedOutput):
             _parse_verdict(reply)
         provider = ScriptedProvider(ScriptedPolicy(default=reply))
-        state = update(provider, INSTRUCTION, State.empty(), _success_obs("p" * 500), step_index=1)
+        state = update(provider, STATE, INSTRUCTION, State.empty(), _success_obs("p" * 500), step_index=1)
         assert state.current_results[0].text == "p" * 200
 
 
