@@ -129,7 +129,7 @@ def cmd_run(args) -> int:
     provider = _provider(args, config)
     out_dir = Path(_resolve(args.out, config.out, "runs"))
 
-    scenario = None
+    scenario = session = None
     if args.scenario:
         scenario = load_scenario(args.scenario)
         instruction = scenario.instruction
@@ -145,14 +145,21 @@ def cmd_run(args) -> int:
         if not args.endpoint_spec:
             raise ConfigurationError("running against live tools requires --endpoint-spec")
         endpoints = load_endpoint_spec(args.endpoint_spec)
+        import requests
+
+        session = requests.Session()
 
         def executor(tool_name, call_args):
-            return invoke_live(endpoints, tool_name, call_args)
+            return invoke_live(endpoints, tool_name, call_args, session)
 
     else:
         raise ConfigurationError("provide --scenario, or --instruction with --tools")
 
-    episode = run_episode(method, provider, instruction, tools, engine_config, executor)
+    try:
+        episode = run_episode(method, provider, instruction, tools, engine_config, executor)
+    finally:
+        if session is not None:
+            session.close()
 
     trace_path = out_dir / f"{method}__{instruction.id}.jsonl"
     _write_episode(trace_path, episode)
@@ -242,7 +249,10 @@ def cmd_bench(args) -> int:
         _write_episode(trace_path, episode)
         return method, scenario, episode, check_pass(scenario, episode)
 
+    # The longest episodes start first, so at concurrency N none starts
+    # last and sets the wall time alone; results.sort fixes the report order.
     pairs = [(method, scenario, provider) for method in methods for scenario, provider in loaded]
+    pairs.sort(key=lambda pair: -engine_configs[pair[0]].step_budget)
     if concurrency == 1:
         results = [run_pair(*pair) for pair in pairs]
     else:

@@ -218,10 +218,13 @@ def load_endpoint_spec(path) -> dict[str, Endpoint]:
     return load_record(path, dict[str, Endpoint], "endpoint spec", ConfigurationError)
 
 
-def invoke_live(endpoints: dict[str, Endpoint], tool_name: str, args: dict) -> Observation:
-    """Execute one HTTP tool call, mapping every failure mode onto an
-    Observation status; nothing raises into the engine. No retries here: the
-    agent loop itself is the retry mechanism. ``requests`` is imported here,
+def invoke_live(
+    endpoints: dict[str, Endpoint], tool_name: str, args: dict, session: requests.Session
+) -> Observation:
+    """Execute one HTTP tool call over ``session``, mapping every failure mode
+    onto an Observation status; nothing raises into the engine. No retries
+    here: the agent loop itself is the retry mechanism. One session serves a
+    run's calls, so they reuse its connections. ``requests`` is imported here,
     not with the module, so offline runs never load the HTTP stack."""
     import requests
     from urllib3.exceptions import ReadTimeoutError
@@ -244,7 +247,7 @@ def invoke_live(endpoints: dict[str, Endpoint], tool_name: str, args: dict) -> O
     body_arg = {"params": remaining} if method == "GET" else {"json": remaining}
     started = time.perf_counter()
     try:
-        response = requests.request(
+        response = session.request(
             method, url, headers=headers, stream=True,
             timeout=endpoint.timeout, **body_arg,
         )

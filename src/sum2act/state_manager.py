@@ -11,6 +11,7 @@ abort an episode.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import replace
 
 from .core import (
@@ -43,12 +44,37 @@ _MERGED_ENTRY_CHARS = 240
 EMPTY_STATE_TEXT = "Current results: (none). Failure history: (none)."
 
 
+class _LastRender(threading.local):
+    """The state this thread rendered last, and its text."""
+
+    state: State | None = None
+    text: str = ""
+
+
+_last_render = _LastRender()
+
+
 def render_state(state: State) -> str:
     """Canonical two-section rendering consumed by the router prompt.
 
     Failure history comes first: its entries are only ever appended, while
     the cap merges result entries oldest-first, so the failures form a
-    prefix that stays stable from one step's prompts to the next."""
+    prefix that stays stable from one step's prompts to the next.
+
+    The cap measures each new state, then the next router and verdict
+    prompts show it, so each thread keeps the (immutable) state it rendered
+    last and its text, and returns the text again for that same object:
+    ``is``, since comparing a State walks every entry. Nothing is stored on
+    the State, because a trace writes its fields."""
+    last = _last_render
+    if last.state is state:
+        return last.text
+    last.text = text = _render(state)
+    last.state = state
+    return text
+
+
+def _render(state: State) -> str:
     if not state.current_results and not state.failure_history:
         return EMPTY_STATE_TEXT
     lines = []

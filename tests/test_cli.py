@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sum2act import cli
 from sum2act.cli import main
 from sum2act.core import (
     Action,
@@ -322,6 +323,27 @@ class TestRun:
         assert code == 0
         assert stub.calls == 1
 
+    def test_live_tools_of_one_run_share_one_connection(self, http_stub, tmp_path):
+        # Two tool calls, then Finish once the second payload is in the state.
+        stub = http_stub([(200, '{"status": "stale"}'), (200, '{"status": "fresh STUB-OK"}')])
+        tools_path = tmp_path / "catalog.json"
+        tools_path.write_text(json.dumps([{"name": "fetch_page", "description": "Fetch."}]))
+        endpoints_path = tmp_path / "endpoints.json"
+        endpoints_path.write_text(json.dumps({"fetch_page": {"url": stub.url + "/status"}}))
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps({
+            "entries": [{"match": "STUB-OK", "response": _FINISH_REPLY}],
+            "default": json.dumps({"thought": "fetch", "action": "fetch_page", "args": {}}),
+        }))
+        code = main([
+            "run", "--instruction", "Fetch the page until it is fresh.",
+            "--tools", str(tools_path), "--endpoint-spec", str(endpoints_path),
+            "--policy", str(policy_path), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert stub.paths == ["/status", "/status"]
+        assert len(set(stub.clients)) == 1
+
     @pytest.mark.parametrize("key, value", [("method", 5), ("timeout", "x"), ("auth_env", 7)])
     def test_wrongly_typed_endpoint_key_exits_2(self, core_dir, tmp_path, capsys, key, value):
         assert _run_live_tools(core_dir, tmp_path, {key: value}) == 2
@@ -490,6 +512,26 @@ class TestBench:
         assert serial_files == parallel_files
         for relative in serial_files:
             assert (out_serial / relative).read_bytes() == (out_parallel / relative).read_bytes()
+
+    def test_largest_step_budget_starts_first(self, core_dir, tmp_path, monkeypatch):
+        suite = tmp_path / "suite"
+        for name in ("weather_miami", "flight_bos_sfo"):
+            _copy_pair(core_dir, name, suite)
+        started = []
+        run_episode = cli.run_episode
+
+        def recording(method, *rest):
+            started.append(method)
+            return run_episode(method, *rest)
+
+        monkeypatch.setattr(cli, "run_episode", recording)
+        assert main(["bench", "--scenario-dir", str(suite), "--methods", "sum2act,react,dfsdt",
+                     "--out", str(tmp_path / "out")]) == 0
+        # dfsdt (200 steps) first, then the 30-step methods in the order given.
+        assert started == ["dfsdt"] * 2 + ["sum2act"] * 2 + ["react"] * 2
+        # The report keeps the order of --methods.
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [e["method"] for e in report["episodes"]] == ["sum2act"] * 2 + ["react"] * 2 + ["dfsdt"] * 2
 
     @pytest.mark.parametrize("concurrency", ["1", "4"])
     def test_shipped_corpus_bytes_are_pinned(self, scenarios_root, tmp_path, concurrency):

@@ -306,53 +306,61 @@ class TestCheckPass:
         assert not regex.evaluate("2950 degrees")
 
 
+@pytest.fixture
+def session():
+    import requests
+
+    with requests.Session() as live_session:
+        yield live_session
+
+
 class TestInvokeLive:
-    def test_success_maps_body(self, http_stub):
+    def test_success_maps_body(self, http_stub, session):
         stub = http_stub([(200, '{"ok": true}')])
         spec = {"probe": Endpoint(url=stub.url + "/probe", method="GET")}
-        obs = invoke_live(spec, "probe", {"q": "x"})
+        obs = invoke_live(spec, "probe", {"q": "x"}, session)
         assert obs.status == "Success"
         assert obs.payload == '{"ok": true}'
         assert obs.latency > 0
 
-    def test_404_maps_tool_error(self, http_stub):
+    def test_404_maps_tool_error(self, http_stub, session):
         stub = http_stub([(404, "not here")])
         spec = {"probe": Endpoint(url=stub.url, method="GET")}
-        obs = invoke_live(spec, "probe", {})
+        obs = invoke_live(spec, "probe", {}, session)
         assert obs.status == "ToolError"
         assert "HTTP 404" in obs.error
 
-    def test_timeout_maps(self, http_stub):
+    def test_timeout_maps(self, http_stub, session):
         stub = http_stub([(200, "slow body")], delay=0.6)
         spec = {"probe": Endpoint(url=stub.url, method="GET", timeout=0.1)}
-        obs = invoke_live(spec, "probe", {})
+        obs = invoke_live(spec, "probe", {}, session)
         assert obs.status == "Timeout"
 
-    def test_body_stalled_past_the_timeout_maps_timeout(self, http_stub):
+    def test_body_stalled_past_the_timeout_maps_timeout(self, http_stub, session):
         # The headers arrive in time; the body read is what times out.
         stub = http_stub([(200, "late body")], stall=0.6)
         spec = {"probe": Endpoint(url=stub.url, method="GET", timeout=0.1)}
-        obs = invoke_live(spec, "probe", {})
+        obs = invoke_live(spec, "probe", {}, session)
         assert obs.status == "Timeout"
         assert obs.error.startswith("timeout: ")
         assert obs.latency < 0.6
 
-    def test_transport_error_maps(self):
+    def test_transport_error_maps(self, session):
         spec = {"probe": Endpoint(url="http://127.0.0.1:9/x", method="GET", timeout=0.2)}
-        obs = invoke_live(spec, "probe", {})
+        obs = invoke_live(spec, "probe", {}, session)
         assert obs.status == "ToolError"
         assert "transport error" in obs.error
 
-    def test_unknown_tool(self):
-        obs = invoke_live({}, "ghost", {})
+    def test_unknown_tool(self, session):
+        obs = invoke_live({}, "ghost", {}, session)
         assert obs.status == "ToolError"
         assert "unknown tool" in obs.error
 
-    def test_body_of_several_mb_is_clipped_at_the_request_limit(self, http_stub):
+    def test_body_of_several_mb_is_clipped_at_the_request_limit(self, http_stub, session):
         size = 5_000_000
         stub = http_stub([(200, "x" * size)])
         spec = {"probe": Endpoint(url=stub.url, method="GET")}
-        obs = invoke_live(spec, "probe", {})
+        obs = invoke_live(spec, "probe", {}, session)
         assert obs.status == "Success"
         assert obs.payload[:MAX_REQUEST_CHARS] == "x" * MAX_REQUEST_CHARS
         marker = re.fullmatch(r"\[truncated (\d+) chars\]", obs.payload[MAX_REQUEST_CHARS:])
@@ -360,24 +368,24 @@ class TestInvokeLive:
         # Reading stopped soon after the limit, far short of the whole body.
         assert 0 < int(marker.group(1)) < size // 10
 
-    def test_multibyte_body_at_the_limit_is_kept_whole(self, http_stub):
+    def test_multibyte_body_at_the_limit_is_kept_whole(self, http_stub, session):
         # Two-byte chars straddle the read chunks' boundaries.
         stub = http_stub([(200, "é" * MAX_REQUEST_CHARS)])
         spec = {"probe": Endpoint(url=stub.url, method="GET")}
-        obs = invoke_live(spec, "probe", {})
+        obs = invoke_live(spec, "probe", {}, session)
         assert obs.payload == "é" * MAX_REQUEST_CHARS
 
-    def test_url_template_substitution(self, http_stub):
+    def test_url_template_substitution(self, http_stub, session):
         stub = http_stub([(200, "ok")])
         spec = {"probe": Endpoint(url=stub.url + "/items/{item_id}", method="GET")}
-        obs = invoke_live(spec, "probe", {"item_id": "41"})
+        obs = invoke_live(spec, "probe", {"item_id": "41"}, session)
         assert obs.status == "Success"
         assert stub.paths == ["/items/41"]
 
-    def test_url_placeholder_is_one_quoted_segment(self, http_stub):
+    def test_url_placeholder_is_one_quoted_segment(self, http_stub, session):
         stub = http_stub([(200, "ok")])
         spec = {"probe": Endpoint(url=stub.url + "/users/{id}/profile", method="GET")}
-        obs = invoke_live(spec, "probe", {"id": "../../admin?x=1#"})
+        obs = invoke_live(spec, "probe", {"id": "../../admin?x=1#"}, session)
         assert obs.status == "Success"
         assert stub.paths == ["/users/..%2F..%2Fadmin%3Fx%3D1%23/profile"]
 

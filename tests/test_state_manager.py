@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from sum2act.core import (
 )
 from sum2act.errors import ConfigurationError, MalformedOutput
 from sum2act.parsing import load_templates
+from sum2act import state_manager
 from sum2act.provider import PolicyEntry, ScriptedPolicy, ScriptedProvider
 from sum2act.state_manager import (
     FAILURE_REASON_CAP_CHARS,
@@ -54,6 +57,83 @@ class TestRendering:
         assert "get_flights(abc123): bad airport code" in text
         assert "Current results:" in text
         assert text.index("Failure history:") < text.index("Current results:")
+
+
+def _state_a() -> State:
+    return State((ResultEntry("sunny in Miami", 1),), (FailureEntry("get_flights", "abc123", "bad code", 2),))
+
+
+STATE_A_TEXT = (
+    "Failure history:\n"
+    "  1. [step 2] get_flights(abc123): bad code\n"
+    "Current results:\n"
+    "  1. [step 1] sunny in Miami"
+)
+STATE_B = State((ResultEntry("rain in Boston", 3),), ())
+STATE_B_TEXT = "Failure history: (none).\nCurrent results:\n  1. [step 3] rain in Boston"
+
+
+class TestRenderMemo:
+    """render_state keeps the text of the state its thread rendered last."""
+
+    def test_each_state_gets_its_own_text(self):
+        state_a = _state_a()
+        assert render_state(state_a) == STATE_A_TEXT
+        assert render_state(STATE_B) == STATE_B_TEXT
+        assert render_state(state_a) == STATE_A_TEXT
+        assert render_state(state_a) == STATE_A_TEXT
+        equal = _state_a()
+        assert equal == state_a and equal is not state_a
+        assert render_state(equal) == STATE_A_TEXT
+        assert render_state(STATE_B) == STATE_B_TEXT
+
+    def test_nothing_is_stored_on_the_state(self):
+        # The trace writer writes a State's fields.
+        state = _state_a()
+        render_state(state)
+        render_state(state)
+        assert vars(state) == vars(_state_a())
+
+    def test_threads_rendering_alternately_get_their_own_text(self, monkeypatch):
+        renders: list[State] = []
+        render = state_manager._render
+        monkeypatch.setattr(state_manager, "_render", lambda state: renders.append(state) or render(state))
+        lockstep, free = 100, 2000
+        turn = threading.Barrier(2, timeout=30)
+        wrong: list[tuple[str, str]] = []
+
+        def worker(state: State, expected: str, first: bool) -> None:
+            for index in range(lockstep + free):
+                if index < lockstep:
+                    # One thread renders, then the other: A, B, A, B, ...
+                    if not first:
+                        turn.wait()
+                    text = render_state(state)
+                    turn.wait()
+                    if first:
+                        turn.wait()
+                else:
+                    text = render_state(state)
+                if text != expected:
+                    wrong.append((expected, text))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(_state_a(), STATE_A_TEXT, True)),
+                threading.Thread(target=worker, args=(STATE_B, STATE_B_TEXT, False)),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        # Each thread kept its own state's text: one render per thread.
+        assert len(renders) == 2
 
 
 class TestStatePrompt:
