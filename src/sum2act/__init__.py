@@ -13,7 +13,6 @@ from .core import (
     Terminal,
     ToolSpec,
     deserialize_episode,
-    new_episode,
     serialize_episode,
 )
 from .engine import EngineConfig, default_config, run_episode
@@ -52,7 +51,6 @@ __all__ = [
     "deserialize_episode",
     "load_policy",
     "load_scenario",
-    "new_episode",
     "run_episode",
     "serialize_episode",
 ]

@@ -428,11 +428,16 @@ def cmd_compare(args) -> int:
 
 
 def _state_diff(previous, current) -> list[str]:
+    """The entries ``current`` dropped from ``previous`` and those it added,
+    compared by value: a cap merge replaces entries, so counts can shrink."""
     lines = []
-    for entry in current.current_results[len(previous.current_results):]:
-        lines.append(f"    + result: {entry.text}")
-    for entry in current.failure_history[len(previous.failure_history):]:
-        lines.append(f"    + failure: {entry.tool_name}({entry.args_digest}): {entry.reason}")
+    for kind, old, new, render in (
+        ("result", previous.current_results, current.current_results, lambda e: e.text),
+        ("failure", previous.failure_history, current.failure_history,
+         lambda e: f"{e.tool_name}({e.args_digest}): {e.reason}"),
+    ):
+        lines += [f"    - {kind}: {render(entry)}" for entry in old if entry not in new]
+        lines += [f"    + {kind}: {render(entry)}" for entry in new if entry not in old]
     return lines or ["    (state unchanged)"]
 
 

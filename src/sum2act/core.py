@@ -1,8 +1,8 @@
 """Core domain types and episode-trace serialization.
 
 All types here are frozen dataclasses: immutable value objects that are safe
-to share across concurrent episode runners. Episodes grow functionally via
-``with_step``/``with_terminal``, which return new values.
+to share across concurrent episode runners. An Episode is only ever a
+finished one: the engine builds it once, when the episode ends.
 
 The trace format is line-delimited JSON, one self-contained episode per line,
 with canonical key ordering so that serialization is byte-identical across
@@ -210,14 +210,14 @@ class Terminal:
 class Episode:
     """Ordered trace of steps with a terminal status; the unit of evaluation.
 
-    Every episode holds at most ``step_budget`` steps, and once it has a
-    terminal, that terminal is Finished exactly when the last action is Finish.
+    Every episode holds at most ``step_budget`` steps, and its terminal is
+    Finished exactly when the last action is Finish.
     """
 
     instruction: Instruction
     tools: tuple[ToolSpec, ...]
     steps: tuple[Step, ...]
-    terminal: Terminal | None
+    terminal: Terminal
     method_label: str
     step_budget: int
 
@@ -226,55 +226,11 @@ class Episode:
             raise ConfigurationError(
                 f"episode has {len(self.steps)} steps, over budget {self.step_budget}"
             )
-        if self.terminal is not None:
-            finished = self.terminal.status == "Finished"
-            if finished != (bool(self.steps) and self.steps[-1].action.kind == "Finish"):
-                raise ConfigurationError(
-                    "terminal Finished must coincide with a final Finish action"
-                )
-
-    # Explicit constructor calls, not ``dataclasses.replace``, which costs
-    # about 2 us more per step: a few percent of a short corpus episode.
-    def with_step(self, step: Step) -> Episode:
-        return Episode(
-            instruction=self.instruction,
-            tools=self.tools,
-            steps=self.steps + (step,),
-            terminal=self.terminal,
-            method_label=self.method_label,
-            step_budget=self.step_budget,
-        )
-
-    def with_terminal(self, terminal: Terminal) -> Episode:
-        return Episode(
-            instruction=self.instruction,
-            tools=self.tools,
-            steps=self.steps,
-            terminal=terminal,
-            method_label=self.method_label,
-            step_budget=self.step_budget,
-        )
-
-
-def new_episode(
-    instruction: Instruction,
-    tools: list[ToolSpec] | tuple[ToolSpec, ...],
-    budget: int,
-    method_label: str,
-) -> Episode:
-    """Start an empty episode; the state trail begins at the empty state."""
-    if budget < 1:
-        raise ConfigurationError(f"step budget must be >= 1, got {budget}")
-    if not tools:
-        raise ConfigurationError("episode requires a non-empty tool list")
-    return Episode(
-        instruction=instruction,
-        tools=tuple(tools),
-        steps=(),
-        terminal=None,
-        method_label=method_label,
-        step_budget=budget,
-    )
+        finished = self.terminal.status == "Finished"
+        if finished != (bool(self.steps) and self.steps[-1].action.kind == "Finish"):
+            raise ConfigurationError(
+                "terminal Finished must coincide with a final Finish action"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +427,7 @@ def _read_bool(value):
 
 
 def serialize_episode(episode: Episode) -> str:
-    """One-line canonical JSON record for a terminal episode."""
-    if episode.terminal is None:
-        raise TraceFormatError("cannot serialize an episode without a terminal state")
+    """One-line canonical JSON record of an episode."""
     return _ENCODER.encode(episode)
 
 
@@ -492,8 +446,6 @@ def deserialize_episode(record: str) -> Episode:
 
 
 def _validate_episode(episode: Episode) -> None:
-    if episode.terminal is None:
-        raise TraceFormatError("trace record has no terminal state")
     previous_failures = -1
     for step in episode.steps:
         if len(step.state.failure_history) < previous_failures:

@@ -32,7 +32,6 @@ from .core import (
     Step,
     Terminal,
     canonical_args,
-    new_episode,
 )
 from .errors import ConfigurationError, MalformedOutput
 from .parsing import REASK_RETRIES, fill_template, load_templates
@@ -252,19 +251,25 @@ def default_config(method: str) -> EngineConfig:
 
 def run_episode(method: str, provider, instruction: Instruction, tools, config: EngineConfig, executor) -> Episode:
     """Run one episode with ``method``'s memory; it terminates Finished,
-    BudgetExhausted or AbortedParseFailure within ``step_budget`` steps."""
+    BudgetExhausted or AbortedParseFailure within ``step_budget`` steps. An
+    empty tool list raises before any provider call."""
     memory_type, _ = _method(method)
-    episode = new_episode(instruction, tools, config.step_budget, method)
+    if not tools:
+        raise ConfigurationError("episode requires a non-empty tool list")
     memory = memory_type(provider, instruction, render_tools_block(tools), config, executor)
-    while len(episode.steps) < config.step_budget:
+    steps: list[Step] = []
+    terminal = Terminal.budget_exhausted()
+    while len(steps) < config.step_budget:
         try:
             action = memory.propose()
         except MalformedOutput:
-            return episode.with_terminal(Terminal.aborted_parse_failure())
+            terminal = Terminal.aborted_parse_failure()
+            break
         if action is None:
             break
         if action.kind == "Finish":
-            episode = episode.with_step(Step(action, None, memory.state))
-            return episode.with_terminal(Terminal.finished(action.answer))
-        episode = episode.with_step(memory.record(action, len(episode.steps) + 1))
-    return episode.with_terminal(Terminal.budget_exhausted())
+            steps.append(Step(action, None, memory.state))
+            terminal = Terminal.finished(action.answer)
+            break
+        steps.append(memory.record(action, len(steps) + 1))
+    return Episode(instruction, tuple(tools), tuple(steps), terminal, method, config.step_budget)

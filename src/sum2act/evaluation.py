@@ -150,10 +150,9 @@ class RuleJudge:
 
 def _episode_summary(episode: Episode) -> str:
     tools_used = sorted({s.action.tool_name for s in episode.steps if s.action.kind == "ToolCall"})
-    terminal = episode.terminal.status if episode.terminal else "(running)"
-    answer = episode.terminal.answer if episode.terminal else None
+    answer = episode.terminal.answer
     return (
-        f"terminal: {terminal}\n"
+        f"terminal: {episode.terminal.status}\n"
         f"final answer: {answer if answer is not None else '(none)'}\n"
         f"steps used: {len(episode.steps)}\n"
         f"distinct tools used: {', '.join(tools_used) if tools_used else '(none)'}"

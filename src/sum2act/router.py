@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .core import Action, Instruction, State, normalize_arg_value
-from .errors import ConfigurationError, MalformedOutput
+from .errors import MalformedOutput
 from .parsing import ask_json, extract_first_json_object, fill_template
 from .state_manager import render_state
 
@@ -45,8 +45,6 @@ def build_router_prompt(
     """Deterministic prompt text: ``template`` filled with the instruction, the
     rendered tools block (``render_tools_block``), the rules and the state;
     every failure history entry is rendered, none omitted."""
-    if not tools_block:
-        raise ConfigurationError("router prompt requires a non-empty tool list")
     return fill_template(
         template,
         instruction=instruction.text,

@@ -11,12 +11,14 @@ from sum2act import cli
 from sum2act.cli import main
 from sum2act.core import (
     Action,
+    Episode,
     Instruction,
+    Observation,
+    ResultEntry,
     State,
     Step,
     Terminal,
     ToolSpec,
-    new_episode,
     read_trace,
     serialize_episode,
 )
@@ -29,13 +31,16 @@ def _copy_pair(src_dir: Path, name: str, dst: Path) -> None:
         shutil.copy(src_dir / f"{name}{suffix}", dst / f"{name}{suffix}")
 
 
+def _finished_episode(instruction: Instruction) -> Episode:
+    """A one-step episode that answers "ok" at once."""
+    finish = Step(Action(kind="Finish", args={"Answer": "ok"}), None, State.empty())
+    tools = (ToolSpec(name="alpha", description="a"),)
+    return Episode(instruction, tools, (finish,), Terminal.finished("ok"), "sum2act", 1)
+
+
 def _trace_with_budget(tmp_path: Path, budget) -> Path:
     """A one-episode trace file whose ``step_budget`` is set to ``budget``."""
-    episode = new_episode(Instruction(id="b", text="t"), [ToolSpec(name="alpha", description="a")], 1, "sum2act")
-    episode = episode.with_step(
-        Step(Action(kind="Finish", args={"Answer": "ok"}), None, State.empty())
-    ).with_terminal(Terminal.finished("ok"))
-    record = json.loads(serialize_episode(episode))
+    record = json.loads(serialize_episode(_finished_episode(Instruction(id="b", text="t"))))
     record["step_budget"] = budget
     trace = tmp_path / "budget.jsonl"
     trace.write_text(json.dumps(record) + "\n", encoding="utf-8")
@@ -1035,6 +1040,36 @@ class TestReplay:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_merged_state_shows_dropped_and_added_entries(self, tmp_path, capsys):
+        # Step 2 merges the two results of step 1 into one and adds a third:
+        # the state keeps its count of two results but is not unchanged.
+        first = State(current_results=(ResultEntry("north: 4", 1), ResultEntry("south: 7", 1)))
+        second = State(current_results=(ResultEntry("north: 4; south: 7", 1), ResultEntry("east: 2", 2)))
+        steps = tuple(
+            Step(
+                Action(kind="ToolCall", tool_name="alpha", args={"n": index}),
+                Observation(status="Success", payload="p", tool_name="alpha", args_echo={"n": index}),
+                state,
+            )
+            for index, state in ((1, first), (2, second))
+        )
+        tools = (ToolSpec(name="alpha", description="a"),)
+        episode = Episode(
+            Instruction(id="m", text="t"), tools, steps, Terminal.budget_exhausted(), "sum2act", 2
+        )
+        trace = tmp_path / "merged.jsonl"
+        trace.write_text(serialize_episode(episode) + "\n", encoding="utf-8")
+        assert main(["replay", str(trace)]) == 0
+        out = capsys.readouterr().out
+        step_2 = out.split("step 2: ", 1)[1].split("\nterminal: ", 1)[0].splitlines()[1:]
+        assert step_2 == [
+            "    observation: Success",
+            "    - result: north: 4",
+            "    - result: south: 7",
+            "    + result: north: 4; south: 7",
+            "    + result: east: 2",
+        ]
+
     def test_empty_trace_exits_2(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -1043,12 +1078,8 @@ class TestReplay:
     def test_line_separator_in_text_replays(self, tmp_path, capsys):
         # Traces keep U+2028 unescaped inside strings; only "\n" ends a record.
         instruction = Instruction(id="sep", text="first\u2028second")
-        episode = new_episode(instruction, [ToolSpec(name="alpha", description="a")], 1, "sum2act")
-        episode = episode.with_step(
-            Step(Action(kind="Finish", args={"Answer": "ok"}), None, State.empty())
-        ).with_terminal(Terminal.finished("ok"))
         trace = tmp_path / "sep.jsonl"
-        trace.write_text(serialize_episode(episode) + "\n", encoding="utf-8")
+        trace.write_text(serialize_episode(_finished_episode(instruction)) + "\n", encoding="utf-8")
         assert main(["replay", str(trace)]) == 0
         assert "terminal: Finished answer: ok" in capsys.readouterr().out
 

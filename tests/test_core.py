@@ -17,10 +17,11 @@ from sum2act.core import (
     args_digest,
     canonical_args,
     deserialize_episode,
-    new_episode,
     serialize_episode,
 )
+from sum2act.engine import METHOD_LABELS, EngineConfig, run_episode
 from sum2act.errors import ConfigurationError, TraceFormatError
+from sum2act.provider import RecordingProvider, ScriptedPolicy, ScriptedProvider
 
 from .episode_strategies import episodes
 
@@ -33,23 +34,18 @@ TOOLS = (
 
 
 class TestConstruction:
-    def test_new_episode(self):
-        episode = new_episode(INSTRUCTION, list(TOOLS), 30, "sum2act")
-        assert episode.steps == ()
-        assert episode.step_budget == 30
-        assert episode.method_label == "sum2act"
-
     def test_zero_budget_rejected(self):
         with pytest.raises(ConfigurationError):
-            new_episode(INSTRUCTION, list(TOOLS), 0, "sum2act")
-
-    def test_dfsdt_budget_200(self):
-        episode = new_episode(INSTRUCTION, list(TOOLS), 200, "dfsdt")
-        assert episode.step_budget == 200
+            EngineConfig(step_budget=0)
 
     def test_empty_tool_list_rejected(self):
-        with pytest.raises(ConfigurationError):
-            new_episode(INSTRUCTION, [], 30, "sum2act")
+        # Every method raises before its first provider call.
+        finish = {"thought": "t", "action": "Finish", "args": {"Answer": "a"}}
+        for method in METHOD_LABELS:
+            provider = RecordingProvider(ScriptedProvider(ScriptedPolicy(default=json.dumps(finish))))
+            with pytest.raises(ConfigurationError, match="non-empty tool list"):
+                run_episode(method, provider, INSTRUCTION, [], EngineConfig(), lambda name, args: None)
+            assert provider.calls == []
 
     def test_bad_tool_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -75,8 +71,6 @@ class TestConstruction:
         finish = Step(Action(kind="Finish", args={"Answer": "hi"}), None, State.empty())
         with pytest.raises(ConfigurationError, match="over budget"):
             Episode(INSTRUCTION, TOOLS, (finish, finish), Terminal.finished("hi"), "sum2act", 1)
-        with pytest.raises(ConfigurationError, match="over budget"):
-            new_episode(INSTRUCTION, TOOLS, 1, "sum2act").with_step(finish).with_step(finish)
 
     @pytest.mark.parametrize("kinds, terminal", [
         ((), Terminal.finished("hi")),
@@ -115,10 +109,8 @@ def _finished_episode() -> Episode:
     obs1 = Observation(status="Success", payload="alpha says hi", tool_name="alpha", args_echo={"x": "1"})
     state1 = State.empty()
     action2 = Action(kind="Finish", args={"Answer": "hi"})
-    episode = new_episode(INSTRUCTION, list(TOOLS), 30, "sum2act")
-    episode = episode.with_step(Step(action1, obs1, state1))
-    episode = episode.with_step(Step(action2, None, state1))
-    return episode.with_terminal(Terminal.finished("hi"))
+    steps = (Step(action1, obs1, state1), Step(action2, None, state1))
+    return Episode(INSTRUCTION, TOOLS, steps, Terminal.finished("hi"), "sum2act", 30)
 
 
 class TestSerialization:
@@ -132,16 +124,9 @@ class TestSerialization:
             "instruction", "tools", "steps", "terminal", "method_label", "step_budget",
         }
 
-    def test_non_terminal_episode_rejected(self):
-        episode = new_episode(INSTRUCTION, list(TOOLS), 30, "sum2act")
-        with pytest.raises(TraceFormatError):
-            serialize_episode(episode)
-
     def test_non_record_value_raises_type_error(self):
-        episode = new_episode(INSTRUCTION, list(TOOLS), 30, "sum2act")
-        episode = episode.with_step(
-            Step(Action(kind="Finish", args={"Answer": object()}), None, State.empty())
-        ).with_terminal(Terminal.finished("hi"))
+        finish = Step(Action(kind="Finish", args={"Answer": object()}), None, State.empty())
+        episode = Episode(INSTRUCTION, TOOLS, (finish,), Terminal.finished("hi"), "sum2act", 30)
         with pytest.raises(TypeError, match="object is not JSON serializable"):
             serialize_episode(episode)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sum2act.core import Action, Instruction, State, Step, Terminal, ToolSpec, new_episode
+from sum2act.core import Action, Episode, Instruction, State, Step, Terminal, ToolSpec
 from sum2act.errors import ConfigurationError
 from sum2act.evaluation import (
     LlmJudge,
@@ -26,17 +26,13 @@ TOOLS = (ToolSpec(name="alpha", description="a"),)
 
 
 def _episode(method: str, steps: int, finished: bool = True):
-    episode = new_episode(INSTRUCTION, list(TOOLS), max(steps, 1) + 1, method)
-    for _ in range(steps - 1 if finished else steps):
-        episode = episode.with_step(
-            Step(Action(kind="ToolCall", tool_name="alpha", args={}), None, State.empty())
-        )
+    call = Step(Action(kind="ToolCall", tool_name="alpha", args={}), None, State.empty())
     if finished:
-        episode = episode.with_step(
-            Step(Action(kind="Finish", args={"Answer": "a"}), None, State.empty())
-        )
-        return episode.with_terminal(Terminal.finished("a"))
-    return episode.with_terminal(Terminal.budget_exhausted())
+        finish = Step(Action(kind="Finish", args={"Answer": "a"}), None, State.empty())
+        trail, terminal = (call,) * (steps - 1) + (finish,), Terminal.finished("a")
+    else:
+        trail, terminal = (call,) * steps, Terminal.budget_exhausted()
+    return Episode(INSTRUCTION, TOOLS, trail, terminal, method, max(steps, 1) + 1)
 
 
 class TestPassRate:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from sum2act.core import Action, Instruction, Observation, State, Step, ToolSpec, new_episode
+from sum2act.core import Action, Episode, Instruction, Observation, State, Step, Terminal, ToolSpec
 from sum2act.errors import MalformedOutput, RequestTooLarge, ScriptError
 from sum2act.evaluation import LlmJudge
 from sum2act import parsing
@@ -53,8 +53,8 @@ def _garbage():
 
 
 def _judge(provider):
-    episode = new_episode(INSTRUCTION, TOOLS, 2, "m")
-    episode = episode.with_step(Step(Action(kind="Finish", args={"Answer": "a"}), None, State.empty()))
+    finish = Step(Action(kind="Finish", args={"Answer": "a"}), None, State.empty())
+    episode = Episode(INSTRUCTION, TOOLS, (finish,), Terminal.finished("a"), "m", 2)
     return LlmJudge(provider).judge(INSTRUCTION, episode, episode)
 
 

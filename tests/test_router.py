@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sum2act.core import FailureEntry, Instruction, ResultEntry, State, ToolSpec
-from sum2act.errors import ConfigurationError, MalformedOutput
+from sum2act.errors import MalformedOutput
 from sum2act.parsing import REASK_RETRIES, TEMPLATE_PLACEHOLDERS, load_templates
 from sum2act.provider import PolicyEntry, RecordingProvider, ScriptedPolicy, ScriptedProvider
 from sum2act.router import (
@@ -55,10 +55,6 @@ class TestBuildRouterPrompt:
         assert build_router_prompt(ROUTER, INSTRUCTION, state, TOOLS_BLOCK) == build_router_prompt(
             ROUTER, INSTRUCTION, state, TOOLS_BLOCK
         )
-
-    def test_requires_tools(self):
-        with pytest.raises(ConfigurationError):
-            build_router_prompt(ROUTER, INSTRUCTION, State.empty(), render_tools_block(()))
 
     def test_blocks_all_present(self):
         prompt = build_router_prompt(ROUTER, INSTRUCTION, State.empty(), TOOLS_BLOCK)

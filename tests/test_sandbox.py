@@ -272,14 +272,13 @@ class TestCheckPass:
         assert check_pass(scenario, episode)
 
     def test_wrong_answer_fails(self):
-        from sum2act.core import Action, State, Step, Terminal, new_episode
+        from sum2act.core import Action, Episode, State, Step, Terminal
 
         scenario = _weather_scenario()
-        episode = new_episode(scenario.instruction, list(scenario.tools), 5, "sum2act")
-        episode = episode.with_step(
-            Step(Action(kind="Finish", args={"Answer": "unknown"}), None, State.empty())
+        finish = Step(Action(kind="Finish", args={"Answer": "unknown"}), None, State.empty())
+        episode = Episode(
+            scenario.instruction, scenario.tools, (finish,), Terminal.finished("unknown"), "sum2act", 5
         )
-        episode = episode.with_terminal(Terminal.finished("unknown"))
         assert not check_pass(scenario, episode)
 
     @settings(max_examples=50, deadline=None)
