@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -53,9 +53,6 @@ class Config:
     concurrency: int | None = None
     judge: str | None = None
     budget: int | None = None
-    state_cap: int | None = None
-    observation_window: int | None = None
-    react_window: int | None = None
     max_children: int | None = None
     templates_dir: str | None = None
 
@@ -74,9 +71,6 @@ def _resolve(cli_value, config_value, default):
 # Config key (and flag dest, dashed as --flag): the EngineConfig field it sets.
 _ENGINE_KEYS = {
     "budget": "step_budget",
-    "state_cap": "state_cap_chars",
-    "observation_window": "observation_window_chars",
-    "react_window": "react_memory_window_chars",
     "max_children": "dfsdt_max_children",
     "templates_dir": "templates_dir",
 }
@@ -90,7 +84,7 @@ def _engine_config(method: str, args, config: Config) -> EngineConfig:
         value = _resolve(getattr(args, key), getattr(config, key), None)
         if value is not None:
             given[field] = value
-    return replace(default_config(method), **given)
+    return default_config(method, **given)
 
 
 def _provider(args, config: Config, default_mode: str = "scripted", need_policy: bool = True):
@@ -253,11 +247,8 @@ def cmd_bench(args) -> int:
     # last and sets the wall time alone; results.sort fixes the report order.
     pairs = [(method, scenario, provider) for method in methods for scenario, provider in loaded]
     pairs.sort(key=lambda pair: -engine_configs[pair[0]].step_budget)
-    if concurrency == 1:
-        results = [run_pair(*pair) for pair in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            results = list(pool.map(lambda pair: run_pair(*pair), pairs))
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        results = list(pool.map(lambda pair: run_pair(*pair), pairs))
     results.sort(key=lambda item: (item[0], item[1].id))
 
     report_sections = []

@@ -36,10 +36,12 @@ from .core import (
 from .errors import ConfigurationError, MalformedOutput
 from .parsing import REASK_RETRIES, fill_template, load_templates
 from .router import ROUTER_RULES, propose, propose_from_prompt, render_tools_block
-from .state_manager import OBSERVATION_WINDOW_CHARS, STATE_CAP_CHARS, enforce_cap, update
+from .state_manager import enforce_cap, update
 
 SUM2ACT_STEP_BUDGET = 30
 DFSDT_STEP_BUDGET = 200
+# react keeps at most this many transcript chars; the oldest entries go first.
+REACT_WINDOW_CHARS = 4096
 RESTART_ACTION = "Restart"
 
 DFSDT_RULES = ROUTER_RULES + (
@@ -51,9 +53,6 @@ DFSDT_RULES = ROUTER_RULES + (
 @dataclass(frozen=True)
 class EngineConfig:
     step_budget: int = SUM2ACT_STEP_BUDGET
-    state_cap_chars: int = STATE_CAP_CHARS
-    observation_window_chars: int = OBSERVATION_WINDOW_CHARS
-    react_memory_window_chars: int = 4096
     dfsdt_max_children: int = 3
     templates_dir: str | None = None
     # Each template's text by name, read from templates_dir when built.
@@ -64,9 +63,6 @@ class EngineConfig:
     def __post_init__(self):
         if self.step_budget < 1:
             raise ConfigurationError("step_budget must be >= 1")
-        for name in ("state_cap_chars", "observation_window_chars", "react_memory_window_chars"):
-            if getattr(self, name) < 512:
-                raise ConfigurationError(f"{name} must be >= 512")
         if self.dfsdt_max_children < 1:
             raise ConfigurationError("dfsdt_max_children must be >= 1")
         object.__setattr__(self, "templates", load_templates(self.templates_dir))
@@ -154,14 +150,12 @@ class Summary(Memory):
         )
 
     def record(self, action: Action, step_index: int) -> Step:
-        config = self.config
         observation = self.executor(action.tool_name, action.args)
         state = update(
-            self.replies, config.templates["state"], self.instruction, self.state, observation,
+            self.replies, self.config.templates["state"], self.instruction, self.state, observation,
             step_index=step_index,
-            window=config.observation_window_chars,
         )
-        self.state = enforce_cap(state, config.state_cap_chars, provider=self.replies)
+        self.state = enforce_cap(state, provider=self.replies)
         return Step(action, observation, self.state)
 
 
@@ -173,7 +167,7 @@ class Window(Memory):
     transcript: list[str] = field(default_factory=list)
 
     def propose(self) -> Action:
-        _evict_oldest(self.transcript, self.config.react_memory_window_chars)
+        _evict_oldest(self.transcript, REACT_WINDOW_CHARS)
         return self._propose("react", self.transcript, ROUTER_RULES)
 
     def record(self, action: Action, step_index: int) -> Step:
@@ -245,8 +239,9 @@ def _method(method: str) -> tuple[type[Memory], int]:
     return METHODS[method]
 
 
-def default_config(method: str) -> EngineConfig:
-    return EngineConfig(step_budget=_method(method)[1])
+def default_config(method: str, **fields) -> EngineConfig:
+    """``method``'s defaults, with ``fields`` set over them."""
+    return EngineConfig(**{"step_budget": _method(method)[1], **fields})
 
 
 def run_episode(method: str, provider, instruction: Instruction, tools, config: EngineConfig, executor) -> Episode:

@@ -105,20 +105,19 @@ def _entry_body_length(entry: ResultEntry) -> int:
     return len(f"[step {entry.step_index}] {entry.text}")
 
 
-def render_observation(observation: Observation, window: int = OBSERVATION_WINDOW_CHARS) -> str:
+def render_observation(observation: Observation) -> str:
     lines = [
         f"tool: {observation.tool_name}",
         f"status: {observation.status}",
     ]
     if observation.error:
         lines.append(f"error: {observation.error}")
-    lines.append(f"payload: {truncate_with_marker(observation.payload, window)}")
+    lines.append(f"payload: {truncate_with_marker(observation.payload, OBSERVATION_WINDOW_CHARS)}")
     return "\n".join(lines)
 
 
 def build_state_prompt(
-    template: str, instruction: Instruction, state: State, observation: Observation,
-    window: int = OBSERVATION_WINDOW_CHARS,
+    template: str, instruction: Instruction, state: State, observation: Observation
 ) -> str:
     """Deterministic prompt: ``template`` filled with the instruction, full
     current state, and the observation payload clipped to the observation window."""
@@ -126,7 +125,7 @@ def build_state_prompt(
         template,
         instruction=instruction.text,
         state=render_state(state),
-        observation=render_observation(observation, window),
+        observation=render_observation(observation),
     )
 
 
@@ -158,7 +157,6 @@ def update(
     state: State,
     observation: Observation,
     step_index: int,
-    window: int = OBSERVATION_WINDOW_CHARS,
 ) -> State:
     """Judge one observation and return a new State; the input is unchanged.
 
@@ -168,7 +166,7 @@ def update(
     A failure already in the history (same tool and args digest) is not
     added again.
     """
-    prompt = build_state_prompt(template, instruction, state, observation, window)
+    prompt = build_state_prompt(template, instruction, state, observation)
     try:
         (verdict, text), _ = ask_json(
             provider, prompt, _parse_verdict, _REASK, swallow=(ScriptError, RequestTooLarge)

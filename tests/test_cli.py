@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sum2act import cli
+from sum2act import cli, engine
 from sum2act.cli import main
 from sum2act.core import (
     Action,
@@ -758,6 +758,59 @@ def test_removed_decompose_flag_is_a_usage_error(core_dir, tmp_path, capsys, com
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+REMOVED_ENGINE_KEYS = ("state_cap", "observation_window", "react_window")
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("key", REMOVED_ENGINE_KEYS)
+def test_removed_engine_flag_is_a_usage_error(
+    core_dir, tmp_path, capsys, http_stub, monkeypatch, command, key
+):
+    # The state cap and both windows are fixed at 4,096 chars; a flag that
+    # would set one is not parsed, so no episode starts.
+    stub = _live_stub(http_stub, monkeypatch)
+    argv = _provider_argv(command, core_dir, tmp_path)
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as info:
+        main([command, *argv, "--provider", "live", "--out", str(tmp_path / "out"), flag, "1000000"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1000000" in capsys.readouterr().err
+    assert stub.calls == 0
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("key", REMOVED_ENGINE_KEYS)
+def test_removed_engine_config_key_exits_2_naming_it(core_dir, tmp_path, capsys, command, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 4096}))
+    argv = _provider_argv(command, core_dir, tmp_path)
+    out_dir = tmp_path / "out"
+    assert main([command, *argv, "--config", str(config), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and repr(key) in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, methods, loads", [
+    ("run", [], 1),
+    ("bench", ["--methods", "sum2act,react,dfsdt"], 3),
+], ids=["run", "bench"])
+def test_templates_are_loaded_once_per_method(
+    core_dir, tmp_path, monkeypatch, command, methods, loads
+):
+    calls = []
+    real = engine.load_templates
+
+    def counting(templates_dir):
+        calls.append(templates_dir)
+        return real(templates_dir)
+
+    monkeypatch.setattr(engine, "load_templates", counting)
+    argv = _provider_argv(command, core_dir, tmp_path)
+    main([command, *argv, *methods, "--out", str(tmp_path / "out")])
+    assert len(calls) == loads
+
+
 def test_one_config_file_with_every_key_serves_every_command(core_dir, tmp_path):
     suite = tmp_path / "suite"
     _copy_pair(core_dir, "weather_miami", suite)
@@ -767,8 +820,7 @@ def test_one_config_file_with_every_key_serves_every_command(core_dir, tmp_path)
     config.write_text(json.dumps({
         "method": "sum2act", "methods": "sum2act", "provider": "scripted",
         "policy": str(suite / "weather_miami.policy.json"), "out": str(out_dir),
-        "concurrency": 1, "judge": "rule", "budget": 30, "state_cap": 4096,
-        "observation_window": 4096, "react_window": 4096, "max_children": 3,
+        "concurrency": 1, "judge": "rule", "budget": 30, "max_children": 3,
         "templates_dir": str(tmp_path / "templates"),
     }))
     traces = str(out_dir / "traces")

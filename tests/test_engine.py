@@ -9,6 +9,7 @@ import pytest
 from sum2act import engine
 from sum2act.core import Action, Instruction, ParamSpec, State, ToolSpec, serialize_episode
 from sum2act.engine import (
+    REACT_WINDOW_CHARS,
     EngineConfig,
     _evict_oldest,
     default_config,
@@ -237,12 +238,13 @@ class TestReact:
         assert check_pass(FAILOVER_SCENARIO, episode)
 
     def test_transcript_eviction_drops_oldest_whole(self):
-        # Five tool calls produce ~190-char entries; with a 600-char window
-        # the step-6 prompt must have lost the earliest entries.
+        # Five tool calls produce entries just under a third of the window
+        # each: the step-6 prompt keeps the newest three and drops the rest.
+        filler = "f" * (REACT_WINDOW_CHARS // 3 - 200)
         tools = (ToolSpec(name="probe", description="probe target"),)
         behaviors = {
             "probe": tuple(
-                Behavior(kind="success", payload=f"probe result MARK-{i} " + "f" * 150, repeat="once")
+                Behavior(kind="success", payload=f"probe result MARK-{i} " + filler, repeat="once")
                 for i in range(1, 6)
             )
             + (Behavior(kind="success", payload="probe result MARK-LAST", repeat="forever"),)
@@ -256,13 +258,12 @@ class TestReact:
         provider = RecordingProvider(ScriptedProvider(policy))
         run_episode(
             "react", provider, scenario.instruction, list(tools),
-            EngineConfig(step_budget=6, react_memory_window_chars=600),
-            ScenarioSession(scenario).invoke,
+            EngineConfig(step_budget=6), ScenarioSession(scenario).invoke,
         )
         step6_prompt = provider.prompts()[5]
         assert "MARK-1" not in step6_prompt
         assert "MARK-2" not in step6_prompt
-        assert "MARK-5" in step6_prompt
+        assert all(f"MARK-{i} " + filler in step6_prompt for i in (3, 4, 5))
 
     def test_eviction_keeps_every_entry_that_fits(self):
         # Entries join with blank lines: four 100-char entries take 406 chars.
@@ -477,7 +478,5 @@ class TestEngineShared:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             EngineConfig(step_budget=0)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(state_cap_chars=100)
         with pytest.raises(ConfigurationError):
             EngineConfig(dfsdt_max_children=0)

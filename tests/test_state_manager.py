@@ -138,12 +138,12 @@ class TestRenderMemo:
 
 class TestStatePrompt:
     def test_payload_under_cap_untouched(self):
-        prompt = build_state_prompt(STATE, INSTRUCTION, State.empty(), _success_obs("x" * 200), window=4096)
+        prompt = build_state_prompt(STATE, INSTRUCTION, State.empty(), _success_obs("x" * 200))
         assert "x" * 200 in prompt
         assert "[truncated" not in prompt
 
     def test_payload_over_cap_marker_arithmetic(self):
-        prompt = build_state_prompt(STATE, INSTRUCTION, State.empty(), _success_obs("y" * 10000), window=4096)
+        prompt = build_state_prompt(STATE, INSTRUCTION, State.empty(), _success_obs("y" * 10000))
         assert "y" * 4096 + "[truncated 5904 chars]" in prompt
         assert "y" * 4097 not in prompt
 
