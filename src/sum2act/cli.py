@@ -425,7 +425,7 @@ def _state_diff(previous, current) -> list[str]:
     for kind, old, new, render in (
         ("result", previous.current_results, current.current_results, lambda e: e.text),
         ("failure", previous.failure_history, current.failure_history,
-         lambda e: f"{e.tool_name}({e.args_digest}): {e.reason}"),
+         lambda e: f"{e.tool}({e.digest}): {e.reason}"),
     ):
         lines += [f"    - {kind}: {render(entry)}" for entry in old if entry not in new]
         lines += [f"    + {kind}: {render(entry)}" for entry in new if entry not in old]

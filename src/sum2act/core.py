@@ -8,8 +8,8 @@ The trace format is line-delimited JSON, one self-contained episode per line,
 with canonical key ordering so that serialization is byte-identical across
 runs. Top-level field names ``instruction``, ``tools``, ``steps``,
 ``terminal``, ``method_label`` and ``step_budget`` are a stable contract
-(see README). The field annotations define every record key, and the table
-of renamed keys under "Trace serialization" applies in both directions.
+(see README). The field annotations define every record key: each record's
+JSON keys are its type's field names, written and read alike.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class ParamSpec:
     """One declared parameter of a tool."""
 
     name: str
-    type_tag: str = "string"
+    type: str = "string"
     required: bool = False
     description: str = ""
 
@@ -137,17 +137,17 @@ class ResultEntry:
     """One accumulated task-relevant finding."""
 
     text: str
-    step_index: int
+    step: int
 
 
 @dataclass(frozen=True)
 class FailureEntry:
     """One failed (tool, args) attempt with its deduced reason."""
 
-    tool_name: str
-    args_digest: str
+    tool: str
+    digest: str
     reason: str
-    step_index: int
+    step: int
 
 
 @dataclass(frozen=True)
@@ -165,11 +165,8 @@ class State:
     def empty(cls) -> State:
         return cls((), ())
 
-    def has_failure(self, tool_name: str, args_digest: str) -> bool:
-        return any(
-            f.tool_name == tool_name and f.args_digest == args_digest
-            for f in self.failure_history
-        )
+    def has_failure(self, tool: str, digest: str) -> bool:
+        return any(f.tool == tool and f.digest == digest for f in self.failure_history)
 
 
 @dataclass(frozen=True)
@@ -269,22 +266,13 @@ def args_digest(args: dict) -> str:
 
 
 # The record format is defined by the field annotations (see ``from_record``)
-# and nowhere else. A trace record is a type's ``__dict__`` with the keys
-# below renamed; the types listed here are the trace record types, the ones
-# the trace encoder writes.
-_RENAMED = {
-    Instruction: {},
-    ParamSpec: {"type_tag": "type"},
-    ToolSpec: {},
-    Action: {},
-    Observation: {},
-    ResultEntry: {"step_index": "step"},
-    FailureEntry: {"tool_name": "tool", "args_digest": "digest", "step_index": "step"},
-    State: {},
-    Step: {},
-    Terminal: {},
-    Episode: {},
-}
+# and nowhere else: a trace record is its type's ``__dict__``, so its keys are
+# the type's field names. These are the trace record types, the ones the
+# trace encoder writes.
+_TRACE_TYPES = frozenset({
+    Instruction, ParamSpec, ToolSpec, Action, Observation, ResultEntry,
+    FailureEntry, State, Step, Terminal, Episode,
+})
 
 
 class Defaulted:
@@ -300,12 +288,9 @@ CatalogTool = Defaulted(ToolSpec, description="")
 
 def _to_record(obj) -> dict:
     """``default`` hook of the trace encoder; the C encoder does the recursion."""
-    renamed = _RENAMED.get(type(obj))
-    if renamed is None:
+    if type(obj) not in _TRACE_TYPES:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not renamed:
-        return obj.__dict__
-    return {renamed.get(name, name): value for name, value in obj.__dict__.items()}
+    return obj.__dict__
 
 
 # Records and args maps are trees (frozen dataclasses over parsed JSON), so
@@ -374,26 +359,25 @@ def _reader(annotation):
 def _record_reader(cls, defaults: dict):
     """The reader of record type ``cls``; keys in ``defaults`` may be left out."""
     hints = get_type_hints(cls)
-    renamed = _RENAMED.get(cls, {})
     spec = [
-        (f.name, renamed.get(f.name, f.name), _reader(hints[f.name]),
+        (f.name, _reader(hints[f.name]),
          f.default is MISSING and f.default_factory is MISSING and f.name not in defaults)
         for f in fields(cls) if f.init
     ]
-    keys = {key for _, key, _, _ in spec}
+    keys = {name for name, _, _ in spec}
 
     def read(data):
         if type(data) is not dict:
             raise _Mismatch(f"must be an object, got {type(data).__name__}")
         values = {}
-        for name, key, read_value, required in spec:
-            if key in data:
+        for name, read_value, required in spec:
+            if name in data:
                 try:
-                    values[name] = read_value(data[key])
+                    values[name] = read_value(data[name])
                 except Sum2ActError as exc:
-                    raise _located(repr(key), exc) from exc
+                    raise _located(repr(name), exc) from exc
             elif required:
-                raise ConfigurationError(f"{cls.__name__} is missing key {key!r}")
+                raise ConfigurationError(f"{cls.__name__} is missing key {name!r}")
         if len(values) < len(data):
             unknown = next(key for key in data if key not in keys)
             raise ConfigurationError(f"{cls.__name__} has no key {unknown!r}")

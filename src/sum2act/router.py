@@ -35,7 +35,7 @@ def render_tools_block(tools) -> str:
         for param in tool.params:
             required = "required" if param.required else "optional"
             suffix = f": {param.description}" if param.description else ""
-            lines.append(f"    {param.name} ({param.type_tag}, {required}){suffix}")
+            lines.append(f"    {param.name} ({param.type}, {required}){suffix}")
     return "\n".join(lines)
 
 

@@ -82,15 +82,15 @@ def _render(state: State) -> str:
         lines.append("Failure history:")
         for index, entry in enumerate(state.failure_history, 1):
             lines.append(
-                f"  {index}. [step {entry.step_index}] "
-                f"{entry.tool_name}({entry.args_digest}): {entry.reason}"
+                f"  {index}. [step {entry.step}] "
+                f"{entry.tool}({entry.digest}): {entry.reason}"
             )
     else:
         lines.append("Failure history: (none).")
     if state.current_results:
         lines.append("Current results:")
         for index, entry in enumerate(state.current_results, 1):
-            lines.append(f"  {index}. [step {entry.step_index}] {entry.text}")
+            lines.append(f"  {index}. [step {entry.step}] {entry.text}")
     else:
         lines.append("Current results: (none).")
     return "\n".join(lines)
@@ -102,7 +102,7 @@ def rendered_state_length(state: State) -> int:
 
 def _entry_body_length(entry: ResultEntry) -> int:
     """Length of a result line after its "  N. " prefix."""
-    return len(f"[step {entry.step_index}] {entry.text}")
+    return len(f"[step {entry.step}] {entry.text}")
 
 
 def render_observation(observation: Observation) -> str:
@@ -179,14 +179,12 @@ def update(
             verdict = "Failure"
             text = observation.error or f"tool returned status {observation.status}"
     if verdict == "Success":
-        entry = ResultEntry(text=text, step_index=step_index)
+        entry = ResultEntry(text=text, step=step_index)
         return State(state.current_results + (entry,), state.failure_history)
     digest = args_digest(observation.args_echo)
     if state.has_failure(observation.tool_name, digest):
         return state
-    entry = FailureEntry(
-        tool_name=observation.tool_name, args_digest=digest, reason=text, step_index=step_index
-    )
+    entry = FailureEntry(tool=observation.tool_name, digest=digest, reason=text, step=step_index)
     return State(state.current_results, state.failure_history + (entry,))
 
 
@@ -233,7 +231,7 @@ def enforce_cap(state: State, cap_chars: int = STATE_CAP_CHARS, provider=None) -
 
     while len(results) > 1 and length > cap_chars:
         older, newer = results[0], results[1]
-        merged = ResultEntry(text=_merge_texts(provider, older, newer), step_index=newer.step_index)
+        merged = ResultEntry(text=_merge_texts(provider, older, newer), step=newer.step)
         # Two numbered lines become one: the bodies change, and the list
         # drops one newline and the "  N. " prefix of its old count N.
         length += (
@@ -254,6 +252,6 @@ def enforce_cap(state: State, cap_chars: int = STATE_CAP_CHARS, provider=None) -
     if length > cap_chars and results:
         overflow = length - cap_chars
         keep = max(0, len(results[0].text) - overflow)
-        results = [ResultEntry(text=results[0].text[:keep], step_index=results[0].step_index)]
+        results = [ResultEntry(text=results[0].text[:keep], step=results[0].step)]
 
     return State(tuple(results), tuple(failures))

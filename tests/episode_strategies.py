@@ -60,7 +60,7 @@ def episodes(draw) -> Episode:
                 status="Success", payload=draw(safe_text),
                 tool_name=tool.name, args_echo=args,
             )
-            results.append(ResultEntry(text=draw(safe_text), step_index=index))
+            results.append(ResultEntry(text=draw(safe_text), step=index))
         else:
             observation = Observation(
                 status=draw(st.sampled_from(["ToolError", "Timeout", "MalformedResponse"])),
@@ -69,12 +69,12 @@ def episodes(draw) -> Episode:
             )
             digest = args_digest(args)
             if not any(
-                f.tool_name == tool.name and f.args_digest == digest for f in failures
+                f.tool == tool.name and f.digest == digest for f in failures
             ):
                 failures.append(
                     FailureEntry(
-                        tool_name=tool.name, args_digest=digest,
-                        reason="failed: " + draw(safe_text), step_index=index,
+                        tool=tool.name, digest=digest,
+                        reason="failed: " + draw(safe_text), step=index,
                     )
                 )
         steps.append(Step(action, observation, State(tuple(results), tuple(failures))))

@@ -383,9 +383,9 @@ class TestRun:
         ("budget", "abc"),
         ("budget", "12"),
         ("budget", True),
-        ("state_cap", 4096.5),
-        ("decompose", "no"),
-        ("decompose", 0),
+        ("max_children", 3.5),
+        ("judge", 1),
+        ("policy", False),
         ("max_children", [3]),
         ("templates_dir", 7),
         ("method", ["react"]),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from sum2act.core import (
     Action,
     Episode,
+    FailureEntry,
     Instruction,
     Observation,
+    ParamSpec,
+    ResultEntry,
     State,
     Step,
     Terminal,
@@ -22,6 +26,7 @@ from sum2act.core import (
 from sum2act.engine import METHOD_LABELS, EngineConfig, run_episode
 from sum2act.errors import ConfigurationError, TraceFormatError
 from sum2act.provider import RecordingProvider, ScriptedPolicy, ScriptedProvider
+from sum2act.sandbox import Behavior
 
 from .episode_strategies import episodes
 
@@ -129,6 +134,43 @@ class TestSerialization:
         episode = Episode(INSTRUCTION, TOOLS, (finish,), Terminal.finished("hi"), "sum2act", 30)
         with pytest.raises(TypeError, match="object is not JSON serializable"):
             serialize_episode(episode)
+
+    def test_non_trace_dataclass_raises_type_error(self):
+        # Only the eleven trace record types are written as records.
+        action = Action(kind="ToolCall", tool_name="alpha", args={"b": Behavior(kind="success")})
+        call = Step(action, None, State.empty())
+        episode = Episode(INSTRUCTION, TOOLS, (call,), Terminal.budget_exhausted(), "sum2act", 30)
+        with pytest.raises(TypeError, match="Behavior is not JSON serializable"):
+            serialize_episode(episode)
+
+    def test_record_keys_are_field_names(self):
+        tools = (ToolSpec(name="alpha", description="first", params=(ParamSpec(name="x", required=True),)),)
+        state = State((ResultEntry("alpha said hi", 1),), (FailureEntry("alpha", "d1", "timed out", 1),))
+        call = Action(kind="ToolCall", tool_name="alpha", args={"x": "1"})
+        observation = Observation(status="Success", payload="hi", tool_name="alpha", args_echo={"x": "1"})
+        finish = Action(kind="Finish", args={"Answer": "hi"})
+        episode = Episode(
+            INSTRUCTION, tools, (Step(call, observation, state), Step(finish, None, state)),
+            Terminal.finished("hi"), "sum2act", 30,
+        )
+        seen = set()
+
+        def check(value, data):
+            if is_dataclass(value):
+                seen.add(type(value))
+                names = [f.name for f in fields(value) if f.init]
+                assert sorted(data) == sorted(names), type(value).__name__
+                for name in names:
+                    check(getattr(value, name), data[name])
+            elif isinstance(value, tuple):
+                for item, item_data in zip(value, data, strict=True):
+                    check(item, item_data)
+
+        check(episode, json.loads(serialize_episode(episode)))
+        assert seen == {
+            Instruction, ParamSpec, ToolSpec, Action, Observation, ResultEntry,
+            FailureEntry, State, Step, Terminal, Episode,
+        }
 
     def test_unknown_terminal_tag_rejected(self):
         record = serialize_episode(_finished_episode())

@@ -120,7 +120,7 @@ class TestSum2Act:
         assert len(episode.steps) == 3
         final_state = episode.steps[-1].state
         assert len(final_state.failure_history) == 1
-        assert final_state.failure_history[0].tool_name == "primary_lookup"
+        assert final_state.failure_history[0].tool == "primary_lookup"
 
     def test_never_finishing_policy_exhausts_exactly_at_budget(self):
         episode = run_episode(
@@ -191,10 +191,10 @@ class TestSum2Act:
         memory.state = State.empty()
         second = memory.record(action, 2)
         assert len(provider.prompts()) == 1
-        assert [(e.text, e.step_index) for e in first.state.current_results] == [
+        assert [(e.text, e.step) for e in first.state.current_results] == [
             ("replica answered: 73 units", 1)
         ]
-        assert [(e.text, e.step_index) for e in second.state.current_results] == [
+        assert [(e.text, e.step) for e in second.state.current_results] == [
             ("replica answered: 73 units", 2)
         ]
 

@@ -175,9 +175,9 @@ class TestUpdate:
         assert state.current_results == ()
         assert len(state.failure_history) == 1
         entry = state.failure_history[0]
-        assert entry.tool_name == "get_weather"
+        assert entry.tool == "get_weather"
         assert entry.reason == "endpoint returned server error"
-        assert entry.args_digest == args_digest({"city": "Miami"})
+        assert entry.digest == args_digest({"city": "Miami"})
 
     def test_duplicate_failures_merge(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "same failure"})
@@ -185,7 +185,7 @@ class TestUpdate:
         state = update(provider, STATE, INSTRUCTION, State.empty(), obs, step_index=1)
         state = update(provider, STATE, INSTRUCTION, state, obs, step_index=2)
         assert len(state.failure_history) == 1
-        assert state.failure_history[0].step_index == 1
+        assert state.failure_history[0].step == 1
 
     def test_distinct_args_not_merged(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "r"})
@@ -290,7 +290,7 @@ class TestEnforceCap:
             expected = list(results)
             while len(expected) > 1 and rendered_state_length(State(tuple(expected), ())) > cap:
                 merged = f"{expected[0].text}; {expected[1].text}"[:240]
-                expected[:2] = [ResultEntry(merged, expected[1].step_index)]
+                expected[:2] = [ResultEntry(merged, expected[1].step)]
             if rendered_state_length(State(tuple(expected), ())) <= cap:
                 assert enforce_cap(State(results, ()), cap).current_results == tuple(expected)
 
