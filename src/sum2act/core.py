@@ -4,11 +4,11 @@ All types here are frozen dataclasses: immutable value objects that are safe
 to share across concurrent episode runners. An Episode is only ever a
 finished one: the engine builds it once, when the episode ends.
 
-The trace format is line-delimited JSON, one self-contained episode per line,
-with canonical key ordering so that serialization is byte-identical across
-runs. Top-level field names ``instruction``, ``tools``, ``steps``,
-``terminal``, ``method_label`` and ``step_budget`` are a stable contract
-(see README). The field annotations define every record key: each record's
+The trace format is line-delimited JSON in 7-bit ASCII (other chars as
+``\\uXXXX`` escapes), one self-contained episode per line, with canonical key
+ordering so that serialization is byte-identical across runs. Top-level field
+names ``instruction``, ``tools``, ``steps``, ``terminal``, ``method_label``
+and ``step_budget`` are a stable contract (see README). The field annotations define every record key: each record's
 JSON keys are its type's field names, written and read alike.
 """
 
@@ -294,11 +294,18 @@ def _to_record(obj) -> dict:
 
 
 # Records and args maps are trees (frozen dataclasses over parsed JSON), so
-# the encoder skips the circular-reference check, which costs a marker insert
-# and delete per record, dict and list inside each timed episode. The trace
-# writer and the canonical args rendering share this one encoder.
+# the encoders skip the circular-reference check, which costs a marker insert
+# and delete per record, dict and list inside each timed episode. The
+# canonical args rendering keeps non-ASCII text as it is, since prompts and
+# failure digests show it. The trace writer escapes it (and U+007F) as
+# \uXXXX: CPython's ASCII escaper is the faster one, and the two write the
+# same bytes for every other char, so an ASCII trace is unchanged.
 _ENCODER = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False,
+    default=_to_record,
+)
+_TRACE_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False,
     default=_to_record,
 )
 
@@ -411,8 +418,8 @@ def _read_bool(value):
 
 
 def serialize_episode(episode: Episode) -> str:
-    """One-line canonical JSON record of an episode."""
-    return _ENCODER.encode(episode)
+    """One-line canonical JSON record of an episode, in 7-bit ASCII."""
+    return _TRACE_ENCODER.encode(episode)
 
 
 def deserialize_episode(record: str) -> Episode:

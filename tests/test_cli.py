@@ -1128,10 +1128,13 @@ class TestReplay:
         assert main(["replay", str(empty)]) == 2
 
     def test_line_separator_in_text_replays(self, tmp_path, capsys):
-        # Traces keep U+2028 unescaped inside strings; only "\n" ends a record.
+        # Traces written before records were ASCII keep U+2028 unescaped
+        # inside strings; only "\n" ends a record.
         instruction = Instruction(id="sep", text="first\u2028second")
+        record = json.loads(serialize_episode(_finished_episode(instruction)))
         trace = tmp_path / "sep.jsonl"
-        trace.write_text(serialize_episode(_finished_episode(instruction)) + "\n", encoding="utf-8")
+        trace.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert "\u2028" in trace.read_text(encoding="utf-8")
         assert main(["replay", str(trace)]) == 0
         assert "terminal: Finished answer: ok" in capsys.readouterr().out
 

@@ -21,6 +21,7 @@ from sum2act.core import (
     args_digest,
     canonical_args,
     deserialize_episode,
+    read_trace,
     serialize_episode,
 )
 from sum2act.engine import METHOD_LABELS, EngineConfig, run_episode
@@ -252,3 +253,47 @@ class TestSerialization:
         assert deserialize_episode(record) == episode
         # Byte-identical on the second pass.
         assert serialize_episode(deserialize_episode(record)) == record
+
+
+# Non-ASCII text in every kind of trace string, and U+007F, the one ASCII
+# char the two JSON escapers of CPython write differently.
+ODD_CHARS = {"\u00e9": "\\u00e9", "\u65e5\u672c": "\\u65e5\\u672c",
+             "\U0001f600": "\\ud83d\\ude00", "\u2028": "\\u2028", "\u007f": "\\u007f"}
+ODD = "".join(ODD_CHARS)
+
+
+def _odd_episode() -> Episode:
+    instruction = Instruction(id="odd", text=f"find {ODD}")
+    call = Action(kind="ToolCall", tool_name="alpha", args={"q": ODD, ODD: [ODD]}, thought=ODD)
+    observation = Observation(status="Success", payload=f"said {ODD}", tool_name="alpha",
+                              args_echo={"q": ODD})
+    state = State((ResultEntry(f"found {ODD}", 1),),
+                  (FailureEntry("beta", args_digest({"q": ODD}), f"no {ODD}", 1),))
+    finish = Action(kind="Finish", args={"Answer": ODD})
+    steps = (Step(call, observation, state), Step(finish, None, state))
+    return Episode(instruction, TOOLS, steps, Terminal.finished(ODD), "sum2act", 30)
+
+
+class TestTraceEncoding:
+    def test_record_is_ascii_with_every_char_escaped(self):
+        record = serialize_episode(_odd_episode())
+        assert record.isascii()
+        for char, escape in ODD_CHARS.items():
+            assert escape in record, repr(char)
+        assert deserialize_episode(record) == _odd_episode()
+
+    def test_trace_written_unescaped_still_reads(self, tmp_path):
+        # Traces were once written with ensure_ascii=False: the same record
+        # with each char as itself.
+        data = json.loads(serialize_episode(_odd_episode()))
+        old = json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        assert ODD in old
+        assert deserialize_episode(old) == _odd_episode()
+        trace = tmp_path / "old.jsonl"
+        trace.write_text(old + "\n", encoding="utf-8")
+        assert read_trace(trace) == [_odd_episode()]
+
+    def test_args_rendering_keeps_non_ascii_text(self):
+        # Prompts and failure digests show the text itself, not its escapes.
+        assert canonical_args({"city": "São Paulo"}) == '{"city":"São Paulo"}'
+        assert args_digest({"city": "São Paulo"}) == "0906524dcbec"
