@@ -2,8 +2,9 @@
 compare two trace sets, replay traces.
 
 Exit codes: 0 = episode Finished (or command succeeded), 1 = episode
-non-success, 2 = configuration/parse failure. Flag values override config-file
-keys, which override built-in defaults.
+non-success, 2 = configuration/parse failure, or a ``bench`` episode whose
+request grew over the size limit (reported after every other episode). Flag
+values override config-file keys, which override built-in defaults.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import get_args, get_type_hints
 
 from .core import Instruction, State, load_record, read_trace, serialize_episode
 from .engine import METHOD_LABELS, EngineConfig, default_config, run_episode
-from .errors import ConfigurationError, Sum2ActError
+from .errors import ConfigurationError, RequestTooLarge, Sum2ActError
 from .evaluation import (
     LlmJudge,
     RuleJudge,
@@ -235,13 +236,19 @@ def cmd_bench(args) -> int:
         loaded.append((scenario, provider))
 
     def run_pair(method: str, scenario, provider):
-        episode = run_episode(
-            method, provider, scenario.instruction, list(scenario.tools),
-            engine_configs[method], ScenarioSession(scenario).invoke,
-        )
+        """(method, scenario, episode, passed, error); an episode whose
+        request grew too large has no trace and counts as failed. Any other
+        error ends the run."""
+        try:
+            episode = run_episode(
+                method, provider, scenario.instruction, list(scenario.tools),
+                engine_configs[method], ScenarioSession(scenario).invoke,
+            )
+        except RequestTooLarge as exc:
+            return method, scenario, None, False, exc
         trace_path = out_dir / "traces" / method / f"{scenario.id}.jsonl"
         _write_episode(trace_path, episode)
-        return method, scenario, episode, check_pass(scenario, episode)
+        return method, scenario, episode, check_pass(scenario, episode), None
 
     # The longest episodes start first, so at concurrency N none starts
     # last and sets the wall time alone; results.sort fixes the report order.
@@ -256,7 +263,7 @@ def cmd_bench(args) -> int:
     method_rows = []
     for method in methods:
         by_subset: dict[str, list] = {}
-        for result_method, scenario, episode, passed in results:
+        for result_method, scenario, episode, passed, error in results:
             if result_method != method:
                 continue
             subset = scenario.instruction.subset_label or "default"
@@ -267,8 +274,8 @@ def cmd_bench(args) -> int:
                     "scenario": scenario.id,
                     "subset": subset,
                     "pass": passed,
-                    "terminal": episode.terminal.status,
-                    "steps": len(episode.steps),
+                    "terminal": type(error).__name__ if error else episode.terminal.status,
+                    "steps": None if error else len(episode.steps),
                 }
             )
         reports = [
@@ -296,7 +303,10 @@ def cmd_bench(args) -> int:
     )
     print(combined)
     print(f"report: {out_dir / 'report.json'}")
-    return EXIT_OK
+    raised = [(method, scenario, error) for method, scenario, _, _, error in results if error]
+    for method, scenario, error in raised:
+        print(f"error: {method}/{scenario.id}: {error}", file=sys.stderr)
+    return EXIT_CONFIG if raised else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

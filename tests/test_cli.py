@@ -31,6 +31,28 @@ def _copy_pair(src_dir: Path, name: str, dst: Path) -> None:
         shutil.copy(src_dir / f"{name}{suffix}", dst / f"{name}{suffix}")
 
 
+def _write_verbose_pair(suite: Path) -> None:
+    """Scenario "verbose": tool alpha first answers a payload of 200,000
+    filler chars; its policy always calls alpha and judges every observation
+    a Success."""
+    suite.mkdir(parents=True, exist_ok=True)
+    (suite / "verbose.scenario.json").write_text(json.dumps({
+        "id": "verbose",
+        "instruction": {"id": "verbose", "text": "find the needle"},
+        "tools": [{"name": "alpha", "description": "tool alpha"}],
+        "behaviors": {"alpha": [
+            {"kind": "verbose", "payload": "needle", "filler_chars": 200_000, "repeat": "once"},
+            {"kind": "success", "payload": "last", "repeat": "forever"},
+        ]},
+        "pass_condition": {"contains_all": ["needle"]},
+    }))
+    (suite / "verbose.policy.json").write_text(json.dumps({
+        "entries": [{"match": "You are the state manager",
+                     "response": json.dumps({"verdict": "Success", "summary": "found it"})}],
+        "default": json.dumps({"thought": "look", "action": "alpha", "args": {}}),
+    }))
+
+
 def _finished_episode(instruction: Instruction) -> Episode:
     """A one-step episode that answers "ok" at once."""
     finish = Step(Action(kind="Finish", args={"Answer": "ok"}), None, State.empty())
@@ -655,6 +677,52 @@ class TestBench:
         shutil.copy(core_dir / "weather_miami.scenario.json", suite / "weather_miami.scenario.json")
         code = main(["bench", "--scenario-dir", str(suite), "--out", str(tmp_path / "out")])
         assert code == 2
+
+    def test_episode_over_the_request_limit_is_reported_and_the_run_goes_on(
+        self, core_dir, tmp_path, capsys
+    ):
+        # dfsdt keeps the 200,000-char payload in its branch memory, so its
+        # second router prompt is over the request limit (ROADMAP item 1).
+        suite = tmp_path / "suite"
+        _write_verbose_pair(suite)
+        _copy_pair(core_dir, "weather_miami", suite)
+        out_dir = tmp_path / "out"
+        code = main(["bench", "--scenario-dir", str(suite), "--methods", "sum2act,react,dfsdt",
+                     "--budget", "2", "--max-children", "1", "--out", str(out_dir)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            "error: dfsdt/verbose: rendered request is 200928 chars, over the 200000-char limit"
+        ]
+        # The table is printed, with a row for every method.
+        assert [line.split()[0] for line in out.splitlines()[1:4]] == ["sum2act", "react", "dfsdt"]
+        traces = sorted(p.relative_to(out_dir / "traces").as_posix()
+                        for p in (out_dir / "traces").glob("*/*.jsonl"))
+        assert traces == [
+            "dfsdt/weather_miami.jsonl", "react/verbose.jsonl", "react/weather_miami.jsonl",
+            "sum2act/verbose.jsonl", "sum2act/weather_miami.jsonl",
+        ]
+        report = json.loads((out_dir / "report.json").read_text())
+        raised = [e for e in report["episodes"] if e["terminal"] == "RequestTooLarge"]
+        assert raised == [{"method": "dfsdt", "scenario": "verbose", "subset": "default",
+                           "pass": False, "terminal": "RequestTooLarge", "steps": None}]
+        assert len(report["episodes"]) == 6
+        # The raised episode counts as failed: dfsdt's "default" subset holds
+        # only it.
+        subsets = {s["label"]: s for s in report["methods"]["dfsdt"]["subsets"]}
+        assert subsets["default"] == {"label": "default", "pass_rate": 0.0, "win_rate": None, "n": 1}
+        assert (out_dir / "report.txt").exists()
+
+    def test_other_episode_error_ends_the_run(self, core_dir, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        _copy_pair(core_dir, "weather_miami", suite)
+        # No entry matches and no default is set: the policy is wrong.
+        (suite / "weather_miami.policy.json").write_text(json.dumps({"entries": []}))
+        out_dir = tmp_path / "out"
+        code = main(["bench", "--scenario-dir", str(suite), "--out", str(out_dir)])
+        assert code == 2
+        assert "no policy entry matched the prompt" in capsys.readouterr().err
+        assert not (out_dir / "report.json").exists()
 
     def test_live_provider_serves_every_episode(self, core_dir, tmp_path, http_stub, monkeypatch):
         stub = _live_stub(http_stub, monkeypatch)
