@@ -290,7 +290,9 @@ class LiveProvider:
 
     Retries transport failures, 5xx, 408 and 429 responses, waiting as long
     as the response's Retry-After header asks, or else with exponential
-    backoff, and never longer than MAX_BACKOFF_SECONDS. Other 4xx responses
+    backoff, and never longer than MAX_BACKOFF_SECONDS. A Retry-After wait is
+    shared: it pushes one not-before time later, and every thread sharing the
+    provider waits for that time before its next request. Other 4xx responses
     are rejected immediately and never retried. Configuration comes from
     PROVIDER_BASE_URL, PROVIDER_API_KEY and PROVIDER_MODEL unless passed
     explicitly. ``requests`` is imported by the methods, not with the module,
@@ -322,6 +324,22 @@ class LiveProvider:
         self.backoff_base = backoff_base
         self.timeout = timeout
         self._session = session or requests.Session()
+        self._lock = threading.Lock()
+        self._not_before = 0.0  # no request is sent before this time.monotonic()
+
+    def _defer(self, seconds: float) -> None:
+        """Send no request for ``seconds`` from now, from any thread."""
+        with self._lock:
+            self._not_before = max(self._not_before, time.monotonic() + seconds)
+
+    def _await_turn(self) -> None:
+        """Sleep until the not-before time, which may move on while sleeping."""
+        while True:
+            with self._lock:
+                delay = self._not_before - time.monotonic()
+            if delay <= 0:
+                return
+            time.sleep(delay)
 
     def complete(self, request: CompletionRequest) -> str:
         import requests
@@ -340,6 +358,7 @@ class LiveProvider:
         url = f"{self.base_url}/chat/completions"
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
+            self._await_turn()
             wait = None
             try:
                 response = self._session.post(
@@ -355,6 +374,8 @@ class LiveProvider:
                     raise ProviderRejected(status, response.text[:500])
                 last_error = ProviderUnavailable(f"HTTP {status}: {response.text[:200]}")
                 wait = _retry_after_seconds(response.headers.get("Retry-After"))
+                if wait is not None:
+                    self._defer(min(wait, MAX_BACKOFF_SECONDS))
             if attempt < self.retries:
                 if wait is None:
                     wait = self.backoff_base * (2**attempt)

@@ -23,7 +23,9 @@ class ScriptedHTTPServer:
     path of every request, ``bodies`` the raw bytes of every request body
     and ``clients`` the client address of every request, in arrival order.
     It speaks HTTP/1.1, so a client may send many requests over one
-    connection, and the distinct ``clients`` count the connections."""
+    connection, and the distinct ``clients`` count the connections. Requests
+    may arrive from many threads at once: ``calls``, ``paths``, ``bodies``
+    and ``clients`` are updated under one lock."""
 
     def __init__(self, script: list[tuple], delay: float = 0.0, stall: float = 0.0):
         self.script = list(script)
@@ -33,19 +35,24 @@ class ScriptedHTTPServer:
         self.clients: list[tuple[str, int]] = []
         self.delay = delay
         self.stall = stall
+        self.lock = threading.Lock()
         outer = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # With Nagle on, the body segment waits for the client's delayed
+            # ACK of the headers, about 45 ms per call.
+            disable_nagle_algorithm = True
 
             def _respond(self) -> None:
                 if outer.delay:
                     time.sleep(outer.delay)
-                outer.paths.append(self.path)
-                outer.clients.append(self.client_address)
-                index = min(outer.calls, len(outer.script) - 1)
+                with outer.lock:
+                    outer.paths.append(self.path)
+                    outer.clients.append(self.client_address)
+                    index = min(outer.calls, len(outer.script) - 1)
+                    outer.calls += 1
                 status, body, *extra = outer.script[index]
-                outer.calls += 1
                 data = body.encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
@@ -65,7 +72,9 @@ class ScriptedHTTPServer:
 
             def do_POST(self) -> None:
                 length = int(self.headers.get("Content-Length", 0))
-                outer.bodies.append(self.rfile.read(length))
+                body = self.rfile.read(length)
+                with outer.lock:
+                    outer.bodies.append(body)
                 self._respond()
 
             def log_message(self, *args) -> None:

@@ -451,10 +451,36 @@ class TestLoadPolicy:
 
 @pytest.fixture
 def waits(monkeypatch) -> list[float]:
-    """The live provider's waits between attempts, recorded instead of slept."""
+    """The live provider's waits, recorded instead of slept, on a fake clock.
+    Each thread's clock starts at 0, as if every thread started at the same
+    moment, and each recorded sleep advances the sleeping thread's clock."""
     recorded: list[float] = []
-    monkeypatch.setattr(provider_module, "time", SimpleNamespace(sleep=recorded.append))
+    clock = threading.local()
+
+    def monotonic() -> float:
+        return getattr(clock, "now", 0.0)
+
+    def sleep(seconds: float) -> None:
+        recorded.append(seconds)
+        clock.now = monotonic() + seconds
+
+    monkeypatch.setattr(provider_module, "time", SimpleNamespace(sleep=sleep, monotonic=monotonic))
     return recorded
+
+
+def _in_threads(count: int, call) -> list:
+    """``call()`` in ``count`` new threads at once; their results in thread order."""
+    results: list = [None] * count
+
+    def run(index: int) -> None:
+        results[index] = call()
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results
 
 
 class TestLiveProvider:
@@ -533,6 +559,29 @@ class TestLiveProvider:
         assert stub.calls == 4
         assert 5.0 <= waits[0] <= 10.0
         assert waits[1:] == [0.0, MAX_BACKOFF_SECONDS]
+
+    def test_retry_after_holds_back_every_thread(self, http_stub, waits):
+        stub = http_stub([(429, "slow down", {"Retry-After": "1"}), (200, _chat_body("ok"))])
+        provider = LiveProvider(
+            base_url=stub.url, api_key="k", model="m", retries=3, backoff_base=0.01
+        )
+        # One thread is told to retry after a second, and waits it out.
+        assert _in_threads(1, lambda: provider.complete(CompletionRequest("hi"))) == ["ok"]
+        assert (stub.calls, waits) == (2, [1.0])
+        # Three threads starting in that second each wait it out before
+        # their first request, which then succeeds.
+        assert _in_threads(3, lambda: provider.complete(CompletionRequest("hi"))) == ["ok"] * 3
+        assert (stub.calls, waits) == (5, [1.0] * 4)
+
+    def test_threads_get_the_success_after_a_5xx(self, http_stub, waits):
+        stub = http_stub([(503, "busy", {"Retry-After": "1"}), (200, _chat_body("ok"))])
+        provider = LiveProvider(
+            base_url=stub.url, api_key="k", model="m", retries=3, backoff_base=0.01
+        )
+        assert _in_threads(4, lambda: provider.complete(CompletionRequest("hi"))) == ["ok"] * 4
+        # One 503, then one success per thread; every wait is the one second.
+        assert stub.calls == 5
+        assert 1 <= len(waits) <= 4 and set(waits) == {1.0}
 
     def test_unreadable_retry_after_falls_back_to_backoff(self, http_stub, waits):
         stub = http_stub([(503, "", {"Retry-After": "soon"}), (200, _chat_body("ok"))])
