@@ -8,8 +8,9 @@ The trace format is line-delimited JSON in 7-bit ASCII (other chars as
 ``\\uXXXX`` escapes), one self-contained episode per line, with canonical key
 ordering so that serialization is byte-identical across runs. Top-level field
 names ``instruction``, ``tools``, ``steps``, ``terminal``, ``method_label``
-and ``step_budget`` are a stable contract (see README). The field annotations define every record key: each record's
-JSON keys are its type's field names, written and read alike.
+and ``step_budget`` are a stable contract (see README). The field annotations
+define every record key: each record's JSON keys are its type's field names,
+written and read alike.
 """
 
 from __future__ import annotations
