@@ -327,11 +327,6 @@ class LiveProvider:
         self._lock = threading.Lock()
         self._not_before = 0.0  # no request is sent before this time.monotonic()
 
-    def _defer(self, seconds: float) -> None:
-        """Send no request for ``seconds`` from now, from any thread."""
-        with self._lock:
-            self._not_before = max(self._not_before, time.monotonic() + seconds)
-
     def _await_turn(self) -> None:
         """Sleep until the not-before time, which may move on while sleeping."""
         while True:
@@ -374,8 +369,11 @@ class LiveProvider:
                     raise ProviderRejected(status, response.text[:500])
                 last_error = ProviderUnavailable(f"HTTP {status}: {response.text[:200]}")
                 wait = _retry_after_seconds(response.headers.get("Retry-After"))
-                if wait is not None:
-                    self._defer(min(wait, MAX_BACKOFF_SECONDS))
+                if wait is not None:  # every thread waits; never moved earlier
+                    with self._lock:
+                        self._not_before = max(
+                            self._not_before, time.monotonic() + min(wait, MAX_BACKOFF_SECONDS)
+                        )
             if attempt < self.retries:
                 if wait is None:
                     wait = self.backoff_base * (2**attempt)
