@@ -681,8 +681,8 @@ class TestBench:
     def test_episode_over_the_request_limit_is_reported_and_the_run_goes_on(
         self, core_dir, tmp_path, capsys
     ):
-        # dfsdt keeps the 200,000-char payload in its branch memory, so its
-        # second router prompt is over the request limit (ROADMAP item 1).
+        # dfsdt keeps the 200,000-char payload in its branch memory, unclipped
+        # (a known defect), so its second router prompt is over the limit.
         suite = tmp_path / "suite"
         _write_verbose_pair(suite)
         _copy_pair(core_dir, "weather_miami", suite)

@@ -35,8 +35,8 @@ SEED = 5
 # (workload, method): (provider calls that returned, their prompt chars,
 # sha256 of the traces of the episodes that ended, each followed by "\n",
 # {scenario id: exception type} of the episodes that raised). dfsdt raises
-# RequestTooLarge on the two heavy chains (ROADMAP item 1); the call that
-# raises is not counted.
+# RequestTooLarge on the two heavy chains, since it keeps whole payloads in
+# its branch memory (a known defect); the call that raises is not counted.
 PINNED = {
     ("long_state", "sum2act"): (
         590, 3_175_928, "62c866abec80c4f85d9b3e37648ae642e57b365e7fff0b2352167a5fffa2d9e7", {},
