@@ -902,6 +902,93 @@ def test_one_config_file_with_every_key_serves_every_command(core_dir, tmp_path)
     assert (out_dir / "report.json").exists() and (out_dir / "winrate.json").exists()
 
 
+# command, key, flag value, config value, built-in default. The flag value
+# differs from the config value, and the config value from the default.
+PRECEDENCE = [
+    ("run", "out", "flag-out", "config-out", "runs"),
+    ("bench", "out", "flag-out", "config-out", "bench-out"),
+    ("compare", "out", "flag-out", "config-out", "compare-out"),
+    ("bench", "methods", "react", "dfsdt", "sum2act"),
+    ("bench", "concurrency", 3, 2, 1),
+    ("compare", "judge", "rule", "llm", "rule"),
+    ("run", "budget", 5, 7, engine.SUM2ACT_STEP_BUDGET),
+]
+
+
+def _settings_used(command: str, core_dir: Path, root: Path, monkeypatch, flags: list, config) -> dict:
+    """Run ``command`` over the weather_miami pair from ``root`` with
+    ``flags`` and, unless None, a config file holding ``config``; return the
+    out directory and each other PRECEDENCE key of ``command`` as the run's
+    outputs show them."""
+    suite = root / "suite"
+    _copy_pair(core_dir, "weather_miami", suite)
+    run_argv = ["--scenario", str(suite / "weather_miami.scenario.json"),
+                "--policy", str(suite / "weather_miami.policy.json")]
+    argv = {"run": run_argv, "bench": ["--scenario-dir", str(suite)]}.get(command)
+    if argv is None:
+        assert main(["run", *run_argv, "--out", str(root / "traces")]) == 0
+        judge_policy = root / "judge.policy.json"
+        judge_policy.write_text(json.dumps({
+            "entries": [], "default": json.dumps({"winner": "Tie", "rationale": "scripted verdict"}),
+        }))
+        trace = str(root / "traces" / "sum2act__weather_miami.jsonl")
+        argv = ["--traces-a", trace, "--traces-b", trace, "--scenario-dir", str(suite),
+                "--provider", "scripted", "--policy", str(judge_policy)]
+    if config is not None:
+        (root / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(root / "config.json")]
+    workers = []
+    real_pool = cli.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        workers.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.chdir(root)
+    assert main([command, *argv, *flags]) == 0
+
+    built_in_out = next(row[4] for row in PRECEDENCE if row[:2] == (command, "out"))
+    outs = [name for name in ("flag-out", "config-out", built_in_out) if (root / name).is_dir()]
+    assert len(outs) == 1, outs
+    out_dir = root / outs[0]
+    if command == "run":
+        trace = read_trace(out_dir / "sum2act__weather_miami.jsonl")[0]
+        return {"out": outs[0], "budget": trace.step_budget}
+    if command == "bench":
+        report = json.loads((out_dir / "report.json").read_text())
+        return {"out": outs[0], "methods": ",".join(report["methods"]), "concurrency": workers[0]}
+    judgment = json.loads((out_dir / "winrate.json").read_text())["judgments"][0]
+    return {"out": outs[0], "judge": "llm" if judgment["rationale"] == "scripted verdict" else "rule"}
+
+
+@pytest.mark.parametrize("command, key, flag, config, built_in", PRECEDENCE,
+                         ids=[f"{row[0]}-{row[1]}" for row in PRECEDENCE])
+def test_flag_beats_config_key_beats_built_in_default(
+    core_dir, tmp_path, monkeypatch, command, key, flag, config, built_in
+):
+    cases = [
+        (["--" + key, str(flag)], {key: config}, flag),
+        ([], {key: config}, config),
+        ([], None, built_in),
+    ]
+    for index, (flags, keys, expected) in enumerate(cases):
+        used = _settings_used(command, core_dir, tmp_path / str(index), monkeypatch, flags, keys)
+        assert used[key] == expected, (flags, keys)
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("run", {"methods": "react", "concurrency": 2, "judge": "llm"}),
+    ("bench", {"judge": "llm", "method": "react"}),
+    ("compare", {"method": "dfsdt", "methods": "react", "budget": 3}),
+])
+def test_config_key_of_another_command_leaves_the_built_in_default(
+    core_dir, tmp_path, monkeypatch, command, keys
+):
+    built_in = {row[1]: row[4] for row in PRECEDENCE if row[0] == command}
+    assert _settings_used(command, core_dir, tmp_path, monkeypatch, [], keys) == built_in
+
+
 @pytest.mark.parametrize(
     "command, name, placeholder",
     [("run", "router", "{observation}"), ("bench", "react", "{state}")],
