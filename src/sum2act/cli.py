@@ -23,11 +23,9 @@ from .errors import ConfigurationError, RequestTooLarge, Sum2ActError
 from .evaluation import (
     LlmJudge,
     RuleJudge,
-    SubsetReport,
-    aggregate,
     format_table,
     pass_rate,
-    round_half_up,
+    rate_row,
     win_rate,
 )
 from .provider import LiveProvider, ScriptedProvider, load_policy
@@ -58,17 +56,6 @@ class Config:
     templates_dir: str | None = None
 
 
-def _load_config(path: str | None) -> Config:
-    return load_record(path, Config, "config file", ConfigurationError) if path else Config()
-
-
-def _resolve(cli_value, config_value, default):
-    """The flag's value, else the config file's, else ``default``."""
-    if cli_value is not None:
-        return cli_value
-    return default if config_value is None else config_value
-
-
 # Config key (and flag dest, dashed as --flag): the EngineConfig field it sets.
 _ENGINE_KEYS = {
     "budget": "step_budget",
@@ -77,18 +64,15 @@ _ENGINE_KEYS = {
 }
 
 
-def _engine_config(method: str, args, config: Config) -> EngineConfig:
-    """``method``'s defaults with the given flags and config keys applied; an
+def _engine_config(method: str, args) -> EngineConfig:
+    """``method``'s defaults with the given engine settings applied; an
     unknown method raises ConfigurationError."""
-    given = {}
-    for key, field in _ENGINE_KEYS.items():
-        value = _resolve(getattr(args, key), getattr(config, key), None)
-        if value is not None:
-            given[field] = value
+    given = {field: getattr(args, key) for key, field in _ENGINE_KEYS.items()
+             if getattr(args, key) is not None}
     return default_config(method, **given)
 
 
-def _provider(args, config: Config, default_mode: str = "scripted", need_policy: bool = True):
+def _provider(args, need_policy: bool = True):
     """The command's one provider, built and checked before anything runs.
 
     Live mode builds the LiveProvider, whose constructor names a missing
@@ -96,15 +80,13 @@ def _provider(args, config: Config, default_mode: str = "scripted", need_policy:
     ScriptedProvider; without one it returns None, which only a caller
     passing ``need_policy=False`` accepts.
     """
-    mode = _resolve(args.provider, config.provider, default_mode)
-    if mode == "live":
+    if args.provider == "live":
         return LiveProvider()
-    if mode != "scripted":
-        raise ConfigurationError(f"unknown provider mode: {mode!r}")
-    path = _resolve(args.policy, config.policy, None)
-    if not path and need_policy:
+    if args.provider != "scripted":
+        raise ConfigurationError(f"unknown provider mode: {args.provider!r}")
+    if not args.policy and need_policy:
         raise ConfigurationError("scripted provider requires --policy")
-    return ScriptedProvider(load_policy(path)) if path else None
+    return ScriptedProvider(load_policy(args.policy)) if args.policy else None
 
 
 def _write_episode(path: Path, episode) -> None:
@@ -118,11 +100,15 @@ def _write_episode(path: Path, episode) -> None:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.config)
-    method = _resolve(args.method, config.method, "sum2act")
-    engine_config = _engine_config(method, args, config)
-    provider = _provider(args, config)
-    out_dir = Path(_resolve(args.out, config.out, "runs"))
+    # A scenario brings its own instruction and tools.
+    given = [key for key in ("instruction", "instruction_id", "tools", "endpoint_spec", "top_k")
+             if getattr(args, key) is not None]
+    if args.scenario and given:
+        flag = "--" + given[0].replace("_", "-")
+        raise ConfigurationError(f"--scenario cannot be combined with {flag}")
+    engine_config = _engine_config(args.method, args)
+    provider = _provider(args)
+    out_dir = Path(args.out)
 
     scenario = session = None
     if args.scenario:
@@ -151,12 +137,12 @@ def cmd_run(args) -> int:
         raise ConfigurationError("provide --scenario, or --instruction with --tools")
 
     try:
-        episode = run_episode(method, provider, instruction, tools, engine_config, executor)
+        episode = run_episode(args.method, provider, instruction, tools, engine_config, executor)
     finally:
         if session is not None:
             session.close()
 
-    trace_path = out_dir / f"{method}__{instruction.id}.jsonl"
+    trace_path = out_dir / f"{args.method}__{instruction.id}.jsonl"
     _write_episode(trace_path, episode)
 
     if episode.terminal.status == "Finished":
@@ -205,18 +191,16 @@ def _sibling_policy(scenario_path: Path) -> Path:
 
 
 def cmd_bench(args) -> int:
-    config = _load_config(args.config)
-    methods = [m.strip() for m in _resolve(args.methods, config.methods, "sum2act").split(",") if m.strip()]
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ConfigurationError("no method to run: give at least one method label")
     repeated = sorted({method for method in methods if methods.count(method) > 1})
     if repeated:
         raise ConfigurationError(f"method {repeated[0]!r} is listed more than once")
-    engine_configs = {method: _engine_config(method, args, config) for method in methods}
-    global_provider = _provider(args, config, need_policy=False)
-    out_dir = Path(_resolve(args.out, config.out, "bench-out"))
-    concurrency = _resolve(args.concurrency, config.concurrency, 1)
-    if concurrency < 1:
+    engine_configs = {method: _engine_config(method, args) for method in methods}
+    global_provider = _provider(args, need_policy=False)
+    out_dir = Path(args.out)
+    if args.concurrency < 1:
         raise ConfigurationError("concurrency must be >= 1")
 
     # Fail fast: every scenario (and its policy, without a global provider)
@@ -254,7 +238,7 @@ def cmd_bench(args) -> int:
     # last and sets the wall time alone; results.sort fixes the report order.
     pairs = [(method, scenario, provider) for method in methods for scenario, provider in loaded]
     pairs.sort(key=lambda pair: -engine_configs[pair[0]].step_budget)
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+    with ThreadPoolExecutor(max_workers=args.concurrency) as pool:
         results = list(pool.map(lambda pair: run_pair(*pair), pairs))
     results.sort(key=lambda item: (item[0], item[1].id))
 
@@ -267,7 +251,7 @@ def cmd_bench(args) -> int:
             if result_method != method:
                 continue
             subset = scenario.instruction.subset_label or "default"
-            by_subset.setdefault(subset, []).append((episode, passed))
+            by_subset.setdefault(subset, []).append(passed)
             machine["episodes"].append(
                 {
                     "method": method,
@@ -278,18 +262,24 @@ def cmd_bench(args) -> int:
                     "steps": None if error else len(episode.steps),
                 }
             )
-        reports = [
-            SubsetReport(subset_label=label, pass_rate=pass_rate(items), n=len(items))
-            for label, items in sorted(by_subset.items())
-        ]
-        table, mirror = aggregate(reports)
-        report_sections.append(f"## {method}\n{table}")
-        machine["methods"][method] = mirror
-        method_rows.append(
-            [method]
-            + [f"{round_half_up(r.pass_rate):.1f}" for r in reports]
-            + [f"{mirror['average']['pass_rate']:.1f}"]
+        subsets = sorted(by_subset)
+        rates = [pass_rate(by_subset[subset]) for subset in subsets]
+        counts = [len(by_subset[subset]) for subset in subsets]
+        row = rate_row("Pass rate", rates)
+        table = format_table(
+            ["Subset"] + subsets + ["Average"],
+            [row, ["n"] + [str(n) for n in counts] + [str(sum(counts))]],
         )
+        report_sections.append(f"## {method}\n{table}")
+        # Win rates are ``compare``'s; the mirror keeps null ``win_rate`` keys.
+        machine["methods"][method] = {
+            "subsets": [
+                {"label": subset, "pass_rate": rate, "win_rate": None, "n": n}
+                for subset, rate, n in zip(subsets, rates, counts)
+            ],
+            "average": {"pass_rate": float(row[-1]), "win_rate": None},
+        }
+        method_rows.append([method] + row[1:])
 
     subset_labels = sorted({s["subset"] for s in machine["episodes"]})
     combined = format_table(["Method"] + subset_labels + ["Average"], method_rows)
@@ -336,8 +326,7 @@ def _load_trace_set(path_text: str) -> dict:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args.config)
-    out_dir = Path(_resolve(args.out, config.out, "compare-out"))
+    out_dir = Path(args.out)
     side_a = _load_trace_set(args.traces_a)
     side_b = _load_trace_set(args.traces_b)
 
@@ -351,8 +340,7 @@ def cmd_compare(args) -> int:
             details.append(f"missing from A: {', '.join(missing_in_a)}")
         raise ConfigurationError(f"trace sets cover different instructions; {'; '.join(details)}")
 
-    judge_mode = _resolve(args.judge, config.judge, "rule")
-    if judge_mode == "rule":
+    if args.judge == "rule":
         if not args.scenario_dir:
             raise ConfigurationError("the rule judge requires --scenario-dir to evaluate passes")
         scenarios = {
@@ -370,10 +358,10 @@ def cmd_compare(args) -> int:
             return check_pass(scenarios[episode.instruction.id], episode)
 
         judge = RuleJudge(passed)
-    elif judge_mode == "llm":
-        judge = LlmJudge(_provider(args, config, default_mode="live"))
+    elif args.judge == "llm":
+        judge = LlmJudge(_provider(args))
     else:
-        raise ConfigurationError(f"unknown judge mode: {judge_mode!r}")
+        raise ConfigurationError(f"unknown judge mode: {args.judge!r}")
 
     judgments_by_subset: dict[str, list] = {}
     all_judgments = []
@@ -391,19 +379,14 @@ def cmd_compare(args) -> int:
         subset: win_rate(judgments, label_a)
         for subset, judgments in sorted(judgments_by_subset.items())
     }
-    average = round_half_up(*subset_rates.values())
-
-    headers = ["Method"] + list(subset_rates) + ["Average"]
-    row = [f"{label_a} vs {label_b}"] + [
-        f"{round_half_up(rate):.1f}" for rate in subset_rates.values()
-    ] + [f"{average:.1f}"]
-    table = format_table(headers, [row])
+    row = rate_row(f"{label_a} vs {label_b}", list(subset_rates.values()))
+    table = format_table(["Method"] + list(subset_rates) + ["Average"], [row])
 
     machine = {
         "method_a": label_a,
         "method_b": label_b,
-        "subsets": {subset: rate for subset, rate in subset_rates.items()},
-        "average": average,
+        "subsets": subset_rates,
+        "average": float(row[-1]),
         "judgments": [
             {
                 "instruction_id": j.instruction_id,
@@ -475,11 +458,11 @@ def cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--provider", choices=["scripted", "live"], default=None)
+def _add_io_flags(parser: argparse.ArgumentParser, provider: str, out: str) -> None:
+    parser.add_argument("--provider", choices=["scripted", "live"], default=provider)
     parser.add_argument("--policy", default=None, help="scripted policy file")
     parser.add_argument("--config", default=None, help="JSON config file; flags override it")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default=out, help="output directory")
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -506,27 +489,27 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--endpoint-spec", dest="endpoint_spec", default=None)
     run_parser.add_argument("--top-k", dest="top_k", type=int, default=None,
                             help="rank the catalog and keep the top k tools")
-    run_parser.add_argument("--method", choices=list(METHOD_LABELS), default=None)
-    _add_io_flags(run_parser)
+    run_parser.add_argument("--method", choices=list(METHOD_LABELS), default="sum2act")
+    _add_io_flags(run_parser, "scripted", "runs")
     _add_engine_flags(run_parser)
-    run_parser.set_defaults(func=cmd_run)
+    run_parser.set_defaults(func=cmd_run, parser=run_parser)
 
     bench_parser = subparsers.add_parser("bench", help="run a scenario suite")
     bench_parser.add_argument("--scenario-dir", dest="scenario_dir", required=True)
-    bench_parser.add_argument("--methods", default=None, help="comma-separated method labels")
-    bench_parser.add_argument("--concurrency", type=int, default=None)
-    _add_io_flags(bench_parser)
+    bench_parser.add_argument("--methods", default="sum2act", help="comma-separated method labels")
+    bench_parser.add_argument("--concurrency", type=int, default=1)
+    _add_io_flags(bench_parser, "scripted", "bench-out")
     _add_engine_flags(bench_parser)
-    bench_parser.set_defaults(func=cmd_bench)
+    bench_parser.set_defaults(func=cmd_bench, parser=bench_parser)
 
     compare_parser = subparsers.add_parser("compare", help="pairwise win rate of two trace sets")
     compare_parser.add_argument("--traces-a", dest="traces_a", required=True)
     compare_parser.add_argument("--traces-b", dest="traces_b", required=True)
-    compare_parser.add_argument("--judge", choices=["rule", "llm"], default=None)
+    compare_parser.add_argument("--judge", choices=["rule", "llm"], default="rule")
     compare_parser.add_argument("--scenario-dir", dest="scenario_dir", default=None,
                                 help="scenario files for the rule judge's pass checks")
-    _add_io_flags(compare_parser)
-    compare_parser.set_defaults(func=cmd_compare)
+    _add_io_flags(compare_parser, "live", "compare-out")
+    compare_parser.set_defaults(func=cmd_compare, parser=compare_parser)
 
     replay_parser = subparsers.add_parser("replay", help="print a step-by-step trace rendering")
     replay_parser.add_argument("trace", help="episode trace file")
@@ -536,8 +519,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # The file's keys that this subcommand takes become its defaults;
+            # parsing again lets each given flag override its key.
+            config = load_record(args.config, Config, "config file", ConfigurationError)
+            args.parser.set_defaults(**{key: value for key, value in vars(config).items()
+                                        if value is not None and key in vars(args)})
+            args = parser.parse_args(argv)
         return args.func(args)
     except (Sum2ActError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
 """Pass-rate and pairwise win-rate computation with tie-splitting, judge
-abstractions, and table-style report aggregation.
+abstractions, and the report table's rate rows.
 
 Rounding policy: internal arithmetic stays full precision; half-up rounding
 to one decimal happens at presentation (and in ``pass_rate``, which is a
@@ -63,25 +63,12 @@ class PairJudgment:
             raise ConfigurationError("judgment sides must carry distinct labels")
 
 
-@dataclass(frozen=True)
-class SubsetReport:
-    subset_label: str
-    pass_rate: float
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.pass_rate <= 100:
-            raise ConfigurationError("pass_rate must be within [0, 100]")
-        if self.n < 1:
-            raise ConfigurationError("subset count must be >= 1")
-
-
-def pass_rate(episodes: list[tuple[Episode, bool]]) -> float:
-    """Percentage of passing episodes, reported to one decimal."""
-    if not episodes:
+def pass_rate(passed: list[bool]) -> float:
+    """Percentage of passing episodes, given each one's pass flag, reported
+    to one decimal."""
+    if not passed:
         raise ConfigurationError("pass rate requires at least one episode")
-    passes = sum(1 for _, passed in episodes if passed)
-    return round_half_up(100.0 * passes / len(episodes))
+    return round_half_up(100.0 * sum(passed) / len(passed))
 
 
 def win_rate(judgments: list[PairJudgment], for_method: str) -> float:
@@ -205,43 +192,15 @@ class LlmJudge:
 
 
 # ---------------------------------------------------------------------------
-# Aggregation
+# Report tables
 # ---------------------------------------------------------------------------
 
 
-def aggregate(reports: list[SubsetReport]) -> tuple[str, dict]:
-    """Per-subset pass-rate columns plus an unweighted-mean Average column to
-    one decimal; returns the monospace table and its machine-readable mirror.
-    Win rates are ``compare``'s; the mirror keeps a null ``win_rate`` key."""
-    if not reports:
-        raise ConfigurationError("aggregate requires at least one subset report")
-    seen = set()
-    for report in reports:
-        if report.subset_label in seen:
-            raise ConfigurationError(f"duplicate subset label: {report.subset_label!r}")
-        seen.add(report.subset_label)
-
-    average_pass = round_half_up(*(r.pass_rate for r in reports))
-    labels = [r.subset_label for r in reports] + ["Average"]
-    rows = [
-        ["Pass rate"] + [f"{round_half_up(r.pass_rate):.1f}" for r in reports] + [f"{average_pass:.1f}"],
-        ["n"] + [str(r.n) for r in reports] + [str(sum(r.n for r in reports))],
-    ]
-    table = format_table(["Subset"] + labels, rows)
-
-    machine = {
-        "subsets": [
-            {
-                "label": r.subset_label,
-                "pass_rate": r.pass_rate,
-                "win_rate": None,
-                "n": r.n,
-            }
-            for r in reports
-        ],
-        "average": {"pass_rate": average_pass, "win_rate": None},
-    }
-    return table, machine
+def rate_row(label: str, rates: list[float]) -> list[str]:
+    """A report row: ``label``, each subset's rate and their unweighted mean
+    (the Average cell), each rounded half-up to one decimal."""
+    cells = [round_half_up(rate) for rate in rates] + [round_half_up(*rates)]
+    return [label] + [f"{cell:.1f}" for cell in cells]
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:

@@ -307,6 +307,32 @@ class TestRun:
         code = main(["run", "--policy", str(tmp_path), "--out", str(tmp_path)])
         assert code == 2
 
+    # A run of a scenario reads none of the live-tools flags; the error
+    # names the first given, in the order the README lists them.
+    @pytest.mark.parametrize("flags, named", [
+        (["--instruction", "x"], "--instruction"),
+        (["--instruction-id", "x"], "--instruction-id"),
+        (["--tools", "/nonexistent"], "--tools"),
+        (["--endpoint-spec", "/nonexistent"], "--endpoint-spec"),
+        (["--top-k", "0"], "--top-k"),
+        (["--top-k", "5", "--tools", "/nonexistent"], "--tools"),
+    ], ids=["instruction", "instruction-id", "tools", "endpoint-spec", "top-k", "top-k-and-tools"])
+    def test_live_tools_flag_with_scenario_exits_2_naming_it(
+        self, core_dir, tmp_path, capsys, http_stub, monkeypatch, flags, named
+    ):
+        stub = _live_stub(http_stub, monkeypatch)
+        code = main([
+            "run",
+            "--scenario", str(core_dir / "weather_miami.scenario.json"),
+            "--provider", "live",
+            "--out", str(tmp_path / "out"),
+            *flags,
+        ])
+        assert code == 2
+        assert f"--scenario cannot be combined with {named}" in capsys.readouterr().err
+        assert stub.calls == 0
+        assert not (tmp_path / "out").exists()
+
     def test_method_flag_selects_engine(self, core_dir, tmp_path):
         code = main([
             "run",
