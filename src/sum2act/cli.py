@@ -313,19 +313,25 @@ def _load_trace_set(path_text: str) -> dict:
     else:
         raise ConfigurationError(f"trace path not found: {path_text}")
     episodes: dict = {}
+    paths_by_id: dict[str, Path] = {}
     for file_path in files:
         for episode in read_trace(file_path):
-            if episode.instruction.id in episodes:
+            instruction_id = episode.instruction.id
+            if instruction_id in episodes:
                 raise ConfigurationError(
-                    f"duplicate instruction id in trace set: {episode.instruction.id!r}"
+                    f"instruction id {instruction_id!r} is used by both "
+                    f"{paths_by_id[instruction_id]} and {file_path}"
                 )
-            episodes[episode.instruction.id] = episode
+            paths_by_id[instruction_id] = file_path
+            episodes[instruction_id] = episode
     if not episodes:
         raise ConfigurationError(f"no episodes found under {path_text}")
     return episodes
 
 
 def cmd_compare(args) -> int:
+    if args.judge == "llm" and args.scenario_dir is not None:
+        raise ConfigurationError("the llm judge cannot be combined with --scenario-dir")
     out_dir = Path(args.out)
     side_a = _load_trace_set(args.traces_a)
     side_b = _load_trace_set(args.traces_b)

@@ -61,9 +61,10 @@ def render_state(state: State) -> str:
     the cap merges result entries oldest-first, so the failures form a
     prefix that stays stable from one step's prompts to the next.
 
-    The cap measures each new state, then the next router and verdict
-    prompts show it, so each thread keeps the (immutable) state it rendered
-    last and its text, and returns the text again for that same object:
+    The cap measures each state it builds with this function and returns
+    the one it measured last, which the next router and verdict prompts
+    show, so each thread keeps the (immutable) state it rendered last and
+    its text, and returns the text again for that same object:
     ``is``, since comparing a State walks every entry. Nothing is stored on
     the State, because a trace writes its fields."""
     last = _last_render
@@ -94,15 +95,6 @@ def _render(state: State) -> str:
     else:
         lines.append("Current results: (none).")
     return "\n".join(lines)
-
-
-def rendered_state_length(state: State) -> int:
-    return len(render_state(state))
-
-
-def _entry_body_length(entry: ResultEntry) -> int:
-    """Length of a result line after its "  N. " prefix."""
-    return len(f"[step {entry.step}] {entry.text}")
 
 
 def render_observation(observation: Observation) -> str:
@@ -222,36 +214,23 @@ def enforce_cap(state: State, cap_chars: int = STATE_CAP_CHARS, provider=None) -
     """
     if cap_chars < 512:
         raise ConfigurationError(f"state cap must be >= 512 chars, got {cap_chars}")
-    length = rendered_state_length(state)
-    if length <= cap_chars:
-        return state
-
-    results = list(state.current_results)
-    failures = list(state.failure_history)
-
-    while len(results) > 1 and length > cap_chars:
-        older, newer = results[0], results[1]
+    overflow = len(render_state(state)) - cap_chars
+    while overflow > 0 and len(state.current_results) > 1:
+        older, newer, *rest = state.current_results
         merged = ResultEntry(text=_merge_texts(provider, older, newer), step=newer.step)
-        # Two numbered lines become one: the bodies change, and the list
-        # drops one newline and the "  N. " prefix of its old count N.
-        length += (
-            _entry_body_length(merged) - _entry_body_length(older) - _entry_body_length(newer)
-            - len(str(len(results))) - 5
+        state = State((merged, *rest), state.failure_history)
+        overflow = len(render_state(state)) - cap_chars
+    if overflow > 0:
+        failures = tuple(
+            replace(f, reason=f.reason[: FAILURE_REASON_CAP_CHARS - 3] + "...")
+            if len(f.reason) > FAILURE_REASON_CAP_CHARS else f
+            for f in state.failure_history
         )
-        results[:2] = [merged]
-
-    if length > cap_chars:
-        failures = [
-            f
-            if len(f.reason) <= FAILURE_REASON_CAP_CHARS
-            else replace(f, reason=f.reason[: FAILURE_REASON_CAP_CHARS - 3] + "...")
-            for f in failures
-        ]
-        length = rendered_state_length(State(tuple(results), tuple(failures)))
-
-    if length > cap_chars and results:
-        overflow = length - cap_chars
-        keep = max(0, len(results[0].text) - overflow)
-        results = [ResultEntry(text=results[0].text[:keep], step=results[0].step)]
-
-    return State(tuple(results), tuple(failures))
+        state = State(state.current_results, failures)
+        overflow = len(render_state(state)) - cap_chars
+    if overflow > 0 and state.current_results:
+        (last,) = state.current_results
+        kept = last.text[: max(0, len(last.text) - overflow)]
+        state = State((ResultEntry(text=kept, step=last.step),), state.failure_history)
+        render_state(state)  # the next prompt takes this text from the memo
+    return state

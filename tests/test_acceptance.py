@@ -22,7 +22,7 @@ from sum2act.parsing import load_templates
 from sum2act.provider import RecordingProvider, ScriptedPolicy, ScriptedProvider, load_policy
 from sum2act.retriever import rank
 from sum2act.sandbox import ScenarioSession, check_pass, load_scenario
-from sum2act.state_manager import enforce_cap, rendered_state_length, update
+from sum2act.state_manager import enforce_cap, render_state, update
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -216,7 +216,7 @@ def test_state_boundedness_and_monotonicity_over_randomized_episodes():
             observation = _random_observation(rng, step)
             state = update(UNSCRIPTED, template, instruction, state, observation, step_index=step)
             state = enforce_cap(state, cap)
-            if rendered_state_length(state) > cap:
+            if len(render_state(state)) > cap:
                 violations.append(f"episode {episode_index} step {step}: over cap")
             if len(state.failure_history) < previous_failures:
                 violations.append(f"episode {episode_index} step {step}: failures shrank")

@@ -23,6 +23,7 @@ from sum2act.core import (
     serialize_episode,
 )
 from sum2act.parsing import load_templates
+from sum2act.provider import ScriptedProvider
 
 
 def _copy_pair(src_dir: Path, name: str, dst: Path) -> None:
@@ -586,6 +587,7 @@ class TestBench:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [e["method"] for e in report["episodes"]] == ["sum2act"] * 2 + ["react"] * 2 + ["dfsdt"] * 2
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("concurrency", ["1", "4"])
     def test_shipped_corpus_bytes_are_pinned(self, scenarios_root, tmp_path, concurrency):
         # sha256 over report.json, report.txt and every trace, each preceded
@@ -941,11 +943,14 @@ PRECEDENCE = [
 ]
 
 
-def _settings_used(command: str, core_dir: Path, root: Path, monkeypatch, flags: list, config) -> dict:
+def _settings_used(command: str, core_dir: Path, root: Path, monkeypatch, flags: list, config,
+                   judge: str = "rule") -> dict:
     """Run ``command`` over the weather_miami pair from ``root`` with
     ``flags`` and, unless None, a config file holding ``config``; return the
     out directory and each other PRECEDENCE key of ``command`` as the run's
-    outputs show them."""
+    outputs show them. ``compare`` gets ``--scenario-dir`` only when
+    ``judge`` is "rule": the llm judge exits 2 given one, and the rule judge
+    without one, so a run that picks the other judge fails."""
     suite = root / "suite"
     _copy_pair(core_dir, "weather_miami", suite)
     run_argv = ["--scenario", str(suite / "weather_miami.scenario.json"),
@@ -958,8 +963,10 @@ def _settings_used(command: str, core_dir: Path, root: Path, monkeypatch, flags:
             "entries": [], "default": json.dumps({"winner": "Tie", "rationale": "scripted verdict"}),
         }))
         trace = str(root / "traces" / "sum2act__weather_miami.jsonl")
-        argv = ["--traces-a", trace, "--traces-b", trace, "--scenario-dir", str(suite),
+        argv = ["--traces-a", trace, "--traces-b", trace,
                 "--provider", "scripted", "--policy", str(judge_policy)]
+        if judge == "rule":
+            argv += ["--scenario-dir", str(suite)]
     if config is not None:
         (root / "config.json").write_text(json.dumps(config))
         argv += ["--config", str(root / "config.json")]
@@ -999,7 +1006,8 @@ def test_flag_beats_config_key_beats_built_in_default(
         ([], None, built_in),
     ]
     for index, (flags, keys, expected) in enumerate(cases):
-        used = _settings_used(command, core_dir, tmp_path / str(index), monkeypatch, flags, keys)
+        used = _settings_used(command, core_dir, tmp_path / str(index), monkeypatch, flags, keys,
+                              judge=expected if key == "judge" else "rule")
         assert used[key] == expected, (flags, keys)
 
 
@@ -1140,8 +1148,9 @@ class TestCompare:
         ])
         err = capsys.readouterr().err
         assert code == 2
-        assert "weather_miami" in err
-        assert "flight_bos_sfo" in err
+        assert ("trace sets cover different instructions; "
+                "missing from B: weather_miami; missing from A: flight_bos_sfo\n") in err
+        assert not (tmp_path / "cmp").exists()
 
     def test_duplicate_instruction_id_exits_2_naming_both_files(self, core_dir, tmp_path, capsys):
         suite = tmp_path / "suite"
@@ -1166,6 +1175,51 @@ class TestCompare:
         err = capsys.readouterr().err
         assert f"instruction id {record['instruction']['id']!r}" in err
         assert "weather_copy.scenario.json" in err and "weather_miami.scenario.json" in err
+        assert not cmp_dir.exists()
+
+    def test_duplicate_trace_instruction_id_exits_2_naming_both_files(self, core_dir, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        _copy_pair(core_dir, "weather_miami", suite)
+        out = tmp_path / "bench"
+        self._bench(suite, out, "sum2act")
+        traces = out / "traces" / "sum2act"
+        shutil.copy(traces / "weather_miami.jsonl", traces / "weather_again.jsonl")
+        cmp_dir = tmp_path / "cmp"
+        code = main([
+            "compare", "--traces-a", str(traces), "--traces-b", str(traces),
+            "--judge", "rule", "--scenario-dir", str(suite), "--out", str(cmp_dir),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "instruction id 'weather_miami'" in err
+        assert "weather_again.jsonl" in err and "weather_miami.jsonl" in err
+        assert not cmp_dir.exists()
+
+    @pytest.mark.parametrize("scenario_dir", ["suite", "/nonexistent"])
+    def test_llm_judge_with_scenario_dir_exits_2_naming_it(
+        self, core_dir, tmp_path, capsys, monkeypatch, scenario_dir
+    ):
+        suite = tmp_path / "suite"
+        _copy_pair(core_dir, "weather_miami", suite)
+        out = tmp_path / "bench"
+        self._bench(suite, out, "sum2act,react")
+        judge_policy = tmp_path / "judge.policy.json"
+        judge_policy.write_text(json.dumps({
+            "entries": [],
+            "default": json.dumps({"winner": "A", "rationale": "A was cleaner"}),
+        }))
+        monkeypatch.setattr(ScriptedProvider, "complete",
+                            lambda *args, **kwargs: pytest.fail("the judge called its provider"))
+        cmp_dir = tmp_path / "cmp"
+        code = main([
+            "compare",
+            "--traces-a", str(out / "traces" / "sum2act"),
+            "--traces-b", str(out / "traces" / "react"),
+            "--judge", "llm", "--provider", "scripted", "--policy", str(judge_policy),
+            "--scenario-dir", str(tmp_path / scenario_dir), "--out", str(cmp_dir),
+        ])
+        assert code == 2
+        assert "--scenario-dir" in capsys.readouterr().err
         assert not cmp_dir.exists()
 
     @pytest.mark.parametrize("flag, value", [

@@ -26,7 +26,6 @@ from sum2act.state_manager import (
     build_state_prompt,
     enforce_cap,
     render_state,
-    rendered_state_length,
     update,
 )
 
@@ -252,9 +251,9 @@ class TestEnforceCap:
         results = tuple(ResultEntry(f"entry {i}: " + "x" * 440, i + 1) for i in range(20))
         failures = (FailureEntry("tool_a", "d1", "because", 1),)
         state = State(current_results=results, failure_history=failures)
-        assert rendered_state_length(state) > 9000
+        assert len(render_state(state)) > 9000
         capped = enforce_cap(state, 4096)
-        assert rendered_state_length(capped) <= 4096
+        assert len(render_state(capped)) <= 4096
         assert capped.failure_history == failures
 
     def test_reason_shortening_preserves_count(self):
@@ -269,8 +268,19 @@ class TestEnforceCap:
     def test_hard_truncate_single_result(self):
         state = State(current_results=(ResultEntry("w" * 9000, 1),), failure_history=())
         capped = enforce_cap(state, 1024)
-        assert rendered_state_length(capped) <= 1024
+        assert len(render_state(capped)) <= 1024
         assert len(capped.current_results) == 1
+
+    @pytest.mark.parametrize("state", [
+        State(tuple(ResultEntry("x" * 400, i + 1) for i in range(4)), ()),
+        State((), tuple(FailureEntry(f"tool_{i}", f"d{i}", "r" * 500, i + 1) for i in range(8))),
+        State((ResultEntry("w" * 9000, 1),), ()),
+    ], ids=["merge", "shorten", "truncate"])
+    def test_capped_state_is_the_one_rendered_last(self, state):
+        # The next prompt then takes the capped state's text from the memo.
+        capped = enforce_cap(state, 1024)
+        assert capped != state
+        assert state_manager._last_render.state is capped
 
     def test_provider_backed_merge(self):
         provider = ScriptedProvider(ScriptedPolicy(
@@ -279,19 +289,19 @@ class TestEnforceCap:
         results = tuple(ResultEntry("x" * 400, i + 1) for i in range(4))
         state = State(current_results=results, failure_history=())
         capped = enforce_cap(state, 1024, provider=provider)
-        assert rendered_state_length(capped) <= 1024
+        assert len(render_state(capped)) <= 1024
         assert any("merged note" in r.text for r in capped.current_results)
 
     def test_merges_stop_once_state_fits(self):
         # Merging renumbers the list, so line lengths change as the count
         # crosses 100 and 10; compare with merging while re-rendering.
         results = tuple(ResultEntry("x" * (i % 7 * 5), 95 + i) for i in range(105))
-        for cap in range(512, rendered_state_length(State(results, ())), 37):
+        for cap in range(512, len(render_state(State(results, ()))), 37):
             expected = list(results)
-            while len(expected) > 1 and rendered_state_length(State(tuple(expected), ())) > cap:
+            while len(expected) > 1 and len(render_state(State(tuple(expected), ()))) > cap:
                 merged = f"{expected[0].text}; {expected[1].text}"[:240]
                 expected[:2] = [ResultEntry(merged, expected[1].step)]
-            if rendered_state_length(State(tuple(expected), ())) <= cap:
+            if len(render_state(State(tuple(expected), ()))) <= cap:
                 assert enforce_cap(State(results, ()), cap).current_results == tuple(expected)
 
     @settings(max_examples=40, deadline=None)
@@ -312,5 +322,5 @@ class TestEnforceCap:
         capped = enforce_cap(state, 4096)
         # 10 failures with <=120-char reasons always fit 4096, so the cap
         # must be met; failures are never dropped.
-        assert rendered_state_length(capped) <= 4096
+        assert len(render_state(capped)) <= 4096
         assert len(capped.failure_history) == failure_count
