@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import Iterator, get_args, get_type_hints
 
 from .core import Instruction, State, load_record, read_trace, serialize_episode
 from .engine import METHOD_LABELS, EngineConfig, default_config, run_episode
@@ -160,34 +160,49 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_scenarios(scenario_dir: str, key_name: str, key) -> list[tuple[Path, Scenario]]:
-    """Every ``*.scenario.json`` under ``scenario_dir``, loaded, with its path.
-    Two scenarios with one ``key(scenario)`` raise ConfigurationError naming
-    both files."""
+def _by_key(key_name: str, items) -> dict:
+    """``{key: value}`` from ``(key, path, value)`` items, in their order. A
+    key given twice raises ConfigurationError naming both files."""
+    values: dict = {}
+    paths: dict = {}
+    for key, path, value in items:
+        if key in paths:
+            raise ConfigurationError(f"{key_name} {key!r} is used by both {paths[key]} and {path}")
+        values[key], paths[key] = value, path
+    return values
+
+
+def _by_subset(items) -> dict[str, list]:
+    """``{subset: values}`` from ``(instruction, value)`` items, in sorted
+    subset order; an instruction without a subset label is in ``default``."""
+    groups: dict[str, list] = {}
+    for instruction, value in items:
+        groups.setdefault(instruction.subset_label or "default", []).append(value)
+    return dict(sorted(groups.items()))
+
+
+def _write_report(out_dir: Path, name: str, machine: dict, table: str, *sections: str) -> None:
+    """Write ``<name>.txt`` (``table``, then each section) and its
+    machine-readable mirror ``<name>.json``; print the table and the path."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{name}.txt").write_text("\n\n".join((table,) + sections) + "\n", encoding="utf-8")
+    (out_dir / f"{name}.json").write_text(
+        json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(table)
+    print(f"report: {out_dir / f'{name}.json'}")
+
+
+def _load_scenarios(scenario_dir: str) -> Iterator[tuple[Path, Scenario]]:
+    """Every ``*.scenario.json`` under ``scenario_dir`` with its path, each
+    loaded as it is reached."""
     root = Path(scenario_dir)
     if not root.is_dir():
         raise ConfigurationError(f"scenario directory not found: {scenario_dir}")
     paths = sorted(root.glob("**/*.scenario.json"))
     if not paths:
         raise ConfigurationError(f"no *.scenario.json files under {scenario_dir}")
-    loaded = []
-    paths_by_key: dict[str, Path] = {}
-    for path in paths:
-        scenario = load_scenario(path)
-        value = key(scenario)
-        if value in paths_by_key:
-            raise ConfigurationError(
-                f"{key_name} {value!r} is used by both {paths_by_key[value]} and {path}"
-            )
-        paths_by_key[value] = path
-        loaded.append((path, scenario))
-    return loaded
-
-
-def _sibling_policy(scenario_path: Path) -> Path:
-    return scenario_path.with_name(
-        scenario_path.name.replace(".scenario.json", ".policy.json")
-    )
+    return ((path, load_scenario(path)) for path in paths)
 
 
 def cmd_bench(args) -> int:
@@ -207,11 +222,15 @@ def cmd_bench(args) -> int:
     # must load, and no two may share an id (their traces would share one
     # path), before anything runs. Every episode of a scenario, whatever its
     # method or thread, shares the one provider picked here.
+    scenarios = _by_key("scenario id", (
+        (scenario.id, path, (path, scenario))
+        for path, scenario in _load_scenarios(args.scenario_dir)
+    ))
     loaded = []
-    for path, scenario in _load_scenarios(args.scenario_dir, "scenario id", lambda s: s.id):
+    for path, scenario in scenarios.values():
         provider = global_provider
         if provider is None:
-            policy_path = _sibling_policy(path)
+            policy_path = path.with_name(path.name.replace(".scenario.json", ".policy.json"))
             if not policy_path.exists():
                 raise ConfigurationError(
                     f"no policy for scenario {scenario.id!r}: expected {policy_path}"
@@ -242,32 +261,30 @@ def cmd_bench(args) -> int:
         results = list(pool.map(lambda pair: run_pair(*pair), pairs))
     results.sort(key=lambda item: (item[0], item[1].id))
 
+    # Every method runs every scenario, so each method's subsets are the scenarios'.
+    by_subset = _by_subset((scenario.instruction, scenario.id) for scenario, _ in loaded)
+    subset_of = {scenario_id: subset for subset, ids in by_subset.items() for scenario_id in ids}
+    counts = [len(ids) for ids in by_subset.values()]
     report_sections = []
     machine: dict = {"methods": {}, "episodes": []}
     method_rows = []
     for method in methods:
-        by_subset: dict[str, list] = {}
-        for result_method, scenario, episode, passed, error in results:
-            if result_method != method:
-                continue
-            subset = scenario.instruction.subset_label or "default"
-            by_subset.setdefault(subset, []).append(passed)
-            machine["episodes"].append(
-                {
-                    "method": method,
-                    "scenario": scenario.id,
-                    "subset": subset,
-                    "pass": passed,
-                    "terminal": type(error).__name__ if error else episode.terminal.status,
-                    "steps": None if error else len(episode.steps),
-                }
-            )
-        subsets = sorted(by_subset)
-        rates = [pass_rate(by_subset[subset]) for subset in subsets]
-        counts = [len(by_subset[subset]) for subset in subsets]
+        episodes = [
+            {
+                "method": method,
+                "scenario": scenario.id,
+                "subset": subset_of[scenario.id],
+                "pass": passed,
+                "terminal": type(error).__name__ if error else episode.terminal.status,
+                "steps": None if error else len(episode.steps),
+            }
+            for result_method, scenario, episode, passed, error in results if result_method == method
+        ]
+        machine["episodes"] += episodes
+        rates = [pass_rate([e["pass"] for e in episodes if e["subset"] == subset]) for subset in by_subset]
         row = rate_row("Pass rate", rates)
         table = format_table(
-            ["Subset"] + subsets + ["Average"],
+            ["Subset"] + list(by_subset) + ["Average"],
             [row, ["n"] + [str(n) for n in counts] + [str(sum(counts))]],
         )
         report_sections.append(f"## {method}\n{table}")
@@ -275,24 +292,14 @@ def cmd_bench(args) -> int:
         machine["methods"][method] = {
             "subsets": [
                 {"label": subset, "pass_rate": rate, "win_rate": None, "n": n}
-                for subset, rate, n in zip(subsets, rates, counts)
+                for subset, rate, n in zip(by_subset, rates, counts)
             ],
             "average": {"pass_rate": float(row[-1]), "win_rate": None},
         }
         method_rows.append([method] + row[1:])
 
-    subset_labels = sorted({s["subset"] for s in machine["episodes"]})
-    combined = format_table(["Method"] + subset_labels + ["Average"], method_rows)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.txt").write_text(
-        combined + "\n\n" + "\n\n".join(report_sections) + "\n", encoding="utf-8"
-    )
-    (out_dir / "report.json").write_text(
-        json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(combined)
-    print(f"report: {out_dir / 'report.json'}")
+    combined = format_table(["Method"] + list(by_subset) + ["Average"], method_rows)
+    _write_report(out_dir, "report", machine, combined, *report_sections)
     raised = [(method, scenario, error) for method, scenario, _, _, error in results if error]
     for method, scenario, error in raised:
         print(f"error: {method}/{scenario.id}: {error}", file=sys.stderr)
@@ -312,18 +319,10 @@ def _load_trace_set(path_text: str) -> dict:
         files = [path]
     else:
         raise ConfigurationError(f"trace path not found: {path_text}")
-    episodes: dict = {}
-    paths_by_id: dict[str, Path] = {}
-    for file_path in files:
-        for episode in read_trace(file_path):
-            instruction_id = episode.instruction.id
-            if instruction_id in episodes:
-                raise ConfigurationError(
-                    f"instruction id {instruction_id!r} is used by both "
-                    f"{paths_by_id[instruction_id]} and {file_path}"
-                )
-            paths_by_id[instruction_id] = file_path
-            episodes[instruction_id] = episode
+    episodes = _by_key("instruction id", (
+        (episode.instruction.id, file_path, episode)
+        for file_path in files for episode in read_trace(file_path)
+    ))
     if not episodes:
         raise ConfigurationError(f"no episodes found under {path_text}")
     return episodes
@@ -349,12 +348,10 @@ def cmd_compare(args) -> int:
     if args.judge == "rule":
         if not args.scenario_dir:
             raise ConfigurationError("the rule judge requires --scenario-dir to evaluate passes")
-        scenarios = {
-            scenario.instruction.id: scenario
-            for _, scenario in _load_scenarios(
-                args.scenario_dir, "instruction id", lambda s: s.instruction.id
-            )
-        }
+        scenarios = _by_key("instruction id", (
+            (scenario.instruction.id, path, scenario)
+            for path, scenario in _load_scenarios(args.scenario_dir)
+        ))
 
         def passed(episode):
             if episode.instruction.id not in scenarios:
@@ -369,21 +366,14 @@ def cmd_compare(args) -> int:
     else:
         raise ConfigurationError(f"unknown judge mode: {args.judge!r}")
 
-    judgments_by_subset: dict[str, list] = {}
-    all_judgments = []
-    for instruction_id in sorted(side_a):
-        episode_a = side_a[instruction_id]
-        episode_b = side_b[instruction_id]
-        judgment = judge.judge(episode_a.instruction, episode_a, episode_b)
-        subset = episode_a.instruction.subset_label or "default"
-        judgments_by_subset.setdefault(subset, []).append(judgment)
-        all_judgments.append(judgment)
-
+    all_judgments = [judge.judge(side_a[key], side_b[key]) for key in sorted(side_a)]
     label_a = all_judgments[0].method_a
     label_b = all_judgments[0].method_b
     subset_rates = {
         subset: win_rate(judgments, label_a)
-        for subset, judgments in sorted(judgments_by_subset.items())
+        for subset, judgments in _by_subset(
+            (side_a[judgment.instruction_id].instruction, judgment) for judgment in all_judgments
+        ).items()
     }
     row = rate_row(f"{label_a} vs {label_b}", list(subset_rates.values()))
     table = format_table(["Method"] + list(subset_rates) + ["Average"], [row])
@@ -402,13 +392,7 @@ def cmd_compare(args) -> int:
             for j in all_judgments
         ],
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "winrate.txt").write_text(table + "\n", encoding="utf-8")
-    (out_dir / "winrate.json").write_text(
-        json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(table)
-    print(f"report: {out_dir / 'winrate.json'}")
+    _write_report(out_dir, "winrate", machine, table)
     return EXIT_OK
 
 
@@ -419,12 +403,15 @@ def cmd_compare(args) -> int:
 
 def _state_diff(previous, current) -> list[str]:
     """The entries ``current`` dropped from ``previous`` and those it added,
-    compared by value: a cap merge replaces entries, so counts can shrink."""
+    compared by value: a cap merge replaces entries, so counts can shrink.
+    Each shows its ``[step N]`` as ``render_state`` does, since a merge can
+    keep an entry's text and move its step."""
     lines = []
     for kind, old, new, render in (
-        ("result", previous.current_results, current.current_results, lambda e: e.text),
+        ("result", previous.current_results, current.current_results,
+         lambda e: f"[step {e.step}] {e.text}"),
         ("failure", previous.failure_history, current.failure_history,
-         lambda e: f"{e.tool}({e.digest}): {e.reason}"),
+         lambda e: f"[step {e.step}] {e.tool}({e.digest}): {e.reason}"),
     ):
         lines += [f"    - {kind}: {render(entry)}" for entry in old if entry not in new]
         lines += [f"    + {kind}: {render(entry)}" for entry in new if entry not in old]

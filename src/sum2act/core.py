@@ -208,8 +208,9 @@ class Terminal:
 class Episode:
     """Ordered trace of steps with a terminal status; the unit of evaluation.
 
-    Every episode holds at most ``step_budget`` steps, and its terminal is
-    Finished exactly when the last action is Finish.
+    Every episode holds at most ``step_budget`` steps, its terminal is
+    Finished exactly when the last action is Finish, and its failure history
+    never shrinks from one step to the next.
     """
 
     instruction: Instruction
@@ -229,6 +230,11 @@ class Episode:
             raise ConfigurationError(
                 "terminal Finished must coincide with a final Finish action"
             )
+        previous_failures = 0
+        for step in self.steps:
+            if len(step.state.failure_history) < previous_failures:
+                raise ConfigurationError("failure history shrank between steps")
+            previous_failures = len(step.state.failure_history)
 
 
 # ---------------------------------------------------------------------------
@@ -430,19 +436,9 @@ def deserialize_episode(record: str) -> Episode:
     except (json.JSONDecodeError, RecursionError) as exc:
         raise TraceFormatError(f"trace record is not valid JSON: {exc}") from exc
     try:
-        episode = from_record(Episode, data)
+        return from_record(Episode, data)
     except ConfigurationError as exc:
         raise TraceFormatError(f"malformed trace record: {exc}") from exc
-    _validate_episode(episode)
-    return episode
-
-
-def _validate_episode(episode: Episode) -> None:
-    previous_failures = -1
-    for step in episode.steps:
-        if len(step.state.failure_history) < previous_failures:
-            raise TraceFormatError("failure history shrank between steps")
-        previous_failures = len(step.state.failure_history)
 
 
 def load_json_file(path, error: type[Exception], blank=None):

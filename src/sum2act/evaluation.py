@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .core import Episode, Instruction
+from .core import Episode
 from .errors import ConfigurationError, MalformedOutput
 from .parsing import ask_json, extract_first_json_object
 
@@ -92,47 +92,43 @@ def win_rate(judgments: list[PairJudgment], for_method: str) -> float:
     return 50.0 * (2 * wins + ties) / len(judgments)
 
 
-def side_labels(episode_a: Episode, episode_b: Episode) -> tuple[str, str]:
-    """Distinct labels for the two sides, qualified when the method labels
-    coincide (self-comparison is legal and must land on all ties)."""
-    label_a = episode_a.method_label or "a"
-    label_b = episode_b.method_label or "b"
-    if label_a == label_b:
-        return f"{label_a}:a", f"{label_b}:b"
-    return label_a, label_b
+class _Judge:
+    """Both judges' one entry point: ``judge`` labels the two sides and
+    builds the PairJudgment; each judge's ``_verdict`` gives only
+    ``(outcome, rationale)``."""
+
+    def judge(self, episode_a: Episode, episode_b: Episode) -> PairJudgment:
+        # Self-comparison is legal and must land on all ties, so coinciding
+        # method labels are qualified by side.
+        label_a = episode_a.method_label or "a"
+        label_b = episode_b.method_label or "b"
+        if label_a == label_b:
+            label_a, label_b = f"{label_a}:a", f"{label_b}:b"
+        outcome, rationale = self._verdict(episode_a, episode_b, label_a, label_b)
+        return PairJudgment(episode_a.instruction.id, label_a, label_b, outcome, rationale)
 
 
-class RuleJudge:
+class RuleJudge(_Judge):
     """Deterministic judge: a passing path beats a failing one; between two
     passing paths the shorter one wins; everything else ties."""
 
     def __init__(self, passed):
         self._passed = passed
 
-    def judge(self, instruction: Instruction, episode_a: Episode, episode_b: Episode) -> PairJudgment:
-        label_a, label_b = side_labels(episode_a, episode_b)
+    def _verdict(self, episode_a: Episode, episode_b: Episode, label_a: str, label_b: str):
         pass_a = self._passed(episode_a)
         pass_b = self._passed(episode_b)
         if pass_a and pass_b:
             if len(episode_a.steps) < len(episode_b.steps):
-                outcome, why = "AWins", "both pass; A used fewer steps"
-            elif len(episode_b.steps) < len(episode_a.steps):
-                outcome, why = "BWins", "both pass; B used fewer steps"
-            else:
-                outcome, why = "Tie", "both pass with equal steps"
-        elif pass_a:
-            outcome, why = "AWins", "only A passed"
-        elif pass_b:
-            outcome, why = "BWins", "only B passed"
-        else:
-            outcome, why = "Tie", "neither passed"
-        return PairJudgment(
-            instruction_id=instruction.id,
-            method_a=label_a,
-            method_b=label_b,
-            outcome=outcome,
-            rationale=why,
-        )
+                return "AWins", "both pass; A used fewer steps"
+            if len(episode_b.steps) < len(episode_a.steps):
+                return "BWins", "both pass; B used fewer steps"
+            return "Tie", "both pass with equal steps"
+        if pass_a:
+            return "AWins", "only A passed"
+        if pass_b:
+            return "BWins", "only B passed"
+        return "Tie", "neither passed"
 
 
 def _episode_summary(episode: Episode) -> str:
@@ -161,34 +157,26 @@ def _parse_judgment(output: str) -> tuple[str, str]:
     return outcome, str(obj.get("rationale", ""))
 
 
-class LlmJudge:
+class LlmJudge(_Judge):
     """Provider-backed judge; unparseable verdicts are re-asked and then
     degrade to a logged tie. Provider errors escape."""
 
     def __init__(self, provider):
         self._provider = provider
 
-    def judge(self, instruction: Instruction, episode_a: Episode, episode_b: Episode) -> PairJudgment:
-        label_a, label_b = side_labels(episode_a, episode_b)
+    def _verdict(self, episode_a: Episode, episode_b: Episode, label_a: str, label_b: str):
         prompt = _JUDGE_PROMPT.format(
-            instruction=instruction.text,
+            instruction=episode_a.instruction.text,
             label_a=label_a,
             summary_a=_episode_summary(episode_a),
             label_b=label_b,
             summary_b=_episode_summary(episode_b),
         )
         try:
-            (outcome, rationale), _ = ask_json(self._provider, prompt, _parse_judgment, _JUDGE_REASK)
+            return ask_json(self._provider, prompt, _parse_judgment, _JUDGE_REASK)[0]
         except MalformedOutput as exc:
             logger.warning("judge output unparseable, recording a tie: %s", exc)
-            outcome, rationale = "Tie", "judge output unparseable; recorded as tie"
-        return PairJudgment(
-            instruction_id=instruction.id,
-            method_a=label_a,
-            method_b=label_b,
-            outcome=outcome,
-            rationale=rationale,
-        )
+            return "Tie", "judge output unparseable; recorded as tie"
 
 
 # ---------------------------------------------------------------------------

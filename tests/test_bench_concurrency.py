@@ -1,0 +1,43 @@
+"""``scripts/bench_concurrency.py`` still times a delayed ``bench``.
+
+The script adds its per-call delay by replacing ``cli.ScriptedProvider``. If
+``bench`` stopped building its providers through that name, the script would
+time an undelayed run and report no calls; this test fails instead.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from sum2act import cli
+
+from .conftest import SCENARIOS_ROOT
+
+REPO = SCENARIOS_ROOT.parent
+# report.json of a three-method bench over the shipped corpus.
+REPORT_SHA256 = "e6eef733195e647e0f6d61ef78bb73b0f6487b57ad8476fd31ffdbd85e64119c"
+
+
+def test_delayed_bench_at_two_levels(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "bench_concurrency", REPO / "scripts" / "bench_concurrency.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # The script patches cli and sys.path for its process; undo both here.
+    monkeypatch.setattr(cli, "ScriptedProvider", cli.ScriptedProvider)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    code = script.main([
+        "--src", str(REPO / "src"), "--scenario-dir", str(SCENARIOS_ROOT),
+        "--concurrency", "1,2", "--delay-ms", "0.5",
+    ])
+    assert code == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert sorted(levels) == ["1", "2"]
+    for level in levels.values():
+        assert level["provider_calls"] == 745
+        assert level["report_sha256"] == REPORT_SHA256
+        assert level["wall_s"] >= level["ideal_wall_s"]

@@ -1327,11 +1327,10 @@ class TestReplay:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_merged_state_shows_dropped_and_added_entries(self, tmp_path, capsys):
-        # Step 2 merges the two results of step 1 into one and adds a third:
-        # the state keeps its count of two results but is not unchanged.
-        first = State(current_results=(ResultEntry("north: 4", 1), ResultEntry("south: 7", 1)))
-        second = State(current_results=(ResultEntry("north: 4; south: 7", 1), ResultEntry("east: 2", 2)))
+    @staticmethod
+    def _replayed_step_2(tmp_path, capsys, first: State, second: State) -> list[str]:
+        """The lines ``replay`` prints under step 2 of a two-step episode
+        whose states are ``first`` and ``second``."""
         steps = tuple(
             Step(
                 Action(kind="ToolCall", tool_name="alpha", args={"n": index}),
@@ -1348,13 +1347,30 @@ class TestReplay:
         trace.write_text(serialize_episode(episode) + "\n", encoding="utf-8")
         assert main(["replay", str(trace)]) == 0
         out = capsys.readouterr().out
-        step_2 = out.split("step 2: ", 1)[1].split("\nterminal: ", 1)[0].splitlines()[1:]
-        assert step_2 == [
+        return out.split("step 2: ", 1)[1].split("\nterminal: ", 1)[0].splitlines()[1:]
+
+    def test_merged_state_shows_dropped_and_added_entries(self, tmp_path, capsys):
+        # Step 2 merges the two results of step 1 into one and adds a third:
+        # the state keeps its count of two results but is not unchanged.
+        first = State(current_results=(ResultEntry("north: 4", 1), ResultEntry("south: 7", 1)))
+        second = State(current_results=(ResultEntry("north: 4; south: 7", 1), ResultEntry("east: 2", 2)))
+        assert self._replayed_step_2(tmp_path, capsys, first, second) == [
             "    observation: Success",
-            "    - result: north: 4",
-            "    - result: south: 7",
-            "    + result: north: 4; south: 7",
-            "    + result: east: 2",
+            "    - result: [step 1] north: 4",
+            "    - result: [step 1] south: 7",
+            "    + result: [step 1] north: 4; south: 7",
+            "    + result: [step 2] east: 2",
+        ]
+
+    def test_merge_that_moves_a_step_shows_both_steps(self, tmp_path, capsys):
+        # A merge can keep an entry's text and move its step; without the
+        # step index the dropped and added lines would read the same.
+        first = State(current_results=(ResultEntry("Earlier hops are resolved.", 1),))
+        second = State(current_results=(ResultEntry("Earlier hops are resolved.", 2),))
+        assert self._replayed_step_2(tmp_path, capsys, first, second) == [
+            "    observation: Success",
+            "    - result: [step 1] Earlier hops are resolved.",
+            "    + result: [step 2] Earlier hops are resolved.",
         ]
 
     def test_empty_trace_exits_2(self, tmp_path):

@@ -92,6 +92,13 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="coincide"):
             Episode(INSTRUCTION, TOOLS, steps, terminal, "sum2act", 30)
 
+    def test_shrinking_failure_history_rejected(self):
+        failed = State(failure_history=(FailureEntry("alpha", "d", "r", 1),))
+        call = Action(kind="ToolCall", tool_name="alpha")
+        steps = (Step(call, None, failed), Step(call, None, State.empty()))
+        with pytest.raises(ConfigurationError, match="failure history shrank"):
+            Episode(INSTRUCTION, TOOLS, steps, Terminal.budget_exhausted(), "sum2act", 30)
+
 
 class TestArgsDigest:
     def test_order_insensitive(self):

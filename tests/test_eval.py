@@ -96,26 +96,26 @@ class TestRuleJudge:
 
     def test_fewer_steps_wins_among_passes(self):
         judge = self._judge({"fast": True, "slow": True})
-        judgment = judge.judge(INSTRUCTION, _episode("fast", 3), _episode("slow", 7))
+        judgment = judge.judge(_episode("fast", 3), _episode("slow", 7))
         assert judgment.outcome == "AWins"
 
     def test_pass_beats_budget_exhausted(self):
         judge = self._judge({"ok": True, "bad": False})
         judgment = judge.judge(
-            INSTRUCTION, _episode("ok", 3), _episode("bad", 5, finished=False)
+            _episode("ok", 3), _episode("bad", 5, finished=False)
         )
         assert judgment.outcome == "AWins"
 
     def test_both_fail_ties(self):
         judge = self._judge({"x": False, "y": False})
         judgment = judge.judge(
-            INSTRUCTION, _episode("x", 3, finished=False), _episode("y", 5, finished=False)
+            _episode("x", 3, finished=False), _episode("y", 5, finished=False)
         )
         assert judgment.outcome == "Tie"
 
     def test_equal_steps_tie(self):
         judge = self._judge({"x": True, "y": True})
-        judgment = judge.judge(INSTRUCTION, _episode("x", 4), _episode("y", 4))
+        judgment = judge.judge(_episode("x", 4), _episode("y", 4))
         assert judgment.outcome == "Tie"
 
     @settings(max_examples=100, deadline=None)
@@ -127,13 +127,13 @@ class TestRuleJudge:
         judge = self._judge({"x": pass_a, "y": pass_b})
         episode_a = _episode("x", steps_a)
         episode_b = _episode("y", steps_b)
-        forward = judge.judge(INSTRUCTION, episode_a, episode_b).outcome
-        backward = judge.judge(INSTRUCTION, episode_b, episode_a).outcome
+        forward = judge.judge(episode_a, episode_b).outcome
+        backward = judge.judge(episode_b, episode_a).outcome
         assert backward == {"AWins": "BWins", "BWins": "AWins", "Tie": "Tie"}[forward]
 
     def test_self_comparison_gets_distinct_labels(self):
         judge = self._judge({"same": True})
-        judgment = judge.judge(INSTRUCTION, _episode("same", 3), _episode("same", 3))
+        judgment = judge.judge(_episode("same", 3), _episode("same", 3))
         assert judgment.outcome == "Tie"
         assert judgment.method_a != judgment.method_b
 
@@ -144,13 +144,13 @@ class TestLlmJudge:
             ScriptedPolicy(default=json.dumps({"winner": "B", "rationale": "cleaner answer"}))
         )
         judge = LlmJudge(provider)
-        judgment = judge.judge(INSTRUCTION, _episode("m1", 2), _episode("m2", 2))
+        judgment = judge.judge(_episode("m1", 2), _episode("m2", 2))
         assert judgment.outcome == "BWins"
         assert judgment.rationale == "cleaner answer"
 
     def test_unparseable_degrades_to_tie(self):
         judge = LlmJudge(ScriptedProvider(ScriptedPolicy(default="no verdict here")))
-        judgment = judge.judge(INSTRUCTION, _episode("m1", 2), _episode("m2", 2))
+        judgment = judge.judge(_episode("m1", 2), _episode("m2", 2))
         assert judgment.outcome == "Tie"
 
 

@@ -55,7 +55,7 @@ def _garbage():
 def _judge(provider):
     finish = Step(Action(kind="Finish", args={"Answer": "a"}), None, State.empty())
     episode = Episode(INSTRUCTION, TOOLS, (finish,), Terminal.finished("a"), "m", 2)
-    return LlmJudge(provider).judge(INSTRUCTION, episode, episode)
+    return LlmJudge(provider).judge(episode, episode)
 
 
 def _update(provider):
