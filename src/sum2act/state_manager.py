@@ -156,8 +156,12 @@ def update(
     raises ScriptError or RequestTooLarge; once the re-asks are spent, a
     mechanical verdict keyed on the observation status is logged and used.
     A failure already in the history (same tool and args digest) is not
-    added again.
+    added again, and when such a call fails again no verdict is asked for:
+    the input State is returned. A Success-status observation is judged.
     """
+    digest = None if observation.status == "Success" else args_digest(observation.args_echo)
+    if digest and state.has_failure(observation.tool_name, digest):
+        return state
     prompt = build_state_prompt(template, instruction, state, observation)
     try:
         (verdict, text), _ = ask_json(
@@ -173,7 +177,7 @@ def update(
     if verdict == "Success":
         entry = ResultEntry(text=text, step=step_index)
         return State(state.current_results + (entry,), state.failure_history)
-    digest = args_digest(observation.args_echo)
+    digest = digest or args_digest(observation.args_echo)
     if state.has_failure(observation.tool_name, digest):
         return state
     entry = FailureEntry(tool=observation.tool_name, digest=digest, reason=text, step=step_index)
@@ -205,9 +209,10 @@ def _merge_texts(provider, older: ResultEntry, newer: ResultEntry) -> str:
 def enforce_cap(state: State, cap_chars: int = STATE_CAP_CHARS, provider=None) -> State:
     """Bound the rendered state length.
 
-    Oldest result entries are merged first (via the provider when available,
-    mechanically otherwise), then failure reasons are shortened to at most
-    120 chars each (entries are never dropped), and as a last resort the
+    Failure reasons longer than 120 chars are shortened first, which costs
+    no provider call (entries are never dropped). While the state is still
+    over the cap, the oldest result entries are merged (via the provider
+    when available, mechanically otherwise), and as a last resort the
     single remaining result entry is hard-truncated. When the shortened
     failure section alone exceeds the cap, the state is returned at its
     minimum achievable length.
@@ -215,18 +220,18 @@ def enforce_cap(state: State, cap_chars: int = STATE_CAP_CHARS, provider=None) -
     if cap_chars < 512:
         raise ConfigurationError(f"state cap must be >= 512 chars, got {cap_chars}")
     overflow = len(render_state(state)) - cap_chars
+    cap = FAILURE_REASON_CAP_CHARS
+    if overflow > 0 and any(len(f.reason) > cap for f in state.failure_history):
+        failures = tuple(
+            replace(f, reason=f.reason[: cap - 3] + "...") if len(f.reason) > cap else f
+            for f in state.failure_history
+        )
+        state = State(state.current_results, failures)
+        overflow = len(render_state(state)) - cap_chars
     while overflow > 0 and len(state.current_results) > 1:
         older, newer, *rest = state.current_results
         merged = ResultEntry(text=_merge_texts(provider, older, newer), step=newer.step)
         state = State((merged, *rest), state.failure_history)
-        overflow = len(render_state(state)) - cap_chars
-    if overflow > 0:
-        failures = tuple(
-            replace(f, reason=f.reason[: FAILURE_REASON_CAP_CHARS - 3] + "...")
-            if len(f.reason) > FAILURE_REASON_CAP_CHARS else f
-            for f in state.failure_history
-        )
-        state = State(state.current_results, failures)
         overflow = len(render_state(state)) - cap_chars
     if overflow > 0 and state.current_results:
         (last,) = state.current_results

@@ -19,7 +19,7 @@ from sum2act.core import (
 from sum2act.errors import ConfigurationError, MalformedOutput
 from sum2act.parsing import load_templates
 from sum2act import state_manager
-from sum2act.provider import PolicyEntry, ScriptedPolicy, ScriptedProvider
+from sum2act.provider import PolicyEntry, RecordingProvider, ScriptedPolicy, ScriptedProvider
 from sum2act.state_manager import (
     FAILURE_REASON_CAP_CHARS,
     _parse_verdict,
@@ -228,6 +228,33 @@ class TestUpdate:
         state = update(ScriptedProvider(policy), STATE, INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
         assert state.current_results[0].text == "recovered"
 
+    @pytest.mark.parametrize("status", ["ToolError", "Timeout", "MalformedResponse"])
+    def test_failed_call_failing_again_sends_no_verdict(self, status):
+        provider = RecordingProvider(_verdict_provider({"verdict": "Failure", "reason": "again"}))
+        failed = FailureEntry("get_weather", args_digest({"city": "Miami"}), "store down", 1)
+        state = State((ResultEntry("sunny in Miami", 2),), (failed,))
+        observation = Observation(
+            status=status, payload="", tool_name="get_weather", args_echo={"city": "Miami"},
+            error="HTTP 503: store down",
+        )
+        assert update(provider, STATE, INSTRUCTION, state, observation, step_index=3) is state
+        assert provider.prompts() == []
+
+    @pytest.mark.parametrize("verdict, summary", [("Success", "Miami: sunny"), ("Failure", "no figure")])
+    def test_success_status_of_failed_call_is_still_judged(self, verdict, summary):
+        # The state manager may judge a Success payload a failure (a record
+        # buried past the observation window); a repeat of a failure in the
+        # history is still not added again.
+        key = "summary" if verdict == "Success" else "reason"
+        provider = RecordingProvider(_verdict_provider({"verdict": verdict, key: summary}))
+        failed = FailureEntry("get_weather", args_digest({"city": "Miami"}), "store down", 1)
+        state = State((), (failed,))
+        updated = update(provider, STATE, INSTRUCTION, state, _success_obs("..."), step_index=2)
+        assert len(provider.prompts()) == 1
+        assert updated.failure_history == (failed,)
+        expected = (ResultEntry(summary, 2),) if verdict == "Success" else ()
+        assert updated.current_results == expected
+
     def test_over_deep_verdict_falls_back_mechanically(self):
         deep = '{"a":' * 3000 + "1" + "}" * 3000
         reply = '{"verdict": "Success", "summary": "ok", "extra": ' + deep + "}"
@@ -236,6 +263,12 @@ class TestUpdate:
         provider = ScriptedProvider(ScriptedPolicy(default=reply))
         state = update(provider, STATE, INSTRUCTION, State.empty(), _success_obs("p" * 500), step_index=1)
         assert state.current_results[0].text == "p" * 200
+
+
+def _merging_provider() -> ScriptedProvider:
+    return ScriptedProvider(ScriptedPolicy(
+        entries=(PolicyEntry(match="Merge these two progress notes", response="merged note"),)
+    ))
 
 
 class TestEnforceCap:
@@ -283,14 +316,36 @@ class TestEnforceCap:
         assert state_manager._last_render.state is capped
 
     def test_provider_backed_merge(self):
-        provider = ScriptedProvider(ScriptedPolicy(
-            entries=(PolicyEntry(match="Merge these two progress notes", response="merged note"),)
-        ))
+        provider = _merging_provider()
         results = tuple(ResultEntry("x" * 400, i + 1) for i in range(4))
         state = State(current_results=results, failure_history=())
         capped = enforce_cap(state, 1024, provider=provider)
         assert len(render_state(capped)) <= 1024
         assert any("merged note" in r.text for r in capped.current_results)
+
+    def test_long_reasons_are_shortened_before_any_merge(self):
+        provider = RecordingProvider(_merging_provider())
+        results = (ResultEntry("sunny in Miami", 1), ResultEntry("rain in Boston", 2))
+        failures = tuple(FailureEntry(f"tool_{i}", f"d{i}", "r" * 600, i + 3) for i in range(8))
+        state = State(results, failures)
+        assert len(render_state(state)) > 4096
+        capped = enforce_cap(state, 4096, provider=provider)
+        assert provider.prompts() == []
+        assert len(render_state(capped)) <= 4096
+        assert capped.current_results == results
+        assert [f.reason for f in capped.failure_history] == ["r" * 117 + "..."] * 8
+
+    def test_merges_follow_the_shortening(self):
+        # Merging first would take three merges and still leave the reasons
+        # to shorten; shortened first, the state fits after one merge.
+        provider = RecordingProvider(_merging_provider())
+        results = tuple(ResultEntry("x" * 200, i + 1) for i in range(4))
+        failures = tuple(FailureEntry(f"tool_{i}", f"d{i}", "r" * 600, i + 5) for i in range(2))
+        capped = enforce_cap(State(results, failures), 1024, provider=provider)
+        assert len(provider.prompts()) == 1
+        assert len(render_state(capped)) <= 1024
+        assert capped.current_results == (ResultEntry("merged note", 2), *results[2:])
+        assert all(len(f.reason) <= FAILURE_REASON_CAP_CHARS for f in capped.failure_history)
 
     def test_merges_stop_once_state_fits(self):
         # Merging renumbers the list, so line lengths change as the count
