@@ -15,10 +15,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, get_args, get_type_hints
+from typing import Iterator
 
 from .core import Instruction, State, load_record, read_trace, serialize_episode
-from .engine import METHOD_LABELS, EngineConfig, default_config, run_episode
+from .engine import METHOD_LABELS, default_config, run_episode
 from .errors import ConfigurationError, RequestTooLarge, Sum2ActError
 from .evaluation import (
     LlmJudge,
@@ -31,7 +31,7 @@ from .evaluation import (
 from .provider import LiveProvider, ScriptedProvider, load_policy
 from .retriever import load_catalog, rank
 from .sandbox import Scenario, ScenarioSession, check_pass, invoke_live, load_endpoint_spec, load_scenario
-from .state_manager import render_state
+from .state_manager import render_entry, render_state
 
 EXIT_OK = 0
 EXIT_EPISODE_FAILURE = 1
@@ -41,8 +41,7 @@ EXIT_CONFIG = 2
 @dataclass(frozen=True)
 class Config:
     """A ``--config`` file: one field per key that some subcommand reads, so
-    one file serves every subcommand and any other key exits 2. The engine
-    flags take their types from these annotations."""
+    one file serves every subcommand and any other key exits 2."""
 
     method: str | None = None
     methods: str | None = None
@@ -52,24 +51,6 @@ class Config:
     concurrency: int | None = None
     judge: str | None = None
     budget: int | None = None
-    max_children: int | None = None
-    templates_dir: str | None = None
-
-
-# Config key (and flag dest, dashed as --flag): the EngineConfig field it sets.
-_ENGINE_KEYS = {
-    "budget": "step_budget",
-    "max_children": "dfsdt_max_children",
-    "templates_dir": "templates_dir",
-}
-
-
-def _engine_config(method: str, args) -> EngineConfig:
-    """``method``'s defaults with the given engine settings applied; an
-    unknown method raises ConfigurationError."""
-    given = {field: getattr(args, key) for key, field in _ENGINE_KEYS.items()
-             if getattr(args, key) is not None}
-    return default_config(method, **given)
 
 
 def _provider(args, need_policy: bool = True):
@@ -106,7 +87,7 @@ def cmd_run(args) -> int:
     if args.scenario and given:
         flag = "--" + given[0].replace("_", "-")
         raise ConfigurationError(f"--scenario cannot be combined with {flag}")
-    engine_config = _engine_config(args.method, args)
+    engine_config = default_config(args.method, args.budget)
     provider = _provider(args)
     out_dir = Path(args.out)
 
@@ -212,7 +193,7 @@ def cmd_bench(args) -> int:
     repeated = sorted({method for method in methods if methods.count(method) > 1})
     if repeated:
         raise ConfigurationError(f"method {repeated[0]!r} is listed more than once")
-    engine_configs = {method: _engine_config(method, args) for method in methods}
+    engine_configs = {method: default_config(method, args.budget) for method in methods}
     global_provider = _provider(args, need_policy=False)
     out_dir = Path(args.out)
     if args.concurrency < 1:
@@ -407,14 +388,12 @@ def _state_diff(previous, current) -> list[str]:
     Each shows its ``[step N]`` as ``render_state`` does, since a merge can
     keep an entry's text and move its step."""
     lines = []
-    for kind, old, new, render in (
-        ("result", previous.current_results, current.current_results,
-         lambda e: f"[step {e.step}] {e.text}"),
-        ("failure", previous.failure_history, current.failure_history,
-         lambda e: f"[step {e.step}] {e.tool}({e.digest}): {e.reason}"),
+    for kind, old, new in (
+        ("result", previous.current_results, current.current_results),
+        ("failure", previous.failure_history, current.failure_history),
     ):
-        lines += [f"    - {kind}: {render(entry)}" for entry in old if entry not in new]
-        lines += [f"    + {kind}: {render(entry)}" for entry in new if entry not in old]
+        lines += [f"    - {kind}: {render_entry(entry)}" for entry in old if entry not in new]
+        lines += [f"    + {kind}: {render_entry(entry)}" for entry in new if entry not in old]
     return lines or ["    (state unchanged)"]
 
 
@@ -458,15 +437,6 @@ def _add_io_flags(parser: argparse.ArgumentParser, provider: str, out: str) -> N
     parser.add_argument("--out", default=out, help="output directory")
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    hints = get_type_hints(Config)
-    for key in _ENGINE_KEYS:
-        # Each annotation is ``T | None``; the flag's value is read as T.
-        parser.add_argument(
-            "--" + key.replace("_", "-"), dest=key, type=get_args(hints[key])[0], default=None
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sum2act",
@@ -484,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="rank the catalog and keep the top k tools")
     run_parser.add_argument("--method", choices=list(METHOD_LABELS), default="sum2act")
     _add_io_flags(run_parser, "scripted", "runs")
-    _add_engine_flags(run_parser)
+    run_parser.add_argument("--budget", type=int, default=None, help="step budget")
     run_parser.set_defaults(func=cmd_run, parser=run_parser)
 
     bench_parser = subparsers.add_parser("bench", help="run a scenario suite")
@@ -492,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("--methods", default="sum2act", help="comma-separated method labels")
     bench_parser.add_argument("--concurrency", type=int, default=1)
     _add_io_flags(bench_parser, "scripted", "bench-out")
-    _add_engine_flags(bench_parser)
+    bench_parser.add_argument("--budget", type=int, default=None, help="step budget of every method")
     bench_parser.set_defaults(func=cmd_bench, parser=bench_parser)
 
     compare_parser = subparsers.add_parser("compare", help="pairwise win rate of two trace sets")

@@ -34,12 +34,14 @@ from .core import (
     canonical_args,
 )
 from .errors import ConfigurationError, MalformedOutput
-from .parsing import REASK_RETRIES, fill_template, load_templates
+from .parsing import REASK_RETRIES, TEMPLATES, fill_template
 from .router import ROUTER_RULES, propose, propose_from_prompt, render_tools_block
 from .state_manager import enforce_cap, update
 
 SUM2ACT_STEP_BUDGET = 30
 DFSDT_STEP_BUDGET = 200
+# dfsdt tries at most this many tool calls from one search node.
+DFSDT_MAX_CHILDREN = 3
 # react keeps at most this many transcript chars; the oldest entries go first.
 REACT_WINDOW_CHARS = 4096
 RESTART_ACTION = "Restart"
@@ -53,19 +55,12 @@ DFSDT_RULES = ROUTER_RULES + (
 @dataclass(frozen=True)
 class EngineConfig:
     step_budget: int = SUM2ACT_STEP_BUDGET
-    dfsdt_max_children: int = 3
-    templates_dir: str | None = None
-    # Each template's text by name, read from templates_dir when built.
-    templates: dict[str, str] = field(init=False, repr=False, compare=False)
     # Re-asks per structured reply; fixed, readable to count provider calls.
     parse_retries: ClassVar[int] = REASK_RETRIES
 
     def __post_init__(self):
         if self.step_budget < 1:
             raise ConfigurationError("step_budget must be >= 1")
-        if self.dfsdt_max_children < 1:
-            raise ConfigurationError("dfsdt_max_children must be >= 1")
-        object.__setattr__(self, "templates", load_templates(self.templates_dir))
 
 
 def _transcript_entry(action: Action, observation: Observation) -> str:
@@ -98,13 +93,12 @@ class Memory:
     provider: object
     instruction: Instruction
     tools_block: str
-    config: EngineConfig
     executor: Callable[[str, dict], Observation]
     state: State = State.empty()
 
     def _propose(self, name: str, transcript, rules: str, **blocks: str) -> Action:
         prompt = fill_template(
-            self.config.templates[name],
+            TEMPLATES[name],
             instruction=self.instruction.text,
             tools=self.tools_block,
             transcript="\n\n".join(transcript) if transcript else "(empty)",
@@ -144,17 +138,11 @@ class Summary(Memory):
         self.replies = _Replies(self.provider)
 
     def propose(self) -> Action:
-        return propose(
-            self.provider, self.config.templates["router"], self.instruction, self.state,
-            self.tools_block,
-        )
+        return propose(self.provider, self.instruction, self.state, self.tools_block)
 
     def record(self, action: Action, step_index: int) -> Step:
         observation = self.executor(action.tool_name, action.args)
-        state = update(
-            self.replies, self.config.templates["state"], self.instruction, self.state, observation,
-            step_index=step_index,
-        )
+        state = update(self.replies, self.instruction, self.state, observation, step_index=step_index)
         self.state = enforce_cap(state, provider=self.replies)
         return Step(action, observation, self.state)
 
@@ -191,16 +179,16 @@ class Tree(Memory):
     """dfsdt: depth-first search over proposals.
 
     A non-Success observation fails the attempted child: the proposal counts
-    against the node's child budget and only the attempted action name is
-    carried to the next sibling attempt. A node whose child budget is spent
-    is left for its parent. The reserved action ``Restart`` abandons the
+    against the node's ``DFSDT_MAX_CHILDREN`` and only the attempted action
+    name is carried to the next sibling attempt. A node whose children are
+    spent is left for its parent. The reserved action ``Restart`` abandons the
     current branch. Leaving the root exhausts the tree.
     """
 
     node: SearchNode | None = field(default_factory=lambda: SearchNode(memory=()))
 
     def propose(self) -> Action | None:
-        while self.node is not None and len(self.node.attempted) >= self.config.dfsdt_max_children:
+        while self.node is not None and len(self.node.attempted) >= DFSDT_MAX_CHILDREN:
             self.node = self.node.parent
         if self.node is None:
             return None
@@ -239,9 +227,9 @@ def _method(method: str) -> tuple[type[Memory], int]:
     return METHODS[method]
 
 
-def default_config(method: str, **fields) -> EngineConfig:
-    """``method``'s defaults, with ``fields`` set over them."""
-    return EngineConfig(**{"step_budget": _method(method)[1], **fields})
+def default_config(method: str, step_budget: int | None = None) -> EngineConfig:
+    """``method``'s config: ``step_budget`` when given, else its default budget."""
+    return EngineConfig(_method(method)[1] if step_budget is None else step_budget)
 
 
 def run_episode(method: str, provider, instruction: Instruction, tools, config: EngineConfig, executor) -> Episode:
@@ -251,7 +239,7 @@ def run_episode(method: str, provider, instruction: Instruction, tools, config: 
     memory_type, _ = _method(method)
     if not tools:
         raise ConfigurationError("episode requires a non-empty tool list")
-    memory = memory_type(provider, instruction, render_tools_block(tools), config, executor)
+    memory = memory_type(provider, instruction, render_tools_block(tools), executor)
     steps: list[Step] = []
     terminal = Terminal.budget_exhausted()
     while len(steps) < config.step_budget:

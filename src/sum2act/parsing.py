@@ -9,7 +9,7 @@ import re
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import ConfigurationError, MalformedOutput
+from .errors import MalformedOutput
 from .provider import CompletionRequest
 
 # Corrective re-asks after the first attempt, for every structured reply.
@@ -32,7 +32,12 @@ TEMPLATE_PLACEHOLDERS = {
 _PLACEHOLDER = re.compile(
     r"\{(" + "|".join(sorted(set().union(*TEMPLATE_PLACEHOLDERS.values()))) + r")\}"
 )
-_BUILT_IN = Path(__file__).with_name("templates")
+
+# Each template's text by name, read from the package once per process.
+_TEMPLATE_DIR = Path(__file__).with_name("templates")
+TEMPLATES = {
+    name: (_TEMPLATE_DIR / f"{name}.txt").read_text(encoding="utf-8") for name in TEMPLATE_PLACEHOLDERS
+}
 
 
 @lru_cache(maxsize=64)
@@ -50,29 +55,6 @@ def fill_template(template: str, **values: str) -> str:
     except KeyError as exc:
         raise KeyError(f"template placeholder {{{exc.args[0]}}} has no value") from None
     return "".join(parts)
-
-
-def load_templates(templates_dir: str | None = None) -> dict[str, str]:
-    """Each template's text by name: ``templates_dir``'s ``<name>.txt`` where
-    it exists, else the built-in. A missing directory, a file that is not UTF-8
-    or a placeholder its prompt does not fill raises ConfigurationError."""
-    if templates_dir is not None and not Path(templates_dir).is_dir():
-        raise ConfigurationError(f"templates_dir is not a directory: {templates_dir}")
-    templates = {}
-    for name, filled in TEMPLATE_PLACEHOLDERS.items():
-        source = Path(_BUILT_IN if templates_dir is None else templates_dir, f"{name}.txt")
-        if not source.exists():
-            source = _BUILT_IN / f"{name}.txt"
-        try:
-            templates[name] = text = source.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigurationError(f"template {source}: not UTF-8: {exc}") from None
-        unfilled = [part for part in _split_template(text)[1::2] if part not in filled]
-        if unfilled:
-            raise ConfigurationError(
-                f"template {source}: the {name} prompt fills no {{{unfilled[0]}}}"
-            )
-    return templates
 
 
 def truncate_with_marker(text: str, cap: int) -> str:

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from .core import Action, Instruction, State, normalize_arg_value
 from .errors import MalformedOutput
-from .parsing import ask_json, extract_first_json_object, fill_template
+from .parsing import TEMPLATES, ask_json, extract_first_json_object, fill_template
 from .state_manager import render_state
 
 ROUTER_RULES = """\
@@ -39,14 +39,12 @@ def render_tools_block(tools) -> str:
     return "\n".join(lines)
 
 
-def build_router_prompt(
-    template: str, instruction: Instruction, state: State, tools_block: str
-) -> str:
-    """Deterministic prompt text: ``template`` filled with the instruction, the
-    rendered tools block (``render_tools_block``), the rules and the state;
-    every failure history entry is rendered, none omitted."""
+def build_router_prompt(instruction: Instruction, state: State, tools_block: str) -> str:
+    """Deterministic prompt text: the router template filled with the
+    instruction, the rendered tools block (``render_tools_block``), the rules
+    and the state; every failure history entry is rendered, none omitted."""
     return fill_template(
-        template,
+        TEMPLATES["router"],
         instruction=instruction.text,
         state=render_state(state),
         tools=tools_block,
@@ -99,9 +97,7 @@ def propose_from_prompt(provider, prompt_text: str) -> Action:
     return action if attempt == 0 else replace(action, retry_count=attempt)
 
 
-def propose(
-    provider, template: str, instruction: Instruction, state: State, tools_block: str
-) -> Action:
-    prompt = build_router_prompt(template, instruction, state, tools_block)
+def propose(provider, instruction: Instruction, state: State, tools_block: str) -> Action:
+    prompt = build_router_prompt(instruction, state, tools_block)
     return propose_from_prompt(provider, prompt)
 

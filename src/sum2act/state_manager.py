@@ -22,13 +22,8 @@ from .core import (
     State,
     args_digest,
 )
-from .errors import (
-    ConfigurationError,
-    MalformedOutput,
-    RequestTooLarge,
-    ScriptError,
-)
-from .parsing import ask_json, extract_first_json_object, fill_template, truncate_with_marker
+from .errors import MalformedOutput, RequestTooLarge, ScriptError
+from .parsing import TEMPLATES, ask_json, extract_first_json_object, fill_template, truncate_with_marker
 from .provider import CompletionRequest
 
 logger = logging.getLogger(__name__)
@@ -75,6 +70,14 @@ def render_state(state: State) -> str:
     return text
 
 
+def render_entry(entry: ResultEntry | FailureEntry) -> str:
+    """One state entry as the rendered state lists it: ``[step N] text`` for
+    a result, ``[step N] tool(digest): reason`` for a failure."""
+    if isinstance(entry, FailureEntry):
+        return f"[step {entry.step}] {entry.tool}({entry.digest}): {entry.reason}"
+    return f"[step {entry.step}] {entry.text}"
+
+
 def _render(state: State) -> str:
     if not state.current_results and not state.failure_history:
         return EMPTY_STATE_TEXT
@@ -82,16 +85,13 @@ def _render(state: State) -> str:
     if state.failure_history:
         lines.append("Failure history:")
         for index, entry in enumerate(state.failure_history, 1):
-            lines.append(
-                f"  {index}. [step {entry.step}] "
-                f"{entry.tool}({entry.digest}): {entry.reason}"
-            )
+            lines.append(f"  {index}. {render_entry(entry)}")
     else:
         lines.append("Failure history: (none).")
     if state.current_results:
         lines.append("Current results:")
         for index, entry in enumerate(state.current_results, 1):
-            lines.append(f"  {index}. [step {entry.step}] {entry.text}")
+            lines.append(f"  {index}. {render_entry(entry)}")
     else:
         lines.append("Current results: (none).")
     return "\n".join(lines)
@@ -108,13 +108,12 @@ def render_observation(observation: Observation) -> str:
     return "\n".join(lines)
 
 
-def build_state_prompt(
-    template: str, instruction: Instruction, state: State, observation: Observation
-) -> str:
-    """Deterministic prompt: ``template`` filled with the instruction, full
-    current state, and the observation payload clipped to the observation window."""
+def build_state_prompt(instruction: Instruction, state: State, observation: Observation) -> str:
+    """Deterministic prompt: the state template filled with the instruction,
+    full current state, and the observation payload clipped to the
+    observation window."""
     return fill_template(
-        template,
+        TEMPLATES["state"],
         instruction=instruction.text,
         state=render_state(state),
         observation=render_observation(observation),
@@ -143,12 +142,7 @@ _REASK = (
 
 
 def update(
-    provider,
-    template: str,
-    instruction: Instruction,
-    state: State,
-    observation: Observation,
-    step_index: int,
+    provider, instruction: Instruction, state: State, observation: Observation, step_index: int
 ) -> State:
     """Judge one observation and return a new State; the input is unchanged.
 
@@ -162,7 +156,7 @@ def update(
     digest = None if observation.status == "Success" else args_digest(observation.args_echo)
     if digest and state.has_failure(observation.tool_name, digest):
         return state
-    prompt = build_state_prompt(template, instruction, state, observation)
+    prompt = build_state_prompt(instruction, state, observation)
     try:
         (verdict, text), _ = ask_json(
             provider, prompt, _parse_verdict, _REASK, swallow=(ScriptError, RequestTooLarge)
@@ -190,36 +184,33 @@ def update(
 
 
 def _merge_texts(provider, older: ResultEntry, newer: ResultEntry) -> str:
-    if provider is not None:
-        prompt = (
-            "Merge these two progress notes into one concise note of at most "
-            f"{_MERGED_ENTRY_CHARS} characters, keeping every concrete fact. "
-            "Reply with the note text only.\n"
-            f"1) {older.text}\n2) {newer.text}"
-        )
-        try:
-            merged = provider.complete(CompletionRequest(prompt)).strip()
-            if merged:
-                return merged[:_MERGED_ENTRY_CHARS]
-        except (ScriptError, RequestTooLarge):
-            pass
+    prompt = (
+        "Merge these two progress notes into one concise note of at most "
+        f"{_MERGED_ENTRY_CHARS} characters, keeping every concrete fact. "
+        "Reply with the note text only.\n"
+        f"1) {older.text}\n2) {newer.text}"
+    )
+    try:
+        merged = provider.complete(CompletionRequest(prompt)).strip()
+        if merged:
+            return merged[:_MERGED_ENTRY_CHARS]
+    except (ScriptError, RequestTooLarge):
+        pass
     return f"{older.text}; {newer.text}"[:_MERGED_ENTRY_CHARS]
 
 
-def enforce_cap(state: State, cap_chars: int = STATE_CAP_CHARS, provider=None) -> State:
-    """Bound the rendered state length.
+def enforce_cap(state: State, provider) -> State:
+    """Bound the rendered state length to ``STATE_CAP_CHARS``.
 
     Failure reasons longer than 120 chars are shortened first, which costs
     no provider call (entries are never dropped). While the state is still
-    over the cap, the oldest result entries are merged (via the provider
-    when available, mechanically otherwise), and as a last resort the
-    single remaining result entry is hard-truncated. When the shortened
-    failure section alone exceeds the cap, the state is returned at its
-    minimum achievable length.
+    over the cap, the oldest result entries are merged (by the provider, or
+    mechanically when it raises ScriptError or RequestTooLarge or replies
+    with nothing), and as a last resort the single remaining result entry
+    is hard-truncated. When the shortened failure section alone exceeds the
+    cap, the state is returned at its minimum achievable length.
     """
-    if cap_chars < 512:
-        raise ConfigurationError(f"state cap must be >= 512 chars, got {cap_chars}")
-    overflow = len(render_state(state)) - cap_chars
+    overflow = len(render_state(state)) - STATE_CAP_CHARS
     cap = FAILURE_REASON_CAP_CHARS
     if overflow > 0 and any(len(f.reason) > cap for f in state.failure_history):
         failures = tuple(
@@ -227,12 +218,12 @@ def enforce_cap(state: State, cap_chars: int = STATE_CAP_CHARS, provider=None) -
             for f in state.failure_history
         )
         state = State(state.current_results, failures)
-        overflow = len(render_state(state)) - cap_chars
+        overflow = len(render_state(state)) - STATE_CAP_CHARS
     while overflow > 0 and len(state.current_results) > 1:
         older, newer, *rest = state.current_results
         merged = ResultEntry(text=_merge_texts(provider, older, newer), step=newer.step)
         state = State((merged, *rest), state.failure_history)
-        overflow = len(render_state(state)) - cap_chars
+        overflow = len(render_state(state)) - STATE_CAP_CHARS
     if overflow > 0 and state.current_results:
         (last,) = state.current_results
         kept = last.text[: max(0, len(last.text) - overflow)]

@@ -18,7 +18,6 @@ import pytest
 from sum2act.core import Instruction, Observation, State, serialize_episode
 from sum2act.engine import EngineConfig, default_config, run_episode
 from sum2act.evaluation import PairJudgment, rate_row, win_rate
-from sum2act.parsing import load_templates
 from sum2act.provider import RecordingProvider, ScriptedPolicy, ScriptedProvider, load_policy
 from sum2act.retriever import rank
 from sum2act.sandbox import ScenarioSession, check_pass, load_scenario
@@ -207,15 +206,14 @@ def test_state_boundedness_and_monotonicity_over_randomized_episodes():
     rng = random.Random(20260808)
     cap = 4096
     instruction = Instruction(id="rand", text="randomized episode")
-    template = load_templates()["state"]
     violations = []
     for episode_index in range(1000):
         state = State.empty()
         previous_failures = 0
         for step in range(1, rng.randint(1, 18) + 1):
             observation = _random_observation(rng, step)
-            state = update(UNSCRIPTED, template, instruction, state, observation, step_index=step)
-            state = enforce_cap(state, cap)
+            state = update(UNSCRIPTED, instruction, state, observation, step_index=step)
+            state = enforce_cap(state, UNSCRIPTED)
             if len(render_state(state)) > cap:
                 violations.append(f"episode {episode_index} step {step}: over cap")
             if len(state.failure_history) < previous_failures:

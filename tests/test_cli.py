@@ -22,7 +22,6 @@ from sum2act.core import (
     read_trace,
     serialize_episode,
 )
-from sum2act.parsing import load_templates
 from sum2act.provider import ScriptedProvider
 
 
@@ -275,35 +274,6 @@ class TestRun:
         assert "PROVIDER_BASE_URL must start with http:// or https://, got 'localhost:9'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_missing_templates_dir_exits_2_naming_it(self, core_dir, tmp_path, capsys):
-        missing = tmp_path / "no-such-templates"
-        code = main([
-            "run",
-            "--scenario", str(core_dir / "weather_miami.scenario.json"),
-            "--policy", str(core_dir / "weather_miami.policy.json"),
-            "--templates-dir", str(missing),
-            "--out", str(tmp_path / "out"),
-        ])
-        assert code == 2
-        assert str(missing) in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_templates_dir_overriding_some_templates_runs(self, core_dir, tmp_path):
-        # A template the directory lacks comes from the built-in set.
-        templates = tmp_path / "templates"
-        templates.mkdir()
-        (templates / "dfsdt.txt").write_text(load_templates()["dfsdt"], encoding="utf-8")
-        traces = []
-        for name, extra in (("plain", []), ("override", ["--templates-dir", str(templates)])):
-            assert main([
-                "run",
-                "--scenario", str(core_dir / "weather_miami.scenario.json"),
-                "--policy", str(core_dir / "weather_miami.policy.json"),
-                "--out", str(tmp_path / name), *extra,
-            ]) == 0
-            traces.append((tmp_path / name / "sum2act__weather_miami.jsonl").read_bytes())
-        assert traces[0] == traces[1]
-
     def test_no_input_exits_2(self, tmp_path, capsys):
         code = main(["run", "--policy", str(tmp_path), "--out", str(tmp_path)])
         assert code == 2
@@ -485,9 +455,9 @@ class TestRun:
         assert name in capsys.readouterr().err
 
     def test_engine_defaults_follow_the_method(self, core_dir, tmp_path):
-        # Only the given keys override: dfsdt keeps its own 200-step budget.
+        # A config that sets no budget leaves dfsdt its own 200-step budget.
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"method": "dfsdt", "max_children": 2}))
+        config_path.write_text(json.dumps({"method": "dfsdt"}))
         assert main([
             "run",
             "--scenario", str(core_dir / "weather_miami.scenario.json"),
@@ -716,7 +686,7 @@ class TestBench:
         _copy_pair(core_dir, "weather_miami", suite)
         out_dir = tmp_path / "out"
         code = main(["bench", "--scenario-dir", str(suite), "--methods", "sum2act,react,dfsdt",
-                     "--budget", "2", "--max-children", "1", "--out", str(out_dir)])
+                     "--budget", "2", "--out", str(out_dir)])
         assert code == 2
         out, err = capsys.readouterr()
         assert err.splitlines() == [
@@ -854,7 +824,9 @@ def test_removed_decompose_flag_is_a_usage_error(core_dir, tmp_path, capsys, com
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-REMOVED_ENGINE_KEYS = ("state_cap", "observation_window", "react_window")
+REMOVED_ENGINE_KEYS = (
+    "state_cap", "observation_window", "react_window", "max_children", "templates_dir",
+)
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
@@ -862,7 +834,8 @@ REMOVED_ENGINE_KEYS = ("state_cap", "observation_window", "react_window")
 def test_removed_engine_flag_is_a_usage_error(
     core_dir, tmp_path, capsys, http_stub, monkeypatch, command, key
 ):
-    # The state cap and both windows are fixed at 4,096 chars; a flag that
+    # The state cap and both windows are fixed at 4,096 chars, dfsdt's child
+    # limit at 3 and the prompt templates at the built-in ones; a flag that
     # would set one is not parsed, so no episode starts.
     stub = _live_stub(http_stub, monkeypatch)
     argv = _provider_argv(command, core_dir, tmp_path)
@@ -887,37 +860,15 @@ def test_removed_engine_config_key_exits_2_naming_it(core_dir, tmp_path, capsys,
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command, methods, loads", [
-    ("run", [], 1),
-    ("bench", ["--methods", "sum2act,react,dfsdt"], 3),
-], ids=["run", "bench"])
-def test_templates_are_loaded_once_per_method(
-    core_dir, tmp_path, monkeypatch, command, methods, loads
-):
-    calls = []
-    real = engine.load_templates
-
-    def counting(templates_dir):
-        calls.append(templates_dir)
-        return real(templates_dir)
-
-    monkeypatch.setattr(engine, "load_templates", counting)
-    argv = _provider_argv(command, core_dir, tmp_path)
-    main([command, *argv, *methods, "--out", str(tmp_path / "out")])
-    assert len(calls) == loads
-
-
 def test_one_config_file_with_every_key_serves_every_command(core_dir, tmp_path):
     suite = tmp_path / "suite"
     _copy_pair(core_dir, "weather_miami", suite)
-    (tmp_path / "templates").mkdir()
     out_dir = tmp_path / "out"
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "method": "sum2act", "methods": "sum2act", "provider": "scripted",
         "policy": str(suite / "weather_miami.policy.json"), "out": str(out_dir),
-        "concurrency": 1, "judge": "rule", "budget": 30, "max_children": 3,
-        "templates_dir": str(tmp_path / "templates"),
+        "concurrency": 1, "judge": "rule", "budget": 30,
     }))
     traces = str(out_dir / "traces")
     for argv in (
@@ -1021,50 +972,6 @@ def test_config_key_of_another_command_leaves_the_built_in_default(
 ):
     built_in = {row[1]: row[4] for row in PRECEDENCE if row[0] == command}
     assert _settings_used(command, core_dir, tmp_path, monkeypatch, [], keys) == built_in
-
-
-@pytest.mark.parametrize(
-    "command, name, placeholder",
-    [("run", "router", "{observation}"), ("bench", "react", "{state}")],
-)
-def test_template_placeholder_its_prompt_does_not_fill_exits_2(
-    core_dir, tmp_path, capsys, command, name, placeholder
-):
-    templates = tmp_path / "templates"
-    templates.mkdir()
-    override = templates / f"{name}.txt"
-    override.write_text(load_templates()[name] + f"\n{placeholder}\n", encoding="utf-8")
-    argv = _provider_argv(command, core_dir, tmp_path)
-    methods = ["--methods", "sum2act,react"] if command == "bench" else []
-    code = main([command, *argv, *methods, "--templates-dir", str(templates),
-                 "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert str(override) in err and placeholder in err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("command", ["run", "bench"])
-def test_template_that_is_not_utf8_exits_2_naming_it(core_dir, tmp_path, capsys, command):
-    templates = tmp_path / "templates"
-    templates.mkdir()
-    (templates / "router.txt").write_bytes(b"## Rules\n{rules}\n\xff\xfe\n")
-    argv = _provider_argv(command, core_dir, tmp_path)
-    code = main([command, *argv, "--templates-dir", str(templates), "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert str(templates / "router.txt") in err and "not UTF-8" in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_template_braces_naming_no_placeholder_are_literal(core_dir, tmp_path):
-    templates = tmp_path / "templates"
-    templates.mkdir()
-    router = load_templates()["router"] + '\nFor example {city}, or {"city": "Miami"}.\n'
-    (templates / "router.txt").write_text(router, encoding="utf-8")
-    assert load_templates(str(templates))["router"] == router
-    argv = _provider_argv("run", core_dir, tmp_path)
-    assert main(["run", *argv, "--templates-dir", str(templates), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestCompare:

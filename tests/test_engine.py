@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,6 +8,7 @@ import pytest
 from sum2act import engine
 from sum2act.core import Action, Instruction, ParamSpec, State, ToolSpec, serialize_episode
 from sum2act.engine import (
+    DFSDT_MAX_CHILDREN,
     REACT_WINDOW_CHARS,
     EngineConfig,
     _evict_oldest,
@@ -183,7 +183,7 @@ class TestSum2Act:
         )
         provider = RecordingProvider(ScriptedProvider(policy))
         memory = engine.Summary(
-            provider, INSTRUCTION, render_tools_block(FAILOVER_TOOLS), EngineConfig(),
+            provider, INSTRUCTION, render_tools_block(FAILOVER_TOOLS),
             ScenarioSession(FAILOVER_SCENARIO).invoke,
         )
         action = Action(kind="ToolCall", tool_name="backup_lookup", args={"dataset": "inventory"})
@@ -318,7 +318,7 @@ class TestDfsdt:
         assert "maintenance" not in sibling_prompt
         assert "query_registry" in sibling_prompt.split("Previously Attempted From This Point")[1]
 
-    def test_exhausted_tree_with_single_child(self):
+    def test_tree_ends_after_three_failed_children(self):
         tools = (ToolSpec(name="flaky", description="always fails"),)
         scenario = Scenario(
             id="flaky", instruction=Instruction(id="flaky", text="try it"),
@@ -329,11 +329,10 @@ class TestDfsdt:
         policy = ScriptedPolicy(default=json.dumps(_call("flaky", {})))
         episode = run_episode(
             "dfsdt", ScriptedProvider(policy), scenario.instruction, list(tools),
-            EngineConfig(step_budget=200, dfsdt_max_children=1),
-            ScenarioSession(scenario).invoke,
+            default_config("dfsdt"), ScenarioSession(scenario).invoke,
         )
         assert episode.terminal.status == "BudgetExhausted"
-        assert len(episode.steps) == 1
+        assert len(episode.steps) == DFSDT_MAX_CHILDREN == 3
 
     def test_restart_backtracks(self):
         tools = (ToolSpec(name="probe", description="probe"),)
@@ -386,7 +385,7 @@ class TestEngineShared:
     def test_all_engines_respect_budget_with_never_finishing_policy(self):
         session_factory = lambda: ScenarioSession(FAILOVER_SCENARIO).invoke
         for method, budget in (("sum2act", 7), ("react", 7), ("dfsdt", 7)):
-            config = EngineConfig(step_budget=budget, dfsdt_max_children=100)
+            config = EngineConfig(step_budget=budget)
             episode = run_episode(
                 method, ScriptedProvider(NEVER_FINISH_POLICY), INSTRUCTION,
                 list(FAILOVER_TOOLS), config, session_factory(),
@@ -436,24 +435,20 @@ class TestEngineShared:
     @pytest.mark.parametrize(
         "method, used", [("sum2act", ("router", "state")), ("react", ("react",)), ("dfsdt", ("dfsdt",))]
     )
-    def test_override_templates_are_the_prompts_sent(self, method, used, tmp_path):
-        # Each override is the built-in text under a marker line naming it, so
-        # the policy still matches and every template prompt shows its source.
+    def test_prompts_open_with_the_built_in_templates(self, method, used):
+        # Each template's first line differs, so it names the template a prompt fills.
         built_in = Path(engine.__file__).parent / "templates"
-        first_lines = {}
-        for name in ("router", "state", "react", "dfsdt"):
-            text = (built_in / f"{name}.txt").read_text(encoding="utf-8")
-            first_lines[f"OVERRIDE {name}"] = text.split("\n", 1)[0]
-            (tmp_path / f"{name}.txt").write_text(f"OVERRIDE {name}\n{text}", encoding="utf-8")
+        first_lines = {
+            name: (built_in / f"{name}.txt").read_text(encoding="utf-8").split("\n", 1)[0]
+            for name in ("router", "state", "react", "dfsdt")
+        }
         provider = RecordingProvider(ScriptedProvider(FAILOVER_POLICY))
-        config = replace(default_config(method), templates_dir=str(tmp_path))
         run_episode(
-            method, provider, INSTRUCTION, list(FAILOVER_TOOLS), config,
+            method, provider, INSTRUCTION, list(FAILOVER_TOOLS), default_config(method),
             ScenarioSession(FAILOVER_SCENARIO).invoke,
         )
-        heads = [prompt.split("\n", 2)[:2] for prompt in provider.prompts()]
-        assert {marker for marker, _ in heads} == {f"OVERRIDE {name}" for name in used}
-        assert all(line == first_lines[marker] for marker, line in heads)
+        heads = {prompt.split("\n", 1)[0] for prompt in provider.prompts()}
+        assert heads == {first_lines[name] for name in used}
 
     def test_dispatcher_rejects_unknown_method(self):
         with pytest.raises(ConfigurationError):
@@ -479,5 +474,3 @@ class TestEngineShared:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             EngineConfig(step_budget=0)
-        with pytest.raises(ConfigurationError):
-            EngineConfig(dfsdt_max_children=0)

@@ -90,10 +90,7 @@ def episode_inputs(draw):
         },
         pass_condition=PassCondition(contains_all=("needle",)),
     )
-    config = EngineConfig(
-        step_budget=draw(st.integers(1, 12)),
-        dfsdt_max_children=draw(st.integers(1, 3)),
-    )
+    config = EngineConfig(step_budget=draw(st.integers(1, 12)))
     provider = QueueProvider(
         draw(st.lists(router_replies, min_size=1, max_size=30)),
         draw(st.lists(other_replies, min_size=1, max_size=30)),
@@ -151,5 +148,5 @@ def test_verbose_payload_in_branch_memory(method):
         [json.dumps({"thought": "look", "action": "alpha", "args": {}})],
         [json.dumps({"verdict": "Success", "summary": "found it"})],
     )
-    episode = _run(method, scenario, EngineConfig(step_budget=2, dfsdt_max_children=1), provider)
+    episode = _run(method, scenario, EngineConfig(step_budget=2), provider)
     assert episode.terminal.status == "BudgetExhausted"

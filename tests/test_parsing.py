@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sum2act import parsing
-from sum2act.errors import ConfigurationError
-from sum2act.parsing import TEMPLATE_PLACEHOLDERS, extract_first_json_object, fill_template, load_templates
+from sum2act.parsing import TEMPLATE_PLACEHOLDERS, TEMPLATES, extract_first_json_object, fill_template
 
 
 def _reference_extract(text: str, required_key: str):
@@ -160,19 +159,9 @@ class TestBounds:
 
 class TestLoadTemplates:
     def test_each_built_in_template_holds_exactly_the_placeholders_it_fills(self):
-        templates = load_templates()
-        assert list(templates) == list(TEMPLATE_PLACEHOLDERS)
-        for name, text in templates.items():
+        assert list(TEMPLATES) == list(TEMPLATE_PLACEHOLDERS)
+        for name, text in TEMPLATES.items():
             assert set(re.findall(r"\{(\w+)\}", text)) == set(TEMPLATE_PLACEHOLDERS[name])
-
-    def test_a_missing_file_is_the_built_in(self, tmp_path):
-        (tmp_path / "state.txt").write_text("{state}", encoding="utf-8")
-        built_in = load_templates()
-        assert load_templates(str(tmp_path)) == {**built_in, "state": "{state}"}
-
-    def test_a_missing_directory_raises_naming_it(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="no-such-dir"):
-            load_templates(str(tmp_path / "no-such-dir"))
 
 
 class TestFillTemplate:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sum2act.core import FailureEntry, Instruction, ResultEntry, State, ToolSpec
 from sum2act.errors import MalformedOutput
-from sum2act.parsing import REASK_RETRIES, TEMPLATE_PLACEHOLDERS, load_templates
+from sum2act.parsing import REASK_RETRIES, TEMPLATE_PLACEHOLDERS, TEMPLATES
 from sum2act.provider import PolicyEntry, RecordingProvider, ScriptedPolicy, ScriptedProvider
 from sum2act.router import (
     ROUTER_RULES,
@@ -23,8 +23,6 @@ from sum2act.state_manager import render_state
 INSTRUCTION = Instruction(id="i1", text="find the weather in Miami")
 TOOLS = (ToolSpec(name="get_weather", description="weather by city"),)
 TOOLS_BLOCK = render_tools_block(TOOLS)
-TEMPLATES = load_templates()
-ROUTER = TEMPLATES["router"]
 
 
 def _section(prompt: str, heading: str) -> str:
@@ -34,7 +32,7 @@ def _section(prompt: str, heading: str) -> str:
 
 class TestBuildRouterPrompt:
     def test_empty_state_rendering(self):
-        prompt = build_router_prompt(ROUTER, INSTRUCTION, State.empty(), TOOLS_BLOCK)
+        prompt = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK)
         assert _section(prompt, "State") == "Current results: (none). Failure history: (none)."
 
     def test_all_failures_rendered(self):
@@ -45,19 +43,19 @@ class TestBuildRouterPrompt:
                 FailureEntry("get_weather", "d2", "second reason", 2),
             ),
         )
-        state_section = _section(build_router_prompt(ROUTER, INSTRUCTION, state, TOOLS_BLOCK), "State")
+        state_section = _section(build_router_prompt(INSTRUCTION, state, TOOLS_BLOCK), "State")
         assert "get_weather(d1): first reason" in state_section
         assert "get_weather(d2): second reason" in state_section
         assert state_section == render_state(state)
 
     def test_deterministic(self):
         state = State(current_results=(ResultEntry("sunny", 1),), failure_history=())
-        assert build_router_prompt(ROUTER, INSTRUCTION, state, TOOLS_BLOCK) == build_router_prompt(
-            ROUTER, INSTRUCTION, state, TOOLS_BLOCK
+        assert build_router_prompt(INSTRUCTION, state, TOOLS_BLOCK) == build_router_prompt(
+            INSTRUCTION, state, TOOLS_BLOCK
         )
 
     def test_blocks_all_present(self):
-        prompt = build_router_prompt(ROUTER, INSTRUCTION, State.empty(), TOOLS_BLOCK)
+        prompt = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK)
         assert _section(prompt, "User Instruction") == INSTRUCTION.text
         assert _section(prompt, "State") == render_state(State.empty())
         assert _section(prompt, "Tools") == render_tools_block(TOOLS)
@@ -81,9 +79,9 @@ class TestPromptLayout:
         assert not per_step or max(static) < min(per_step)
 
     def test_router_prompts_share_everything_before_the_state(self):
-        first = build_router_prompt(ROUTER, INSTRUCTION, State.empty(), TOOLS_BLOCK)
+        first = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK)
         later = build_router_prompt(
-            ROUTER, INSTRUCTION,
+            INSTRUCTION,
             State((ResultEntry("sunny", 2),), (FailureEntry("get_weather", "d1", "bad city", 1),)),
             TOOLS_BLOCK,
         )
@@ -162,7 +160,7 @@ VALID_CALL = '{"thought":"t","action":"get_weather","args":{"city":"Miami"}}'
 class TestPropose:
     def test_happy_path(self):
         provider = ScriptedProvider(ScriptedPolicy(default=VALID_CALL))
-        action = propose(provider, ROUTER, INSTRUCTION, State.empty(), TOOLS_BLOCK)
+        action = propose(provider, INSTRUCTION, State.empty(), TOOLS_BLOCK)
         assert action.tool_name == "get_weather"
         assert action.retry_count == 0
 
@@ -173,7 +171,7 @@ class TestPropose:
             default="sorry, no idea",
         )
         provider = RecordingProvider(ScriptedProvider(policy))
-        action = propose(provider, ROUTER, INSTRUCTION, State.empty(), TOOLS_BLOCK)
+        action = propose(provider, INSTRUCTION, State.empty(), TOOLS_BLOCK)
         assert action.tool_name == "get_weather"
         assert action.retry_count == 1
         assert len(provider.calls) == 2
@@ -181,7 +179,7 @@ class TestPropose:
     def test_garbage_on_all_attempts(self):
         provider = RecordingProvider(ScriptedProvider(ScriptedPolicy(default="garbage")))
         with pytest.raises(MalformedOutput):
-            propose(provider, ROUTER, INSTRUCTION, State.empty(), TOOLS_BLOCK)
+            propose(provider, INSTRUCTION, State.empty(), TOOLS_BLOCK)
         assert len(provider.calls) == REASK_RETRIES + 1
 
     def test_propose_from_prompt_shared_path(self):

@@ -16,8 +16,7 @@ from sum2act.core import (
     State,
     args_digest,
 )
-from sum2act.errors import ConfigurationError, MalformedOutput
-from sum2act.parsing import load_templates
+from sum2act.errors import MalformedOutput
 from sum2act import state_manager
 from sum2act.provider import PolicyEntry, RecordingProvider, ScriptedPolicy, ScriptedProvider
 from sum2act.state_manager import (
@@ -30,7 +29,6 @@ from sum2act.state_manager import (
 )
 
 INSTRUCTION = Instruction(id="i1", text="weather in Miami")
-STATE = load_templates()["state"]
 UNSCRIPTED = ScriptedProvider(ScriptedPolicy())  # every call errors -> mechanical path
 
 
@@ -137,23 +135,23 @@ class TestRenderMemo:
 
 class TestStatePrompt:
     def test_payload_under_cap_untouched(self):
-        prompt = build_state_prompt(STATE, INSTRUCTION, State.empty(), _success_obs("x" * 200))
+        prompt = build_state_prompt(INSTRUCTION, State.empty(), _success_obs("x" * 200))
         assert "x" * 200 in prompt
         assert "[truncated" not in prompt
 
     def test_payload_over_cap_marker_arithmetic(self):
-        prompt = build_state_prompt(STATE, INSTRUCTION, State.empty(), _success_obs("y" * 10000))
+        prompt = build_state_prompt(INSTRUCTION, State.empty(), _success_obs("y" * 10000))
         assert "y" * 4096 + "[truncated 5904 chars]" in prompt
         assert "y" * 4097 not in prompt
 
     def test_error_descriptor_present(self):
-        prompt = build_state_prompt(STATE, INSTRUCTION, State.empty(), _error_obs("HTTP 500: boom"))
+        prompt = build_state_prompt(INSTRUCTION, State.empty(), _error_obs("HTTP 500: boom"))
         assert "HTTP 500: boom" in prompt
 
     def test_deterministic(self):
         obs = _success_obs("hello")
-        assert build_state_prompt(STATE, INSTRUCTION, State.empty(), obs) == build_state_prompt(
-            STATE, INSTRUCTION, State.empty(), obs
+        assert build_state_prompt(INSTRUCTION, State.empty(), obs) == build_state_prompt(
+            INSTRUCTION, State.empty(), obs
         )
 
 
@@ -164,13 +162,13 @@ def _verdict_provider(verdict: dict) -> ScriptedProvider:
 class TestUpdate:
     def test_scripted_success_appends_result(self):
         provider = _verdict_provider({"verdict": "Success", "summary": "Miami: sunny, 29 degrees"})
-        state = update(provider, STATE, INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
+        state = update(provider, INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
         assert [r.text for r in state.current_results] == ["Miami: sunny, 29 degrees"]
         assert state.failure_history == ()
 
     def test_scripted_failure_appends_entry(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "endpoint returned server error"})
-        state = update(provider, STATE, INSTRUCTION, State.empty(), _error_obs("HTTP 500: boom"), step_index=1)
+        state = update(provider, INSTRUCTION, State.empty(), _error_obs("HTTP 500: boom"), step_index=1)
         assert state.current_results == ()
         assert len(state.failure_history) == 1
         entry = state.failure_history[0]
@@ -181,19 +179,19 @@ class TestUpdate:
     def test_duplicate_failures_merge(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "same failure"})
         obs = _error_obs("HTTP 500: boom")
-        state = update(provider, STATE, INSTRUCTION, State.empty(), obs, step_index=1)
-        state = update(provider, STATE, INSTRUCTION, state, obs, step_index=2)
+        state = update(provider, INSTRUCTION, State.empty(), obs, step_index=1)
+        state = update(provider, INSTRUCTION, state, obs, step_index=2)
         assert len(state.failure_history) == 1
         assert state.failure_history[0].step == 1
 
     def test_distinct_args_not_merged(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "r"})
         state = update(
-            provider, STATE, INSTRUCTION, State.empty(),
+            provider, INSTRUCTION, State.empty(),
             _error_obs("HTTP 500: a", args={"city": "Miami"}), step_index=1,
         )
         state = update(
-            provider, STATE, INSTRUCTION, state,
+            provider, INSTRUCTION, state,
             _error_obs("HTTP 500: b", args={"city": "Boston"}), step_index=2,
         )
         assert len(state.failure_history) == 2
@@ -202,17 +200,17 @@ class TestUpdate:
         provider = _verdict_provider({"verdict": "Success", "summary": "new"})
         original = State(current_results=(ResultEntry("old", 1),), failure_history=())
         snapshot = State(tuple(original.current_results), tuple(original.failure_history))
-        updated = update(provider, STATE, INSTRUCTION, original, _success_obs("..."), step_index=2)
+        updated = update(provider, INSTRUCTION, original, _success_obs("..."), step_index=2)
         assert original == snapshot
         assert updated is not original
 
     def test_mechanical_fallback_success(self):
         payload = "z" * 500
-        state = update(UNSCRIPTED, STATE, INSTRUCTION, State.empty(), _success_obs(payload), step_index=1)
+        state = update(UNSCRIPTED, INSTRUCTION, State.empty(), _success_obs(payload), step_index=1)
         assert state.current_results[0].text == payload[:200]
 
     def test_mechanical_fallback_failure_uses_descriptor(self):
-        state = update(UNSCRIPTED, STATE, INSTRUCTION, State.empty(), _error_obs("HTTP 502: upstream gone"), step_index=1)
+        state = update(UNSCRIPTED, INSTRUCTION, State.empty(), _error_obs("HTTP 502: upstream gone"), step_index=1)
         assert state.failure_history[0].reason == "HTTP 502: upstream gone"
 
     def test_recovers_after_corrective_retry(self):
@@ -225,7 +223,7 @@ class TestUpdate:
             ),
             default="not a verdict",
         )
-        state = update(ScriptedProvider(policy), STATE, INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
+        state = update(ScriptedProvider(policy), INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
         assert state.current_results[0].text == "recovered"
 
     @pytest.mark.parametrize("status", ["ToolError", "Timeout", "MalformedResponse"])
@@ -237,7 +235,7 @@ class TestUpdate:
             status=status, payload="", tool_name="get_weather", args_echo={"city": "Miami"},
             error="HTTP 503: store down",
         )
-        assert update(provider, STATE, INSTRUCTION, state, observation, step_index=3) is state
+        assert update(provider, INSTRUCTION, state, observation, step_index=3) is state
         assert provider.prompts() == []
 
     @pytest.mark.parametrize("verdict, summary", [("Success", "Miami: sunny"), ("Failure", "no figure")])
@@ -249,7 +247,7 @@ class TestUpdate:
         provider = RecordingProvider(_verdict_provider({"verdict": verdict, key: summary}))
         failed = FailureEntry("get_weather", args_digest({"city": "Miami"}), "store down", 1)
         state = State((), (failed,))
-        updated = update(provider, STATE, INSTRUCTION, state, _success_obs("..."), step_index=2)
+        updated = update(provider, INSTRUCTION, state, _success_obs("..."), step_index=2)
         assert len(provider.prompts()) == 1
         assert updated.failure_history == (failed,)
         expected = (ResultEntry(summary, 2),) if verdict == "Success" else ()
@@ -261,7 +259,7 @@ class TestUpdate:
         with pytest.raises(MalformedOutput):
             _parse_verdict(reply)
         provider = ScriptedProvider(ScriptedPolicy(default=reply))
-        state = update(provider, STATE, INSTRUCTION, State.empty(), _success_obs("p" * 500), step_index=1)
+        state = update(provider, INSTRUCTION, State.empty(), _success_obs("p" * 500), step_index=1)
         assert state.current_results[0].text == "p" * 200
 
 
@@ -271,36 +269,37 @@ def _merging_provider() -> ScriptedProvider:
     ))
 
 
+@pytest.fixture
+def cap_1024(monkeypatch):
+    monkeypatch.setattr(state_manager, "STATE_CAP_CHARS", 1024)
+
+
 class TestEnforceCap:
     def test_identity_under_cap(self):
         state = State(current_results=(ResultEntry("short", 1),), failure_history=())
-        assert enforce_cap(state, 4096) == state
-
-    def test_cap_minimum(self):
-        with pytest.raises(ConfigurationError):
-            enforce_cap(State.empty(), 511)
+        assert enforce_cap(state, UNSCRIPTED) == state
 
     def test_compression_preserves_failures(self):
         results = tuple(ResultEntry(f"entry {i}: " + "x" * 440, i + 1) for i in range(20))
         failures = (FailureEntry("tool_a", "d1", "because", 1),)
         state = State(current_results=results, failure_history=failures)
         assert len(render_state(state)) > 9000
-        capped = enforce_cap(state, 4096)
+        capped = enforce_cap(state, UNSCRIPTED)
         assert len(render_state(capped)) <= 4096
         assert capped.failure_history == failures
 
-    def test_reason_shortening_preserves_count(self):
+    def test_reason_shortening_preserves_count(self, cap_1024):
         failures = tuple(
             FailureEntry(f"tool_{i}", f"d{i}", "r" * 500, i + 1) for i in range(8)
         )
         state = State(current_results=(), failure_history=failures)
-        capped = enforce_cap(state, 1024)
+        capped = enforce_cap(state, UNSCRIPTED)
         assert len(capped.failure_history) == len(failures)
         assert all(len(f.reason) <= FAILURE_REASON_CAP_CHARS for f in capped.failure_history)
 
-    def test_hard_truncate_single_result(self):
+    def test_hard_truncate_single_result(self, cap_1024):
         state = State(current_results=(ResultEntry("w" * 9000, 1),), failure_history=())
-        capped = enforce_cap(state, 1024)
+        capped = enforce_cap(state, UNSCRIPTED)
         assert len(render_state(capped)) <= 1024
         assert len(capped.current_results) == 1
 
@@ -309,17 +308,17 @@ class TestEnforceCap:
         State((), tuple(FailureEntry(f"tool_{i}", f"d{i}", "r" * 500, i + 1) for i in range(8))),
         State((ResultEntry("w" * 9000, 1),), ()),
     ], ids=["merge", "shorten", "truncate"])
-    def test_capped_state_is_the_one_rendered_last(self, state):
+    def test_capped_state_is_the_one_rendered_last(self, cap_1024, state):
         # The next prompt then takes the capped state's text from the memo.
-        capped = enforce_cap(state, 1024)
+        capped = enforce_cap(state, UNSCRIPTED)
         assert capped != state
         assert state_manager._last_render.state is capped
 
-    def test_provider_backed_merge(self):
+    def test_provider_backed_merge(self, cap_1024):
         provider = _merging_provider()
         results = tuple(ResultEntry("x" * 400, i + 1) for i in range(4))
         state = State(current_results=results, failure_history=())
-        capped = enforce_cap(state, 1024, provider=provider)
+        capped = enforce_cap(state, provider)
         assert len(render_state(capped)) <= 1024
         assert any("merged note" in r.text for r in capped.current_results)
 
@@ -329,25 +328,25 @@ class TestEnforceCap:
         failures = tuple(FailureEntry(f"tool_{i}", f"d{i}", "r" * 600, i + 3) for i in range(8))
         state = State(results, failures)
         assert len(render_state(state)) > 4096
-        capped = enforce_cap(state, 4096, provider=provider)
+        capped = enforce_cap(state, provider)
         assert provider.prompts() == []
         assert len(render_state(capped)) <= 4096
         assert capped.current_results == results
         assert [f.reason for f in capped.failure_history] == ["r" * 117 + "..."] * 8
 
-    def test_merges_follow_the_shortening(self):
+    def test_merges_follow_the_shortening(self, cap_1024):
         # Merging first would take three merges and still leave the reasons
         # to shorten; shortened first, the state fits after one merge.
         provider = RecordingProvider(_merging_provider())
         results = tuple(ResultEntry("x" * 200, i + 1) for i in range(4))
         failures = tuple(FailureEntry(f"tool_{i}", f"d{i}", "r" * 600, i + 5) for i in range(2))
-        capped = enforce_cap(State(results, failures), 1024, provider=provider)
+        capped = enforce_cap(State(results, failures), provider)
         assert len(provider.prompts()) == 1
         assert len(render_state(capped)) <= 1024
         assert capped.current_results == (ResultEntry("merged note", 2), *results[2:])
         assert all(len(f.reason) <= FAILURE_REASON_CAP_CHARS for f in capped.failure_history)
 
-    def test_merges_stop_once_state_fits(self):
+    def test_merges_stop_once_state_fits(self, monkeypatch):
         # Merging renumbers the list, so line lengths change as the count
         # crosses 100 and 10; compare with merging while re-rendering.
         results = tuple(ResultEntry("x" * (i % 7 * 5), 95 + i) for i in range(105))
@@ -357,7 +356,8 @@ class TestEnforceCap:
                 merged = f"{expected[0].text}; {expected[1].text}"[:240]
                 expected[:2] = [ResultEntry(merged, expected[1].step)]
             if len(render_state(State(tuple(expected), ()))) <= cap:
-                assert enforce_cap(State(results, ()), cap).current_results == tuple(expected)
+                monkeypatch.setattr(state_manager, "STATE_CAP_CHARS", cap)
+                assert enforce_cap(State(results, ()), UNSCRIPTED).current_results == tuple(expected)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -374,7 +374,7 @@ class TestEnforceCap:
             for i in range(failure_count)
         )
         state = State(current_results=results, failure_history=failures)
-        capped = enforce_cap(state, 4096)
+        capped = enforce_cap(state, UNSCRIPTED)
         # 10 failures with <=120-char reasons always fit 4096, so the cap
         # must be met; failures are never dropped.
         assert len(render_state(capped)) <= 4096
