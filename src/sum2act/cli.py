@@ -488,7 +488,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # The file's keys that this subcommand takes become its defaults;
             # parsing again lets each given flag override its key.
-            config = load_record(args.config, Config, "config file", ConfigurationError)
+            config = load_record(args.config, Config, "config file")
             args.parser.set_defaults(**{key: value for key, value in vars(config).items()
                                         if value is not None and key in vars(args)})
             args = parser.parse_args(argv)

@@ -23,7 +23,7 @@ from functools import cache
 from types import NoneType, UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigurationError, Sum2ActError, TraceFormatError
+from .errors import ConfigurationError, Sum2ActError
 
 TOOL_NAME_PATTERN = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -430,53 +430,51 @@ def serialize_episode(episode: Episode) -> str:
 
 
 def deserialize_episode(record: str) -> Episode:
-    """Parse and validate one trace line; raises TraceFormatError on problems."""
+    """Parse and validate one trace line; raises ConfigurationError on problems."""
+    return _parse_record(record, Episode, "trace record")
+
+
+def _parse_record(text: str, annotation, what: str, blank=None):
+    """``text`` parsed as JSON and read as ``annotation`` (see ``from_record``);
+    text holding only whitespace gives ``blank`` when one is given. Invalid
+    JSON, JSON nested deeper than the interpreter's recursion limit and a
+    malformed record raise ConfigurationError."""
     try:
-        data = json.loads(record)
+        data = blank if blank is not None and not text.strip() else json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise TraceFormatError(f"trace record is not valid JSON: {exc}") from exc
-    try:
-        return from_record(Episode, data)
-    except ConfigurationError as exc:
-        raise TraceFormatError(f"malformed trace record: {exc}") from exc
-
-
-def load_json_file(path, error: type[Exception], blank=None):
-    """Parse the JSON file at ``path``. Invalid JSON, or JSON nested deeper
-    than the interpreter's recursion limit, raises ``error`` naming the file.
-    A file that is not UTF-8 raises ``error`` too. A file holding only
-    whitespace gives ``blank`` when one is given."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = handle.read()
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8: {exc}") from exc
-    if blank is not None and not raw.strip():
-        return blank
-    try:
-        return json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise error(f"{path}: invalid JSON: {exc}") from exc
-
-
-def load_record(path, annotation, what: str, error: type[Exception], blank=None):
-    """The JSON file at ``path`` read as ``annotation`` (see ``from_record``).
-    An unreadable file or a malformed record raises ``error`` naming the file."""
-    data = load_json_file(path, error, blank)
+        raise ConfigurationError(f"invalid JSON: {exc}") from exc
     try:
         return from_record(annotation, data)
     except Sum2ActError as exc:
-        raise error(f"{path}: malformed {what}: {exc}") from exc
+        raise ConfigurationError(f"malformed {what}: {exc}") from exc
+
+
+def load_record(path, annotation, what: str, blank=None):
+    """The JSON file at ``path`` read by ``_parse_record``. A file that is
+    not UTF-8, or whose text does not parse, raises ConfigurationError naming
+    the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return _parse_record(handle.read(), annotation, what, blank)
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8: {exc}") from exc
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def read_trace(path) -> list[Episode]:
+    """The episodes of the trace file at ``path``, one per non-blank line. A
+    file that is not UTF-8 raises ConfigurationError naming it, and a line
+    that does not parse raises one naming the file and the line number."""
     episodes = []
     try:
         with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    episodes.append(deserialize_episode(line))
+            for number, line in enumerate(handle, 1):
+                if line.strip():
+                    try:
+                        episodes.append(deserialize_episode(line))
+                    except ConfigurationError as exc:
+                        raise ConfigurationError(f"{path}: line {number}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"{path}: not UTF-8: {exc}") from exc
+        raise ConfigurationError(f"{path}: not UTF-8: {exc}") from exc
     return episodes

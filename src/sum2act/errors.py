@@ -8,15 +8,9 @@ class Sum2ActError(Exception):
 
 
 class ConfigurationError(Sum2ActError):
-    """Invalid configuration: bad budgets, empty tool lists, broken manifests."""
-
-
-class PolicyFileError(ConfigurationError):
-    """A scripted-policy file failed to parse or validate."""
-
-
-class TraceFormatError(Sum2ActError):
-    """An episode trace record is malformed or violates episode invariants."""
+    """Bad input: an invalid setting or flag, or a config, scenario, policy,
+    catalog, endpoint spec or trace that does not parse or validate. A file's
+    fault names the file, and a trace line's fault its line number too."""
 
 
 class ScriptError(Sum2ActError):
@@ -41,7 +35,3 @@ class RequestTooLarge(Sum2ActError):
 
 class MalformedOutput(Sum2ActError):
     """Model output could not be parsed into the required structure."""
-
-
-class ScenarioError(Sum2ActError):
-    """A sandbox scenario file failed to parse or validate."""

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 from .core import load_record
 from .errors import (
     ConfigurationError,
-    PolicyFileError,
     ProviderRejected,
     ProviderUnavailable,
     RequestTooLarge,
@@ -254,7 +253,7 @@ class ScriptedProvider:
 
 def load_policy(path) -> ScriptedPolicy:
     """Load a scripted policy file, a ScriptedPolicy record; an empty file is an empty policy."""
-    return load_record(path, ScriptedPolicy, "policy", PolicyFileError, blank={})
+    return load_record(path, ScriptedPolicy, "policy", blank={})
 
 
 def _check_size(prompt: str) -> None:

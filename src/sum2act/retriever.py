@@ -78,4 +78,4 @@ def rank(instruction_text: str, catalog: list[ToolSpec], k: int) -> list[RankedT
 
 def load_catalog(path) -> list[ToolSpec]:
     """Tool catalog file: JSON list of ToolSpec records."""
-    return list(load_record(path, tuple[CatalogTool, ...], "tool catalog", ConfigurationError))
+    return list(load_record(path, tuple[CatalogTool, ...], "tool catalog"))

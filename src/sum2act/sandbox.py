@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from urllib.parse import quote
 
 from .core import CatalogTool, Episode, Instruction, Observation, load_record
-from .errors import ConfigurationError, ScenarioError
+from .errors import ConfigurationError
 from .parsing import truncate_with_marker
 from .provider import MAX_REQUEST_CHARS
 
@@ -49,11 +49,11 @@ class Behavior:
 
     def __post_init__(self):
         if self.kind not in BEHAVIOR_KINDS:
-            raise ScenarioError(f"unknown behavior kind: {self.kind!r}")
+            raise ConfigurationError(f"unknown behavior kind: {self.kind!r}")
         if self.repeat not in REPEAT_MODES:
-            raise ScenarioError(f"unknown repeat mode: {self.repeat!r}")
+            raise ConfigurationError(f"unknown repeat mode: {self.repeat!r}")
         if self.kind == "verbose" and self.filler_chars < len(self.payload):
-            raise ScenarioError("a verbose behavior's 'filler_chars' must be >= its payload length")
+            raise ConfigurationError("a verbose behavior's 'filler_chars' must be >= its payload length")
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,14 @@ class PassCondition:
     def __post_init__(self):
         given = [k for k in ("contains_all", "regex", "exact") if getattr(self, k) is not None]
         if len(given) != 1:
-            raise ScenarioError(f"give exactly one of contains_all, regex, exact; got {given}")
+            raise ConfigurationError(f"give exactly one of contains_all, regex, exact; got {given}")
         if self.contains_all is not None and not self.contains_all:
             # all() of nothing is true: every answer would pass.
-            raise ScenarioError("'contains_all' must list at least one string")
+            raise ConfigurationError("'contains_all' must list at least one string")
         try:
             compiled = None if self.regex is None else re.compile(self.regex)
         except re.error as exc:
-            raise ScenarioError(f"'regex' is not a valid regex: {exc}") from exc
+            raise ConfigurationError(f"'regex' is not a valid regex: {exc}") from exc
         object.__setattr__(self, "compiled", compiled)
 
     def evaluate(self, answer: str) -> bool:
@@ -98,23 +98,30 @@ class Scenario:
     behaviors: dict[str, tuple[Behavior, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        tool_names = {tool.name for tool in self.tools}
+        if not self.tools:
+            raise ConfigurationError("'tools' must list at least one tool")
+        tool_names = set()
+        for tool in self.tools:
+            if tool.name in tool_names:
+                # The router would list both and the session run only one.
+                raise ConfigurationError(f"tool {tool.name!r} is listed more than once")
+            tool_names.add(tool.name)
         for name, behavior_list in self.behaviors.items():
             if name not in tool_names:
-                raise ScenarioError(f"behavior declared for unknown tool: {name!r}")
+                raise ConfigurationError(f"behavior declared for unknown tool: {name!r}")
             if not behavior_list:
-                raise ScenarioError(f"behavior list for {name!r} must be non-empty")
+                raise ConfigurationError(f"behavior list for {name!r} must be non-empty")
 
 
 def load_scenario(path) -> Scenario:
-    return load_record(path, Scenario, "scenario", ScenarioError)
+    return load_record(path, Scenario, "scenario")
 
 
 def embed_in_filler(payload: str, total_chars: int) -> str:
     """Embed the relevant payload near the middle of deterministic filler so
     the observation is exactly ``total_chars`` long."""
     if total_chars < len(payload):
-        raise ScenarioError("filler length must be >= payload length")
+        raise ConfigurationError("filler length must be >= payload length")
     pad = total_chars - len(payload)
     prefix_len = pad // 2
     suffix_len = pad - prefix_len
@@ -213,7 +220,7 @@ class Endpoint:
 
 def load_endpoint_spec(path) -> dict[str, Endpoint]:
     """Endpoint spec file: an object from tool name to Endpoint record."""
-    return load_record(path, dict[str, Endpoint], "endpoint spec", ConfigurationError)
+    return load_record(path, dict[str, Endpoint], "endpoint spec")
 
 
 def invoke_live(

@@ -650,6 +650,25 @@ class TestBench:
         assert code == 2
         assert not (out_dir / "traces").exists()
 
+    @pytest.mark.parametrize("tools, message", [
+        ([], "'tools' must list at least one tool"),
+        ([{"name": "get_weather"}, {"name": "get_weather", "params": [{"name": "zip"}]}],
+         "tool 'get_weather' is listed more than once"),
+    ], ids=["empty", "duplicate"])
+    def test_bad_tool_list_exits_2_at_load(self, core_dir, tmp_path, capsys, tools, message):
+        suite = tmp_path / "suite"
+        for name in ("flight_bos_sfo", "weather_miami"):
+            _copy_pair(core_dir, name, suite)
+        scenario = suite / "weather_miami.scenario.json"
+        record = json.loads(scenario.read_text(encoding="utf-8"))
+        record["tools"], record["behaviors"] = tools, {}
+        scenario.write_text(json.dumps(record), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main(["bench", "--scenario-dir", str(suite), "--out", str(out_dir)])
+        assert code == 2
+        assert f"weather_miami.scenario.json: malformed scenario: {message}" in capsys.readouterr().err
+        assert not (out_dir / "traces").exists()
+
     def test_invalid_regex_sibling_policy_exits_2(self, core_dir, tmp_path, capsys):
         suite = tmp_path / "suite"
         _copy_pair(core_dir, "weather_miami", suite)
@@ -1102,6 +1121,25 @@ class TestCompare:
         assert "weather_again.jsonl" in err and "weather_miami.jsonl" in err
         assert not cmp_dir.exists()
 
+    def test_malformed_trace_line_exits_2_naming_file_and_line(self, core_dir, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        for name in ("weather_miami", "flight_bos_sfo"):
+            _copy_pair(core_dir, name, suite)
+        out = tmp_path / "bench"
+        self._bench(suite, out, "sum2act")
+        trace = out / "traces" / "sum2act" / "weather_miami.jsonl"
+        record = json.loads(trace.read_text(encoding="utf-8"))
+        del record["instruction"]
+        with trace.open("a", encoding="utf-8") as handle:
+            handle.write("\n" + json.dumps(record) + "\n")
+        code = main([
+            "compare", "--traces-a", str(trace.parent), "--traces-b", str(trace.parent),
+            "--judge", "rule", "--scenario-dir", str(suite), "--out", str(tmp_path / "cmp"),
+        ])
+        assert code == 2
+        assert (f"{trace}: line 3: malformed trace record: Episode is missing key 'instruction'"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("scenario_dir", ["suite", "/nonexistent"])
     def test_llm_judge_with_scenario_dir_exits_2_naming_it(
         self, core_dir, tmp_path, capsys, monkeypatch, scenario_dir
@@ -1300,7 +1338,7 @@ class TestReplay:
         deep = tmp_path / "deep.jsonl"
         deep.write_text("[" * 100_000 + "\n")
         assert main(["replay", str(deep)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        assert f"{deep}: line 1: invalid JSON" in capsys.readouterr().err
 
     def test_non_utf8_trace_exits_2_naming_it(self, tmp_path, capsys):
         trace = tmp_path / "latin.jsonl"

@@ -25,7 +25,7 @@ from sum2act.core import (
     serialize_episode,
 )
 from sum2act.engine import METHOD_LABELS, EngineConfig, run_episode
-from sum2act.errors import ConfigurationError, TraceFormatError
+from sum2act.errors import ConfigurationError
 from sum2act.provider import RecordingProvider, ScriptedPolicy, ScriptedProvider
 from sum2act.sandbox import Behavior
 
@@ -184,19 +184,19 @@ class TestSerialization:
         record = serialize_episode(_finished_episode())
         data = json.loads(record)
         data["terminal"]["status"] = "Vanished"
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(ConfigurationError):
             deserialize_episode(json.dumps(data))
 
     def test_garbage_record_rejected(self):
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(ConfigurationError, match="^invalid JSON: "):
             deserialize_episode("not json at all")
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(ConfigurationError, match="^malformed trace record: "):
             deserialize_episode('["a", "list"]')
 
     def test_tool_record_without_description_rejected(self):
         data = json.loads(serialize_episode(_finished_episode()))
         del data["tools"][0]["description"]
-        with pytest.raises(TraceFormatError, match="description"):
+        with pytest.raises(ConfigurationError, match="description"):
             deserialize_episode(json.dumps(data))
 
     @pytest.mark.parametrize("path, value", [
@@ -227,21 +227,21 @@ class TestSerialization:
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(ConfigurationError):
             deserialize_episode(json.dumps(data))
 
     def test_over_budget_record_rejected(self):
         record = serialize_episode(_finished_episode())
         data = json.loads(record)
         data["step_budget"] = 1
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(ConfigurationError):
             deserialize_episode(json.dumps(data))
 
     def test_finished_requires_final_finish_action(self):
         record = serialize_episode(_finished_episode())
         data = json.loads(record)
         data["steps"] = data["steps"][:1]  # drop the Finish step
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(ConfigurationError):
             deserialize_episode(json.dumps(data))
 
     def test_shrinking_failure_history_rejected(self):
@@ -250,7 +250,7 @@ class TestSerialization:
         data["steps"][0]["state"]["failure_history"] = [
             {"tool": "alpha", "digest": "d", "reason": "r", "step": 1}
         ]
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(ConfigurationError):
             deserialize_episode(json.dumps(data))
 
     @settings(max_examples=50, deadline=None)

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +163,14 @@ class TestLoadTemplates:
         assert list(TEMPLATES) == list(TEMPLATE_PLACEHOLDERS)
         for name, text in TEMPLATES.items():
             assert set(re.findall(r"\{(\w+)\}", text)) == set(TEMPLATE_PLACEHOLDERS[name])
+
+    def test_readme_placeholder_table_lists_each_templates_placeholders(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = {
+            name: tuple(re.findall(r"`\{(\w+)\}`", cell))
+            for name, cell in re.findall(r"^\| `(\w+)\.txt` +\|(.*)\|$", readme, re.MULTILINE)
+        }
+        assert table == TEMPLATE_PLACEHOLDERS
 
 
 class TestFillTemplate:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from sum2act.errors import (
     ConfigurationError,
-    PolicyFileError,
     ProviderRejected,
     ProviderUnavailable,
     RequestTooLarge,
@@ -419,20 +418,20 @@ class TestLoadPolicy:
     def test_malformed_file_reports_line(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text('{\n  "entries": [,]\n}')
-        with pytest.raises(PolicyFileError, match="line"):
+        with pytest.raises(ConfigurationError, match="line"):
             load_policy(path)
 
     @pytest.mark.parametrize("text", ["[" * 100_000, "{broken"], ids=["over_deep", "invalid"])
     def test_unreadable_file_names_it(self, tmp_path, text):
         path = tmp_path / "deep.policy.json"
         path.write_text(text)
-        with pytest.raises(PolicyFileError, match="deep.policy.json"):
+        with pytest.raises(ConfigurationError, match="deep.policy.json"):
             load_policy(path)
 
     def test_entry_missing_keys(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"entries": [{"match": "x"}]}))
-        with pytest.raises(PolicyFileError, match="entry 0"):
+        with pytest.raises(ConfigurationError, match="entry 0"):
             load_policy(path)
 
     def test_invalid_regex_names_file_entry_and_error(self, tmp_path):
@@ -441,7 +440,7 @@ class TestLoadPolicy:
             {"match": "(", "response": "fine as a substring"},
             {"match": "(", "is_regex": True, "response": "x"},
         ]}))
-        with pytest.raises(PolicyFileError) as caught:
+        with pytest.raises(ConfigurationError) as caught:
             load_policy(path)
         message = str(caught.value)
         assert "bad.policy.json" in message

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from sum2act.core import Instruction, ParamSpec, ToolSpec
-from sum2act.errors import ConfigurationError, ScenarioError
+from sum2act.errors import ConfigurationError
 from sum2act.provider import MAX_REQUEST_CHARS
 from sum2act.sandbox import (
     Behavior,
@@ -63,7 +63,7 @@ class TestLoadScenario:
             "behaviors": {"zeta": [{"kind": "success", "payload": "p"}]},
             "pass_condition": {"contains_all": ["x"]},
         }))
-        with pytest.raises(ScenarioError, match="zeta"):
+        with pytest.raises(ConfigurationError, match="zeta"):
             load_scenario(path)
 
     def test_unknown_behavior_kind(self, tmp_path):
@@ -75,7 +75,7 @@ class TestLoadScenario:
             "behaviors": {"alpha": [{"kind": "explode"}]},
             "pass_condition": {"contains_all": ["x"]},
         }))
-        with pytest.raises(ScenarioError, match="explode"):
+        with pytest.raises(ConfigurationError, match="explode"):
             load_scenario(path)
 
     def test_pass_condition_loads_verbatim(self, tmp_path):
@@ -116,14 +116,14 @@ class TestLoadScenario:
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "bad.scenario.json"
         path.write_text("{\n  broken\n}")
-        with pytest.raises(ScenarioError, match="line"):
+        with pytest.raises(ConfigurationError, match="line"):
             load_scenario(path)
 
     @pytest.mark.parametrize("text", ["[" * 100_000, "{broken"], ids=["over_deep", "invalid"])
     def test_unreadable_file_names_it(self, tmp_path, text):
         path = tmp_path / "deep.scenario.json"
         path.write_text(text)
-        with pytest.raises(ScenarioError, match="deep.scenario.json"):
+        with pytest.raises(ConfigurationError, match="deep.scenario.json"):
             load_scenario(path)
 
 
@@ -194,7 +194,7 @@ class TestSession:
         assert needle in obs.payload
 
     def test_verbose_filler_must_cover_payload(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ConfigurationError):
             Behavior(kind="verbose", payload="long payload here", filler_chars=4)
 
     def test_embed_exact_length(self):
