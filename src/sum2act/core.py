@@ -84,6 +84,20 @@ class ToolSpec:
         return tuple(p for p in self.params if p.required)
 
 
+def tool_names(tools) -> set[str]:
+    """The names of a scenario's or catalog's tools. An empty list, or one
+    naming a tool twice (the router would list both and a session run only
+    one), raises ConfigurationError."""
+    if not tools:
+        raise ConfigurationError("'tools' must list at least one tool")
+    names = set()
+    for tool in tools:
+        if tool.name in names:
+            raise ConfigurationError(f"tool {tool.name!r} is listed more than once")
+        names.add(tool.name)
+    return names
+
+
 @dataclass(frozen=True)
 class Action:
     """Either a tool invocation or the reserved ``Finish`` action.

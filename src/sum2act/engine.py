@@ -129,10 +129,13 @@ class _Replies:
 class Summary(Memory):
     """sum2act: the state manager judges each observation into the state,
     which is then held under its length cap. Its calls go through
-    ``replies``, so it sends each distinct prompt once per episode; router
-    calls go to the provider, as the trace counts each one."""
+    ``replies``, so it sends each distinct prompt once per episode, and a
+    call that returns the same result again gets its parsed verdict from
+    ``verdicts`` with no prompt at all; router calls go to the provider, as
+    the trace counts each one."""
 
     replies: _Replies = field(init=False)
+    verdicts: dict = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.replies = _Replies(self.provider)
@@ -142,7 +145,7 @@ class Summary(Memory):
 
     def record(self, action: Action, step_index: int) -> Step:
         observation = self.executor(action.tool_name, action.args)
-        state = update(self.replies, self.instruction, self.state, observation, step_index=step_index)
+        state = update(self.replies, self.instruction, self.state, observation, step_index, self.verdicts)
         self.state = enforce_cap(state, provider=self.replies)
         return Step(action, observation, self.state)
 

@@ -12,7 +12,7 @@ import math
 import string
 from dataclasses import dataclass
 
-from .core import CatalogTool, ToolSpec, load_record
+from .core import CatalogTool, ToolSpec, load_record, tool_names
 from .errors import ConfigurationError
 
 _PUNCT_TABLE = str.maketrans({ch: " " for ch in string.punctuation})
@@ -77,5 +77,11 @@ def rank(instruction_text: str, catalog: list[ToolSpec], k: int) -> list[RankedT
 
 
 def load_catalog(path) -> list[ToolSpec]:
-    """Tool catalog file: JSON list of ToolSpec records."""
-    return list(load_record(path, tuple[CatalogTool, ...], "tool catalog"))
+    """Tool catalog file: JSON list of ToolSpec records, at least one, no
+    two with one name."""
+    tools = load_record(path, tuple[CatalogTool, ...], "tool catalog")
+    try:
+        tool_names(tools)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: malformed tool catalog: {exc}") from exc
+    return list(tools)

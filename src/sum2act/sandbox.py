@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 from urllib.parse import quote
 
-from .core import CatalogTool, Episode, Instruction, Observation, load_record
+from .core import CatalogTool, Episode, Instruction, Observation, load_record, tool_names
 from .errors import ConfigurationError
 from .parsing import truncate_with_marker
 from .provider import MAX_REQUEST_CHARS
@@ -98,16 +98,9 @@ class Scenario:
     behaviors: dict[str, tuple[Behavior, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.tools:
-            raise ConfigurationError("'tools' must list at least one tool")
-        tool_names = set()
-        for tool in self.tools:
-            if tool.name in tool_names:
-                # The router would list both and the session run only one.
-                raise ConfigurationError(f"tool {tool.name!r} is listed more than once")
-            tool_names.add(tool.name)
+        names = tool_names(self.tools)
         for name, behavior_list in self.behaviors.items():
-            if name not in tool_names:
+            if name not in names:
                 raise ConfigurationError(f"behavior declared for unknown tool: {name!r}")
             if not behavior_list:
                 raise ConfigurationError(f"behavior list for {name!r} must be non-empty")

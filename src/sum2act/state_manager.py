@@ -108,15 +108,16 @@ def render_observation(observation: Observation) -> str:
     return "\n".join(lines)
 
 
-def build_state_prompt(instruction: Instruction, state: State, observation: Observation) -> str:
+def build_state_prompt(instruction: Instruction, state: State, seen: str) -> str:
     """Deterministic prompt: the state template filled with the instruction,
-    full current state, and the observation payload clipped to the
-    observation window."""
+    full current state, and ``seen``, the observation as
+    ``render_observation`` shows it (payload clipped to the observation
+    window)."""
     return fill_template(
         TEMPLATES["state"],
         instruction=instruction.text,
         state=render_state(state),
-        observation=render_observation(observation),
+        observation=seen,
     )
 
 
@@ -142,7 +143,8 @@ _REASK = (
 
 
 def update(
-    provider, instruction: Instruction, state: State, observation: Observation, step_index: int
+    provider, instruction: Instruction, state: State, observation: Observation, step_index: int,
+    verdicts: dict | None = None,
 ) -> State:
     """Judge one observation and return a new State; the input is unchanged.
 
@@ -152,22 +154,36 @@ def update(
     A failure already in the history (same tool and args digest) is not
     added again, and when such a call fails again no verdict is asked for:
     the input State is returned. A Success-status observation is judged.
+
+    ``verdicts`` maps each rendered observation to the args of the last
+    call that returned it and the verdict parsed then. A call with the same
+    args digest that returns it again gets that verdict under the new step,
+    with no prompt or provider call: the verdict on one call and result is
+    taken not to depend on how the state has grown since. Digests are taken
+    only when a result repeats. A mechanical verdict is never stored, so the
+    next repeat of a result that fell back is judged again.
     """
     digest = None if observation.status == "Success" else args_digest(observation.args_echo)
     if digest and state.has_failure(observation.tool_name, digest):
         return state
-    prompt = build_state_prompt(instruction, state, observation)
-    try:
-        (verdict, text), _ = ask_json(
-            provider, prompt, _parse_verdict, _REASK, swallow=(ScriptError, RequestTooLarge)
-        )
-    except MalformedOutput as exc:
-        logger.warning("state verdict unparseable, using mechanical fallback: %s", exc)
-        if observation.status == "Success":
-            verdict, text = "Success", observation.payload[:_FALLBACK_SUMMARY_CHARS]
+    seen = render_observation(observation)
+    verdicts = {} if verdicts is None else verdicts
+    args, judged = verdicts.get(seen, (None, None))
+    if judged is None or args_digest(args) != args_digest(observation.args_echo):
+        prompt = build_state_prompt(instruction, state, seen)
+        try:
+            judged, _ = ask_json(
+                provider, prompt, _parse_verdict, _REASK, swallow=(ScriptError, RequestTooLarge)
+            )
+        except MalformedOutput as exc:
+            logger.warning("state verdict unparseable, using mechanical fallback: %s", exc)
+            if observation.status == "Success":
+                judged = "Success", observation.payload[:_FALLBACK_SUMMARY_CHARS]
+            else:
+                judged = "Failure", observation.error or f"tool returned status {observation.status}"
         else:
-            verdict = "Failure"
-            text = observation.error or f"tool returned status {observation.status}"
+            verdicts[seen] = observation.args_echo, judged
+    verdict, text = judged
     if verdict == "Success":
         entry = ResultEntry(text=text, step=step_index)
         return State(state.current_results + (entry,), state.failure_history)

@@ -38,6 +38,6 @@ def test_delayed_bench_at_two_levels(monkeypatch, capsys):
     levels = json.loads(capsys.readouterr().out)["levels"]
     assert sorted(levels) == ["1", "2"]
     for level in levels.values():
-        assert level["provider_calls"] == 745
+        assert level["provider_calls"] == 716
         assert level["report_sha256"] == REPORT_SHA256
         assert level["wall_s"] >= level["ideal_wall_s"]

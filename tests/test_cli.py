@@ -274,6 +274,28 @@ class TestRun:
         assert "PROVIDER_BASE_URL must start with http:// or https://, got 'localhost:9'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tools, message", [
+        ([], "'tools' must list at least one tool"),
+        ([{"name": "fetch_page"}, {"name": "fetch_page", "params": [{"name": "url"}]}],
+         "tool 'fetch_page' is listed more than once"),
+    ], ids=["empty", "duplicate"])
+    def test_bad_catalog_exits_2_naming_it(self, core_dir, tmp_path, capsys, tools, message):
+        tools_path = tmp_path / "catalog.json"
+        tools_path.write_text(json.dumps(tools))
+        endpoints_path = tmp_path / "endpoints.json"
+        endpoints_path.write_text(json.dumps({"fetch_page": {"url": "http://127.0.0.1:9/x"}}))
+        code = main([
+            "run",
+            "--instruction", "Check the status page.",
+            "--tools", str(tools_path),
+            "--endpoint-spec", str(endpoints_path),
+            "--policy", str(core_dir / "weather_miami.policy.json"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert f"{tools_path}: malformed tool catalog: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_no_input_exits_2(self, tmp_path, capsys):
         code = main(["run", "--policy", str(tmp_path), "--out", str(tmp_path)])
         assert code == 2

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sum2act import engine
+from sum2act import engine, state_manager
 from sum2act.core import Action, Instruction, ParamSpec, State, ToolSpec, serialize_episode
 from sum2act.engine import (
     DFSDT_MAX_CHILDREN,
@@ -198,6 +198,29 @@ class TestSum2Act:
         assert [(e.text, e.step) for e in second.state.current_results] == [
             ("replica answered: 73 units", 2)
         ]
+
+    def test_repeated_result_is_judged_once_per_episode(self, monkeypatch):
+        # backup_lookup returns one payload at every step: its verdict is
+        # asked for once per episode, and the episodes equal those judged
+        # at every step.
+        def run_twice():
+            provider = RecordingProvider(ScriptedProvider(NEVER_FINISH_POLICY))
+            episodes = [
+                run_episode(
+                    "sum2act", provider, INSTRUCTION, list(FAILOVER_TOOLS),
+                    EngineConfig(step_budget=3), ScenarioSession(FAILOVER_SCENARIO).invoke,
+                )
+                for _ in range(2)
+            ]
+            return episodes, [p for p in provider.prompts() if "state manager" in p]
+
+        episodes, state_prompts = run_twice()
+        assert len(state_prompts) == 2
+        assert [e.text for e in episodes[0].steps[-1].state.current_results] == ["still pending"] * 3
+        monkeypatch.setattr(engine, "update", lambda *args: state_manager.update(*args[:5]))
+        unmapped, unmapped_prompts = run_twice()
+        assert len(unmapped_prompts) == 6
+        assert unmapped == episodes
 
     def test_unparseable_proposals_abort(self):
         policy = ScriptedPolicy(

@@ -24,6 +24,7 @@ from sum2act.state_manager import (
     _parse_verdict,
     build_state_prompt,
     enforce_cap,
+    render_observation,
     render_state,
     update,
 )
@@ -135,23 +136,23 @@ class TestRenderMemo:
 
 class TestStatePrompt:
     def test_payload_under_cap_untouched(self):
-        prompt = build_state_prompt(INSTRUCTION, State.empty(), _success_obs("x" * 200))
+        prompt = build_state_prompt(INSTRUCTION, State.empty(), render_observation(_success_obs("x" * 200)))
         assert "x" * 200 in prompt
         assert "[truncated" not in prompt
 
     def test_payload_over_cap_marker_arithmetic(self):
-        prompt = build_state_prompt(INSTRUCTION, State.empty(), _success_obs("y" * 10000))
+        prompt = build_state_prompt(INSTRUCTION, State.empty(), render_observation(_success_obs("y" * 10000)))
         assert "y" * 4096 + "[truncated 5904 chars]" in prompt
         assert "y" * 4097 not in prompt
 
     def test_error_descriptor_present(self):
-        prompt = build_state_prompt(INSTRUCTION, State.empty(), _error_obs("HTTP 500: boom"))
+        prompt = build_state_prompt(INSTRUCTION, State.empty(), render_observation(_error_obs("HTTP 500: boom")))
         assert "HTTP 500: boom" in prompt
 
     def test_deterministic(self):
-        obs = _success_obs("hello")
-        assert build_state_prompt(INSTRUCTION, State.empty(), obs) == build_state_prompt(
-            INSTRUCTION, State.empty(), obs
+        seen = render_observation(_success_obs("hello"))
+        assert build_state_prompt(INSTRUCTION, State.empty(), seen) == build_state_prompt(
+            INSTRUCTION, State.empty(), seen
         )
 
 
@@ -252,6 +253,44 @@ class TestUpdate:
         assert updated.failure_history == (failed,)
         expected = (ResultEntry(summary, 2),) if verdict == "Success" else ()
         assert updated.current_results == expected
+
+    def test_repeated_result_reuses_its_verdict(self):
+        provider = RecordingProvider(_verdict_provider({"verdict": "Success", "summary": "Miami: sunny"}))
+        verdicts = {}
+        state = State.empty()
+        for step in (1, 2, 3):
+            state = update(provider, INSTRUCTION, state, _success_obs("sunny"), step, verdicts)
+        assert len(provider.prompts()) == 1
+        assert state.current_results == tuple(ResultEntry("Miami: sunny", step) for step in (1, 2, 3))
+
+    def test_same_payload_for_other_args_is_judged_again(self):
+        provider = RecordingProvider(_verdict_provider({"verdict": "Success", "summary": "sunny"}))
+        verdicts = {}
+        state = update(provider, INSTRUCTION, State.empty(), _success_obs("sunny"), 1, verdicts)
+        update(provider, INSTRUCTION, state, _success_obs("sunny", args={"city": "Boston"}), 2, verdicts)
+        assert len(provider.prompts()) == 2
+
+    def test_fallback_verdict_is_not_reused(self):
+        # The first verdict never parses; the repeat, whose prompt shows the
+        # step-1 result, is judged again and its verdict is stored.
+        policy = ScriptedPolicy(
+            entries=(
+                PolicyEntry(
+                    match="[step 1]", is_regex=False,
+                    response=json.dumps({"verdict": "Success", "summary": "judged"}),
+                ),
+            ),
+            default="no verdict here",
+        )
+        provider = RecordingProvider(ScriptedProvider(policy))
+        verdicts = {}
+        state = update(provider, INSTRUCTION, State.empty(), _success_obs("sunny"), 1, verdicts)
+        assert verdicts == {}
+        sent = len(provider.prompts())
+        state = update(provider, INSTRUCTION, state, _success_obs("sunny"), 2, verdicts)
+        assert len(provider.prompts()) == sent + 1
+        assert [e.text for e in state.current_results] == ["sunny", "judged"]
+        assert len(verdicts) == 1
 
     def test_over_deep_verdict_falls_back_mechanically(self):
         deep = '{"a":' * 3000 + "1" + "}" * 3000
