@@ -20,14 +20,7 @@ from typing import Iterator
 from .core import Instruction, State, load_record, read_trace, serialize_episode
 from .engine import METHOD_LABELS, default_config, run_episode
 from .errors import ConfigurationError, RequestTooLarge, Sum2ActError
-from .evaluation import (
-    LlmJudge,
-    RuleJudge,
-    format_table,
-    pass_rate,
-    rate_row,
-    win_rate,
-)
+from .evaluation import format_table, llm_verdict, pass_rate, rate_row, rule_verdict, win_rate
 from .provider import LiveProvider, ScriptedProvider, load_policy
 from .retriever import load_catalog, rank
 from .sandbox import Scenario, ScenarioSession, check_pass, invoke_live, load_endpoint_spec, load_scenario
@@ -107,6 +100,8 @@ def cmd_run(args) -> int:
         if not args.endpoint_spec:
             raise ConfigurationError("running against live tools requires --endpoint-spec")
         endpoints = load_endpoint_spec(args.endpoint_spec)
+        # Only the episode's tools run: any other is an unknown tool.
+        endpoints = {tool.name: endpoints[tool.name] for tool in tools if tool.name in endpoints}
         import requests
 
         session = requests.Session()
@@ -292,7 +287,10 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_trace_set(path_text: str) -> dict:
+def _load_trace_set(path_text: str, side: str) -> tuple[str, dict]:
+    """A trace set's one method label (an empty one reads ``side``) and its
+    episodes by instruction id. Episodes of two labels raise
+    ConfigurationError naming both."""
     path = Path(path_text)
     if path.is_dir():
         files = sorted(path.glob("**/*.jsonl"))
@@ -306,15 +304,24 @@ def _load_trace_set(path_text: str) -> dict:
     ))
     if not episodes:
         raise ConfigurationError(f"no episodes found under {path_text}")
-    return episodes
+    labels = sorted({episode.method_label for episode in episodes.values()})
+    if len(labels) > 1:
+        raise ConfigurationError(
+            f"{path_text}: trace set mixes method labels {', '.join(map(repr, labels))}"
+        )
+    return labels[0] or side, episodes
 
 
 def cmd_compare(args) -> int:
     if args.judge == "llm" and args.scenario_dir is not None:
         raise ConfigurationError("the llm judge cannot be combined with --scenario-dir")
     out_dir = Path(args.out)
-    side_a = _load_trace_set(args.traces_a)
-    side_b = _load_trace_set(args.traces_b)
+    label_a, side_a = _load_trace_set(args.traces_a, "a")
+    label_b, side_b = _load_trace_set(args.traces_b, "b")
+    if label_a == label_b:
+        # Self-comparison is legal and must land on all ties, so coinciding
+        # method labels are qualified by side.
+        label_a, label_b = f"{label_a}:a", f"{label_b}:b"
 
     missing_in_b = sorted(set(side_a) - set(side_b))
     missing_in_a = sorted(set(side_b) - set(side_a))
@@ -341,19 +348,21 @@ def cmd_compare(args) -> int:
                 )
             return check_pass(scenarios[episode.instruction.id], episode)
 
-        judge = RuleJudge(passed)
+        def verdict(episode_a, episode_b):
+            return rule_verdict(passed, episode_a, episode_b)
     elif args.judge == "llm":
-        judge = LlmJudge(_provider(args))
+        provider = _provider(args)
+
+        def verdict(episode_a, episode_b):
+            return llm_verdict(provider, episode_a, episode_b, label_a, label_b)
     else:
         raise ConfigurationError(f"unknown judge mode: {args.judge!r}")
 
-    all_judgments = [judge.judge(side_a[key], side_b[key]) for key in sorted(side_a)]
-    label_a = all_judgments[0].method_a
-    label_b = all_judgments[0].method_b
+    judgments = [(key, *verdict(side_a[key], side_b[key])) for key in sorted(side_a)]
     subset_rates = {
-        subset: win_rate(judgments, label_a)
-        for subset, judgments in _by_subset(
-            (side_a[judgment.instruction_id].instruction, judgment) for judgment in all_judgments
+        subset: win_rate(outcomes)
+        for subset, outcomes in _by_subset(
+            (side_a[key].instruction, outcome) for key, outcome, _ in judgments
         ).items()
     }
     row = rate_row(f"{label_a} vs {label_b}", list(subset_rates.values()))
@@ -365,12 +374,8 @@ def cmd_compare(args) -> int:
         "subsets": subset_rates,
         "average": float(row[-1]),
         "judgments": [
-            {
-                "instruction_id": j.instruction_id,
-                "outcome": j.outcome,
-                "rationale": j.rationale,
-            }
-            for j in all_judgments
+            {"instruction_id": key, "outcome": outcome, "rationale": rationale}
+            for key, outcome, rationale in judgments
         ],
     }
     _write_report(out_dir, "winrate", machine, table)

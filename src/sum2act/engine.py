@@ -32,6 +32,7 @@ from .core import (
     Step,
     Terminal,
     canonical_args,
+    tool_names,
 )
 from .errors import ConfigurationError, MalformedOutput
 from .parsing import REASK_RETRIES, TEMPLATES, fill_template
@@ -238,10 +239,10 @@ def default_config(method: str, step_budget: int | None = None) -> EngineConfig:
 def run_episode(method: str, provider, instruction: Instruction, tools, config: EngineConfig, executor) -> Episode:
     """Run one episode with ``method``'s memory; it terminates Finished,
     BudgetExhausted or AbortedParseFailure within ``step_budget`` steps. An
-    empty tool list raises before any provider call."""
+    empty tool list, or one naming a tool twice, raises before any provider
+    call."""
     memory_type, _ = _method(method)
-    if not tools:
-        raise ConfigurationError("episode requires a non-empty tool list")
+    tool_names(tools)
     memory = memory_type(provider, instruction, render_tools_block(tools), executor)
     steps: list[Step] = []
     terminal = Terminal.budget_exhausted()

@@ -1,16 +1,16 @@
-"""Pass-rate and pairwise win-rate computation with tie-splitting, judge
-abstractions, and the report table's rate rows.
+"""Pass-rate and pairwise win-rate computation with tie-splitting, the two
+judges' verdicts, and the report table's rate rows.
 
 Rounding policy: internal arithmetic stays full precision; half-up rounding
 to one decimal happens at presentation (and in ``pass_rate``, which is a
-reported value by contract). ``win_rate`` splits ties evenly, so the rates of
-the two sides of any judgment multiset sum to exactly 100.
+reported value by contract). ``win_rate`` splits ties evenly, so side A's rate
+over any outcomes and over the same outcomes with the sides swapped sum to
+exactly 100.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .core import Episode
@@ -18,8 +18,6 @@ from .errors import ConfigurationError, MalformedOutput
 from .parsing import ask_json, extract_first_json_object
 
 logger = logging.getLogger(__name__)
-
-OUTCOMES = ("AWins", "BWins", "Tie")
 
 _JUDGE_PROMPT = """\
 You compare two solution paths for the same user instruction and pick the
@@ -48,21 +46,6 @@ def round_half_up(*values: float) -> float:
     return float(mean.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class PairJudgment:
-    instruction_id: str
-    method_a: str
-    method_b: str
-    outcome: str
-    rationale: str = ""
-
-    def __post_init__(self):
-        if self.outcome not in OUTCOMES:
-            raise ConfigurationError(f"unknown judgment outcome: {self.outcome!r}")
-        if self.method_a == self.method_b:
-            raise ConfigurationError("judgment sides must carry distinct labels")
-
-
 def pass_rate(passed: list[bool]) -> float:
     """Percentage of passing episodes, given each one's pass flag, reported
     to one decimal."""
@@ -71,64 +54,31 @@ def pass_rate(passed: list[bool]) -> float:
     return round_half_up(100.0 * sum(passed) / len(passed))
 
 
-def win_rate(judgments: list[PairJudgment], for_method: str) -> float:
-    """Tie-split win rate: 100 * (wins + ties/2) / total, full precision."""
-    if not judgments:
+def win_rate(outcomes: list[str]) -> float:
+    """Side A's tie-split win rate over judgment outcomes (``AWins``,
+    ``BWins`` or ``Tie``): 50 * (2 * AWins + Ties) / n, full precision."""
+    if not outcomes:
         raise ConfigurationError("win rate requires at least one judgment")
-    wins = 0
-    ties = 0
-    for judgment in judgments:
-        if for_method == judgment.method_a:
-            wins += judgment.outcome == "AWins"
-            ties += judgment.outcome == "Tie"
-        elif for_method == judgment.method_b:
-            wins += judgment.outcome == "BWins"
-            ties += judgment.outcome == "Tie"
-        else:
-            raise ConfigurationError(
-                f"judgment over ({judgment.method_a}, {judgment.method_b}) "
-                f"does not involve {for_method!r}"
-            )
-    return 50.0 * (2 * wins + ties) / len(judgments)
+    return 50.0 * (2 * outcomes.count("AWins") + outcomes.count("Tie")) / len(outcomes)
 
 
-class _Judge:
-    """Both judges' one entry point: ``judge`` labels the two sides and
-    builds the PairJudgment; each judge's ``_verdict`` gives only
-    ``(outcome, rationale)``."""
-
-    def judge(self, episode_a: Episode, episode_b: Episode) -> PairJudgment:
-        # Self-comparison is legal and must land on all ties, so coinciding
-        # method labels are qualified by side.
-        label_a = episode_a.method_label or "a"
-        label_b = episode_b.method_label or "b"
-        if label_a == label_b:
-            label_a, label_b = f"{label_a}:a", f"{label_b}:b"
-        outcome, rationale = self._verdict(episode_a, episode_b, label_a, label_b)
-        return PairJudgment(episode_a.instruction.id, label_a, label_b, outcome, rationale)
-
-
-class RuleJudge(_Judge):
-    """Deterministic judge: a passing path beats a failing one; between two
+def rule_verdict(passed, episode_a: Episode, episode_b: Episode) -> tuple[str, str]:
+    """The deterministic judge's ``(outcome, rationale)``, given ``passed``,
+    an episode's pass check: a passing path beats a failing one; between two
     passing paths the shorter one wins; everything else ties."""
-
-    def __init__(self, passed):
-        self._passed = passed
-
-    def _verdict(self, episode_a: Episode, episode_b: Episode, label_a: str, label_b: str):
-        pass_a = self._passed(episode_a)
-        pass_b = self._passed(episode_b)
-        if pass_a and pass_b:
-            if len(episode_a.steps) < len(episode_b.steps):
-                return "AWins", "both pass; A used fewer steps"
-            if len(episode_b.steps) < len(episode_a.steps):
-                return "BWins", "both pass; B used fewer steps"
-            return "Tie", "both pass with equal steps"
-        if pass_a:
-            return "AWins", "only A passed"
-        if pass_b:
-            return "BWins", "only B passed"
-        return "Tie", "neither passed"
+    pass_a = passed(episode_a)
+    pass_b = passed(episode_b)
+    if pass_a and pass_b:
+        if len(episode_a.steps) < len(episode_b.steps):
+            return "AWins", "both pass; A used fewer steps"
+        if len(episode_b.steps) < len(episode_a.steps):
+            return "BWins", "both pass; B used fewer steps"
+        return "Tie", "both pass with equal steps"
+    if pass_a:
+        return "AWins", "only A passed"
+    if pass_b:
+        return "BWins", "only B passed"
+    return "Tie", "neither passed"
 
 
 def _episode_summary(episode: Episode) -> str:
@@ -157,26 +107,24 @@ def _parse_judgment(output: str) -> tuple[str, str]:
     return outcome, str(obj.get("rationale", ""))
 
 
-class LlmJudge(_Judge):
-    """Provider-backed judge; unparseable verdicts are re-asked and then
-    degrade to a logged tie. Provider errors escape."""
-
-    def __init__(self, provider):
-        self._provider = provider
-
-    def _verdict(self, episode_a: Episode, episode_b: Episode, label_a: str, label_b: str):
-        prompt = _JUDGE_PROMPT.format(
-            instruction=episode_a.instruction.text,
-            label_a=label_a,
-            summary_a=_episode_summary(episode_a),
-            label_b=label_b,
-            summary_b=_episode_summary(episode_b),
-        )
-        try:
-            return ask_json(self._provider, prompt, _parse_judgment, _JUDGE_REASK)[0]
-        except MalformedOutput as exc:
-            logger.warning("judge output unparseable, recording a tie: %s", exc)
-            return "Tie", "judge output unparseable; recorded as tie"
+def llm_verdict(
+    provider, episode_a: Episode, episode_b: Episode, label_a: str, label_b: str
+) -> tuple[str, str]:
+    """The provider-backed judge's ``(outcome, rationale)``, with each path
+    shown under its side's method label; unparseable verdicts are re-asked and
+    then degrade to a logged tie. Provider errors escape."""
+    prompt = _JUDGE_PROMPT.format(
+        instruction=episode_a.instruction.text,
+        label_a=label_a,
+        summary_a=_episode_summary(episode_a),
+        label_b=label_b,
+        summary_b=_episode_summary(episode_b),
+    )
+    try:
+        return ask_json(provider, prompt, _parse_judgment, _JUDGE_REASK)[0]
+    except MalformedOutput as exc:
+        logger.warning("judge output unparseable, recording a tie: %s", exc)
+        return "Tie", "judge output unparseable; recorded as tie"
 
 
 # ---------------------------------------------------------------------------

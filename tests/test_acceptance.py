@@ -17,7 +17,7 @@ import pytest
 
 from sum2act.core import Instruction, Observation, State, serialize_episode
 from sum2act.engine import EngineConfig, default_config, run_episode
-from sum2act.evaluation import PairJudgment, rate_row, win_rate
+from sum2act.evaluation import rate_row, win_rate
 from sum2act.provider import RecordingProvider, ScriptedPolicy, ScriptedProvider, load_policy
 from sum2act.retriever import rank
 from sum2act.sandbox import ScenarioSession, check_pass, load_scenario
@@ -239,17 +239,13 @@ def test_win_rate_symmetry_over_randomized_multisets():
         losses = rng.randrange(0, 200)
         if wins + ties + losses == 0:
             continue
-        judgments = [
-            PairJudgment(instruction_id=f"q{i}", method_a="m1", method_b="m2", outcome=outcome)
-            for i, outcome in enumerate(
-                ["AWins"] * wins + ["Tie"] * ties + ["BWins"] * losses
-            )
-        ]
-        if win_rate(judgments, "m1") + win_rate(judgments, "m2") != 100.0:
+        outcomes = ["AWins"] * wins + ["Tie"] * ties + ["BWins"] * losses
+        flipped = ["BWins"] * wins + ["Tie"] * ties + ["AWins"] * losses
+        if win_rate(outcomes) + win_rate(flipped) != 100.0:
             bad += 1
     _report(
         "invariants: win_rate(M1 vs M2) + win_rate(M2 vs M1) == 100.0 exactly "
-        "over randomized judgment multisets",
+        "over randomized outcome multisets",
         bad == 0,
         f"{bad} violations of 500 multisets",
     )

@@ -369,6 +369,39 @@ class TestRun:
         assert code == 0
         assert stub.calls == 1
 
+    @pytest.mark.parametrize("top_k", [None, "1"])
+    def test_live_tools_run_only_the_episodes_tools(self, http_stub, tmp_path, top_k):
+        # The spec maps delete_account too, but only fetch_page is the
+        # episode's tool: as listed (the catalog lacks it) or ranked (top-k
+        # cuts it), delete_account is an unknown tool and no request is sent.
+        stub = http_stub([(200, '{"status": "deleted"}')])
+        catalog = [{"name": "fetch_page", "description": "Fetch the status page."}]
+        if top_k is not None:
+            catalog.append({"name": "delete_account", "description": "Delete the account."})
+        tools_path = tmp_path / "catalog.json"
+        tools_path.write_text(json.dumps(catalog))
+        endpoints_path = tmp_path / "endpoints.json"
+        endpoints_path.write_text(json.dumps({
+            "fetch_page": {"url": stub.url + "/status"},
+            "delete_account": {"url": stub.url + "/delete"},
+        }))
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps({
+            "default": json.dumps({"thought": "delete", "action": "delete_account", "args": {}}),
+        }))
+        code = main([
+            "run", "--instruction", "Fetch the status page.", "--instruction-id", "live",
+            "--tools", str(tools_path), "--endpoint-spec", str(endpoints_path),
+            *(["--top-k", top_k] if top_k else []),
+            "--policy", str(policy_path), "--budget", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert stub.calls == 0
+        [episode] = read_trace(tmp_path / "out" / "sum2act__live.jsonl")
+        assert [tool.name for tool in episode.tools] == ["fetch_page"]
+        observation = episode.steps[0].observation
+        assert (observation.status, observation.error) == ("ToolError", "unknown tool: delete_account")
+
     def test_live_tools_of_one_run_share_one_connection(self, http_stub, tmp_path):
         # Two tool calls, then Finish once the second payload is in the state.
         stub = http_stub([(200, '{"status": "stale"}'), (200, '{"status": "fresh STUB-OK"}')])
@@ -1038,6 +1071,38 @@ class TestCompare:
         assert report["average"] == 50.0
         assert all(rate == 50.0 for rate in report["subsets"].values())
         assert all(j["outcome"] == "Tie" for j in report["judgments"])
+        assert (report["method_a"], report["method_b"]) == ("sum2act:a", "sum2act:b")
+
+    @pytest.mark.parametrize("judge", ["rule", "llm"])
+    @pytest.mark.parametrize("mixed_side", ["a", "b"])
+    def test_side_mixing_method_labels_exits_2_naming_both(
+        self, core_dir, tmp_path, capsys, monkeypatch, judge, mixed_side
+    ):
+        # Side "mixed" holds react traces with one swapped for dfsdt's; its
+        # win rate would go out under one method's name.
+        suite = tmp_path / "suite"
+        for name in ("weather_miami", "flight_bos_sfo"):
+            _copy_pair(core_dir, name, suite)
+        out = tmp_path / "bench"
+        self._bench(suite, out, "sum2act,react,dfsdt")
+        mixed = tmp_path / "mixed"
+        shutil.copytree(out / "traces" / "react", mixed)
+        shutil.copy(out / "traces" / "dfsdt" / "weather_miami.jsonl", mixed / "weather_miami.jsonl")
+        judge_policy = tmp_path / "judge.policy.json"
+        judge_policy.write_text(json.dumps({"default": json.dumps({"winner": "A", "rationale": "r"})}))
+        monkeypatch.setattr(ScriptedProvider, "complete",
+                            lambda *args, **kwargs: pytest.fail("the judge called its provider"))
+        sides = [str(out / "traces" / "sum2act"), str(mixed)]
+        if mixed_side == "a":
+            sides.reverse()
+        judge_flags = (["--scenario-dir", str(suite)] if judge == "rule"
+                       else ["--provider", "scripted", "--policy", str(judge_policy)])
+        cmp_dir = tmp_path / "cmp"
+        code = main(["compare", "--traces-a", sides[0], "--traces-b", sides[1],
+                     "--judge", judge, *judge_flags, "--out", str(cmp_dir)])
+        assert code == 2
+        assert f"error: {mixed}: trace set mixes method labels 'dfsdt', 'react'\n" in capsys.readouterr().err
+        assert not list(cmp_dir.glob("winrate.*"))
 
     def test_all_pass_beats_all_fail(self, scenarios_root, tmp_path):
         suite = tmp_path / "suite"

@@ -49,8 +49,19 @@ class TestConstruction:
         finish = {"thought": "t", "action": "Finish", "args": {"Answer": "a"}}
         for method in METHOD_LABELS:
             provider = RecordingProvider(ScriptedProvider(ScriptedPolicy(default=json.dumps(finish))))
-            with pytest.raises(ConfigurationError, match="non-empty tool list"):
+            with pytest.raises(ConfigurationError, match="'tools' must list at least one tool"):
                 run_episode(method, provider, INSTRUCTION, [], EngineConfig(), lambda name, args: None)
+            assert provider.calls == []
+
+    def test_repeated_tool_name_rejected(self):
+        # The router would list both tools; every method raises before its
+        # first provider call, as the scenario and catalog loaders do.
+        finish = {"thought": "t", "action": "Finish", "args": {"Answer": "a"}}
+        tools = [ToolSpec(name="a", description="x"), ToolSpec(name="a", description="y")]
+        for method in METHOD_LABELS:
+            provider = RecordingProvider(ScriptedProvider(ScriptedPolicy(default=json.dumps(finish))))
+            with pytest.raises(ConfigurationError, match="tool 'a' is listed more than once"):
+                run_episode(method, provider, INSTRUCTION, tools, EngineConfig(), lambda name, args: None)
             assert provider.calls == []
 
     def test_bad_tool_name_rejected(self):

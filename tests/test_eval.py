@@ -9,16 +9,8 @@ from hypothesis import strategies as st
 
 from sum2act.core import Action, Episode, Instruction, State, Step, Terminal, ToolSpec
 from sum2act.errors import ConfigurationError
-from sum2act.evaluation import (
-    LlmJudge,
-    PairJudgment,
-    RuleJudge,
-    pass_rate,
-    rate_row,
-    round_half_up,
-    win_rate,
-)
-from sum2act.provider import ScriptedPolicy, ScriptedProvider
+from sum2act.evaluation import llm_verdict, pass_rate, rate_row, round_half_up, rule_verdict, win_rate
+from sum2act.provider import RecordingProvider, ScriptedPolicy, ScriptedProvider
 
 INSTRUCTION = Instruction(id="q1", text="do the thing")
 TOOLS = (ToolSpec(name="alpha", description="a"),)
@@ -52,32 +44,21 @@ class TestPassRate:
         assert pass_rate(passed) == pass_rate(list(reversed(passed)))
 
 
-def _judgments(wins: int, ties: int, losses: int) -> list[PairJudgment]:
-    judgments = []
-    outcomes = ["AWins"] * wins + ["Tie"] * ties + ["BWins"] * losses
-    for index, outcome in enumerate(outcomes):
-        judgments.append(
-            PairJudgment(
-                instruction_id=f"q{index}", method_a="m1", method_b="m2", outcome=outcome
-            )
-        )
-    return judgments
+def _outcomes(wins: int, ties: int, losses: int) -> list[str]:
+    """Side A's judgment outcomes: ``wins`` AWins, ``ties`` Tie, ``losses`` BWins."""
+    return ["AWins"] * wins + ["Tie"] * ties + ["BWins"] * losses
 
 
 class TestWinRate:
     def test_tie_splitting_arithmetic(self):
-        assert win_rate(_judgments(50, 20, 30), "m1") == 60.0
+        assert win_rate(_outcomes(50, 20, 30)) == 60.0
 
     def test_all_ties(self):
-        assert win_rate(_judgments(0, 8, 0), "m1") == 50.0
-
-    def test_uninvolved_method_rejected(self):
-        with pytest.raises(ConfigurationError):
-            win_rate(_judgments(1, 0, 0), "m3")
+        assert win_rate(_outcomes(0, 8, 0)) == 50.0
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
-            win_rate([], "m1")
+            win_rate([])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -86,37 +67,32 @@ class TestWinRate:
     def test_symmetry_sums_to_exactly_100(self, wins, ties, losses):
         if wins + ties + losses == 0:
             return
-        judgments = _judgments(wins, ties, losses)
-        assert win_rate(judgments, "m1") + win_rate(judgments, "m2") == 100.0
+        # The same judgments with the sides swapped: each AWins is a BWins.
+        assert win_rate(_outcomes(wins, ties, losses)) + win_rate(_outcomes(losses, ties, wins)) == 100.0
 
 
 class TestRuleJudge:
-    def _judge(self, passes: dict) -> RuleJudge:
-        return RuleJudge(lambda episode: passes[episode.method_label])
+    def _outcome(self, passes: dict, episode_a, episode_b) -> str:
+        return rule_verdict(lambda episode: passes[episode.method_label], episode_a, episode_b)[0]
 
     def test_fewer_steps_wins_among_passes(self):
-        judge = self._judge({"fast": True, "slow": True})
-        judgment = judge.judge(_episode("fast", 3), _episode("slow", 7))
-        assert judgment.outcome == "AWins"
+        outcome = self._outcome({"fast": True, "slow": True}, _episode("fast", 3), _episode("slow", 7))
+        assert outcome == "AWins"
 
     def test_pass_beats_budget_exhausted(self):
-        judge = self._judge({"ok": True, "bad": False})
-        judgment = judge.judge(
-            _episode("ok", 3), _episode("bad", 5, finished=False)
+        outcome = self._outcome(
+            {"ok": True, "bad": False}, _episode("ok", 3), _episode("bad", 5, finished=False)
         )
-        assert judgment.outcome == "AWins"
+        assert outcome == "AWins"
 
     def test_both_fail_ties(self):
-        judge = self._judge({"x": False, "y": False})
-        judgment = judge.judge(
-            _episode("x", 3, finished=False), _episode("y", 5, finished=False)
+        outcome = self._outcome(
+            {"x": False, "y": False}, _episode("x", 3, finished=False), _episode("y", 5, finished=False)
         )
-        assert judgment.outcome == "Tie"
+        assert outcome == "Tie"
 
     def test_equal_steps_tie(self):
-        judge = self._judge({"x": True, "y": True})
-        judgment = judge.judge(_episode("x", 4), _episode("y", 4))
-        assert judgment.outcome == "Tie"
+        assert self._outcome({"x": True, "y": True}, _episode("x", 4), _episode("y", 4)) == "Tie"
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -124,18 +100,12 @@ class TestRuleJudge:
         steps_a=st.integers(1, 9), steps_b=st.integers(1, 9),
     )
     def test_antisymmetric(self, pass_a, pass_b, steps_a, steps_b):
-        judge = self._judge({"x": pass_a, "y": pass_b})
+        passes = {"x": pass_a, "y": pass_b}
         episode_a = _episode("x", steps_a)
         episode_b = _episode("y", steps_b)
-        forward = judge.judge(episode_a, episode_b).outcome
-        backward = judge.judge(episode_b, episode_a).outcome
+        forward = self._outcome(passes, episode_a, episode_b)
+        backward = self._outcome(passes, episode_b, episode_a)
         assert backward == {"AWins": "BWins", "BWins": "AWins", "Tie": "Tie"}[forward]
-
-    def test_self_comparison_gets_distinct_labels(self):
-        judge = self._judge({"same": True})
-        judgment = judge.judge(_episode("same", 3), _episode("same", 3))
-        assert judgment.outcome == "Tie"
-        assert judgment.method_a != judgment.method_b
 
 
 class TestLlmJudge:
@@ -143,15 +113,31 @@ class TestLlmJudge:
         provider = ScriptedProvider(
             ScriptedPolicy(default=json.dumps({"winner": "B", "rationale": "cleaner answer"}))
         )
-        judge = LlmJudge(provider)
-        judgment = judge.judge(_episode("m1", 2), _episode("m2", 2))
-        assert judgment.outcome == "BWins"
-        assert judgment.rationale == "cleaner answer"
+        verdict = llm_verdict(provider, _episode("m1", 2), _episode("m2", 2), "m1", "m2")
+        assert verdict == ("BWins", "cleaner answer")
 
     def test_unparseable_degrades_to_tie(self):
-        judge = LlmJudge(ScriptedProvider(ScriptedPolicy(default="no verdict here")))
-        judgment = judge.judge(_episode("m1", 2), _episode("m2", 2))
-        assert judgment.outcome == "Tie"
+        provider = ScriptedProvider(ScriptedPolicy(default="no verdict here"))
+        outcome, _ = llm_verdict(provider, _episode("m1", 2), _episode("m2", 2), "m1", "m2")
+        assert outcome == "Tie"
+
+    def test_prompt_shows_each_path_under_its_label(self):
+        provider = RecordingProvider(ScriptedProvider(
+            ScriptedPolicy(default=json.dumps({"winner": "A", "rationale": "r"}))
+        ))
+        llm_verdict(provider, _episode("m1", 2), _episode("m2", 3, finished=False), "sum2act", "react")
+        assert provider.prompts() == [
+            "You compare two solution paths for the same user instruction and pick the\n"
+            "better one, weighing total execution steps, the quality of the final answer,\n"
+            "and the diversity of tools used.\n\n"
+            "## Instruction\ndo the thing\n\n"
+            "## Path A (sum2act)\nterminal: Finished\nfinal answer: a\nsteps used: 2\n"
+            "distinct tools used: alpha\n\n"
+            "## Path B (react)\nterminal: BudgetExhausted\nfinal answer: (none)\n"
+            "steps used: 3\ndistinct tools used: alpha\n\n"
+            "## Rules\n- Reply with exactly one JSON object and nothing else:\n"
+            '  {"winner": "A" | "B" | "Tie", "rationale": "<one sentence>"}\n'
+        ]
 
 
 class TestAggregate:

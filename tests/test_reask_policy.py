@@ -13,7 +13,7 @@ import pytest
 
 from sum2act.core import Action, Episode, Instruction, Observation, State, Step, Terminal, ToolSpec
 from sum2act.errors import MalformedOutput, RequestTooLarge, ScriptError
-from sum2act.evaluation import LlmJudge
+from sum2act.evaluation import llm_verdict
 from sum2act import parsing
 from sum2act.parsing import MAX_REPLY_CHARS, REASK_RETRIES, ask_json
 from sum2act.router import parse_action, propose_from_prompt
@@ -55,7 +55,7 @@ def _garbage():
 def _judge(provider):
     finish = Step(Action(kind="Finish", args={"Answer": "a"}), None, State.empty())
     episode = Episode(INSTRUCTION, TOOLS, (finish,), Terminal.finished("a"), "m", 2)
-    return LlmJudge(provider).judge(episode, episode)
+    return llm_verdict(provider, episode, episode, "m:a", "m:b")
 
 
 def _update(provider):
@@ -162,8 +162,6 @@ class TestJudgePolicy:
 
     def test_garbage_is_reasked_then_tie(self):
         provider = _garbage()
-        judgment = _judge(provider)
-        assert judgment.outcome == "Tie"
-        assert judgment.rationale == "judge output unparseable; recorded as tie"
+        assert _judge(provider) == ("Tie", "judge output unparseable; recorded as tie")
         assert len(provider.prompts) == ATTEMPTS
         assert all("could not be parsed" in prompt for prompt in provider.prompts[1:])
