@@ -20,7 +20,9 @@ from typing import Iterator
 from .core import Instruction, State, load_record, read_trace, serialize_episode
 from .engine import METHOD_LABELS, default_config, run_episode
 from .errors import ConfigurationError, RequestTooLarge, Sum2ActError
-from .evaluation import format_table, llm_verdict, pass_rate, rate_row, rule_verdict, win_rate
+from .evaluation import (
+    format_table, llm_verdict, pass_rate, rate_row, rule_verdict, side_labels, win_rate,
+)
 from .provider import LiveProvider, ScriptedProvider, load_policy
 from .retriever import load_catalog, rank
 from .sandbox import Scenario, ScenarioSession, check_pass, invoke_live, load_endpoint_spec, load_scenario
@@ -318,10 +320,7 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     label_a, side_a = _load_trace_set(args.traces_a, "a")
     label_b, side_b = _load_trace_set(args.traces_b, "b")
-    if label_a == label_b:
-        # Self-comparison is legal and must land on all ties, so coinciding
-        # method labels are qualified by side.
-        label_a, label_b = f"{label_a}:a", f"{label_b}:b"
+    label_a, label_b = side_labels(label_a, label_b)
 
     missing_in_b = sorted(set(side_a) - set(side_b))
     missing_in_a = sorted(set(side_b) - set(side_a))

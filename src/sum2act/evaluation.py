@@ -62,6 +62,14 @@ def win_rate(outcomes: list[str]) -> float:
     return 50.0 * (2 * outcomes.count("AWins") + outcomes.count("Tie")) / len(outcomes)
 
 
+def side_labels(label_a: str, label_b: str) -> tuple[str, str]:
+    """The two sides' report labels. Self-comparison is legal and must land
+    on all ties, so coinciding method labels are qualified by side."""
+    if label_a == label_b:
+        return f"{label_a}:a", f"{label_b}:b"
+    return label_a, label_b
+
+
 def rule_verdict(passed, episode_a: Episode, episode_b: Episode) -> tuple[str, str]:
     """The deterministic judge's ``(outcome, rationale)``, given ``passed``,
     an episode's pass check: a passing path beats a failing one; between two

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from sum2act.core import Action, Episode, Instruction, State, Step, Terminal, ToolSpec
 from sum2act.errors import ConfigurationError
-from sum2act.evaluation import llm_verdict, pass_rate, rate_row, round_half_up, rule_verdict, win_rate
+from sum2act.evaluation import (
+    llm_verdict, pass_rate, rate_row, round_half_up, rule_verdict, side_labels, win_rate,
+)
 from sum2act.provider import RecordingProvider, ScriptedPolicy, ScriptedProvider
 
 INSTRUCTION = Instruction(id="q1", text="do the thing")
@@ -106,6 +108,12 @@ class TestRuleJudge:
         forward = self._outcome(passes, episode_a, episode_b)
         backward = self._outcome(passes, episode_b, episode_a)
         assert backward == {"AWins": "BWins", "BWins": "AWins", "Tie": "Tie"}[forward]
+
+    def test_self_comparison_gets_distinct_labels(self):
+        assert self._outcome({"same": True}, _episode("same", 3), _episode("same", 3)) == "Tie"
+        label_a, label_b = side_labels("same", "same")
+        assert label_a != label_b
+        assert side_labels("x", "y") == ("x", "y")
 
 
 class TestLlmJudge:
