@@ -129,11 +129,11 @@ class _Replies:
 @dataclass
 class Summary(Memory):
     """sum2act: the state manager judges each observation into the state,
-    which is then held under its length cap. Its calls go through
-    ``replies``, so it sends each distinct prompt once per episode, and a
-    call that returns the same result again gets its parsed verdict from
-    ``verdicts`` with no prompt at all; router calls go to the provider, as
-    the trace counts each one."""
+    held under its length cap. Its calls go through ``replies`` (each
+    distinct prompt sent once per episode); a repeated result gets its
+    parsed verdict from ``verdicts`` with no prompt, and adds an entry only
+    if its text left the state. Router calls go to the provider, as the
+    trace counts each one."""
 
     replies: _Replies = field(init=False)
     verdicts: dict = field(init=False, default_factory=dict)

@@ -153,15 +153,18 @@ def update(
     mechanical verdict keyed on the observation status is logged and used.
     A failure already in the history (same tool and args digest) is not
     added again, and when such a call fails again no verdict is asked for:
-    the input State is returned. A Success-status observation is judged.
+    the input State is returned. A Success-status observation is judged,
+    and a Success verdict whose text a result entry already holds returns
+    the input State too: that entry keeps its first step.
 
     ``verdicts`` maps each rendered observation to the args of the last
     call that returned it and the verdict parsed then. A call with the same
-    args digest that returns it again gets that verdict under the new step,
-    with no prompt or provider call: the verdict on one call and result is
-    taken not to depend on how the state has grown since. Digests are taken
-    only when a result repeats. A mechanical verdict is never stored, so the
-    next repeat of a result that fell back is judged again.
+    args digest that returns it again gets that verdict with no prompt or
+    provider call (a new entry only if its text left the state): the verdict
+    on one call and result is taken not to depend on how the state has grown
+    since. Digests are taken only when a result repeats. A mechanical
+    verdict is never stored, so the next repeat of a result that fell back
+    is judged again.
     """
     digest = None if observation.status == "Success" else args_digest(observation.args_echo)
     if digest and state.has_failure(observation.tool_name, digest):
@@ -185,6 +188,8 @@ def update(
             verdicts[seen] = observation.args_echo, judged
     verdict, text = judged
     if verdict == "Success":
+        if any(entry.text == text for entry in state.current_results):
+            return state
         entry = ResultEntry(text=text, step=step_index)
         return State(state.current_results + (entry,), state.failure_history)
     digest = digest or args_digest(observation.args_echo)

@@ -631,7 +631,7 @@ class TestBench:
             digest.update(path.relative_to(out_dir).as_posix().encode("utf-8") + b"\n")
             digest.update(path.read_bytes())
         assert digest.hexdigest() == (
-            "396dcec731eef6d3303055c686475680c82f21e92b560e0b291be398d28352ed"
+            "93da33efdf6510acf2d2b771d25fb133f47908d89e0a8133a472c65e58a672ae"
         )
 
     @pytest.mark.parametrize("value", ["abc", "4", 2.5, True])

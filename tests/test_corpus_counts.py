@@ -29,8 +29,8 @@ from sum2act import (
 # sha256 over the sha256 of every prompt sent, in order)
 PINNED = {
     "sum2act": (
-        188, 255_047, "f6fdabfabbd9f10b3f687a077da7296049ee0bd9ae33c06be8dcdd4863b6e9c0",
-        "f926b726ac7f6da34eddc1a28e6bc31bf04b737d935e52d24adc4fa59b3d9132",
+        188, 240_011, "d1edb0f35223cd0d01c41ba48c8e42e58e2cf57cceabc1121bfda06579ba919a",
+        "886729fa26ad1cb46500dfc593f7a242a30c6bbcf70f182c74f9f2192e08db52",
     ),
     "react": (
         235, 333_661, "cd12fd6de0770bf5f643ac9f53531c12e54661dc5c02eed068b48e3be039e465",
@@ -47,7 +47,7 @@ PINNED = {
 # earlier prompt of the same episode, summed over the corpus. A prefix cache
 # (RadixAttention and the like) has to process only these chars.
 PINNED_UNCACHED = {
-    "sum2act": 119_484,
+    "sum2act": 118_436,
     "react": 84_251,
     "dfsdt": 128_349,
 }

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sum2act import engine, state_manager
-from sum2act.core import Action, Instruction, ParamSpec, State, ToolSpec, serialize_episode
+from sum2act.core import Action, Instruction, ParamSpec, ResultEntry, State, ToolSpec, serialize_episode
 from sum2act.engine import (
     DFSDT_MAX_CHILDREN,
     REACT_WINDOW_CHARS,
@@ -201,8 +201,8 @@ class TestSum2Act:
 
     def test_repeated_result_is_judged_once_per_episode(self, monkeypatch):
         # backup_lookup returns one payload at every step: its verdict is
-        # asked for once per episode, and the episodes equal those judged
-        # at every step.
+        # asked for once per episode, the repeats fold into the step-1 entry,
+        # and the episodes equal those judged without the stored verdicts.
         def run_twice():
             provider = RecordingProvider(ScriptedProvider(NEVER_FINISH_POLICY))
             episodes = [
@@ -216,10 +216,12 @@ class TestSum2Act:
 
         episodes, state_prompts = run_twice()
         assert len(state_prompts) == 2
-        assert [e.text for e in episodes[0].steps[-1].state.current_results] == ["still pending"] * 3
+        assert episodes[0].steps[-1].state.current_results == (ResultEntry("still pending", 1),)
         monkeypatch.setattr(engine, "update", lambda *args: state_manager.update(*args[:5]))
         unmapped, unmapped_prompts = run_twice()
-        assert len(unmapped_prompts) == 6
+        # Without the map step 2 is judged against the step-1 entry; the
+        # fold leaves the state as it was, so step 3 repeats that prompt.
+        assert len(unmapped_prompts) == 4
         assert unmapped == episodes
 
     def test_unparseable_proposals_abort(self):

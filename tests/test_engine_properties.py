@@ -1,7 +1,8 @@
-"""Whole-engine property test: every method, driven through ``run_episode``
+"""Whole-engine property tests: every method, driven through ``run_episode``
 by random tool behaviour and random model replies, ends in a valid terminal
 state within its budget, with a trace that round-trips byte-identically, and
-raises nothing."""
+raises nothing; and sum2act's state-manager shortcuts keep the results a
+loop without them would keep."""
 
 from __future__ import annotations
 
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sum2act.core import Instruction, ToolSpec, deserialize_episode, serialize_episode
+from sum2act.core import Instruction, Observation, ToolSpec, deserialize_episode, serialize_episode
 from sum2act.engine import RESTART_ACTION, EngineConfig, run_episode
 from sum2act.errors import RequestTooLarge
 from sum2act.provider import ScriptedPolicy, ScriptedProvider
 from sum2act.router import ROUTER_RULES
 from sum2act.sandbox import Behavior, PassCondition, Scenario, ScenarioSession
+from sum2act.state_manager import render_observation
 
 from .episode_strategies import arg_maps, safe_text
 
@@ -150,3 +152,82 @@ def test_verbose_payload_in_branch_memory(method):
     )
     episode = _run(method, scenario, EngineConfig(step_budget=2), provider)
     assert episode.terminal.status == "BudgetExhausted"
+
+
+# (args, payload) observations of one polling tool: one args returning two
+# payloads, one payload returned for two args, two payloads given one
+# summary, and a payload judged a failure.
+POLLS = (
+    ({"job": "1"}, "pending"),
+    ({"job": "1"}, "done: 42"),
+    ({"job": "2"}, "pending"),
+    ({"job": "2"}, "queued"),
+    ({"job": "2"}, "error page"),
+    ({}, "needle"),
+)
+SUMMARIES = {
+    "pending": "job not done",
+    "queued": "job not done",
+    "done: 42": "job done: 42",
+    "needle": "found the needle",
+}
+
+
+def _verdict(seen: str) -> tuple[str, str]:
+    """The verdict on an observation as ``render_observation`` shows it, and
+    on nothing else."""
+    payload = seen.rsplit("payload: ", 1)[1]
+    if payload in SUMMARIES:
+        return "Success", SUMMARIES[payload]
+    return "Failure", f"the job page showed {payload!r}"
+
+
+class PollProvider:
+    """Proposes the drawn polls in order and judges each observation with
+    ``_verdict``, counting every call."""
+
+    def __init__(self, polls):
+        self.polls = polls
+        self.router_calls = self.calls = 0
+
+    def complete(self, request) -> str:
+        self.calls += 1
+        if ROUTER_RULES in request.prompt:
+            args, _ = self.polls[self.router_calls]
+            self.router_calls += 1
+            return json.dumps({"thought": "poll", "action": "poll", "args": args})
+        verdict, text = _verdict(request.prompt.rsplit("## Newest Observation\n", 1)[1].rstrip("\n"))
+        return json.dumps({"verdict": verdict, "summary" if verdict == "Success" else "reason": text})
+
+
+def _reference(polls) -> tuple[list[tuple[str, int]], int]:
+    """sum2act's state manager with no shortcut and no fold: a router call
+    and a verdict call at every step, and every Success verdict appended.
+    Returns the (text, step) results and the provider calls."""
+    results = []
+    for step, (args, payload) in enumerate(polls, 1):
+        observation = Observation(status="Success", payload=payload, tool_name="poll", args_echo=args)
+        verdict, text = _verdict(render_observation(observation))
+        if verdict == "Success":
+            results.append((text, step))
+    return results, 2 * len(polls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polls=st.lists(st.sampled_from(POLLS), min_size=1, max_size=12))
+def test_sum2act_keeps_the_first_of_each_reference_result(polls):
+    # The drawn states stay far under the cap, so no merge changes a text.
+    provider = PollProvider(polls)
+    payloads = iter(payload for _, payload in polls)
+    episode = run_episode(
+        "sum2act", provider, Instruction(id="poll", text="report the job"),
+        [ToolSpec(name="poll", description="poll a job")], EngineConfig(step_budget=len(polls)),
+        lambda tool, args: Observation(status="Success", payload=next(payloads), tool_name=tool, args_echo=args),
+    )
+    results, calls = _reference(polls)
+    first = {}
+    for text, step in results:
+        first.setdefault(text, step)
+    assert len(episode.steps) == len(polls)
+    assert [(e.text, e.step) for e in episode.steps[-1].state.current_results] == list(first.items())
+    assert provider.calls <= calls

@@ -261,7 +261,49 @@ class TestUpdate:
         for step in (1, 2, 3):
             state = update(provider, INSTRUCTION, state, _success_obs("sunny"), step, verdicts)
         assert len(provider.prompts()) == 1
-        assert state.current_results == tuple(ResultEntry("Miami: sunny", step) for step in (1, 2, 3))
+        assert state.current_results == (ResultEntry("Miami: sunny", 1),)
+
+    def test_repeated_summary_returns_the_input_state(self):
+        # Another payload, judged to a summary the state already holds.
+        provider = RecordingProvider(_verdict_provider({"verdict": "Success", "summary": "Miami: sunny"}))
+        state = update(provider, INSTRUCTION, State.empty(), _success_obs("sunny"), 1)
+        assert update(provider, INSTRUCTION, state, _success_obs("sunny, 29 degrees"), 2) is state
+        assert len(provider.prompts()) == 2
+
+    def test_fallbacks_sharing_their_first_chars_fold(self):
+        # Both payloads fall back to their first 200 chars, which are equal:
+        # the second adds nothing the rendered state would show.
+        head = "r" * 200
+        state = update(UNSCRIPTED, INSTRUCTION, State.empty(), _success_obs(head + " at noon"), 1)
+        assert update(UNSCRIPTED, INSTRUCTION, state, _success_obs(head + " at dusk"), 2) is state
+        assert state.current_results == (ResultEntry(head, 1),)
+
+    def test_repeat_of_a_merged_result_is_added_again(self, cap_1024):
+        provider = RecordingProvider(_verdict_provider({"verdict": "Success", "summary": "Miami: sunny"}))
+        verdicts = {}
+        state = update(provider, INSTRUCTION, State.empty(), _success_obs("sunny"), 1, verdicts)
+        state = enforce_cap(State(state.current_results + (ResultEntry("b" * 1000, 2),), ()), UNSCRIPTED)
+        assert [e.text for e in state.current_results] == [("Miami: sunny; " + "b" * 1000)[:240]]
+        state = update(provider, INSTRUCTION, state, _success_obs("sunny"), 3, verdicts)
+        assert state.current_results[1:] == (ResultEntry("Miami: sunny", 3),)
+        assert len(provider.prompts()) == 1
+
+    def test_repeat_judged_to_another_summary_appends(self):
+        # Judged against the step-1 entry, the same observation gets a new
+        # summary, which is added under the new step.
+        policy = ScriptedPolicy(
+            entries=(
+                PolicyEntry(
+                    match="[step 1]", is_regex=False,
+                    response=json.dumps({"verdict": "Success", "summary": "still sunny"}),
+                ),
+            ),
+            default=json.dumps({"verdict": "Success", "summary": "Miami: sunny"}),
+        )
+        provider = ScriptedProvider(policy)
+        state = update(provider, INSTRUCTION, State.empty(), _success_obs("sunny"), 1)
+        state = update(provider, INSTRUCTION, state, _success_obs("sunny"), 2)
+        assert state.current_results == (ResultEntry("Miami: sunny", 1), ResultEntry("still sunny", 2))
 
     def test_same_payload_for_other_args_is_judged_again(self):
         provider = RecordingProvider(_verdict_provider({"verdict": "Success", "summary": "sunny"}))
