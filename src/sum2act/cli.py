@@ -412,7 +412,7 @@ def cmd_replay(args) -> int:
         print(f"=== {episode.method_label} :: {episode.instruction.id} "
               f"(budget {episode.step_budget}) ===")
         print(f"instruction: {episode.instruction.text}")
-        previous_state = State.empty()
+        previous_state = State()
         for index, step in enumerate(episode.steps, 1):
             if step.action.kind == "Finish":
                 print(f"step {index}: Finish")
@@ -425,7 +425,7 @@ def cmd_replay(args) -> int:
             previous_state = step.state
         print(f"terminal: {episode.terminal.status}"
               + (f" answer: {episode.terminal.answer}" if episode.terminal.answer else ""))
-        print(f"final state:\n{render_state(episode.steps[-1].state if episode.steps else State.empty())}")
+        print(f"final state:\n{render_state(episode.steps[-1].state if episode.steps else State())}")
     return EXIT_OK
 
 

@@ -80,9 +80,6 @@ class ToolSpec:
                 f"tool name must match [A-Za-z0-9_]+, got {self.name!r}"
             )
 
-    def required_params(self) -> tuple[ParamSpec, ...]:
-        return tuple(p for p in self.params if p.required)
-
 
 def tool_names(tools) -> set[str]:
     """The names of a scenario's or catalog's tools. An empty list, or one
@@ -176,10 +173,6 @@ class State:
     current_results: tuple[ResultEntry, ...] = ()
     failure_history: tuple[FailureEntry, ...] = ()
 
-    @classmethod
-    def empty(cls) -> State:
-        return cls((), ())
-
     def has_failure(self, tool: str, digest: str) -> bool:
         return any(f.tool == tool and f.digest == digest for f in self.failure_history)
 
@@ -204,18 +197,6 @@ class Terminal:
             raise ConfigurationError(f"unknown terminal status: {self.status!r}")
         if self.status == "Finished" and self.answer is None:
             raise ConfigurationError("Finished terminal requires an answer")
-
-    @classmethod
-    def finished(cls, answer: str) -> Terminal:
-        return cls("Finished", answer)
-
-    @classmethod
-    def budget_exhausted(cls) -> Terminal:
-        return cls("BudgetExhausted")
-
-    @classmethod
-    def aborted_parse_failure(cls) -> Terminal:
-        return cls("AbortedParseFailure")
 
 
 @dataclass(frozen=True)
@@ -323,7 +304,6 @@ def _to_record(obj) -> dict:
 # same bytes for every other char, so an ASCII trace is unchanged.
 _ENCODER = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False,
-    default=_to_record,
 )
 _TRACE_ENCODER = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), ensure_ascii=True, check_circular=False,

@@ -95,7 +95,7 @@ class Memory:
     instruction: Instruction
     tools_block: str
     executor: Callable[[str, dict], Observation]
-    state: State = State.empty()
+    state: State = State()
 
     def _propose(self, name: str, transcript, rules: str, **blocks: str) -> Action:
         prompt = fill_template(
@@ -245,18 +245,18 @@ def run_episode(method: str, provider, instruction: Instruction, tools, config: 
     tool_names(tools)
     memory = memory_type(provider, instruction, render_tools_block(tools), executor)
     steps: list[Step] = []
-    terminal = Terminal.budget_exhausted()
+    terminal = Terminal("BudgetExhausted")
     while len(steps) < config.step_budget:
         try:
             action = memory.propose()
         except MalformedOutput:
-            terminal = Terminal.aborted_parse_failure()
+            terminal = Terminal("AbortedParseFailure")
             break
         if action is None:
             break
         if action.kind == "Finish":
             steps.append(Step(action, None, memory.state))
-            terminal = Terminal.finished(action.answer)
+            terminal = Terminal("Finished", action.answer)
             break
         steps.append(memory.record(action, len(steps) + 1))
     return Episode(instruction, tuple(tools), tuple(steps), terminal, method, config.step_budget)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import string
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import CatalogTool, ToolSpec, load_record, tool_names
@@ -28,13 +29,6 @@ class RankedTool:
     score: float
 
 
-def _counts(tokens: list[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for token in tokens:
-        counts[token] = counts.get(token, 0) + 1
-    return counts
-
-
 def rank(instruction_text: str, catalog: list[ToolSpec], k: int) -> list[RankedTool]:
     """Top-k tools by cosine similarity of TF-IDF vectors, ties broken by
     ascending tool name so the ordering is total and deterministic."""
@@ -43,15 +37,12 @@ def rank(instruction_text: str, catalog: list[ToolSpec], k: int) -> list[RankedT
     if not catalog:
         return []
 
-    documents = [_counts(tokenize(f"{tool.name} {tool.description}")) for tool in catalog]
-    df: dict[str, int] = {}
-    for counts in documents:
-        for term in counts:
-            df[term] = df.get(term, 0) + 1
+    documents = [Counter(tokenize(f"{tool.name} {tool.description}")) for tool in catalog]
+    df = Counter(term for counts in documents for term in counts)
     total = len(documents)
     idf = {term: math.log(total / count) for term, count in df.items()}
 
-    query_counts = _counts(tokenize(instruction_text))
+    query_counts = Counter(tokenize(instruction_text))
     query_vector = {
         term: tf * idf[term] for term, tf in query_counts.items() if term in idf
     }

@@ -112,9 +112,8 @@ def load_scenario(path) -> Scenario:
 
 def embed_in_filler(payload: str, total_chars: int) -> str:
     """Embed the relevant payload near the middle of deterministic filler so
-    the observation is exactly ``total_chars`` long."""
-    if total_chars < len(payload):
-        raise ConfigurationError("filler length must be >= payload length")
+    the observation is exactly ``total_chars`` long, which must be at least
+    ``len(payload)``: ``Behavior`` checks this of every verbose behavior."""
     pad = total_chars - len(payload)
     prefix_len = pad // 2
     suffix_len = pad - prefix_len
@@ -144,8 +143,8 @@ class ScenarioSession:
         tool = self._tools.get(tool_name)
         if tool is None:
             return _failed("ToolError", tool_name, args, f"unknown tool: {tool_name}")
-        for param in tool.required_params():
-            if param.name not in args:
+        for param in tool.params:
+            if param.required and param.name not in args:
                 # Validation failures do not consume a behavior.
                 return _failed(
                     "ToolError", tool_name, args, f"missing required parameter: {param.name}"
@@ -183,7 +182,7 @@ def check_pass(scenario: Scenario, episode: Episode) -> bool:
     pass condition."""
     if episode.terminal.status != "Finished":
         return False
-    return scenario.pass_condition.evaluate(episode.terminal.answer or "")
+    return scenario.pass_condition.evaluate(episode.terminal.answer)
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def update(
             if observation.status == "Success":
                 judged = "Success", observation.payload[:_FALLBACK_SUMMARY_CHARS]
             else:
-                judged = "Failure", observation.error or f"tool returned status {observation.status}"
+                judged = "Failure", observation.error
         else:
             verdicts[seen] = observation.args_echo, judged
     verdict, text = judged

@@ -18,20 +18,23 @@ def scenarios_root() -> Path:
 class ScriptedHTTPServer:
     """Local HTTP stub replying from an ordered (status, body) or
     (status, body, headers) script; the last entry repeats once the script
-    is exhausted. ``delay`` seconds pass before the headers are sent and
+    is exhausted. A scripted header replaces the default of the same name
+    (``Content-Type: application/json`` and the body's ``Content-Length``). ``delay`` seconds pass before the headers are sent and
     ``stall`` seconds between the headers and the body. ``paths`` keeps the
-    path of every request, ``bodies`` the raw bytes of every request body
-    and ``clients`` the client address of every request, in arrival order.
+    path of every request, ``bodies`` the raw bytes of every request body,
+    ``headers`` the headers of every request and ``clients`` the client
+    address of every request, in arrival order.
     It speaks HTTP/1.1, so a client may send many requests over one
     connection, and the distinct ``clients`` count the connections. Requests
-    may arrive from many threads at once: ``calls``, ``paths``, ``bodies``
-    and ``clients`` are updated under one lock."""
+    may arrive from many threads at once: ``calls``, ``paths``, ``bodies``,
+    ``headers`` and ``clients`` are updated under one lock."""
 
     def __init__(self, script: list[tuple], delay: float = 0.0, stall: float = 0.0):
         self.script = list(script)
         self.calls = 0
         self.paths: list[str] = []
         self.bodies: list[bytes] = []
+        self.headers: list[dict[str, str]] = []
         self.clients: list[tuple[str, int]] = []
         self.delay = delay
         self.stall = stall
@@ -49,15 +52,18 @@ class ScriptedHTTPServer:
                     time.sleep(outer.delay)
                 with outer.lock:
                     outer.paths.append(self.path)
+                    outer.headers.append(dict(self.headers))
                     outer.clients.append(self.client_address)
                     index = min(outer.calls, len(outer.script) - 1)
                     outer.calls += 1
                 status, body, *extra = outer.script[index]
                 data = body.encode("utf-8")
                 self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                for name, value in (extra[0] if extra else {}).items():
+                headers = {
+                    "Content-Type": "application/json", "Content-Length": str(len(data)),
+                    **(extra[0] if extra else {}),
+                }
+                for name, value in headers.items():
                     self.send_header(name, value)
                 self.end_headers()
                 if outer.stall:

@@ -80,10 +80,10 @@ def episodes(draw) -> Episode:
         steps.append(Step(action, observation, State(tuple(results), tuple(failures))))
 
     if ends_with_finish:
-        terminal = Terminal.finished(steps[-1].action.answer)
+        terminal = Terminal("Finished", steps[-1].action.answer)
     else:
         terminal = draw(
-            st.sampled_from([Terminal.budget_exhausted(), Terminal.aborted_parse_failure()])
+            st.sampled_from([Terminal("BudgetExhausted"), Terminal("AbortedParseFailure")])
         )
     return Episode(
         instruction=instruction,

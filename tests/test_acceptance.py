@@ -208,7 +208,7 @@ def test_state_boundedness_and_monotonicity_over_randomized_episodes():
     instruction = Instruction(id="rand", text="randomized episode")
     violations = []
     for episode_index in range(1000):
-        state = State.empty()
+        state = State()
         previous_failures = 0
         for step in range(1, rng.randint(1, 18) + 1):
             observation = _random_observation(rng, step)

@@ -55,9 +55,9 @@ def _write_verbose_pair(suite: Path) -> None:
 
 def _finished_episode(instruction: Instruction) -> Episode:
     """A one-step episode that answers "ok" at once."""
-    finish = Step(Action(kind="Finish", args={"Answer": "ok"}), None, State.empty())
+    finish = Step(Action(kind="Finish", args={"Answer": "ok"}), None, State())
     tools = (ToolSpec(name="alpha", description="a"),)
-    return Episode(instruction, tools, (finish,), Terminal.finished("ok"), "sum2act", 1)
+    return Episode(instruction, tools, (finish,), Terminal("Finished", "ok"), "sum2act", 1)
 
 
 def _trace_with_budget(tmp_path: Path, budget) -> Path:
@@ -296,9 +296,10 @@ class TestRun:
         assert f"{tools_path}: malformed tool catalog: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_no_input_exits_2(self, tmp_path, capsys):
-        code = main(["run", "--policy", str(tmp_path), "--out", str(tmp_path)])
+    def test_no_input_exits_2(self, core_dir, tmp_path, capsys):
+        code = main(["run", "--policy", str(core_dir / "weather_miami.policy.json"), "--out", str(tmp_path)])
         assert code == 2
+        assert "provide --scenario, or --instruction with --tools" in capsys.readouterr().err
 
     # A run of a scenario reads none of the live-tools flags; the error
     # names the first given, in the order the README lists them.
@@ -1048,6 +1049,123 @@ def test_config_key_of_another_command_leaves_the_built_in_default(
     assert _settings_used(command, core_dir, tmp_path, monkeypatch, [], keys) == built_in
 
 
+def _catalog(tmp_path: Path) -> str:
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"name": "fetch_page", "description": "Fetch."}]))
+    return str(path)
+
+
+def _empty_dir(tmp_path: Path) -> str:
+    path = tmp_path / "empty"
+    path.mkdir()
+    return str(path)
+
+
+def _compare_argv(tmp_path: Path, *flags: str, instruction_id: str = "weather_miami") -> list[str]:
+    """``compare`` of two one-episode trace files on ``instruction_id``."""
+    traces = []
+    for side in "ab":
+        trace = tmp_path / f"{side}.jsonl"
+        episode = _finished_episode(Instruction(id=instruction_id, text="t"))
+        trace.write_text(serialize_episode(episode) + "\n", encoding="utf-8")
+        traces.append(str(trace))
+    return ["compare", "--traces-a", traces[0], "--traces-b", traces[1], *flags]
+
+
+def _config(tmp_path: Path, **keys) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(keys))
+    return str(path)
+
+
+# (argv from core_dir and tmp_path, the error it must exit 2 with).
+INPUT_CHECKS = {
+    "run_without_policy": (
+        lambda core, tmp: ["run", "--scenario", str(core / "weather_miami.scenario.json")],
+        "scripted provider requires --policy"),
+    "run_without_endpoint_spec": (
+        lambda core, tmp: ["run", "--instruction", "Check.", "--tools", _catalog(tmp),
+                           "--policy", str(core / "weather_miami.policy.json")],
+        "running against live tools requires --endpoint-spec"),
+    "missing_scenario_dir": (
+        lambda core, tmp: ["bench", "--scenario-dir", str(tmp / "missing")],
+        "scenario directory not found"),
+    "file_as_scenario_dir": (
+        lambda core, tmp: ["bench", "--scenario-dir", str(core / "weather_miami.scenario.json")],
+        "scenario directory not found"),
+    "scenario_dir_without_scenarios": (
+        lambda core, tmp: ["bench", "--scenario-dir", _empty_dir(tmp)],
+        "no *.scenario.json files under"),
+    "zero_concurrency": (
+        lambda core, tmp: ["bench", "--scenario-dir", str(core), "--concurrency", "0"],
+        "concurrency must be >= 1"),
+    "missing_trace_path": (
+        lambda core, tmp: ["compare", "--traces-a", str(tmp / "missing"), "--traces-b", str(tmp / "missing")],
+        "trace path not found"),
+    "trace_dir_without_episodes": (
+        lambda core, tmp: ["compare", "--traces-a", _empty_dir(tmp), "--traces-b", str(tmp / "empty")],
+        "no episodes found under"),
+    "rule_judge_without_scenario_dir": (
+        lambda core, tmp: _compare_argv(tmp),
+        "the rule judge requires --scenario-dir"),
+    "instruction_without_scenario": (
+        lambda core, tmp: _compare_argv(tmp, "--scenario-dir", str(core), instruction_id="nowhere"),
+        "no scenario found for instruction 'nowhere'"),
+    # argparse checks a flag's choices, not a default a config file sets.
+    "unknown_judge_mode": (
+        lambda core, tmp: _compare_argv(tmp, "--config", _config(tmp, judge="oracle")),
+        "unknown judge mode: 'oracle'"),
+    "missing_trace_file": (
+        lambda core, tmp: ["replay", str(tmp / "missing.jsonl")],
+        "trace file not found"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_check_exits_2_naming_it(core_dir, tmp_path, capsys, case):
+    build_argv, message = INPUT_CHECKS[case]
+    argv = build_argv(core_dir, tmp_path)
+    if argv[0] != "replay":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+# Record checks: a weather_miami trace line given to ``replay``, or a
+# scenario given to ``run``, with the field at ``path`` set to ``value``.
+RECORD_CHECKS = [
+    ("trace", ("terminal", "answer"), None, "'terminal': Finished terminal requires an answer"),
+    ("trace", ("instruction", "id"), "", "'instruction': instruction id must be non-empty"),
+    ("trace", ("tools", 0, "params", 0, "name"), "",
+     "'tools': entry 0: 'params': entry 0: parameter name must be non-empty"),
+    ("trace", ("steps", 0, "action", "kind"), "Call",
+     "'steps': entry 0: 'action': unknown action kind: 'Call'"),
+    ("trace", ("steps", 0, "observation", "status"), "Bogus",
+     "'steps': entry 0: 'observation': unknown observation status: 'Bogus'"),
+    ("scenario", _BEHAVIOR + ("repeat",), "twice",
+     "'behaviors': 'get_weather': entry 0: unknown repeat mode: 'twice'"),
+    ("scenario", ("behaviors", "get_weather"), [], "behavior list for 'get_weather' must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value, message", RECORD_CHECKS,
+                         ids=[f"{kind}.{_field_id(path)}" for kind, path, _, _ in RECORD_CHECKS])
+def test_record_check_exits_2_naming_it(core_dir, tmp_path, capsys, kind, path, value, message):
+    if kind == "trace":
+        argv = ["replay", str(_trace_with_field(core_dir, tmp_path, path, value))]
+    else:
+        suite = _malformed_pair(core_dir, tmp_path / "suite", kind, path, value)
+        argv = ["run", "--scenario", str(suite / "weather_miami.scenario.json"),
+                "--policy", str(suite / "weather_miami.policy.json"), "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 class TestCompare:
     def _bench(self, suite: Path, out: Path, methods: str) -> None:
         assert main(["bench", "--scenario-dir", str(suite), "--methods", methods,
@@ -1373,7 +1491,7 @@ class TestReplay:
         )
         tools = (ToolSpec(name="alpha", description="a"),)
         episode = Episode(
-            Instruction(id="m", text="t"), tools, steps, Terminal.budget_exhausted(), "sum2act", 2
+            Instruction(id="m", text="t"), tools, steps, Terminal("BudgetExhausted"), "sum2act", 2
         )
         trace = tmp_path / "merged.jsonl"
         trace.write_text(serialize_episode(episode) + "\n", encoding="utf-8")

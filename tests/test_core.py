@@ -21,6 +21,7 @@ from sum2act.core import (
     args_digest,
     canonical_args,
     deserialize_episode,
+    normalize_arg_value,
     read_trace,
     serialize_episode,
 )
@@ -76,6 +77,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             Action(kind="ToolCall", tool_name="", args={})
 
+    def test_tool_call_has_no_answer(self):
+        with pytest.raises(ConfigurationError, match="only Finish actions carry an answer"):
+            Action(kind="ToolCall", tool_name="t").answer
+
     def test_failed_observation_requires_descriptor(self):
         with pytest.raises(ConfigurationError):
             Observation(status="ToolError", payload="", tool_name="alpha")
@@ -85,30 +90,30 @@ class TestConstruction:
             Instruction(id="x", text="")
 
     def test_episode_over_budget_rejected(self):
-        finish = Step(Action(kind="Finish", args={"Answer": "hi"}), None, State.empty())
+        finish = Step(Action(kind="Finish", args={"Answer": "hi"}), None, State())
         with pytest.raises(ConfigurationError, match="over budget"):
-            Episode(INSTRUCTION, TOOLS, (finish, finish), Terminal.finished("hi"), "sum2act", 1)
+            Episode(INSTRUCTION, TOOLS, (finish, finish), Terminal("Finished", "hi"), "sum2act", 1)
 
     @pytest.mark.parametrize("kinds, terminal", [
-        ((), Terminal.finished("hi")),
-        (("ToolCall",), Terminal.finished("hi")),
-        (("Finish",), Terminal.budget_exhausted()),
+        ((), Terminal("Finished", "hi")),
+        (("ToolCall",), Terminal("Finished", "hi")),
+        (("Finish",), Terminal("BudgetExhausted")),
     ], ids=["finished_no_steps", "finished_after_tool_call", "finish_then_budget_exhausted"])
     def test_finished_must_coincide_with_final_finish(self, kinds, terminal):
         actions = {
             "ToolCall": Action(kind="ToolCall", tool_name="alpha"),
             "Finish": Action(kind="Finish", args={"Answer": "hi"}),
         }
-        steps = tuple(Step(actions[kind], None, State.empty()) for kind in kinds)
+        steps = tuple(Step(actions[kind], None, State()) for kind in kinds)
         with pytest.raises(ConfigurationError, match="coincide"):
             Episode(INSTRUCTION, TOOLS, steps, terminal, "sum2act", 30)
 
     def test_shrinking_failure_history_rejected(self):
         failed = State(failure_history=(FailureEntry("alpha", "d", "r", 1),))
         call = Action(kind="ToolCall", tool_name="alpha")
-        steps = (Step(call, None, failed), Step(call, None, State.empty()))
+        steps = (Step(call, None, failed), Step(call, None, State()))
         with pytest.raises(ConfigurationError, match="failure history shrank"):
-            Episode(INSTRUCTION, TOOLS, steps, Terminal.budget_exhausted(), "sum2act", 30)
+            Episode(INSTRUCTION, TOOLS, steps, Terminal("BudgetExhausted"), "sum2act", 30)
 
 
 class TestArgsDigest:
@@ -127,14 +132,22 @@ class TestArgsDigest:
     def test_canonical_rendering_is_sorted(self):
         assert canonical_args({"b": 1, "a": 2}) == '{"a":2,"b":1}'
 
+    def test_null_value_renders_as_empty_text(self):
+        assert normalize_arg_value(None) == ""
+
+    def test_flat_list_of_scalars_is_kept(self):
+        value = ["a", 1, 2.5, True]
+        assert normalize_arg_value(value) is value
+        assert normalize_arg_value([["a"]]) == '[["a"]]'
+
 
 def _finished_episode() -> Episode:
     action1 = Action(kind="ToolCall", tool_name="alpha", args={"x": "1"})
     obs1 = Observation(status="Success", payload="alpha says hi", tool_name="alpha", args_echo={"x": "1"})
-    state1 = State.empty()
+    state1 = State()
     action2 = Action(kind="Finish", args={"Answer": "hi"})
     steps = (Step(action1, obs1, state1), Step(action2, None, state1))
-    return Episode(INSTRUCTION, TOOLS, steps, Terminal.finished("hi"), "sum2act", 30)
+    return Episode(INSTRUCTION, TOOLS, steps, Terminal("Finished", "hi"), "sum2act", 30)
 
 
 class TestSerialization:
@@ -149,16 +162,16 @@ class TestSerialization:
         }
 
     def test_non_record_value_raises_type_error(self):
-        finish = Step(Action(kind="Finish", args={"Answer": object()}), None, State.empty())
-        episode = Episode(INSTRUCTION, TOOLS, (finish,), Terminal.finished("hi"), "sum2act", 30)
+        finish = Step(Action(kind="Finish", args={"Answer": object()}), None, State())
+        episode = Episode(INSTRUCTION, TOOLS, (finish,), Terminal("Finished", "hi"), "sum2act", 30)
         with pytest.raises(TypeError, match="object is not JSON serializable"):
             serialize_episode(episode)
 
     def test_non_trace_dataclass_raises_type_error(self):
         # Only the eleven trace record types are written as records.
         action = Action(kind="ToolCall", tool_name="alpha", args={"b": Behavior(kind="success")})
-        call = Step(action, None, State.empty())
-        episode = Episode(INSTRUCTION, TOOLS, (call,), Terminal.budget_exhausted(), "sum2act", 30)
+        call = Step(action, None, State())
+        episode = Episode(INSTRUCTION, TOOLS, (call,), Terminal("BudgetExhausted"), "sum2act", 30)
         with pytest.raises(TypeError, match="Behavior is not JSON serializable"):
             serialize_episode(episode)
 
@@ -170,7 +183,7 @@ class TestSerialization:
         finish = Action(kind="Finish", args={"Answer": "hi"})
         episode = Episode(
             INSTRUCTION, tools, (Step(call, observation, state), Step(finish, None, state)),
-            Terminal.finished("hi"), "sum2act", 30,
+            Terminal("Finished", "hi"), "sum2act", 30,
         )
         seen = set()
 
@@ -289,7 +302,7 @@ def _odd_episode() -> Episode:
                   (FailureEntry("beta", args_digest({"q": ODD}), f"no {ODD}", 1),))
     finish = Action(kind="Finish", args={"Answer": ODD})
     steps = (Step(call, observation, state), Step(finish, None, state))
-    return Episode(instruction, TOOLS, steps, Terminal.finished(ODD), "sum2act", 30)
+    return Episode(instruction, TOOLS, steps, Terminal("Finished", ODD), "sum2act", 30)
 
 
 class TestTraceEncoding:

@@ -189,7 +189,7 @@ class TestSum2Act:
         action = Action(kind="ToolCall", tool_name="backup_lookup", args={"dataset": "inventory"})
         first = memory.record(action, 1)
         # Back to the empty state, so step 2 repeats step 1's state prompt.
-        memory.state = State.empty()
+        memory.state = State()
         second = memory.record(action, 2)
         assert len(provider.prompts()) == 1
         assert [(e.text, e.step) for e in first.state.current_results] == [

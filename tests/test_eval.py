@@ -19,12 +19,12 @@ TOOLS = (ToolSpec(name="alpha", description="a"),)
 
 
 def _episode(method: str, steps: int, finished: bool = True):
-    call = Step(Action(kind="ToolCall", tool_name="alpha", args={}), None, State.empty())
+    call = Step(Action(kind="ToolCall", tool_name="alpha", args={}), None, State())
     if finished:
-        finish = Step(Action(kind="Finish", args={"Answer": "a"}), None, State.empty())
-        trail, terminal = (call,) * (steps - 1) + (finish,), Terminal.finished("a")
+        finish = Step(Action(kind="Finish", args={"Answer": "a"}), None, State())
+        trail, terminal = (call,) * (steps - 1) + (finish,), Terminal("Finished", "a")
     else:
-        trail, terminal = (call,) * steps, Terminal.budget_exhausted()
+        trail, terminal = (call,) * steps, Terminal("BudgetExhausted")
     return Episode(INSTRUCTION, TOOLS, trail, terminal, method, max(steps, 1) + 1)
 
 

@@ -559,6 +559,17 @@ class TestLiveProvider:
         assert 5.0 <= waits[0] <= 10.0
         assert waits[1:] == [0.0, MAX_BACKOFF_SECONDS]
 
+    def test_retry_after_http_date_without_zone_is_utc(self, http_stub, waits):
+        # "-0000" marks a date whose zone is unknown; it is read as UTC.
+        soon = formatdate(time.time() + 10)
+        assert soon.endswith(" -0000")
+        stub = http_stub([(429, "", {"Retry-After": soon}), (200, _chat_body("ok"))])
+        provider = LiveProvider(
+            base_url=stub.url, api_key="k", model="m", retries=3, backoff_base=0.01
+        )
+        assert provider.complete(CompletionRequest("hi")) == "ok"
+        assert 5.0 <= waits[0] <= 10.0
+
     def test_retry_after_holds_back_every_thread(self, http_stub, waits):
         stub = http_stub([(429, "slow down", {"Retry-After": "1"}), (200, _chat_body("ok"))])
         provider = LiveProvider(
@@ -611,6 +622,20 @@ class TestLiveProvider:
         monkeypatch.delenv("PROVIDER_MODEL", raising=False)
         with pytest.raises(ProviderUnavailable):
             LiveProvider()
+
+    def test_missing_model_is_refused(self, monkeypatch):
+        monkeypatch.setenv("PROVIDER_BASE_URL", "http://127.0.0.1:9")
+        monkeypatch.delenv("PROVIDER_MODEL", raising=False)
+        with pytest.raises(ProviderUnavailable, match="PROVIDER_MODEL is not configured"):
+            LiveProvider()
+
+    @pytest.mark.parametrize("content", [None, 7, ["hi"], {"text": "hi"}])
+    def test_content_that_is_not_a_string_is_refused(self, http_stub, content):
+        body = json.dumps({"choices": [{"message": {"content": content}}]})
+        stub = http_stub([(200, body)])
+        provider = LiveProvider(base_url=stub.url, api_key="k", model="m", retries=0)
+        with pytest.raises(ProviderUnavailable, match="completion content is not a string"):
+            provider.complete(CompletionRequest("hi"))
 
     @pytest.mark.parametrize("base_url", ["localhost:9", "ftp://127.0.0.1:9", "127.0.0.1:9/v1"])
     def test_base_url_without_http_scheme_is_refused(self, base_url):

@@ -53,8 +53,8 @@ def _garbage():
 
 
 def _judge(provider):
-    finish = Step(Action(kind="Finish", args={"Answer": "a"}), None, State.empty())
-    episode = Episode(INSTRUCTION, TOOLS, (finish,), Terminal.finished("a"), "m", 2)
+    finish = Step(Action(kind="Finish", args={"Answer": "a"}), None, State())
+    episode = Episode(INSTRUCTION, TOOLS, (finish,), Terminal("Finished", "a"), "m", 2)
     return llm_verdict(provider, episode, episode, "m:a", "m:b")
 
 
@@ -63,7 +63,7 @@ def _update(provider):
         status="ToolError", payload="", tool_name="get_weather",
         args_echo={"city": "Miami"}, error="HTTP 502: upstream gone",
     )
-    return update(provider, INSTRUCTION, State.empty(), observation, step_index=1)
+    return update(provider, INSTRUCTION, State(), observation, step_index=1)
 
 
 class TestAskJson:

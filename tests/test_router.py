@@ -32,7 +32,7 @@ def _section(prompt: str, heading: str) -> str:
 
 class TestBuildRouterPrompt:
     def test_empty_state_rendering(self):
-        prompt = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK)
+        prompt = build_router_prompt(INSTRUCTION, State(), TOOLS_BLOCK)
         assert _section(prompt, "State") == "Current results: (none). Failure history: (none)."
 
     def test_all_failures_rendered(self):
@@ -55,9 +55,9 @@ class TestBuildRouterPrompt:
         )
 
     def test_blocks_all_present(self):
-        prompt = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK)
+        prompt = build_router_prompt(INSTRUCTION, State(), TOOLS_BLOCK)
         assert _section(prompt, "User Instruction") == INSTRUCTION.text
-        assert _section(prompt, "State") == render_state(State.empty())
+        assert _section(prompt, "State") == render_state(State())
         assert _section(prompt, "Tools") == render_tools_block(TOOLS)
         assert _section(prompt, "Rules") == ROUTER_RULES
 
@@ -79,7 +79,7 @@ class TestPromptLayout:
         assert not per_step or max(static) < min(per_step)
 
     def test_router_prompts_share_everything_before_the_state(self):
-        first = build_router_prompt(INSTRUCTION, State.empty(), TOOLS_BLOCK)
+        first = build_router_prompt(INSTRUCTION, State(), TOOLS_BLOCK)
         later = build_router_prompt(
             INSTRUCTION,
             State((ResultEntry("sunny", 2),), (FailureEntry("get_weather", "d1", "bad city", 1),)),
@@ -137,6 +137,9 @@ class TestParseAction:
     def test_missing_args_defaults_empty(self):
         assert parse_action('{"action":"get_weather"}').args == {}
 
+    def test_null_args_read_as_empty(self):
+        assert parse_action('{"action":"get_weather","args":null}').args == {}
+
     def test_nested_arg_values_coerced_to_text(self):
         action = parse_action('{"action":"t","args":{"q":{"deep":1}}}')
         assert isinstance(action.args["q"], str)
@@ -160,7 +163,7 @@ VALID_CALL = '{"thought":"t","action":"get_weather","args":{"city":"Miami"}}'
 class TestPropose:
     def test_happy_path(self):
         provider = ScriptedProvider(ScriptedPolicy(default=VALID_CALL))
-        action = propose(provider, INSTRUCTION, State.empty(), TOOLS_BLOCK)
+        action = propose(provider, INSTRUCTION, State(), TOOLS_BLOCK)
         assert action.tool_name == "get_weather"
         assert action.retry_count == 0
 
@@ -171,15 +174,26 @@ class TestPropose:
             default="sorry, no idea",
         )
         provider = RecordingProvider(ScriptedProvider(policy))
-        action = propose(provider, INSTRUCTION, State.empty(), TOOLS_BLOCK)
+        action = propose(provider, INSTRUCTION, State(), TOOLS_BLOCK)
         assert action.tool_name == "get_weather"
         assert action.retry_count == 1
         assert len(provider.calls) == 2
 
+    @pytest.mark.parametrize("action", [5, None, ["get_weather"], ""])
+    def test_action_that_is_not_a_non_empty_string_is_reasked(self, action):
+        policy = ScriptedPolicy(
+            entries=(PolicyEntry(match="could not be parsed", response=VALID_CALL),),
+            default=json.dumps({"thought": "t", "action": action, "args": {}}),
+        )
+        provider = RecordingProvider(ScriptedProvider(policy))
+        action = propose(provider, INSTRUCTION, State(), TOOLS_BLOCK)
+        assert (action.tool_name, action.retry_count) == ("get_weather", 1)
+        assert "'action' must be a non-empty string" in provider.prompts()[1]
+
     def test_garbage_on_all_attempts(self):
         provider = RecordingProvider(ScriptedProvider(ScriptedPolicy(default="garbage")))
         with pytest.raises(MalformedOutput):
-            propose(provider, INSTRUCTION, State.empty(), TOOLS_BLOCK)
+            propose(provider, INSTRUCTION, State(), TOOLS_BLOCK)
         assert len(provider.calls) == REASK_RETRIES + 1
 
     def test_propose_from_prompt_shared_path(self):

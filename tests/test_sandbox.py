@@ -275,9 +275,9 @@ class TestCheckPass:
         from sum2act.core import Action, Episode, State, Step, Terminal
 
         scenario = _weather_scenario()
-        finish = Step(Action(kind="Finish", args={"Answer": "unknown"}), None, State.empty())
+        finish = Step(Action(kind="Finish", args={"Answer": "unknown"}), None, State())
         episode = Episode(
-            scenario.instruction, scenario.tools, (finish,), Terminal.finished("unknown"), "sum2act", 5
+            scenario.instruction, scenario.tools, (finish,), Terminal("Finished", "unknown"), "sum2act", 5
         )
         assert not check_pass(scenario, episode)
 
@@ -373,6 +373,23 @@ class TestInvokeLive:
         spec = {"probe": Endpoint(url=stub.url, method="GET")}
         obs = invoke_live(spec, "probe", {}, session)
         assert obs.payload == "é" * MAX_REQUEST_CHARS
+
+    def test_unknown_charset_decodes_as_utf8(self, http_stub, session):
+        stub = http_stub([(200, "café ☕", {"Content-Type": "text/plain; charset=no-such-codec"})])
+        spec = {"probe": Endpoint(url=stub.url, method="GET")}
+        obs = invoke_live(spec, "probe", {}, session)
+        assert (obs.status, obs.payload) == ("Success", "café ☕")
+
+    @pytest.mark.parametrize("value, sent", [("Bearer s3cret", "Bearer s3cret"), (None, None), ("", None)])
+    def test_auth_env_value_is_the_authorization_header(self, http_stub, session, monkeypatch, value, sent):
+        if value is None:
+            monkeypatch.delenv("PROBE_TOKEN", raising=False)
+        else:
+            monkeypatch.setenv("PROBE_TOKEN", value)
+        stub = http_stub([(200, "ok")])
+        spec = {"probe": Endpoint(url=stub.url, method="GET", auth_env="PROBE_TOKEN")}
+        assert invoke_live(spec, "probe", {}, session).status == "Success"
+        assert stub.headers[0].get("Authorization") == sent
 
     def test_url_template_substitution(self, http_stub, session):
         stub = http_stub([(200, "ok")])

@@ -43,7 +43,7 @@ def _error_obs(error: str, tool: str = "get_weather", args: dict | None = None) 
 
 class TestRendering:
     def test_empty_state(self):
-        assert render_state(State.empty()) == "Current results: (none). Failure history: (none)."
+        assert render_state(State()) == "Current results: (none). Failure history: (none)."
 
     def test_sections_and_contract_line(self):
         state = State(
@@ -136,23 +136,23 @@ class TestRenderMemo:
 
 class TestStatePrompt:
     def test_payload_under_cap_untouched(self):
-        prompt = build_state_prompt(INSTRUCTION, State.empty(), render_observation(_success_obs("x" * 200)))
+        prompt = build_state_prompt(INSTRUCTION, State(), render_observation(_success_obs("x" * 200)))
         assert "x" * 200 in prompt
         assert "[truncated" not in prompt
 
     def test_payload_over_cap_marker_arithmetic(self):
-        prompt = build_state_prompt(INSTRUCTION, State.empty(), render_observation(_success_obs("y" * 10000)))
+        prompt = build_state_prompt(INSTRUCTION, State(), render_observation(_success_obs("y" * 10000)))
         assert "y" * 4096 + "[truncated 5904 chars]" in prompt
         assert "y" * 4097 not in prompt
 
     def test_error_descriptor_present(self):
-        prompt = build_state_prompt(INSTRUCTION, State.empty(), render_observation(_error_obs("HTTP 500: boom")))
+        prompt = build_state_prompt(INSTRUCTION, State(), render_observation(_error_obs("HTTP 500: boom")))
         assert "HTTP 500: boom" in prompt
 
     def test_deterministic(self):
         seen = render_observation(_success_obs("hello"))
-        assert build_state_prompt(INSTRUCTION, State.empty(), seen) == build_state_prompt(
-            INSTRUCTION, State.empty(), seen
+        assert build_state_prompt(INSTRUCTION, State(), seen) == build_state_prompt(
+            INSTRUCTION, State(), seen
         )
 
 
@@ -163,13 +163,13 @@ def _verdict_provider(verdict: dict) -> ScriptedProvider:
 class TestUpdate:
     def test_scripted_success_appends_result(self):
         provider = _verdict_provider({"verdict": "Success", "summary": "Miami: sunny, 29 degrees"})
-        state = update(provider, INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
+        state = update(provider, INSTRUCTION, State(), _success_obs("..."), step_index=1)
         assert [r.text for r in state.current_results] == ["Miami: sunny, 29 degrees"]
         assert state.failure_history == ()
 
     def test_scripted_failure_appends_entry(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "endpoint returned server error"})
-        state = update(provider, INSTRUCTION, State.empty(), _error_obs("HTTP 500: boom"), step_index=1)
+        state = update(provider, INSTRUCTION, State(), _error_obs("HTTP 500: boom"), step_index=1)
         assert state.current_results == ()
         assert len(state.failure_history) == 1
         entry = state.failure_history[0]
@@ -180,7 +180,7 @@ class TestUpdate:
     def test_duplicate_failures_merge(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "same failure"})
         obs = _error_obs("HTTP 500: boom")
-        state = update(provider, INSTRUCTION, State.empty(), obs, step_index=1)
+        state = update(provider, INSTRUCTION, State(), obs, step_index=1)
         state = update(provider, INSTRUCTION, state, obs, step_index=2)
         assert len(state.failure_history) == 1
         assert state.failure_history[0].step == 1
@@ -188,7 +188,7 @@ class TestUpdate:
     def test_distinct_args_not_merged(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "r"})
         state = update(
-            provider, INSTRUCTION, State.empty(),
+            provider, INSTRUCTION, State(),
             _error_obs("HTTP 500: a", args={"city": "Miami"}), step_index=1,
         )
         state = update(
@@ -207,12 +207,21 @@ class TestUpdate:
 
     def test_mechanical_fallback_success(self):
         payload = "z" * 500
-        state = update(UNSCRIPTED, INSTRUCTION, State.empty(), _success_obs(payload), step_index=1)
+        state = update(UNSCRIPTED, INSTRUCTION, State(), _success_obs(payload), step_index=1)
         assert state.current_results[0].text == payload[:200]
 
     def test_mechanical_fallback_failure_uses_descriptor(self):
-        state = update(UNSCRIPTED, INSTRUCTION, State.empty(), _error_obs("HTTP 502: upstream gone"), step_index=1)
+        state = update(UNSCRIPTED, INSTRUCTION, State(), _error_obs("HTTP 502: upstream gone"), step_index=1)
         assert state.failure_history[0].reason == "HTTP 502: upstream gone"
+
+    @pytest.mark.parametrize("verdict", ["Maybe", "success", None, 1])
+    def test_verdict_of_neither_value_falls_back_to_the_mechanical_one(self, verdict):
+        provider = RecordingProvider(_verdict_provider({"verdict": verdict, "summary": "s", "reason": "r"}))
+        success = update(provider, INSTRUCTION, State(), _success_obs("z" * 500), step_index=1)
+        failure = update(provider, INSTRUCTION, State(), _error_obs("HTTP 502: upstream gone"), step_index=1)
+        assert [r.text for r in success.current_results] == ["z" * 200]
+        assert [f.reason for f in failure.failure_history] == ["HTTP 502: upstream gone"]
+        assert "verdict must be Success or Failure" in provider.prompts()[1]
 
     def test_recovers_after_corrective_retry(self):
         policy = ScriptedPolicy(
@@ -224,7 +233,7 @@ class TestUpdate:
             ),
             default="not a verdict",
         )
-        state = update(ScriptedProvider(policy), INSTRUCTION, State.empty(), _success_obs("..."), step_index=1)
+        state = update(ScriptedProvider(policy), INSTRUCTION, State(), _success_obs("..."), step_index=1)
         assert state.current_results[0].text == "recovered"
 
     @pytest.mark.parametrize("status", ["ToolError", "Timeout", "MalformedResponse"])
@@ -257,7 +266,7 @@ class TestUpdate:
     def test_repeated_result_reuses_its_verdict(self):
         provider = RecordingProvider(_verdict_provider({"verdict": "Success", "summary": "Miami: sunny"}))
         verdicts = {}
-        state = State.empty()
+        state = State()
         for step in (1, 2, 3):
             state = update(provider, INSTRUCTION, state, _success_obs("sunny"), step, verdicts)
         assert len(provider.prompts()) == 1
@@ -266,7 +275,7 @@ class TestUpdate:
     def test_repeated_summary_returns_the_input_state(self):
         # Another payload, judged to a summary the state already holds.
         provider = RecordingProvider(_verdict_provider({"verdict": "Success", "summary": "Miami: sunny"}))
-        state = update(provider, INSTRUCTION, State.empty(), _success_obs("sunny"), 1)
+        state = update(provider, INSTRUCTION, State(), _success_obs("sunny"), 1)
         assert update(provider, INSTRUCTION, state, _success_obs("sunny, 29 degrees"), 2) is state
         assert len(provider.prompts()) == 2
 
@@ -274,14 +283,14 @@ class TestUpdate:
         # Both payloads fall back to their first 200 chars, which are equal:
         # the second adds nothing the rendered state would show.
         head = "r" * 200
-        state = update(UNSCRIPTED, INSTRUCTION, State.empty(), _success_obs(head + " at noon"), 1)
+        state = update(UNSCRIPTED, INSTRUCTION, State(), _success_obs(head + " at noon"), 1)
         assert update(UNSCRIPTED, INSTRUCTION, state, _success_obs(head + " at dusk"), 2) is state
         assert state.current_results == (ResultEntry(head, 1),)
 
     def test_repeat_of_a_merged_result_is_added_again(self, cap_1024):
         provider = RecordingProvider(_verdict_provider({"verdict": "Success", "summary": "Miami: sunny"}))
         verdicts = {}
-        state = update(provider, INSTRUCTION, State.empty(), _success_obs("sunny"), 1, verdicts)
+        state = update(provider, INSTRUCTION, State(), _success_obs("sunny"), 1, verdicts)
         state = enforce_cap(State(state.current_results + (ResultEntry("b" * 1000, 2),), ()), UNSCRIPTED)
         assert [e.text for e in state.current_results] == [("Miami: sunny; " + "b" * 1000)[:240]]
         state = update(provider, INSTRUCTION, state, _success_obs("sunny"), 3, verdicts)
@@ -301,14 +310,14 @@ class TestUpdate:
             default=json.dumps({"verdict": "Success", "summary": "Miami: sunny"}),
         )
         provider = ScriptedProvider(policy)
-        state = update(provider, INSTRUCTION, State.empty(), _success_obs("sunny"), 1)
+        state = update(provider, INSTRUCTION, State(), _success_obs("sunny"), 1)
         state = update(provider, INSTRUCTION, state, _success_obs("sunny"), 2)
         assert state.current_results == (ResultEntry("Miami: sunny", 1), ResultEntry("still sunny", 2))
 
     def test_same_payload_for_other_args_is_judged_again(self):
         provider = RecordingProvider(_verdict_provider({"verdict": "Success", "summary": "sunny"}))
         verdicts = {}
-        state = update(provider, INSTRUCTION, State.empty(), _success_obs("sunny"), 1, verdicts)
+        state = update(provider, INSTRUCTION, State(), _success_obs("sunny"), 1, verdicts)
         update(provider, INSTRUCTION, state, _success_obs("sunny", args={"city": "Boston"}), 2, verdicts)
         assert len(provider.prompts()) == 2
 
@@ -326,7 +335,7 @@ class TestUpdate:
         )
         provider = RecordingProvider(ScriptedProvider(policy))
         verdicts = {}
-        state = update(provider, INSTRUCTION, State.empty(), _success_obs("sunny"), 1, verdicts)
+        state = update(provider, INSTRUCTION, State(), _success_obs("sunny"), 1, verdicts)
         assert verdicts == {}
         sent = len(provider.prompts())
         state = update(provider, INSTRUCTION, state, _success_obs("sunny"), 2, verdicts)
@@ -340,7 +349,7 @@ class TestUpdate:
         with pytest.raises(MalformedOutput):
             _parse_verdict(reply)
         provider = ScriptedProvider(ScriptedPolicy(default=reply))
-        state = update(provider, INSTRUCTION, State.empty(), _success_obs("p" * 500), step_index=1)
+        state = update(provider, INSTRUCTION, State(), _success_obs("p" * 500), step_index=1)
         assert state.current_results[0].text == "p" * 200
 
 
