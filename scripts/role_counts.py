@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Count each method's provider calls and prompt chars per episode, by role,
+on one benchmark workload.
+
+The workload's inputs come from ``perfbench/workloads.py``: the shipped
+corpus, or a generated workload written at --seed into a temporary directory
+(nothing is written under ``perfbench/``). Every episode runs once with the
+scripted provider, as ``perfbench/run.py``'s counting pass runs it. Each
+provider call is counted when it is made, whether or not it raises, under
+the role its prompt shows: ``merge`` for a state-cap merge, ``state`` for a
+state-manager verdict (and its re-asks), ``router`` for every other prompt
+(the router's, and react's and dfsdt's proposals). Uncached prompt chars are
+the chars of each prompt past the longest prefix it shares with an earlier
+prompt of its episode, by perfbench's own ``PrefixIndex``.
+
+Prints one JSON object: per method the episodes, passes, the exception types
+of episodes that raised, and calls and prompt chars by role, as totals and
+per episode; and, over all methods, uncached prompt chars per episode.
+
+Run from the repo root; --src picks the source tree to import, so two
+revisions can be counted on the same inputs from their own checkouts:
+
+    python scripts/role_counts.py --src src --workload long_state --seed 5
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import logging
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ROLES = ("router", "state", "merge")
+MERGE_PROMPT = "Merge these two progress notes"
+
+
+def _load_perfbench(name: str):
+    """Import ``perfbench/<name>.py`` from its file, writing no bytecode."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name while the file loads.
+    sys.modules[spec.name] = module
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    return module
+
+
+class _CountingProvider:
+    """Counts each call's prompt by role, and its uncached chars, before
+    passing it on."""
+
+    def __init__(self, inner, state_head: str, prefixes, totals: dict):
+        self._inner = inner
+        self._state_head = state_head
+        self._prefixes = prefixes
+        self._totals = totals
+
+    def complete(self, request):
+        prompt = request.prompt
+        if prompt.startswith(MERGE_PROMPT):
+            role = "merge"
+        elif prompt.startswith(self._state_head):
+            role = "state"
+        else:
+            role = "router"
+        self._totals["calls"][role] += 1
+        self._totals["prompt_chars"][role] += len(prompt)
+        self._totals["uncached_chars"] += self._prefixes.uncached(prompt)
+        return self._inner.complete(request)
+
+
+def count(lib, tracing, tasks, methods, state_head: str) -> dict:
+    """Run every task once per method; return the counts per method."""
+    loaded = [(lib.load_scenario(t.scenario_path), lib.load_policy(t.policy_path)) for t in tasks]
+    out = {}
+    for method in methods:
+        totals = {
+            "episodes": len(loaded), "passes": 0, "raised": {},
+            "calls": dict.fromkeys(ROLES, 0), "prompt_chars": dict.fromkeys(ROLES, 0),
+            "uncached_chars": 0,
+        }
+        for scenario, policy in loaded:
+            provider = _CountingProvider(
+                lib.ScriptedProvider(policy), state_head, tracing.PrefixIndex(), totals,
+            )
+            try:
+                episode = lib.run_episode(
+                    method, provider, scenario.instruction, list(scenario.tools),
+                    lib.default_config(method), lib.ScenarioSession(scenario).invoke,
+                )
+            except lib.Sum2ActError as exc:
+                totals["raised"][scenario.id] = type(exc).__name__
+            else:
+                totals["passes"] += lib.check_pass(scenario, episode)
+        for key in ("calls", "prompt_chars"):
+            totals[key]["total"] = sum(totals[key].values())
+        totals["per_episode"] = {
+            key: {role: value / len(loaded) for role, value in totals[key].items()}
+            for key in ("calls", "prompt_chars")
+        }
+        out[method] = totals
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default="src", help="directory holding the sum2act package")
+    parser.add_argument("--workload", required=True, choices=("corpus", "long_state", "flaky_live"))
+    parser.add_argument("--seed", type=int, default=5, help="seed of a generated workload")
+    parser.add_argument("--methods", default="sum2act,react,dfsdt")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import sum2act as lib
+    from sum2act.parsing import TEMPLATES
+
+    # flaky_live plans mechanical fallbacks; their warnings are not news here.
+    logging.getLogger("sum2act").addHandler(logging.NullHandler())
+
+    workloads = _load_perfbench("workloads")
+    tracing = _load_perfbench("tracing")
+    methods = args.methods.split(",")
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.workload == "corpus":
+            tasks = workloads.corpus_tasks(ROOT)
+        else:
+            tasks = workloads.generate(args.workload, args.seed, Path(tmp) / args.workload)
+        counts = count(lib, tracing, tasks, methods, TEMPLATES["state"].partition("{")[0])
+    episodes = sum(totals["episodes"] for totals in counts.values())
+    print(json.dumps({
+        "workload": args.workload,
+        "seed": None if args.workload == "corpus" else args.seed,
+        "methods": counts,
+        "uncached_prompt_chars_per_episode":
+            sum(totals["uncached_chars"] for totals in counts.values()) / episodes,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

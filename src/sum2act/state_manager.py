@@ -204,12 +204,17 @@ def update(
 # ---------------------------------------------------------------------------
 
 
-def _merge_texts(provider, older: ResultEntry, newer: ResultEntry) -> str:
+def _merge_texts(provider, folded: tuple[ResultEntry, ...]) -> str:
+    """One note for the folded results, oldest first. The prompt shows the
+    oldest text as note 1 and the others joined by "; " as note 2, so a
+    fold of two results is a plain merge of two notes."""
+    oldest, *others = (entry.text for entry in folded)
+    newer = "; ".join(others)
     prompt = (
         "Merge these two progress notes into one concise note of at most "
         f"{_MERGED_ENTRY_CHARS} characters, keeping every concrete fact. "
         "Reply with the note text only.\n"
-        f"1) {older.text}\n2) {newer.text}"
+        f"1) {oldest}\n2) {newer}"
     )
     try:
         merged = provider.complete(CompletionRequest(prompt)).strip()
@@ -217,18 +222,23 @@ def _merge_texts(provider, older: ResultEntry, newer: ResultEntry) -> str:
             return merged[:_MERGED_ENTRY_CHARS]
     except (ScriptError, RequestTooLarge):
         pass
-    return f"{older.text}; {newer.text}"[:_MERGED_ENTRY_CHARS]
+    return f"{oldest}; {newer}"[:_MERGED_ENTRY_CHARS]
 
 
 def enforce_cap(state: State, provider) -> State:
     """Bound the rendered state length to ``STATE_CAP_CHARS``.
 
     Failure reasons longer than 120 chars are shortened first, which costs
-    no provider call (entries are never dropped). While the state is still
-    over the cap, the oldest result entries are merged (by the provider, or
-    mechanically when it raises ScriptError or RequestTooLarge or replies
-    with nothing), and as a last resort the single remaining result entry
-    is hard-truncated. When the shortened failure section alone exceeds the
+    no provider call (entries are never dropped). If the state is still over
+    the cap, the oldest results are folded into one note with one merge
+    call (by the provider, or mechanically when it raises ScriptError or
+    RequestTooLarge or replies with nothing). The fold takes the fewest
+    oldest results, at least two, that leave the rest of the state rendering
+    to at most half the cap, or all of them; the note takes the last folded
+    entry's step. Folding to half the cap, not just under it, leaves room
+    for the results of the next steps, so one merge call serves several
+    steps. As a last resort the single remaining result entry is
+    hard-truncated. When the shortened failure section alone exceeds the
     cap, the state is returned at its minimum achievable length.
     """
     overflow = len(render_state(state)) - STATE_CAP_CHARS
@@ -240,10 +250,18 @@ def enforce_cap(state: State, provider) -> State:
         )
         state = State(state.current_results, failures)
         overflow = len(render_state(state)) - STATE_CAP_CHARS
+    # At the 4,096-char cap one fold always suffices; a much smaller cap may
+    # need another.
     while overflow > 0 and len(state.current_results) > 1:
-        older, newer, *rest = state.current_results
-        merged = ResultEntry(text=_merge_texts(provider, older, newer), step=newer.step)
-        state = State((merged, *rest), state.failure_history)
+        results, failures = state.current_results, state.failure_history
+        count = next(
+            (k for k in range(2, len(results))
+             if len(_render(State(results[k:], failures))) <= STATE_CAP_CHARS // 2),
+            len(results),
+        )
+        folded = results[:count]
+        note = ResultEntry(text=_merge_texts(provider, folded), step=folded[-1].step)
+        state = State((note, *results[count:]), failures)
         overflow = len(render_state(state)) - STATE_CAP_CHARS
     if overflow > 0 and state.current_results:
         (last,) = state.current_results

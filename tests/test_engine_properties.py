@@ -2,7 +2,7 @@
 by random tool behaviour and random model replies, ends in a valid terminal
 state within its budget, with a trace that round-trips byte-identically, and
 raises nothing; and sum2act's state-manager shortcuts keep the results a
-loop without them would keep."""
+loop without them would keep, except in the named counterexamples."""
 
 from __future__ import annotations
 
@@ -183,51 +183,86 @@ def _verdict(seen: str) -> tuple[str, str]:
 
 
 class PollProvider:
-    """Proposes the drawn polls in order and judges each observation with
-    ``_verdict``, counting every call."""
+    """Proposes a poll with each of the given args in order and judges each
+    observation with ``verdict``, counting every call."""
 
-    def __init__(self, polls):
-        self.polls = polls
+    def __init__(self, args_list, verdict=_verdict):
+        self.args_list = args_list
+        self.verdict = verdict
         self.router_calls = self.calls = 0
 
     def complete(self, request) -> str:
         self.calls += 1
         if ROUTER_RULES in request.prompt:
-            args, _ = self.polls[self.router_calls]
+            args = self.args_list[self.router_calls]
             self.router_calls += 1
             return json.dumps({"thought": "poll", "action": "poll", "args": args})
-        verdict, text = _verdict(request.prompt.rsplit("## Newest Observation\n", 1)[1].rstrip("\n"))
+        verdict, text = self.verdict(request.prompt.rsplit("## Newest Observation\n", 1)[1].rstrip("\n"))
         return json.dumps({"verdict": verdict, "summary" if verdict == "Success" else "reason": text})
 
 
-def _reference(polls) -> tuple[list[tuple[str, int]], int]:
+def _run_polls(provider, observations):
+    """One sum2act episode whose tool returns ``observations`` in order, with
+    a step for each."""
+    replies = iter(observations)
+    return run_episode(
+        "sum2act", provider, Instruction(id="poll", text="report the job"),
+        [ToolSpec(name="poll", description="poll a job")], EngineConfig(step_budget=len(observations)),
+        lambda tool, args: next(replies),
+    )
+
+
+def _reference(observations, verdict=_verdict) -> tuple[list[tuple[str, int]], int]:
     """sum2act's state manager with no shortcut and no fold: a router call
     and a verdict call at every step, and every Success verdict appended.
     Returns the (text, step) results and the provider calls."""
     results = []
-    for step, (args, payload) in enumerate(polls, 1):
-        observation = Observation(status="Success", payload=payload, tool_name="poll", args_echo=args)
-        verdict, text = _verdict(render_observation(observation))
-        if verdict == "Success":
+    for step, observation in enumerate(observations, 1):
+        outcome, text = verdict(render_observation(observation))
+        if outcome == "Success":
             results.append((text, step))
-    return results, 2 * len(polls)
+    return results, 2 * len(observations)
 
 
 @settings(max_examples=200, deadline=None)
 @given(polls=st.lists(st.sampled_from(POLLS), min_size=1, max_size=12))
 def test_sum2act_keeps_the_first_of_each_reference_result(polls):
     # The drawn states stay far under the cap, so no merge changes a text.
-    provider = PollProvider(polls)
-    payloads = iter(payload for _, payload in polls)
-    episode = run_episode(
-        "sum2act", provider, Instruction(id="poll", text="report the job"),
-        [ToolSpec(name="poll", description="poll a job")], EngineConfig(step_budget=len(polls)),
-        lambda tool, args: Observation(status="Success", payload=next(payloads), tool_name=tool, args_echo=args),
-    )
-    results, calls = _reference(polls)
+    observations = [
+        Observation(status="Success", payload=payload, tool_name="poll", args_echo=args)
+        for args, payload in polls
+    ]
+    provider = PollProvider([args for args, _ in polls])
+    episode = _run_polls(provider, observations)
+    results, calls = _reference(observations)
     first = {}
     for text, step in results:
         first.setdefault(text, step)
     assert len(episode.steps) == len(polls)
     assert [(e.text, e.step) for e in episode.steps[-1].state.current_results] == list(first.items())
     assert provider.calls <= calls
+
+
+def _job_verdict(seen: str) -> tuple[str, str]:
+    if "done: 42" in seen:
+        return "Success", "job done: 42"
+    return "Failure", "the job is still running"
+
+
+def test_early_return_skips_a_second_failure_the_reference_keeps():
+    # The known counterexample to the early return: a call fails and is
+    # judged a Failure, then fails again with an error the verdict policy
+    # would judge a Success. The early return asks for no verdict and keeps
+    # the state; the reference judges the second error and adds a result.
+    observations = [
+        Observation(status="ToolError", payload="", tool_name="poll", args_echo={"job": "1"},
+                    error=error)
+        for error in ("job 1 is still running", "job 1 done: 42, but the report upload failed")
+    ]
+    provider = PollProvider([{"job": "1"}] * 2, _job_verdict)
+    state = _run_polls(provider, observations).steps[-1].state
+    results, calls = _reference(observations, _job_verdict)
+    assert results == [("job done: 42", 2)]
+    assert state.current_results == ()
+    assert [f.reason for f in state.failure_history] == ["the job is still running"]
+    assert provider.calls == calls - 1

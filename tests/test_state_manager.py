@@ -425,37 +425,69 @@ class TestEnforceCap:
         assert [f.reason for f in capped.failure_history] == ["r" * 117 + "..."] * 8
 
     def test_merges_follow_the_shortening(self, cap_1024):
-        # Merging first would take three merges and still leave the reasons
-        # to shorten; shortened first, the state fits after one merge.
+        # Folding first would fold every result and still leave the reasons
+        # to shorten; shortened first, one fold of the four oldest results
+        # brings the state under half the cap.
         provider = RecordingProvider(_merging_provider())
-        results = tuple(ResultEntry("x" * 200, i + 1) for i in range(4))
-        failures = tuple(FailureEntry(f"tool_{i}", f"d{i}", "r" * 600, i + 5) for i in range(2))
+        results = tuple(ResultEntry("x" * 150, i + 1) for i in range(5))
+        failures = tuple(FailureEntry(f"tool_{i}", f"d{i}", "r" * 600, i + 6) for i in range(2))
         capped = enforce_cap(State(results, failures), provider)
         assert len(provider.prompts()) == 1
         assert len(render_state(capped)) <= 1024
-        assert capped.current_results == (ResultEntry("merged note", 2), *results[2:])
+        assert capped.current_results == (ResultEntry("merged note", 4), results[4])
         assert all(len(f.reason) <= FAILURE_REASON_CAP_CHARS for f in capped.failure_history)
 
     def test_merges_stop_once_state_fits(self, monkeypatch):
-        # Merging renumbers the list, so line lengths change as the count
-        # crosses 100 and 10; compare with merging while re-rendering.
+        # Folding renumbers the list, so line lengths change as the count
+        # crosses 100 and 10; the reference renders each candidate rest.
         results = tuple(ResultEntry("x" * (i % 7 * 5), 95 + i) for i in range(105))
+        checked = 0
         for cap in range(512, len(render_state(State(results, ()))), 37):
-            expected = list(results)
-            while len(expected) > 1 and len(render_state(State(tuple(expected), ()))) > cap:
-                merged = f"{expected[0].text}; {expected[1].text}"[:240]
-                expected[:2] = [ResultEntry(merged, expected[1].step)]
-            if len(render_state(State(tuple(expected), ()))) <= cap:
+            count = 2
+            while count < len(results) and len(render_state(State(results[count:], ()))) > cap // 2:
+                count += 1
+            note = "; ".join(entry.text for entry in results[:count])[:240]
+            expected = (ResultEntry(note, results[count - 1].step), *results[count:])
+            if len(render_state(State(expected, ()))) <= cap:
+                checked += 1
                 monkeypatch.setattr(state_manager, "STATE_CAP_CHARS", cap)
-                assert enforce_cap(State(results, ()), UNSCRIPTED).current_results == tuple(expected)
+                assert enforce_cap(State(results, ()), UNSCRIPTED).current_results == expected
+        assert checked >= 70
+
+    def test_one_merge_prompt_folds_several_entries(self):
+        provider = RecordingProvider(_merging_provider())
+        results = tuple(ResultEntry(f"note {i}: " + "x" * 400, i + 1) for i in range(12))
+        state = State(results, ())
+        assert len(render_state(state)) > 4096 + 2 * 420
+        capped = enforce_cap(state, provider)
+        (prompt,) = provider.prompts()
+        count = len(results) - len(capped.current_results) + 1
+        assert count > 2
+        assert prompt.endswith(
+            f"\n1) {results[0].text}\n2) " + "; ".join(e.text for e in results[1:count])
+        )
+        assert capped.current_results == (ResultEntry("merged note", count), *results[count:])
+        assert len(render_state(capped)) <= 4096 // 2 + 260
+
+    def test_two_entry_fold_sends_the_pairwise_merge_prompt(self, cap_1024):
+        provider = RecordingProvider(_merging_provider())
+        results = (ResultEntry("a" * 500, 1), ResultEntry("b" * 500, 2), ResultEntry("sunny", 3))
+        capped = enforce_cap(State(results, ()), provider)
+        assert provider.prompts() == [
+            "Merge these two progress notes into one concise note of at most 240 "
+            "characters, keeping every concrete fact. Reply with the note text only.\n"
+            f"1) {'a' * 500}\n2) {'b' * 500}"
+        ]
+        assert capped.current_results == (ResultEntry("merged note", 2), ResultEntry("sunny", 3))
 
     @settings(max_examples=40, deadline=None)
     @given(
         result_sizes=st.lists(st.integers(0, 1200), max_size=12),
         failure_count=st.integers(0, 10),
         reason_size=st.integers(0, 400),
+        merge_reply=st.sampled_from(["merged note", "m" * 300, " "]),
     )
-    def test_capped_whenever_achievable(self, result_sizes, failure_count, reason_size):
+    def test_capped_whenever_achievable(self, result_sizes, failure_count, reason_size, merge_reply):
         results = tuple(
             ResultEntry("r" * size, index + 1) for index, size in enumerate(result_sizes)
         )
@@ -464,8 +496,17 @@ class TestEnforceCap:
             for i in range(failure_count)
         )
         state = State(current_results=results, failure_history=failures)
-        capped = enforce_cap(state, UNSCRIPTED)
+        # A blank reply makes the merge fall back to the mechanical note.
+        provider = RecordingProvider(ScriptedProvider(ScriptedPolicy(
+            entries=(PolicyEntry(match="Merge these two progress notes", response=merge_reply),)
+        )))
+        capped = enforce_cap(state, provider)
         # 10 failures with <=120-char reasons always fit 4096, so the cap
         # must be met; failures are never dropped.
         assert len(render_state(capped)) <= 4096
         assert len(capped.failure_history) == failure_count
+        shortened = capped.failure_history
+        if len(render_state(State(results, shortened))) <= 4096:
+            assert provider.prompts() == []
+        elif len(results) > 1 and len(render_state(State(results[-1:], shortened))) < 4096 // 2:
+            assert len(provider.prompts()) == 1
