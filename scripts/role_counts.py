@@ -14,11 +14,14 @@ the chars of each prompt past the longest prefix it shares with an earlier
 prompt of its episode, by perfbench's own ``PrefixIndex``.
 
 Prints one JSON object: per method the episodes, passes, the exception types
-of episodes that raised, and calls and prompt chars by role, as totals and
-per episode; and, over all methods, uncached prompt chars per episode.
+of episodes that raised, calls and prompt chars by role, as totals and per
+episode, and ``trace_sha256``, the sha256 of each ended episode's trace
+followed by "\n", in task order, as the count pins hash them; and, over all
+methods, uncached prompt chars per episode.
 
 Run from the repo root; --src picks the source tree to import, so two
-revisions can be counted on the same inputs from their own checkouts:
+revisions can be counted, and their traces compared, on the same inputs from
+their own checkouts:
 
     python scripts/role_counts.py --src src --workload long_state --seed 5
 """
@@ -26,6 +29,7 @@ revisions can be counted on the same inputs from their own checkouts:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import logging
@@ -86,6 +90,7 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
             "calls": dict.fromkeys(ROLES, 0), "prompt_chars": dict.fromkeys(ROLES, 0),
             "uncached_chars": 0,
         }
+        traces = hashlib.sha256()
         for scenario, policy in loaded:
             provider = _CountingProvider(
                 lib.ScriptedProvider(policy), state_head, tracing.PrefixIndex(), totals,
@@ -99,6 +104,8 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
                 totals["raised"][scenario.id] = type(exc).__name__
             else:
                 totals["passes"] += lib.check_pass(scenario, episode)
+                traces.update(lib.serialize_episode(episode).encode("utf-8") + b"\n")
+        totals["trace_sha256"] = traces.hexdigest()
         for key in ("calls", "prompt_chars"):
             totals[key]["total"] = sum(totals[key].values())
         totals["per_episode"] = {

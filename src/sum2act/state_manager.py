@@ -151,24 +151,19 @@ def update(
     The provider's verdict is re-asked while it is unusable or the provider
     raises ScriptError or RequestTooLarge; once the re-asks are spent, a
     mechanical verdict keyed on the observation status is logged and used.
-    A failure already in the history (same tool and args digest) is not
-    added again, and when such a call fails again no verdict is asked for:
-    the input State is returned. A Success-status observation is judged,
-    and a Success verdict whose text a result entry already holds returns
-    the input State too: that entry keeps its first step.
+    A verdict whose entry the state already holds returns the input State,
+    and that entry keeps its first step: a result already holds a Success
+    verdict with the same text, a failure one with the same tool and args
+    digest.
 
     ``verdicts`` maps each rendered observation to the args of the last
     call that returned it and the verdict parsed then. A call with the same
     args digest that returns it again gets that verdict with no prompt or
-    provider call (a new entry only if its text left the state): the verdict
-    on one call and result is taken not to depend on how the state has grown
-    since. Digests are taken only when a result repeats. A mechanical
-    verdict is never stored, so the next repeat of a result that fell back
-    is judged again.
+    provider call (a new entry only if it left the state): the verdict on
+    one call and observation is taken not to depend on how the state has
+    grown since. A mechanical verdict is never stored, so the next repeat
+    of an observation that fell back is judged again.
     """
-    digest = None if observation.status == "Success" else args_digest(observation.args_echo)
-    if digest and state.has_failure(observation.tool_name, digest):
-        return state
     seen = render_observation(observation)
     verdicts = {} if verdicts is None else verdicts
     args, judged = verdicts.get(seen, (None, None))
@@ -192,7 +187,7 @@ def update(
             return state
         entry = ResultEntry(text=text, step=step_index)
         return State(state.current_results + (entry,), state.failure_history)
-    digest = digest or args_digest(observation.args_echo)
+    digest = args_digest(observation.args_echo)
     if state.has_failure(observation.tool_name, digest):
         return state
     entry = FailureEntry(tool=observation.tool_name, digest=digest, reason=text, step=step_index)

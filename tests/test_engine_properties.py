@@ -1,8 +1,8 @@
 """Whole-engine property tests: every method, driven through ``run_episode``
 by random tool behaviour and random model replies, ends in a valid terminal
 state within its budget, with a trace that round-trips byte-identically, and
-raises nothing; and sum2act's state-manager shortcuts keep the results a
-loop without them would keep, except in the named counterexamples."""
+raises nothing; and sum2act's state-manager shortcuts keep the first of
+each result and failure a loop without them would keep."""
 
 from __future__ import annotations
 
@@ -12,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sum2act.core import Instruction, Observation, ToolSpec, deserialize_episode, serialize_episode
+from sum2act.core import (
+    Instruction, Observation, ToolSpec, args_digest, deserialize_episode, serialize_episode,
+)
 from sum2act.engine import RESTART_ACTION, EngineConfig, run_episode
 from sum2act.errors import RequestTooLarge
 from sum2act.provider import ScriptedPolicy, ScriptedProvider
@@ -171,6 +173,24 @@ SUMMARIES = {
     "done: 42": "job done: 42",
     "needle": "found the needle",
 }
+# (status, args, error) failed polls: each error repeats word for word, a
+# second differs under the same args, each is raised under other args, and
+# one reports the job done, which the verdict judges a Success.
+FAILED_POLLS = tuple(
+    (status, args, error)
+    for status in ("ToolError", "Timeout", "MalformedResponse")
+    for args in ({"job": "1"}, {"job": "2"})
+    for error in ("HTTP 503: store down", "HTTP 504: gateway timeout", "upload failed after done: 42")
+)
+
+polls = st.one_of(
+    st.sampled_from(POLLS).map(lambda poll: Observation(
+        status="Success", payload=poll[1], tool_name="poll", args_echo=poll[0],
+    )),
+    st.sampled_from(FAILED_POLLS).map(lambda poll: Observation(
+        status=poll[0], payload="", tool_name="poll", args_echo=poll[1], error=poll[2],
+    )),
+)
 
 
 def _verdict(seen: str) -> tuple[str, str]:
@@ -179,16 +199,18 @@ def _verdict(seen: str) -> tuple[str, str]:
     payload = seen.rsplit("payload: ", 1)[1]
     if payload in SUMMARIES:
         return "Success", SUMMARIES[payload]
-    return "Failure", f"the job page showed {payload!r}"
+    if "done: 42" in seen:  # an error that reports the job done
+        return "Success", SUMMARIES["done: 42"]
+    shown = seen.split("\n", 2)[2]  # the error and payload lines
+    return "Failure", f"the poll showed {shown!r}"
 
 
 class PollProvider:
     """Proposes a poll with each of the given args in order and judges each
-    observation with ``verdict``, counting every call."""
+    observation with ``_verdict``, counting every call."""
 
-    def __init__(self, args_list, verdict=_verdict):
+    def __init__(self, args_list):
         self.args_list = args_list
-        self.verdict = verdict
         self.router_calls = self.calls = 0
 
     def complete(self, request) -> str:
@@ -197,72 +219,45 @@ class PollProvider:
             args = self.args_list[self.router_calls]
             self.router_calls += 1
             return json.dumps({"thought": "poll", "action": "poll", "args": args})
-        verdict, text = self.verdict(request.prompt.rsplit("## Newest Observation\n", 1)[1].rstrip("\n"))
+        verdict, text = _verdict(request.prompt.rsplit("## Newest Observation\n", 1)[1].rstrip("\n"))
         return json.dumps({"verdict": verdict, "summary" if verdict == "Success" else "reason": text})
 
 
-def _run_polls(provider, observations):
-    """One sum2act episode whose tool returns ``observations`` in order, with
-    a step for each."""
+def _reference(observations):
+    """sum2act's state manager with no shortcut and no fold: a router call
+    and a verdict call at every step, every Success verdict appended as
+    (text, step) and every Failure verdict as (tool, args digest, reason,
+    step). Returns the results, the failures and the provider calls."""
+    results, failures = [], []
+    for step, observation in enumerate(observations, 1):
+        outcome, text = _verdict(render_observation(observation))
+        if outcome == "Success":
+            results.append((text, step))
+        else:
+            failures.append((observation.tool_name, args_digest(observation.args_echo), text, step))
+    return results, failures, 2 * len(observations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(observations=st.lists(polls, min_size=1, max_size=12))
+def test_sum2act_keeps_the_first_of_each_reference_result(observations):
+    # The drawn states stay far under the cap, so no merge changes a text
+    # and no reason is shortened.
     replies = iter(observations)
-    return run_episode(
+    provider = PollProvider([observation.args_echo for observation in observations])
+    episode = run_episode(
         "sum2act", provider, Instruction(id="poll", text="report the job"),
         [ToolSpec(name="poll", description="poll a job")], EngineConfig(step_budget=len(observations)),
         lambda tool, args: next(replies),
     )
-
-
-def _reference(observations, verdict=_verdict) -> tuple[list[tuple[str, int]], int]:
-    """sum2act's state manager with no shortcut and no fold: a router call
-    and a verdict call at every step, and every Success verdict appended.
-    Returns the (text, step) results and the provider calls."""
-    results = []
-    for step, observation in enumerate(observations, 1):
-        outcome, text = verdict(render_observation(observation))
-        if outcome == "Success":
-            results.append((text, step))
-    return results, 2 * len(observations)
-
-
-@settings(max_examples=200, deadline=None)
-@given(polls=st.lists(st.sampled_from(POLLS), min_size=1, max_size=12))
-def test_sum2act_keeps_the_first_of_each_reference_result(polls):
-    # The drawn states stay far under the cap, so no merge changes a text.
-    observations = [
-        Observation(status="Success", payload=payload, tool_name="poll", args_echo=args)
-        for args, payload in polls
-    ]
-    provider = PollProvider([args for args, _ in polls])
-    episode = _run_polls(provider, observations)
-    results, calls = _reference(observations)
-    first = {}
+    results, failures, calls = _reference(observations)
+    first_results, first_failures = {}, {}
     for text, step in results:
-        first.setdefault(text, step)
-    assert len(episode.steps) == len(polls)
-    assert [(e.text, e.step) for e in episode.steps[-1].state.current_results] == list(first.items())
+        first_results.setdefault(text, step)
+    for tool, digest, reason, step in failures:
+        first_failures.setdefault((tool, digest), (tool, digest, reason, step))
+    assert len(episode.steps) == len(observations)
+    state = episode.steps[-1].state
+    assert [(e.text, e.step) for e in state.current_results] == list(first_results.items())
+    assert [(f.tool, f.digest, f.reason, f.step) for f in state.failure_history] == list(first_failures.values())
     assert provider.calls <= calls
-
-
-def _job_verdict(seen: str) -> tuple[str, str]:
-    if "done: 42" in seen:
-        return "Success", "job done: 42"
-    return "Failure", "the job is still running"
-
-
-def test_early_return_skips_a_second_failure_the_reference_keeps():
-    # The known counterexample to the early return: a call fails and is
-    # judged a Failure, then fails again with an error the verdict policy
-    # would judge a Success. The early return asks for no verdict and keeps
-    # the state; the reference judges the second error and adds a result.
-    observations = [
-        Observation(status="ToolError", payload="", tool_name="poll", args_echo={"job": "1"},
-                    error=error)
-        for error in ("job 1 is still running", "job 1 done: 42, but the report upload failed")
-    ]
-    provider = PollProvider([{"job": "1"}] * 2, _job_verdict)
-    state = _run_polls(provider, observations).steps[-1].state
-    results, calls = _reference(observations, _job_verdict)
-    assert results == [("job done: 42", 2)]
-    assert state.current_results == ()
-    assert [f.reason for f in state.failure_history] == ["the job is still running"]
-    assert provider.calls == calls - 1

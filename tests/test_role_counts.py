@@ -1,8 +1,9 @@
 """``scripts/role_counts.py`` counts what the corpus pins count.
 
-Its calls and prompt chars, summed over the roles, and its uncached prompt
-chars must equal ``tests/test_corpus_counts.py``'s pins for every method, so
-the per-role tables it writes for a change rest on the same counts.
+Its calls and prompt chars, summed over the roles, its uncached prompt chars
+and its trace digest must equal ``tests/test_corpus_counts.py``'s pins for
+every method, so the per-role tables and trace digests it writes for a change
+rest on the same counts and traces.
 """
 
 from __future__ import annotations
@@ -36,5 +37,6 @@ def test_corpus_totals_equal_the_corpus_pins(monkeypatch, capsys):
         assert counts["raised"] == {}
         assert (counts["calls"]["total"], counts["prompt_chars"]["total"]) == PINNED[method][:2]
         assert counts["uncached_chars"] == PINNED_UNCACHED[method]
+        assert counts["trace_sha256"] == PINNED[method][2]
     assert out["methods"]["sum2act"]["calls"]["merge"] == 0
     assert out["uncached_prompt_chars_per_episode"] == sum(PINNED_UNCACHED.values()) / 90

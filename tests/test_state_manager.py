@@ -238,15 +238,53 @@ class TestUpdate:
 
     @pytest.mark.parametrize("status", ["ToolError", "Timeout", "MalformedResponse"])
     def test_failed_call_failing_again_sends_no_verdict(self, status):
-        provider = RecordingProvider(_verdict_provider({"verdict": "Failure", "reason": "again"}))
-        failed = FailureEntry("get_weather", args_digest({"city": "Miami"}), "store down", 1)
-        state = State((ResultEntry("sunny in Miami", 2),), (failed,))
+        # The verdict map answers the repeat, and the failure it holds keeps
+        # the state as it is.
+        provider = RecordingProvider(_verdict_provider({"verdict": "Failure", "reason": "store down"}))
         observation = Observation(
             status=status, payload="", tool_name="get_weather", args_echo={"city": "Miami"},
             error="HTTP 503: store down",
         )
-        assert update(provider, INSTRUCTION, state, observation, step_index=3) is state
-        assert provider.prompts() == []
+        verdicts = {}
+        result = (ResultEntry("sunny in Miami", 1),)
+        state = update(provider, INSTRUCTION, State(result, ()), observation, 2, verdicts)
+        failed = FailureEntry("get_weather", args_digest({"city": "Miami"}), "store down", 2)
+        assert state == State(result, (failed,))
+        assert len(provider.prompts()) == 1
+        assert update(provider, INSTRUCTION, state, observation, 3, verdicts) is state
+        assert len(provider.prompts()) == 1
+
+    def test_failed_call_failing_with_another_error_is_judged_once(self):
+        provider = RecordingProvider(_verdict_provider({"verdict": "Failure", "reason": "store down"}))
+        verdicts = {}
+        state = update(provider, INSTRUCTION, State(), _error_obs("HTTP 503: store down"), 1, verdicts)
+        again = _error_obs("HTTP 504: gateway timeout")
+        assert update(provider, INSTRUCTION, state, again, 2, verdicts) is state
+        assert update(provider, INSTRUCTION, state, again, 3, verdicts) is state
+        assert len(provider.prompts()) == 2
+
+    def test_failed_call_whose_verdict_fell_back_is_judged_again(self):
+        # The first verdict never parses, so the repeat, whose prompt shows
+        # the step-1 failure, is judged again and its verdict is stored.
+        policy = ScriptedPolicy(
+            entries=(
+                PolicyEntry(
+                    match="[step 1]", is_regex=False,
+                    response=json.dumps({"verdict": "Failure", "reason": "judged"}),
+                ),
+            ),
+            default="no verdict here",
+        )
+        provider = RecordingProvider(ScriptedProvider(policy))
+        verdicts = {}
+        observation = _error_obs("HTTP 503: store down")
+        state = update(provider, INSTRUCTION, State(), observation, 1, verdicts)
+        assert [f.reason for f in state.failure_history] == ["HTTP 503: store down"]
+        assert verdicts == {}
+        sent = len(provider.prompts())
+        assert update(provider, INSTRUCTION, state, observation, 2, verdicts) is state
+        assert len(provider.prompts()) == sent + 1
+        assert len(verdicts) == 1
 
     @pytest.mark.parametrize("verdict, summary", [("Success", "Miami: sunny"), ("Failure", "no figure")])
     def test_success_status_of_failed_call_is_still_judged(self, verdict, summary):
