@@ -13,11 +13,13 @@ state-manager verdict (and its re-asks), ``router`` for every other prompt
 the chars of each prompt past the longest prefix it shares with an earlier
 prompt of its episode, by perfbench's own ``PrefixIndex``.
 
-Prints one JSON object: per method the episodes, passes, the exception types
-of episodes that raised, calls and prompt chars by role, as totals and per
-episode, and ``trace_sha256``, the sha256 of each ended episode's trace
-followed by "\n", in task order, as the count pins hash them; and, over all
-methods, uncached prompt chars per episode.
+Prints one JSON object: per method the episodes, passes, passes per subset
+(each scenario's subset label, "default" when it has none), the exception
+types of episodes that raised, calls and prompt chars by role, as totals and
+per episode, distinct router prompts (counted per episode, then summed), as
+a total and per episode, and ``trace_sha256``, the sha256 of each ended
+episode's trace followed by "\n", in task order, as the count pins hash
+them; and, over all methods, uncached prompt chars per episode.
 
 Run from the repo root; --src picks the source tree to import, so two
 revisions can be counted, and their traces compared, on the same inputs from
@@ -65,6 +67,7 @@ class _CountingProvider:
         self._state_head = state_head
         self._prefixes = prefixes
         self._totals = totals
+        self.router_prompts: set[str] = set()
 
     def complete(self, request):
         prompt = request.prompt
@@ -74,10 +77,15 @@ class _CountingProvider:
             role = "state"
         else:
             role = "router"
+            self.router_prompts.add(prompt)
         self._totals["calls"][role] += 1
         self._totals["prompt_chars"][role] += len(prompt)
         self._totals["uncached_chars"] += self._prefixes.uncached(prompt)
         return self._inner.complete(request)
+
+
+def _subset(scenario) -> str:
+    return scenario.instruction.subset_label or "default"
 
 
 def count(lib, tracing, tasks, methods, state_head: str) -> dict:
@@ -87,8 +95,11 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
     for method in methods:
         totals = {
             "episodes": len(loaded), "passes": 0, "raised": {},
+            "passes_by_subset": {
+                subset: 0 for subset in sorted({_subset(scenario) for scenario, _ in loaded})
+            },
             "calls": dict.fromkeys(ROLES, 0), "prompt_chars": dict.fromkeys(ROLES, 0),
-            "uncached_chars": 0,
+            "uncached_chars": 0, "distinct_router_prompts": 0,
         }
         traces = hashlib.sha256()
         for scenario, policy in loaded:
@@ -103,8 +114,11 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
             except lib.Sum2ActError as exc:
                 totals["raised"][scenario.id] = type(exc).__name__
             else:
-                totals["passes"] += lib.check_pass(scenario, episode)
+                passed = lib.check_pass(scenario, episode)
+                totals["passes"] += passed
+                totals["passes_by_subset"][_subset(scenario)] += passed
                 traces.update(lib.serialize_episode(episode).encode("utf-8") + b"\n")
+            totals["distinct_router_prompts"] += len(provider.router_prompts)
         totals["trace_sha256"] = traces.hexdigest()
         for key in ("calls", "prompt_chars"):
             totals[key]["total"] = sum(totals[key].values())
@@ -112,6 +126,7 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
             key: {role: value / len(loaded) for role, value in totals[key].items()}
             for key in ("calls", "prompt_chars")
         }
+        totals["per_episode"]["distinct_router_prompts"] = totals["distinct_router_prompts"] / len(loaded)
         out[method] = totals
     return out
 

@@ -12,6 +12,10 @@ only in what they carry from one step to the next:
   names are), which is exactly the information loss the summarized state
   avoids.
 
+Neither transcript takes an entry equal to its last one: a step that repeats
+the one before it word for word (thought, action, args and observation) tells
+the model nothing new.
+
 Agent-level failures (unparseable proposals, tool errors, exhausted budgets)
 become terminal episode states; infrastructure failures (provider
 unreachable, scripted-policy holes) raise.
@@ -74,6 +78,11 @@ def _transcript_entry(action: Action, observation: Observation) -> str:
         f"Action: {action.tool_name}({canonical_args(action.args)})",
         seen,
     ))
+
+
+def _repeats_last(transcript, entry: str) -> bool:
+    """Whether ``entry`` repeats the transcript's last entry."""
+    return bool(transcript) and transcript[-1] == entry
 
 
 def _evict_oldest(transcript: list[str], window_chars: int) -> None:
@@ -154,7 +163,8 @@ class Summary(Memory):
 @dataclass
 class Window(Memory):
     """react: a raw transcript with whole-entry eviction once the window
-    overflows."""
+    overflows. A step equal to the last entry adds none; one whose entry
+    was evicted is added again."""
 
     transcript: list[str] = field(default_factory=list)
 
@@ -164,7 +174,9 @@ class Window(Memory):
 
     def record(self, action: Action, step_index: int) -> Step:
         observation = self.executor(action.tool_name, action.args)
-        self.transcript.append(_transcript_entry(action, observation))
+        entry = _transcript_entry(action, observation)
+        if not _repeats_last(self.transcript, entry):
+            self.transcript.append(entry)
         return Step(action, observation, self.state)
 
 
@@ -184,9 +196,11 @@ class Tree(Memory):
 
     A non-Success observation fails the attempted child: the proposal counts
     against the node's ``DFSDT_MAX_CHILDREN`` and only the attempted action
-    name is carried to the next sibling attempt. A node whose children are
-    spent is left for its parent. The reserved action ``Restart`` abandons the
-    current branch. Leaving the root exhausts the tree.
+    name is carried to the next sibling attempt. A Success makes a child
+    node; a Success equal to the branch's last entry makes one too, carrying
+    the parent's memory unchanged. A node whose children are spent is left
+    for its parent. The reserved action ``Restart`` abandons the current
+    branch. Leaving the root exhausts the tree.
     """
 
     node: SearchNode | None = field(default_factory=lambda: SearchNode(memory=()))
@@ -210,7 +224,9 @@ class Tree(Memory):
         observation = self.executor(action.tool_name, action.args)
         node.attempted += (action.tool_name,)
         if observation.status == "Success":
-            self.node = SearchNode(node.memory + (_transcript_entry(action, observation),), node)
+            entry = _transcript_entry(action, observation)
+            memory = node.memory if _repeats_last(node.memory, entry) else node.memory + (entry,)
+            self.node = SearchNode(memory, node)
         return Step(action, observation, self.state)
 
 

@@ -33,12 +33,12 @@ PINNED = {
         "886729fa26ad1cb46500dfc593f7a242a30c6bbcf70f182c74f9f2192e08db52",
     ),
     "react": (
-        235, 333_661, "cd12fd6de0770bf5f643ac9f53531c12e54661dc5c02eed068b48e3be039e465",
-        "1e4a972a200971b743cddfafd01d51ff9b6b07543a26547e2fe636827f293b0a",
+        235, 286_565, "cd12fd6de0770bf5f643ac9f53531c12e54661dc5c02eed068b48e3be039e465",
+        "c818c40cc75bf637479b61a686312e82ad45bca96bfe4b71523188dd923ce06e",
     ),
     "dfsdt": (
-        293, 2_730_072, "ef50149495ae1bd0131a3d93ed3ba7db8958cadd5614551d08c1449989a9d356",
-        "170df0e346be94738fce5751dcd1ead715acd993bf91a621aa0b38d0669d2cbd",
+        293, 444_756, "ef50149495ae1bd0131a3d93ed3ba7db8958cadd5614551d08c1449989a9d356",
+        "9330408bafd3d3799f7978a3996f78d8124117a3a0a80d59c68c5ea0be77e0d8",
     ),
 }
 
@@ -48,8 +48,8 @@ PINNED = {
 # (RadixAttention and the like) has to process only these chars.
 PINNED_UNCACHED = {
     "sum2act": 118_436,
-    "react": 84_251,
-    "dfsdt": 128_349,
+    "react": 81_003,
+    "dfsdt": 96_075,
 }
 
 

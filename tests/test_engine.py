@@ -6,12 +6,14 @@ from pathlib import Path
 import pytest
 
 from sum2act import engine, state_manager
-from sum2act.core import Action, Instruction, ParamSpec, ResultEntry, State, ToolSpec, serialize_episode
+from sum2act.core import Action, Instruction, Observation, ParamSpec, ResultEntry, State, ToolSpec, serialize_episode
 from sum2act.engine import (
     DFSDT_MAX_CHILDREN,
     REACT_WINDOW_CHARS,
     EngineConfig,
+    Window,
     _evict_oldest,
+    _transcript_entry,
     default_config,
     run_episode,
 )
@@ -87,6 +89,74 @@ NEVER_FINISH_POLICY = ScriptedPolicy(
     ),
     default=json.dumps(_call("backup_lookup", {"dataset": "inventory"})),
 )
+
+
+class SequenceProvider:
+    """Answers each call with the next of the given replies."""
+
+    def __init__(self, replies):
+        self._replies = iter(replies)
+
+    def complete(self, request) -> str:
+        return next(self._replies)
+
+
+def _transcript(prompt: str) -> list[str]:
+    """The entries of a react or dfsdt prompt's transcript."""
+    section = prompt.split("Transcript\n", 1)[1].split("\n\n## Previously Attempted", 1)[0].rstrip("\n")
+    return [] if section == "(empty)" else section.split("\n\n")
+
+
+# (thought, args, payload) steps of one Success-status tool
+STEP_A = ("poll", {"job": "1"}, "pending")
+STEP_B = ("poll", {"job": "2"}, "queued")
+
+
+def _entry_of(step) -> str:
+    thought, args, payload = step
+    return _transcript_entry(
+        Action(kind="ToolCall", tool_name="poll", args=args, thought=thought),
+        Observation(status="Success", payload=payload, tool_name="poll", args_echo=args),
+    )
+
+
+def _step_prompts(method: str, steps) -> list[str]:
+    """Every prompt of an episode that takes ``steps`` and then finishes."""
+    replies = [json.dumps({"thought": thought, "action": "poll", "args": args}) for thought, args, _ in steps]
+    provider = RecordingProvider(SequenceProvider(replies + [json.dumps(_finish("done"))]))
+    payloads = iter(payload for _, _, payload in steps)
+    episode = run_episode(
+        method, provider, INSTRUCTION, [ToolSpec(name="poll", description="poll a job")],
+        EngineConfig(step_budget=len(steps) + 1),
+        lambda name, args: Observation(status="Success", payload=next(payloads), tool_name=name, args_echo=args),
+    )
+    assert episode.terminal.status == "Finished"
+    return provider.prompts()
+
+
+class _TranscriptRepeats:
+    """A transcript takes no entry equal to its last one, and every other."""
+
+    method: str
+
+    def test_repeated_identical_step_leaves_the_next_prompt_unchanged(self):
+        prompts = _step_prompts(self.method, [STEP_A, STEP_A, STEP_A])
+        assert prompts[1] == prompts[2] == prompts[3]
+        assert _transcript(prompts[3]) == [_entry_of(STEP_A)]
+
+    @pytest.mark.parametrize("changed", [
+        ("check again", {"job": "1"}, "pending"),
+        ("poll", {"job": "1", "verbose": True}, "pending"),
+        ("poll", {"job": "1"}, "done: 42"),
+    ], ids=["thought", "args", "observation"])
+    def test_step_that_differs_appends(self, changed):
+        prompts = _step_prompts(self.method, [STEP_A, changed])
+        assert _transcript(prompts[2]) == [_entry_of(STEP_A), _entry_of(changed)]
+
+    def test_only_a_consecutive_repeat_is_left_out(self):
+        prompts = _step_prompts(self.method, [STEP_A, STEP_B, STEP_A, STEP_A])
+        assert _transcript(prompts[3]) == [_entry_of(STEP_A), _entry_of(STEP_B), _entry_of(STEP_A)]
+        assert prompts[4] == prompts[3]
 
 
 class TestSum2Act:
@@ -254,7 +324,9 @@ class TestSum2Act:
             assert "primary store unreachable" in prompt
 
 
-class TestReact:
+class TestReact(_TranscriptRepeats):
+    method = "react"
+
     def test_happy_path_matches_sum2act_outcome(self):
         episode = run_episode(
             "react", ScriptedProvider(FAILOVER_POLICY), INSTRUCTION, list(FAILOVER_TOOLS),
@@ -299,6 +371,24 @@ class TestReact:
         _evict_oldest(transcript, 405)
         assert len(transcript) == 3
 
+    def test_evicted_entry_is_added_again_when_repeated(self):
+        # An entry longer than the window is evicted before the next
+        # proposal, so the repeat finds the transcript empty and is kept.
+        step = ("poll", {"job": "1"}, "p" * REACT_WINDOW_CHARS)
+        entry = _entry_of(step)
+        provider = RecordingProvider(SequenceProvider([json.dumps(_call("poll", {"job": "1"}))]))
+        memory = Window(
+            provider, INSTRUCTION, "poll: poll a job",
+            lambda name, args: Observation(status="Success", payload=step[2], tool_name=name, args_echo=args),
+        )
+        action = Action(kind="ToolCall", tool_name="poll", args=step[1], thought=step[0])
+        memory.record(action, 1)
+        assert memory.transcript == [entry]
+        assert memory.propose() == Action(kind="ToolCall", tool_name="poll", args={"job": "1"}, thought="go")
+        assert _transcript(provider.prompts()[0]) == []
+        memory.record(action, 2)
+        assert memory.transcript == [entry]
+
     def test_differential_long_horizon_scenario(self, scenarios_root):
         path = scenarios_root / "differential" / "vault_1.scenario.json"
         scenario = load_scenario(path)
@@ -315,7 +405,23 @@ class TestReact:
         assert not check_pass(scenario, react_episode)
 
 
-class TestDfsdt:
+class TestDfsdt(_TranscriptRepeats):
+    method = "dfsdt"
+
+    def test_never_finish_polls_its_whole_budget_on_two_router_prompts(self, scenarios_root):
+        # Each repeated poll still makes a child node, so the search goes
+        # on for the whole budget, though its prompt stops growing.
+        scenario = load_scenario(scenarios_root / "adversarial" / "never_finish.scenario.json")
+        policy = load_policy(scenarios_root / "adversarial" / "never_finish.policy.json")
+        provider = RecordingProvider(ScriptedProvider(policy))
+        episode = run_episode(
+            "dfsdt", provider, scenario.instruction, list(scenario.tools),
+            default_config("dfsdt"), ScenarioSession(scenario).invoke,
+        )
+        assert episode.terminal.status == "BudgetExhausted"
+        assert len(episode.steps) == len(provider.prompts()) == 200
+        assert len(set(provider.prompts())) == 2
+
     def test_backtracks_and_finishes(self, scenarios_root):
         scenario = load_scenario(scenarios_root / "search" / "mirror_registry.scenario.json")
         policy = load_policy(scenarios_root / "search" / "mirror_registry.policy.json")

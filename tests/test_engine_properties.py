@@ -1,17 +1,22 @@
 """Whole-engine property tests: every method, driven through ``run_episode``
 by random tool behaviour and random model replies, ends in a valid terminal
 state within its budget, with a trace that round-trips byte-identically, and
-raises nothing; and sum2act's state-manager shortcuts keep the first of
-each result and failure a loop without them would keep."""
+raises nothing; sum2act's state-manager shortcuts keep the first of each
+result and failure a loop without them would keep; and react's and dfsdt's
+transcripts drop only a step that repeats the one before it."""
 
 from __future__ import annotations
 
 import json
+import zlib
+from itertools import cycle, groupby
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sum2act import engine
 from sum2act.core import (
     Instruction, Observation, ToolSpec, args_digest, deserialize_episode, serialize_episode,
 )
@@ -23,6 +28,7 @@ from sum2act.sandbox import Behavior, PassCondition, Scenario, ScenarioSession
 from sum2act.state_manager import render_observation
 
 from .episode_strategies import arg_maps, safe_text
+from .test_engine import _transcript
 
 TOOL_NAMES = ("alpha", "beta", "gamma")
 VERBOSE_CHARS = 200_000
@@ -261,3 +267,68 @@ def test_sum2act_keeps_the_first_of_each_reference_result(observations):
     assert [(e.text, e.step) for e in state.current_results] == list(first_results.items())
     assert [(f.tool, f.digest, f.reason, f.step) for f in state.failure_history] == list(first_failures.values())
     assert provider.calls <= calls
+
+
+class LastEntryProvider:
+    """Replies with one of ``replies``, picked by the transcript's last entry
+    alone, and keeps every prompt."""
+
+    def __init__(self, replies: list[str]):
+        self.replies = replies
+        self.prompts: list[str] = []
+
+    def complete(self, request) -> str:
+        self.prompts.append(request.prompt)
+        last = _transcript(request.prompt)[-1:]
+        return self.replies[zlib.crc32("".join(last).encode()) % len(self.replies)]
+
+
+# Few distinct steps, so a step often repeats the one before it.
+step_replies = st.builds(
+    lambda thought, args, action: json.dumps({"thought": thought, "action": action, "args": args}),
+    st.sampled_from(["poll", "wait"]),
+    st.sampled_from([{}, {"job": "1"}]),
+    st.sampled_from(["poll", "poll", RESTART_ACTION]),
+)
+# Each draws the observation of a call with the given args.
+successes = st.sampled_from(["pending", "queued", "done: 42"]).map(
+    lambda payload: lambda args: Observation(status="Success", payload=payload, tool_name="poll", args_echo=args)
+)
+failures = st.just(lambda args: Observation(
+    status="ToolError", payload="", tool_name="poll", args_echo=args, error="HTTP 503: store down",
+))
+
+
+@pytest.mark.parametrize("method", ["react", "dfsdt"])
+@settings(max_examples=200, deadline=None)
+@given(
+    replies=st.lists(step_replies, min_size=1, max_size=3),
+    observations=st.lists(st.one_of(successes, successes, failures), min_size=1, max_size=6),
+    budget=st.integers(1, 12),
+)
+def test_transcript_drops_only_consecutive_repeats(method, replies, observations, budget):
+    # No reply finishes, so each episode runs until its budget is spent or
+    # the dfsdt tree is exhausted. The entries stay far under react's
+    # window, so none is evicted.
+    def run():
+        drawn = cycle(observations)
+        provider = LastEntryProvider(replies)
+        episode = run_episode(
+            method, provider, Instruction(id="poll", text="report the job"),
+            [ToolSpec(name="poll", description="poll a job")], EngineConfig(step_budget=budget),
+            lambda tool, args: next(drawn)(args),
+        )
+        return episode, provider.prompts
+
+    episode, prompts = run()
+    with mock.patch.object(engine, "_repeats_last", lambda transcript, entry: False):
+        reference, reference_prompts = run()
+    assert episode == reference
+    assert len(prompts) == len(reference_prompts)
+    for prompt, reference_prompt in zip(prompts, reference_prompts):
+        assert _transcript(prompt) == [entry for entry, _ in groupby(_transcript(reference_prompt))]
+    if method == "react":
+        # react's reference transcript is every step taken so far.
+        for index, prompt in enumerate(reference_prompts):
+            taken = [engine._transcript_entry(step.action, step.observation) for step in episode.steps[:index]]
+            assert _transcript(prompt) == taken

@@ -52,7 +52,7 @@ PINNED = {
         339, 985_616, "fc0ad5599fd8c1a1489b129d1a590cbe5f210c0ebed1ccd61e948cecedb3454d", {},
     ),
     ("flaky_live", "react"): (
-        186, 397_026, "26f06371045a69d757acbdc29861174836b7fa019a4929bc5304df434a9e556e", {},
+        186, 392_012, "26f06371045a69d757acbdc29861174836b7fa019a4929bc5304df434a9e556e", {},
     ),
     ("flaky_live", "dfsdt"): (
         186, 382_559, "16502b57dde7491a58456f3529a22b9fb20caa3e0fdcf48baea5bf44f594429a", {},

@@ -3,7 +3,8 @@
 Its calls and prompt chars, summed over the roles, its uncached prompt chars
 and its trace digest must equal ``tests/test_corpus_counts.py``'s pins for
 every method, so the per-role tables and trace digests it writes for a change
-rest on the same counts and traces.
+rest on the same counts and traces; its passes per subset must add up to its
+passes.
 """
 
 from __future__ import annotations
@@ -38,5 +39,7 @@ def test_corpus_totals_equal_the_corpus_pins(monkeypatch, capsys):
         assert (counts["calls"]["total"], counts["prompt_chars"]["total"]) == PINNED[method][:2]
         assert counts["uncached_chars"] == PINNED_UNCACHED[method]
         assert counts["trace_sha256"] == PINNED[method][2]
+        assert sorted(counts["passes_by_subset"]) == ["adversarial", "core", "long-horizon", "search"]
+        assert sum(counts["passes_by_subset"].values()) == counts["passes"]
     assert out["methods"]["sum2act"]["calls"]["merge"] == 0
     assert out["uncached_prompt_chars_per_episode"] == sum(PINNED_UNCACHED.values()) / 90
