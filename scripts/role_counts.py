@@ -17,9 +17,11 @@ Prints one JSON object: per method the episodes, passes, passes per subset
 (each scenario's subset label, "default" when it has none), the exception
 types of episodes that raised, calls and prompt chars by role, as totals and
 per episode, distinct router prompts (counted per episode, then summed), as
-a total and per episode, and ``trace_sha256``, the sha256 of each ended
-episode's trace followed by "\n", in task order, as the count pins hash
-them; and, over all methods, uncached prompt chars per episode.
+a total and per episode, ``trace_sha256``, the sha256 of each ended
+episode's trace followed by "\n", in task order, and ``prompt_sha256``, the
+sha256 over the sha256 of each prompt sent, in send order, as
+``tests/test_counts.py`` pins them; and, over all methods, uncached prompt
+chars per episode.
 
 Run from the repo root; --src picks the source tree to import, so two
 revisions can be counted, and their traces compared, on the same inputs from
@@ -59,14 +61,15 @@ def _load_perfbench(name: str):
 
 
 class _CountingProvider:
-    """Counts each call's prompt by role, and its uncached chars, before
-    passing it on."""
+    """Counts each call's prompt by role, and its uncached chars, and hashes
+    it, before passing it on."""
 
-    def __init__(self, inner, state_head: str, prefixes, totals: dict):
+    def __init__(self, inner, state_head: str, prefixes, totals: dict, prompts):
         self._inner = inner
         self._state_head = state_head
         self._prefixes = prefixes
         self._totals = totals
+        self._prompts = prompts
         self.router_prompts: set[str] = set()
 
     def complete(self, request):
@@ -81,6 +84,7 @@ class _CountingProvider:
         self._totals["calls"][role] += 1
         self._totals["prompt_chars"][role] += len(prompt)
         self._totals["uncached_chars"] += self._prefixes.uncached(prompt)
+        self._prompts.update(hashlib.sha256(prompt.encode("utf-8")).digest())
         return self._inner.complete(request)
 
 
@@ -101,10 +105,10 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
             "calls": dict.fromkeys(ROLES, 0), "prompt_chars": dict.fromkeys(ROLES, 0),
             "uncached_chars": 0, "distinct_router_prompts": 0,
         }
-        traces = hashlib.sha256()
+        traces, prompts = hashlib.sha256(), hashlib.sha256()
         for scenario, policy in loaded:
             provider = _CountingProvider(
-                lib.ScriptedProvider(policy), state_head, tracing.PrefixIndex(), totals,
+                lib.ScriptedProvider(policy), state_head, tracing.PrefixIndex(), totals, prompts,
             )
             try:
                 episode = lib.run_episode(
@@ -120,6 +124,7 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
                 traces.update(lib.serialize_episode(episode).encode("utf-8") + b"\n")
             totals["distinct_router_prompts"] += len(provider.router_prompts)
         totals["trace_sha256"] = traces.hexdigest()
+        totals["prompt_sha256"] = prompts.hexdigest()
         for key in ("calls", "prompt_chars"):
             totals[key]["total"] = sum(totals[key].values())
         totals["per_episode"] = {

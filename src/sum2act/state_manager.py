@@ -144,7 +144,7 @@ _REASK = (
 
 def update(
     provider, instruction: Instruction, state: State, observation: Observation, step_index: int,
-    verdicts: dict | None = None,
+    verdicts: dict,
 ) -> State:
     """Judge one observation and return a new State; the input is unchanged.
 
@@ -165,7 +165,6 @@ def update(
     of an observation that fell back is judged again.
     """
     seen = render_observation(observation)
-    verdicts = {} if verdicts is None else verdicts
     args, judged = verdicts.get(seen, (None, None))
     if judged is None or args_digest(args) != args_digest(observation.args_echo):
         prompt = build_state_prompt(instruction, state, seen)

@@ -1,6 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import functools
 import http.server
+import importlib.util
+import io
+import json
+import logging
+import sys
 import threading
 import time
 from pathlib import Path
@@ -8,11 +15,39 @@ from pathlib import Path
 import pytest
 
 SCENARIOS_ROOT = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = SCENARIOS_ROOT.parent
+# The seed the generated benchmark workloads are counted at.
+COUNTED_SEED = 5
 
 
 @pytest.fixture
 def scenarios_root() -> Path:
     return SCENARIOS_ROOT
+
+
+@pytest.fixture(scope="session")
+def workload_counts():
+    """``scripts/role_counts.py``'s JSON output for a benchmark workload (a
+    generated one at COUNTED_SEED), run over ``src/`` at most once per
+    session."""
+    spec = importlib.util.spec_from_file_location("role_counts", REPO / "scripts" / "role_counts.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    @functools.cache
+    def counts(workload: str) -> dict:
+        argv = ["--src", str(REPO / "src"), "--workload", workload, "--seed", f"{COUNTED_SEED}"]
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()) as out:
+            # The script extends sys.path, sys.modules and the package
+            # logger's handlers for its process; undo all three here.
+            patch.setattr(sys, "path", list(sys.path))
+            patch.setattr(logging.getLogger("sum2act"), "handlers", [])
+            for name in ("perfbench_workloads", "perfbench_tracing"):
+                patch.setitem(sys.modules, name, None)
+            assert script.main(argv) == 0
+        return json.loads(out.getvalue())
+
+    return counts
 
 
 class ScriptedHTTPServer:

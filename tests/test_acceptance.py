@@ -212,7 +212,7 @@ def test_state_boundedness_and_monotonicity_over_randomized_episodes():
         previous_failures = 0
         for step in range(1, rng.randint(1, 18) + 1):
             observation = _random_observation(rng, step)
-            state = update(UNSCRIPTED, instruction, state, observation, step_index=step)
+            state = update(UNSCRIPTED, instruction, state, observation, step_index=step, verdicts={})
             state = enforce_cap(state, UNSCRIPTED)
             if len(render_state(state)) > cap:
                 violations.append(f"episode {episode_index} step {step}: over cap")

@@ -14,9 +14,9 @@ from pathlib import Path
 
 from sum2act import cli
 
-from .conftest import SCENARIOS_ROOT
+from .conftest import REPO, SCENARIOS_ROOT
+from .test_counts import PINNED
 
-REPO = SCENARIOS_ROOT.parent
 # report.json of a three-method bench over the shipped corpus.
 REPORT_SHA256 = "e6eef733195e647e0f6d61ef78bb73b0f6487b57ad8476fd31ffdbd85e64119c"
 
@@ -37,7 +37,9 @@ def test_delayed_bench_at_two_levels(monkeypatch, capsys):
     assert code == 0
     levels = json.loads(capsys.readouterr().out)["levels"]
     assert sorted(levels) == ["1", "2"]
+    # A three-method bench makes the corpus's pinned calls (716).
+    calls = sum(pins[0] for (workload, _), pins in PINNED.items() if workload == "corpus")
     for level in levels.values():
-        assert level["provider_calls"] == 716
+        assert level["provider_calls"] == calls
         assert level["report_sha256"] == REPORT_SHA256
         assert level["wall_s"] >= level["ideal_wall_s"]

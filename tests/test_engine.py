@@ -287,7 +287,7 @@ class TestSum2Act:
         episodes, state_prompts = run_twice()
         assert len(state_prompts) == 2
         assert episodes[0].steps[-1].state.current_results == (ResultEntry("still pending", 1),)
-        monkeypatch.setattr(engine, "update", lambda *args: state_manager.update(*args[:5]))
+        monkeypatch.setattr(engine, "update", lambda *args: state_manager.update(*args[:5], {}))
         unmapped, unmapped_prompts = run_twice()
         # Without the map step 2 is judged against the step-1 entry; the
         # fold leaves the state as it was, so step 3 repeats that prompt.

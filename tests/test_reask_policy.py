@@ -63,7 +63,7 @@ def _update(provider):
         status="ToolError", payload="", tool_name="get_weather",
         args_echo={"city": "Miami"}, error="HTTP 502: upstream gone",
     )
-    return update(provider, INSTRUCTION, State(), observation, step_index=1)
+    return update(provider, INSTRUCTION, State(), observation, 1, {})
 
 
 class TestAskJson:

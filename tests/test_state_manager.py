@@ -163,13 +163,13 @@ def _verdict_provider(verdict: dict) -> ScriptedProvider:
 class TestUpdate:
     def test_scripted_success_appends_result(self):
         provider = _verdict_provider({"verdict": "Success", "summary": "Miami: sunny, 29 degrees"})
-        state = update(provider, INSTRUCTION, State(), _success_obs("..."), step_index=1)
+        state = update(provider, INSTRUCTION, State(), _success_obs("..."), 1, {})
         assert [r.text for r in state.current_results] == ["Miami: sunny, 29 degrees"]
         assert state.failure_history == ()
 
     def test_scripted_failure_appends_entry(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "endpoint returned server error"})
-        state = update(provider, INSTRUCTION, State(), _error_obs("HTTP 500: boom"), step_index=1)
+        state = update(provider, INSTRUCTION, State(), _error_obs("HTTP 500: boom"), 1, {})
         assert state.current_results == ()
         assert len(state.failure_history) == 1
         entry = state.failure_history[0]
@@ -180,8 +180,8 @@ class TestUpdate:
     def test_duplicate_failures_merge(self):
         provider = _verdict_provider({"verdict": "Failure", "reason": "same failure"})
         obs = _error_obs("HTTP 500: boom")
-        state = update(provider, INSTRUCTION, State(), obs, step_index=1)
-        state = update(provider, INSTRUCTION, state, obs, step_index=2)
+        state = update(provider, INSTRUCTION, State(), obs, 1, {})
+        state = update(provider, INSTRUCTION, state, obs, 2, {})
         assert len(state.failure_history) == 1
         assert state.failure_history[0].step == 1
 
@@ -189,11 +189,11 @@ class TestUpdate:
         provider = _verdict_provider({"verdict": "Failure", "reason": "r"})
         state = update(
             provider, INSTRUCTION, State(),
-            _error_obs("HTTP 500: a", args={"city": "Miami"}), step_index=1,
+            _error_obs("HTTP 500: a", args={"city": "Miami"}), 1, {},
         )
         state = update(
             provider, INSTRUCTION, state,
-            _error_obs("HTTP 500: b", args={"city": "Boston"}), step_index=2,
+            _error_obs("HTTP 500: b", args={"city": "Boston"}), 2, {},
         )
         assert len(state.failure_history) == 2
 
@@ -201,24 +201,24 @@ class TestUpdate:
         provider = _verdict_provider({"verdict": "Success", "summary": "new"})
         original = State(current_results=(ResultEntry("old", 1),), failure_history=())
         snapshot = State(tuple(original.current_results), tuple(original.failure_history))
-        updated = update(provider, INSTRUCTION, original, _success_obs("..."), step_index=2)
+        updated = update(provider, INSTRUCTION, original, _success_obs("..."), 2, {})
         assert original == snapshot
         assert updated is not original
 
     def test_mechanical_fallback_success(self):
         payload = "z" * 500
-        state = update(UNSCRIPTED, INSTRUCTION, State(), _success_obs(payload), step_index=1)
+        state = update(UNSCRIPTED, INSTRUCTION, State(), _success_obs(payload), 1, {})
         assert state.current_results[0].text == payload[:200]
 
     def test_mechanical_fallback_failure_uses_descriptor(self):
-        state = update(UNSCRIPTED, INSTRUCTION, State(), _error_obs("HTTP 502: upstream gone"), step_index=1)
+        state = update(UNSCRIPTED, INSTRUCTION, State(), _error_obs("HTTP 502: upstream gone"), 1, {})
         assert state.failure_history[0].reason == "HTTP 502: upstream gone"
 
     @pytest.mark.parametrize("verdict", ["Maybe", "success", None, 1])
     def test_verdict_of_neither_value_falls_back_to_the_mechanical_one(self, verdict):
         provider = RecordingProvider(_verdict_provider({"verdict": verdict, "summary": "s", "reason": "r"}))
-        success = update(provider, INSTRUCTION, State(), _success_obs("z" * 500), step_index=1)
-        failure = update(provider, INSTRUCTION, State(), _error_obs("HTTP 502: upstream gone"), step_index=1)
+        success = update(provider, INSTRUCTION, State(), _success_obs("z" * 500), 1, {})
+        failure = update(provider, INSTRUCTION, State(), _error_obs("HTTP 502: upstream gone"), 1, {})
         assert [r.text for r in success.current_results] == ["z" * 200]
         assert [f.reason for f in failure.failure_history] == ["HTTP 502: upstream gone"]
         assert "verdict must be Success or Failure" in provider.prompts()[1]
@@ -233,7 +233,7 @@ class TestUpdate:
             ),
             default="not a verdict",
         )
-        state = update(ScriptedProvider(policy), INSTRUCTION, State(), _success_obs("..."), step_index=1)
+        state = update(ScriptedProvider(policy), INSTRUCTION, State(), _success_obs("..."), 1, {})
         assert state.current_results[0].text == "recovered"
 
     @pytest.mark.parametrize("status", ["ToolError", "Timeout", "MalformedResponse"])
@@ -295,7 +295,7 @@ class TestUpdate:
         provider = RecordingProvider(_verdict_provider({"verdict": verdict, key: summary}))
         failed = FailureEntry("get_weather", args_digest({"city": "Miami"}), "store down", 1)
         state = State((), (failed,))
-        updated = update(provider, INSTRUCTION, state, _success_obs("..."), step_index=2)
+        updated = update(provider, INSTRUCTION, state, _success_obs("..."), 2, {})
         assert len(provider.prompts()) == 1
         assert updated.failure_history == (failed,)
         expected = (ResultEntry(summary, 2),) if verdict == "Success" else ()
@@ -313,16 +313,16 @@ class TestUpdate:
     def test_repeated_summary_returns_the_input_state(self):
         # Another payload, judged to a summary the state already holds.
         provider = RecordingProvider(_verdict_provider({"verdict": "Success", "summary": "Miami: sunny"}))
-        state = update(provider, INSTRUCTION, State(), _success_obs("sunny"), 1)
-        assert update(provider, INSTRUCTION, state, _success_obs("sunny, 29 degrees"), 2) is state
+        state = update(provider, INSTRUCTION, State(), _success_obs("sunny"), 1, {})
+        assert update(provider, INSTRUCTION, state, _success_obs("sunny, 29 degrees"), 2, {}) is state
         assert len(provider.prompts()) == 2
 
     def test_fallbacks_sharing_their_first_chars_fold(self):
         # Both payloads fall back to their first 200 chars, which are equal:
         # the second adds nothing the rendered state would show.
         head = "r" * 200
-        state = update(UNSCRIPTED, INSTRUCTION, State(), _success_obs(head + " at noon"), 1)
-        assert update(UNSCRIPTED, INSTRUCTION, state, _success_obs(head + " at dusk"), 2) is state
+        state = update(UNSCRIPTED, INSTRUCTION, State(), _success_obs(head + " at noon"), 1, {})
+        assert update(UNSCRIPTED, INSTRUCTION, state, _success_obs(head + " at dusk"), 2, {}) is state
         assert state.current_results == (ResultEntry(head, 1),)
 
     def test_repeat_of_a_merged_result_is_added_again(self, cap_1024):
@@ -348,8 +348,8 @@ class TestUpdate:
             default=json.dumps({"verdict": "Success", "summary": "Miami: sunny"}),
         )
         provider = ScriptedProvider(policy)
-        state = update(provider, INSTRUCTION, State(), _success_obs("sunny"), 1)
-        state = update(provider, INSTRUCTION, state, _success_obs("sunny"), 2)
+        state = update(provider, INSTRUCTION, State(), _success_obs("sunny"), 1, {})
+        state = update(provider, INSTRUCTION, state, _success_obs("sunny"), 2, {})
         assert state.current_results == (ResultEntry("Miami: sunny", 1), ResultEntry("still sunny", 2))
 
     def test_same_payload_for_other_args_is_judged_again(self):
@@ -387,7 +387,7 @@ class TestUpdate:
         with pytest.raises(MalformedOutput):
             _parse_verdict(reply)
         provider = ScriptedProvider(ScriptedPolicy(default=reply))
-        state = update(provider, INSTRUCTION, State(), _success_obs("p" * 500), step_index=1)
+        state = update(provider, INSTRUCTION, State(), _success_obs("p" * 500), 1, {})
         assert state.current_results[0].text == "p" * 200
 
 
