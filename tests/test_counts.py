@@ -79,7 +79,8 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("workload, method", sorted(PINNED))
+# The corpus rows are checked in test_corpus_counts.
+@pytest.mark.parametrize("workload, method", sorted(pair for pair in PINNED if pair[0] != "corpus"))
 def test_counts_are_pinned(workload_counts, workload, method):
     counts = workload_counts(workload)["methods"][method]
     assert counts["episodes"] == EPISODES[workload]
