@@ -15,9 +15,11 @@ prompt of its episode, by perfbench's own ``PrefixIndex``.
 
 Prints one JSON object: per method the episodes, passes, passes per subset
 (each scenario's subset label, "default" when it has none), the exception
-types of episodes that raised, calls and prompt chars by role, as totals and
-per episode, distinct router prompts (counted per episode, then summed), as
-a total and per episode, ``trace_sha256``, the sha256 of each ended
+types of episodes that raised, the terminal status of each episode that
+ended (counted per status), calls and prompt chars by role, as totals and
+per episode, distinct router prompts (counted per episode, then summed) and
+the steps of the episodes that ended, each as a total and per episode (over
+every episode, as the calls are), ``trace_sha256``, the sha256 of each ended
 episode's trace followed by "\n", in task order, and ``prompt_sha256``, the
 sha256 over the sha256 of each prompt sent, in send order, as
 ``tests/test_counts.py`` pins them; and, over all methods, uncached prompt
@@ -103,7 +105,7 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
                 subset: 0 for subset in sorted({_subset(scenario) for scenario, _ in loaded})
             },
             "calls": dict.fromkeys(ROLES, 0), "prompt_chars": dict.fromkeys(ROLES, 0),
-            "uncached_chars": 0, "distinct_router_prompts": 0,
+            "uncached_chars": 0, "distinct_router_prompts": 0, "terminals": {}, "steps": 0,
         }
         traces, prompts = hashlib.sha256(), hashlib.sha256()
         for scenario, policy in loaded:
@@ -121,6 +123,9 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
                 passed = lib.check_pass(scenario, episode)
                 totals["passes"] += passed
                 totals["passes_by_subset"][_subset(scenario)] += passed
+                status = episode.terminal.status
+                totals["terminals"][status] = totals["terminals"].get(status, 0) + 1
+                totals["steps"] += len(episode.steps)
                 traces.update(lib.serialize_episode(episode).encode("utf-8") + b"\n")
             totals["distinct_router_prompts"] += len(provider.router_prompts)
         totals["trace_sha256"] = traces.hexdigest()
@@ -131,7 +136,9 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
             key: {role: value / len(loaded) for role, value in totals[key].items()}
             for key in ("calls", "prompt_chars")
         }
-        totals["per_episode"]["distinct_router_prompts"] = totals["distinct_router_prompts"] / len(loaded)
+        for key in ("distinct_router_prompts", "steps"):
+            totals["per_episode"][key] = totals[key] / len(loaded)
+        totals["terminals"] = dict(sorted(totals["terminals"].items()))
         out[method] = totals
     return out
 

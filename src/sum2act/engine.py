@@ -197,10 +197,14 @@ class Tree(Memory):
     A non-Success observation fails the attempted child: the proposal counts
     against the node's ``DFSDT_MAX_CHILDREN`` and only the attempted action
     name is carried to the next sibling attempt. A Success makes a child
-    node; a Success equal to the branch's last entry makes one too, carrying
-    the parent's memory unchanged. A node whose children are spent is left
-    for its parent. The reserved action ``Restart`` abandons the current
-    branch. Leaving the root exhausts the tree.
+    node, unless its entry equals the branch's last entry: that child would
+    hold its parent's memory and, under a provider that answers one prompt
+    one way, replay the parent's subtree, so it is not made and the attempt
+    counts like a failed one. A node whose children are spent is left for
+    its parent. The reserved action ``Restart`` abandons the current branch.
+    Leaving the root exhausts the tree, so one call proposed at every node
+    and returning one Success payload forever ends the search after
+    ``DFSDT_MAX_CHILDREN * (DFSDT_MAX_CHILDREN + 1)`` steps.
     """
 
     node: SearchNode | None = field(default_factory=lambda: SearchNode(memory=()))
@@ -225,8 +229,8 @@ class Tree(Memory):
         node.attempted += (action.tool_name,)
         if observation.status == "Success":
             entry = _transcript_entry(action, observation)
-            memory = node.memory if _repeats_last(node.memory, entry) else node.memory + (entry,)
-            self.node = SearchNode(memory, node)
+            if not _repeats_last(node.memory, entry):
+                self.node = SearchNode(node.memory + (entry,), node)
         return Step(action, observation, self.state)
 
 

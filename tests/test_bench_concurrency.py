@@ -18,7 +18,7 @@ from .conftest import REPO, SCENARIOS_ROOT
 from .test_counts import PINNED
 
 # report.json of a three-method bench over the shipped corpus.
-REPORT_SHA256 = "e6eef733195e647e0f6d61ef78bb73b0f6487b57ad8476fd31ffdbd85e64119c"
+REPORT_SHA256 = "f7d0e8c0625c7f600c31e5c4ee24291c4e7c608c0d3d823fd9a4a39c639d75cf"
 
 
 def test_delayed_bench_at_two_levels(monkeypatch, capsys):
@@ -37,7 +37,7 @@ def test_delayed_bench_at_two_levels(monkeypatch, capsys):
     assert code == 0
     levels = json.loads(capsys.readouterr().out)["levels"]
     assert sorted(levels) == ["1", "2"]
-    # A three-method bench makes the corpus's pinned calls (716).
+    # A three-method bench makes the corpus's pinned calls (528).
     calls = sum(pins[0] for (workload, _), pins in PINNED.items() if workload == "corpus")
     for level in levels.values():
         assert level["provider_calls"] == calls

@@ -632,7 +632,7 @@ class TestBench:
             digest.update(path.relative_to(out_dir).as_posix().encode("utf-8") + b"\n")
             digest.update(path.read_bytes())
         assert digest.hexdigest() == (
-            "93da33efdf6510acf2d2b771d25fb133f47908d89e0a8133a472c65e58a672ae"
+            "55fd601fed9db576082df7e8301e4802e9832803cd2fda2c9532322dc56d5f1f"
         )
 
     @pytest.mark.parametrize("value", ["abc", "4", 2.5, True])

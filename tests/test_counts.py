@@ -41,9 +41,9 @@ PINNED = {
         "c818c40cc75bf637479b61a686312e82ad45bca96bfe4b71523188dd923ce06e", {},
     ),
     ("corpus", "dfsdt"): (
-        293, 444_756, 96_075,
-        "ef50149495ae1bd0131a3d93ed3ba7db8958cadd5614551d08c1449989a9d356",
-        "9330408bafd3d3799f7978a3996f78d8124117a3a0a80d59c68c5ea0be77e0d8", {},
+        105, 236_142, 96_127,
+        "447a1d47a39e947c58e43cb27c1849964b57641e08cdd9c71f5152012a611cae",
+        "1b4f0e82958cf5e5563bfff5c7bfee595c8c73ec9e1d50e1f5d8c5020565ca8c", {},
     ),
     ("long_state", "sum2act"): (
         521, 2_957_543, 973_465,
@@ -104,3 +104,11 @@ def test_passes_per_subset_add_up_to_the_passes(workload_counts, workload):
     for counts in workload_counts(workload)["methods"].values():
         assert sorted(counts["passes_by_subset"]) == SUBSETS[workload]
         assert sum(counts["passes_by_subset"].values()) == counts["passes"]
+
+
+@pytest.mark.parametrize("workload", sorted(EPISODES))
+def test_terminals_count_the_episodes_that_ended(workload_counts, workload):
+    for counts in workload_counts(workload)["methods"].values():
+        assert sum(counts["terminals"].values()) + len(counts["raised"]) == counts["episodes"]
+        assert counts["terminals"].get("Finished", 0) >= counts["passes"]
+        assert counts["per_episode"]["steps"] == counts["steps"] / counts["episodes"]

@@ -2,8 +2,9 @@
 by random tool behaviour and random model replies, ends in a valid terminal
 state within its budget, with a trace that round-trips byte-identically, and
 raises nothing; sum2act's state-manager shortcuts keep the first of each
-result and failure a loop without them would keep; and react's and dfsdt's
-transcripts drop only a step that repeats the one before it."""
+result and failure a loop without them would keep; react's transcript
+drops only a step that repeats the one before it; and dfsdt opens no search
+node for such a step, so a poll that never changes ends its search."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from sum2act import engine
 from sum2act.core import (
     Instruction, Observation, ToolSpec, args_digest, deserialize_episode, serialize_episode,
 )
-from sum2act.engine import RESTART_ACTION, EngineConfig, run_episode
+from sum2act.engine import DFSDT_MAX_CHILDREN, RESTART_ACTION, EngineConfig, run_episode
 from sum2act.errors import RequestTooLarge
 from sum2act.provider import ScriptedPolicy, ScriptedProvider
 from sum2act.router import ROUTER_RULES
@@ -299,36 +300,76 @@ failures = st.just(lambda args: Observation(
 ))
 
 
-@pytest.mark.parametrize("method", ["react", "dfsdt"])
-@settings(max_examples=200, deadline=None)
-@given(
+def _poll(method, replies, observations, budget):
+    """Run an episode of ``poll`` calls, each observed by the next of the
+    drawn observations, in turn; no reply finishes, so it runs until its
+    budget is spent or the dfsdt tree is exhausted. Returns the episode and
+    its prompts."""
+    drawn = cycle(observations)
+    provider = LastEntryProvider(replies)
+    episode = run_episode(
+        method, provider, Instruction(id="poll", text="report the job"),
+        [ToolSpec(name="poll", description="poll a job")], EngineConfig(step_budget=budget),
+        lambda tool, args: next(drawn)(args),
+    )
+    return episode, provider.prompts
+
+
+drawn_polls = dict(
     replies=st.lists(step_replies, min_size=1, max_size=3),
     observations=st.lists(st.one_of(successes, successes, failures), min_size=1, max_size=6),
     budget=st.integers(1, 12),
 )
-def test_transcript_drops_only_consecutive_repeats(method, replies, observations, budget):
-    # No reply finishes, so each episode runs until its budget is spent or
-    # the dfsdt tree is exhausted. The entries stay far under react's
-    # window, so none is evicted.
-    def run():
-        drawn = cycle(observations)
-        provider = LastEntryProvider(replies)
-        episode = run_episode(
-            method, provider, Instruction(id="poll", text="report the job"),
-            [ToolSpec(name="poll", description="poll a job")], EngineConfig(step_budget=budget),
-            lambda tool, args: next(drawn)(args),
-        )
-        return episode, provider.prompts
 
-    episode, prompts = run()
+
+# dfsdt, which opens no node for such a step, has its own two tests below.
+@pytest.mark.parametrize("method", ["react"])
+@settings(max_examples=200, deadline=None)
+@given(**drawn_polls)
+def test_transcript_drops_only_consecutive_repeats(method, replies, observations, budget):
+    # The entries stay far under react's window, so none is evicted.
+    episode, prompts = _poll(method, replies, observations, budget)
     with mock.patch.object(engine, "_repeats_last", lambda transcript, entry: False):
-        reference, reference_prompts = run()
+        reference, reference_prompts = _poll(method, replies, observations, budget)
     assert episode == reference
     assert len(prompts) == len(reference_prompts)
     for prompt, reference_prompt in zip(prompts, reference_prompts):
         assert _transcript(prompt) == [entry for entry, _ in groupby(_transcript(reference_prompt))]
-    if method == "react":
-        # react's reference transcript is every step taken so far.
-        for index, prompt in enumerate(reference_prompts):
-            taken = [engine._transcript_entry(step.action, step.observation) for step in episode.steps[:index]]
-            assert _transcript(prompt) == taken
+    # react's reference transcript is every step taken so far.
+    for index, prompt in enumerate(reference_prompts):
+        taken = [engine._transcript_entry(step.action, step.observation) for step in episode.steps[:index]]
+        assert _transcript(prompt) == taken
+
+
+@settings(max_examples=200, deadline=None)
+@given(**drawn_polls)
+def test_no_search_node_repeats_its_parent(replies, observations, budget):
+    nodes, search_node = [], engine.SearchNode
+
+    def opened(*args, **kwargs):
+        nodes.append(search_node(*args, **kwargs))
+        return nodes[-1]
+
+    with mock.patch.object(engine, "SearchNode", opened):
+        _poll("dfsdt", replies, observations, budget)
+    # The root, then one child per Success that did not repeat its
+    # branch's last entry.
+    assert nodes[0].parent is None
+    for node in nodes[1:]:
+        assert node.memory != node.parent.memory
+        assert node.memory[:-1] == node.parent.memory
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    reply=step_replies.filter(lambda reply: json.loads(reply)["action"] == "poll"),
+    success=successes,
+    budget=st.integers(DFSDT_MAX_CHILDREN * (DFSDT_MAX_CHILDREN + 1), engine.DFSDT_STEP_BUDGET),
+)
+def test_one_success_payload_forever_exhausts_the_tree_in_twelve_steps(reply, success, budget):
+    # The root's three children each hold the one entry, and each takes
+    # three repeats, none of which opens a node.
+    episode, prompts = _poll("dfsdt", [reply], [success], budget)
+    assert episode.terminal.status == "BudgetExhausted"
+    assert len(episode.steps) == len(prompts) == 12
+    assert all(step.observation == episode.steps[0].observation for step in episode.steps)

@@ -58,7 +58,7 @@ class NoisyProvider:
 PINNED_TERMINALS = {
     (0.3, "sum2act"): {"Finished": 27, "AbortedParseFailure": 3},
     (0.3, "react"): {"Finished": 24, "AbortedParseFailure": 5, "BudgetExhausted": 1},
-    (0.3, "dfsdt"): {"Finished": 22, "AbortedParseFailure": 2, "BudgetExhausted": 6},
+    (0.3, "dfsdt"): {"Finished": 22, "AbortedParseFailure": 1, "BudgetExhausted": 7},
     **{(1.0, method): {"AbortedParseFailure": 30} for method in METHOD_LABELS},
 }
 
