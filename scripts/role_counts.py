@@ -17,9 +17,10 @@ Prints one JSON object: per method the episodes, passes, passes per subset
 (each scenario's subset label, "default" when it has none), the exception
 types of episodes that raised, the terminal status of each episode that
 ended (counted per status), calls and prompt chars by role, as totals and
-per episode, distinct router prompts (counted per episode, then summed) and
-the steps of the episodes that ended, each as a total and per episode (over
-every episode, as the calls are), ``trace_sha256``, the sha256 of each ended
+per episode, uncached prompt chars as a total and by role, distinct router
+prompts (counted per episode, then summed) and the steps of the episodes
+that ended, each as a total and per episode (over every episode, as the
+calls are), ``trace_sha256``, the sha256 of each ended
 episode's trace followed by "\n", in task order, and ``prompt_sha256``, the
 sha256 over the sha256 of each prompt sent, in send order, as
 ``tests/test_counts.py`` pins them; and, over all methods, uncached prompt
@@ -85,7 +86,9 @@ class _CountingProvider:
             self.router_prompts.add(prompt)
         self._totals["calls"][role] += 1
         self._totals["prompt_chars"][role] += len(prompt)
-        self._totals["uncached_chars"] += self._prefixes.uncached(prompt)
+        uncached = self._prefixes.uncached(prompt)
+        self._totals["uncached_chars"] += uncached
+        self._totals["uncached_chars_by_role"][role] += uncached
         self._prompts.update(hashlib.sha256(prompt.encode("utf-8")).digest())
         return self._inner.complete(request)
 
@@ -105,7 +108,8 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
                 subset: 0 for subset in sorted({_subset(scenario) for scenario, _ in loaded})
             },
             "calls": dict.fromkeys(ROLES, 0), "prompt_chars": dict.fromkeys(ROLES, 0),
-            "uncached_chars": 0, "distinct_router_prompts": 0, "terminals": {}, "steps": 0,
+            "uncached_chars": 0, "uncached_chars_by_role": dict.fromkeys(ROLES, 0),
+            "distinct_router_prompts": 0, "terminals": {}, "steps": 0,
         }
         traces, prompts = hashlib.sha256(), hashlib.sha256()
         for scenario, policy in loaded:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import replace
 
 from .core import (
     FailureEntry,
@@ -52,9 +51,10 @@ _last_render = _LastRender()
 def render_state(state: State) -> str:
     """Canonical two-section rendering consumed by the router prompt.
 
-    Failure history comes first: its entries are only ever appended, while
-    the cap merges result entries oldest-first, so the failures form a
-    prefix that stays stable from one step's prompts to the next.
+    Failure history comes first: ``update`` clips each reason as it appends
+    the entry and nothing changes an entry after that, while the cap merges
+    result entries oldest-first, so the failures form a prefix that stays
+    stable from one step's prompts to the next.
 
     The cap measures each state it builds with this function and returns
     the one it measured last, which the next router and verdict prompts
@@ -151,6 +151,8 @@ def update(
     The provider's verdict is re-asked while it is unusable or the provider
     raises ScriptError or RequestTooLarge; once the re-asks are spent, a
     mechanical verdict keyed on the observation status is logged and used.
+    A Failure reason over ``FAILURE_REASON_CAP_CHARS``, a mechanical one
+    too, enters clipped to its first 117 chars and "...".
     A verdict whose entry the state already holds returns the input State,
     and that entry keeps its first step: a result already holds a Success
     verdict with the same text, a failure one with the same tool and args
@@ -189,6 +191,8 @@ def update(
     digest = args_digest(observation.args_echo)
     if state.has_failure(observation.tool_name, digest):
         return state
+    if len(text) > FAILURE_REASON_CAP_CHARS:
+        text = text[: FAILURE_REASON_CAP_CHARS - 3] + "..."
     entry = FailureEntry(tool=observation.tool_name, digest=digest, reason=text, step=step_index)
     return State(state.current_results, state.failure_history + (entry,))
 
@@ -222,28 +226,20 @@ def _merge_texts(provider, folded: tuple[ResultEntry, ...]) -> str:
 def enforce_cap(state: State, provider) -> State:
     """Bound the rendered state length to ``STATE_CAP_CHARS``.
 
-    Failure reasons longer than 120 chars are shortened first, which costs
-    no provider call (entries are never dropped). If the state is still over
-    the cap, the oldest results are folded into one note with one merge
-    call (by the provider, or mechanically when it raises ScriptError or
-    RequestTooLarge or replies with nothing). The fold takes the fewest
+    Only results change; failure entries (``update`` clipped each reason)
+    are never dropped or rewritten. If the state is over the cap, the
+    oldest results are folded into one note with one merge call (by the
+    provider, or mechanically when it raises ScriptError or RequestTooLarge
+    or replies with nothing). The fold takes the fewest
     oldest results, at least two, that leave the rest of the state rendering
     to at most half the cap, or all of them; the note takes the last folded
     entry's step. Folding to half the cap, not just under it, leaves room
     for the results of the next steps, so one merge call serves several
     steps. As a last resort the single remaining result entry is
-    hard-truncated. When the shortened failure section alone exceeds the
-    cap, the state is returned at its minimum achievable length.
+    hard-truncated. When the failure section alone exceeds the cap, the
+    state is returned at its minimum achievable length.
     """
     overflow = len(render_state(state)) - STATE_CAP_CHARS
-    cap = FAILURE_REASON_CAP_CHARS
-    if overflow > 0 and any(len(f.reason) > cap for f in state.failure_history):
-        failures = tuple(
-            replace(f, reason=f.reason[: cap - 3] + "...") if len(f.reason) > cap else f
-            for f in state.failure_history
-        )
-        state = State(state.current_results, failures)
-        overflow = len(render_state(state)) - STATE_CAP_CHARS
     # At the 4,096-char cap one fold always suffices; a much smaller cap may
     # need another.
     while overflow > 0 and len(state.current_results) > 1:

@@ -46,9 +46,9 @@ PINNED = {
         "1b4f0e82958cf5e5563bfff5c7bfee595c8c73ec9e1d50e1f5d8c5020565ca8c", {},
     ),
     ("long_state", "sum2act"): (
-        521, 2_957_543, 973_465,
-        "3bdacbd4fb5f5f1aa1cc7c08a3111679e70b9b48f9314d9b65a1a02e04b5a02b",
-        "a8b603c24f17bd55004d0dd0d9e8c5b4d448280c3248ecd0843a4c72a816c05f", {},
+        521, 2_940_718, 967_033,
+        "8be2680c713237cb4bd56bb201155237c2abad6710b324dc6531299bd4814119",
+        "9890c14b1c72c64c26b3676acfef2abf9851e553903c86773b550ce13411be4c", {},
     ),
     ("long_state", "react"): (
         317, 1_488_105, 151_090,
@@ -62,9 +62,9 @@ PINNED = {
         {"chain10": "RequestTooLarge", "chain11": "RequestTooLarge"},
     ),
     ("flaky_live", "sum2act"): (
-        339, 985_616, 260_805,
-        "fc0ad5599fd8c1a1489b129d1a590cbe5f210c0ebed1ccd61e948cecedb3454d",
-        "8be2468d41406380706101c2c4d999458d03682cfb51898d6aaeebb52ec905f4", {},
+        339, 609_280, 159_653,
+        "c232650d926b534b0a56b316cc0d7ec1332fec2ae9a2ee409e11f971b54e9c31",
+        "b76cb4ca223c8e87315aa77de80836ad803c1dae476f6bdf1c7253e220471824", {},
     ),
     ("flaky_live", "react"): (
         186, 392_012, 63_624,
@@ -97,6 +97,13 @@ def test_uncached_chars_per_episode_are_the_pins_over_every_episode(workload_cou
     assert sorted(out["methods"]) == sorted(methods)
     uncached = sum(PINNED[workload, method][2] for method in methods)
     assert out["uncached_prompt_chars_per_episode"] == uncached / (len(methods) * EPISODES[workload])
+
+
+@pytest.mark.parametrize("workload, method", sorted(PINNED))
+def test_uncached_chars_by_role_add_up_to_the_pin(workload_counts, workload, method):
+    by_role = workload_counts(workload)["methods"][method]["uncached_chars_by_role"]
+    assert sorted(by_role) == ["merge", "router", "state"]
+    assert sum(by_role.values()) == PINNED[workload, method][2]
 
 
 @pytest.mark.parametrize("workload", sorted(SUBSETS))

@@ -2,13 +2,15 @@
 by random tool behaviour and random model replies, ends in a valid terminal
 state within its budget, with a trace that round-trips byte-identically, and
 raises nothing; sum2act's state-manager shortcuts keep the first of each
-result and failure a loop without them would keep; react's transcript
+result and failure a loop without them would keep, and its failure history
+only grows, each reason clipped, however far the cap folds; react's transcript
 drops only a step that repeats the one before it; and dfsdt opens no search
 node for such a step, so a poll that never changes ends its search."""
 
 from __future__ import annotations
 
 import json
+import re
 import zlib
 from itertools import cycle, groupby
 from unittest import mock
@@ -26,7 +28,7 @@ from sum2act.errors import RequestTooLarge
 from sum2act.provider import ScriptedPolicy, ScriptedProvider
 from sum2act.router import ROUTER_RULES
 from sum2act.sandbox import Behavior, PassCondition, Scenario, ScenarioSession
-from sum2act.state_manager import render_observation
+from sum2act.state_manager import FAILURE_REASON_CAP_CHARS, render_observation
 
 from .episode_strategies import arg_maps, safe_text
 from .test_engine import _transcript
@@ -248,8 +250,8 @@ def _reference(observations):
 @settings(max_examples=200, deadline=None)
 @given(observations=st.lists(polls, min_size=1, max_size=12))
 def test_sum2act_keeps_the_first_of_each_reference_result(observations):
-    # The drawn states stay far under the cap, so no merge changes a text
-    # and no reason is shortened.
+    # The drawn states stay far under the cap, so no merge changes a text,
+    # and every reason is under the clip.
     replies = iter(observations)
     provider = PollProvider([observation.args_echo for observation in observations])
     episode = run_episode(
@@ -268,6 +270,65 @@ def test_sum2act_keeps_the_first_of_each_reference_result(observations):
     assert [(e.text, e.step) for e in state.current_results] == list(first_results.items())
     assert [(f.tool, f.digest, f.reason, f.step) for f in state.failure_history] == list(first_failures.values())
     assert provider.calls <= calls
+
+
+class SizedVerdictProvider:
+    """Proposes a poll at every step, judges call ``i`` by ``sizes[i]``:
+    a Success summary ``"i: sss..."`` or a Failure reason ``"fff..."`` of
+    that many chars (an empty one is refused and falls back), and merges
+    any notes into one short note."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def complete(self, request) -> str:
+        prompt = request.prompt
+        if ROUTER_RULES in prompt:
+            return json.dumps({"thought": "poll", "action": "poll", "args": {}})
+        if prompt.startswith("Merge these two progress notes"):
+            return "merged note"
+        seen = prompt.rsplit("## Newest Observation\n", 1)[1]
+        kind, index = re.search(r"(result|call) (\d+)", seen).groups()
+        size = self.sizes[int(index)]
+        if kind == "result":
+            return json.dumps({"verdict": "Success", "summary": f"{index}: " + "s" * size})
+        return json.dumps({"verdict": "Failure", "reason": "f" * size})
+
+
+def _sized_observation(index: int, failed: bool) -> Observation:
+    args = {"n": str(index)}  # a new args digest at every call
+    if failed:
+        return Observation(
+            status="ToolError", payload="", tool_name="poll", args_echo=args, error=f"HTTP 500: call {index}",
+        )
+    return Observation(status="Success", payload=f"result {index}", tool_name="poll", args_echo=args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(calls=st.lists(
+    st.one_of(
+        st.tuples(st.just(False), st.integers(300, 1200)),
+        st.tuples(st.just(True), st.integers(0, 1000)),
+    ),
+    min_size=6, max_size=24,
+))
+def test_failure_history_only_grows_and_each_reason_is_clipped(calls):
+    # The results push the state over the cap, so the cap folds while
+    # reasons of up to 1,000 chars stand in the failure history.
+    observations = iter(_sized_observation(i, failed) for i, (failed, _) in enumerate(calls))
+    episode = run_episode(
+        "sum2act", SizedVerdictProvider([size for _, size in calls]),
+        Instruction(id="poll", text="report the job"),
+        [ToolSpec(name="poll", description="poll a job")], EngineConfig(step_budget=len(calls)),
+        lambda tool, args: next(observations),
+    )
+    assert len(episode.steps) == len(calls)
+    previous = ()
+    for step in episode.steps:
+        history = step.state.failure_history
+        assert history[: len(previous)] == previous
+        assert all(len(entry.reason) <= FAILURE_REASON_CAP_CHARS for entry in history)
+        previous = history
 
 
 class LastEntryProvider:

@@ -214,6 +214,23 @@ class TestUpdate:
         state = update(UNSCRIPTED, INSTRUCTION, State(), _error_obs("HTTP 502: upstream gone"), 1, {})
         assert state.failure_history[0].reason == "HTTP 502: upstream gone"
 
+    @pytest.mark.parametrize("size", [FAILURE_REASON_CAP_CHARS + 1, 600])
+    def test_long_failure_reason_is_clipped_on_entry(self, size):
+        provider = _verdict_provider({"verdict": "Failure", "reason": "r" * size})
+        state = update(provider, INSTRUCTION, State(), _error_obs("HTTP 500: boom"), 1, {})
+        assert [f.reason for f in state.failure_history] == ["r" * 117 + "..."]
+
+    def test_reason_of_exactly_the_cap_enters_unchanged(self):
+        reason = "r" * FAILURE_REASON_CAP_CHARS
+        provider = _verdict_provider({"verdict": "Failure", "reason": reason})
+        state = update(provider, INSTRUCTION, State(), _error_obs("HTTP 500: boom"), 1, {})
+        assert [f.reason for f in state.failure_history] == [reason]
+
+    def test_long_mechanical_reason_is_clipped_on_entry(self):
+        error = "HTTP 502: " + "e" * 300
+        state = update(UNSCRIPTED, INSTRUCTION, State(), _error_obs(error), 1, {})
+        assert [f.reason for f in state.failure_history] == [error[:117] + "..."]
+
     @pytest.mark.parametrize("verdict", ["Maybe", "success", None, 1])
     def test_verdict_of_neither_value_falls_back_to_the_mechanical_one(self, verdict):
         provider = RecordingProvider(_verdict_provider({"verdict": verdict, "summary": "s", "reason": "r"}))
@@ -416,15 +433,6 @@ class TestEnforceCap:
         assert len(render_state(capped)) <= 4096
         assert capped.failure_history == failures
 
-    def test_reason_shortening_preserves_count(self, cap_1024):
-        failures = tuple(
-            FailureEntry(f"tool_{i}", f"d{i}", "r" * 500, i + 1) for i in range(8)
-        )
-        state = State(current_results=(), failure_history=failures)
-        capped = enforce_cap(state, UNSCRIPTED)
-        assert len(capped.failure_history) == len(failures)
-        assert all(len(f.reason) <= FAILURE_REASON_CAP_CHARS for f in capped.failure_history)
-
     def test_hard_truncate_single_result(self, cap_1024):
         state = State(current_results=(ResultEntry("w" * 9000, 1),), failure_history=())
         capped = enforce_cap(state, UNSCRIPTED)
@@ -433,9 +441,8 @@ class TestEnforceCap:
 
     @pytest.mark.parametrize("state", [
         State(tuple(ResultEntry("x" * 400, i + 1) for i in range(4)), ()),
-        State((), tuple(FailureEntry(f"tool_{i}", f"d{i}", "r" * 500, i + 1) for i in range(8))),
         State((ResultEntry("w" * 9000, 1),), ()),
-    ], ids=["merge", "shorten", "truncate"])
+    ], ids=["merge", "truncate"])
     def test_capped_state_is_the_one_rendered_last(self, cap_1024, state):
         # The next prompt then takes the capped state's text from the memo.
         capped = enforce_cap(state, UNSCRIPTED)
@@ -450,30 +457,38 @@ class TestEnforceCap:
         assert len(render_state(capped)) <= 1024
         assert any("merged note" in r.text for r in capped.current_results)
 
-    def test_long_reasons_are_shortened_before_any_merge(self):
+    def test_long_reasons_cost_no_merge(self):
+        # Eight 600-char reasons would put the state over the cap; clipped
+        # as they enter, they leave it far under, with no merge to make.
         provider = RecordingProvider(_merging_provider())
         results = (ResultEntry("sunny in Miami", 1), ResultEntry("rain in Boston", 2))
-        failures = tuple(FailureEntry(f"tool_{i}", f"d{i}", "r" * 600, i + 3) for i in range(8))
-        state = State(results, failures)
-        assert len(render_state(state)) > 4096
+        state = State(results, ())
+        for i in range(8):
+            judge = _verdict_provider({"verdict": "Failure", "reason": "r" * 600})
+            state = update(judge, INSTRUCTION, state, _error_obs("HTTP 500", tool=f"tool_{i}"), i + 3, {})
         capped = enforce_cap(state, provider)
         assert provider.prompts() == []
-        assert len(render_state(capped)) <= 4096
-        assert capped.current_results == results
+        assert capped is state
+        assert len(render_state(capped)) <= 4096 // 2
         assert [f.reason for f in capped.failure_history] == ["r" * 117 + "..."] * 8
 
-    def test_merges_follow_the_shortening(self, cap_1024):
-        # Folding first would fold every result and still leave the reasons
-        # to shorten; shortened first, one fold of the four oldest results
-        # brings the state under half the cap.
+    @pytest.mark.parametrize("results, merges", [
+        ((), 0),
+        (tuple(ResultEntry("x" * 150, i + 1) for i in range(5)), 1),
+        ((ResultEntry("w" * 9000, 1),), 0),
+    ], ids=["failures-only", "merge", "truncate"])
+    def test_failure_entries_are_never_changed(self, cap_1024, results, merges):
+        # The failures alone render past the 1,024-char cap.
         provider = RecordingProvider(_merging_provider())
-        results = tuple(ResultEntry("x" * 150, i + 1) for i in range(5))
-        failures = tuple(FailureEntry(f"tool_{i}", f"d{i}", "r" * 600, i + 6) for i in range(2))
-        capped = enforce_cap(State(results, failures), provider)
-        assert len(provider.prompts()) == 1
-        assert len(render_state(capped)) <= 1024
-        assert capped.current_results == (ResultEntry("merged note", 4), results[4])
-        assert all(len(f.reason) <= FAILURE_REASON_CAP_CHARS for f in capped.failure_history)
+        failures = tuple(
+            FailureEntry(f"tool_{i}", f"d{i}", "r" * FAILURE_REASON_CAP_CHARS, i + 6) for i in range(8)
+        )
+        state = State(results, failures)
+        capped = enforce_cap(state, provider)
+        assert len(render_state(State((), failures))) > 1024
+        assert len(provider.prompts()) == merges
+        assert capped.failure_history == failures
+        assert len(capped.current_results) == min(len(results), 1)
 
     def test_merges_stop_once_state_fits(self, monkeypatch):
         # Folding renumbers the list, so line lengths change as the count
@@ -522,7 +537,7 @@ class TestEnforceCap:
     @given(
         result_sizes=st.lists(st.integers(0, 1200), max_size=12),
         failure_count=st.integers(0, 10),
-        reason_size=st.integers(0, 400),
+        reason_size=st.integers(1, FAILURE_REASON_CAP_CHARS),
         merge_reply=st.sampled_from(["merged note", "m" * 300, " "]),
     )
     def test_capped_whenever_achievable(self, result_sizes, failure_count, reason_size, merge_reply):
@@ -543,8 +558,8 @@ class TestEnforceCap:
         # must be met; failures are never dropped.
         assert len(render_state(capped)) <= 4096
         assert len(capped.failure_history) == failure_count
-        shortened = capped.failure_history
-        if len(render_state(State(results, shortened))) <= 4096:
+        assert capped.failure_history == failures
+        if len(render_state(state)) <= 4096:
             assert provider.prompts() == []
-        elif len(results) > 1 and len(render_state(State(results[-1:], shortened))) < 4096 // 2:
+        elif len(results) > 1 and len(render_state(State(results[-1:], failures))) < 4096 // 2:
             assert len(provider.prompts()) == 1
