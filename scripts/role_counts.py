@@ -9,7 +9,8 @@ scripted provider, as ``perfbench/run.py``'s counting pass runs it. Each
 provider call is counted when it is made, whether or not it raises, under
 the role its prompt shows: ``merge`` for a state-cap merge, ``state`` for a
 state-manager verdict (and its re-asks), ``router`` for every other prompt
-(the router's, and react's and dfsdt's proposals). Uncached prompt chars are
+(the router's, and react's and dfsdt's proposals). A router prompt that
+carries the router's re-ask note is a router re-ask. Uncached prompt chars are
 the chars of each prompt past the longest prefix it shares with an earlier
 prompt of its episode, by perfbench's own ``PrefixIndex``.
 
@@ -17,10 +18,10 @@ Prints one JSON object: per method the episodes, passes, passes per subset
 (each scenario's subset label, "default" when it has none), the exception
 types of episodes that raised, the terminal status of each episode that
 ended (counted per status), calls and prompt chars by role, as totals and
-per episode, uncached prompt chars as a total and by role, distinct router
-prompts (counted per episode, then summed) and the steps of the episodes
-that ended, each as a total and per episode (over every episode, as the
-calls are), ``trace_sha256``, the sha256 of each ended
+per episode, uncached prompt chars as a total and by role, router re-asks,
+distinct router prompts (counted per episode, then summed) and the steps of
+the episodes that ended, each as a total and per episode (over every
+episode, as the calls are), ``trace_sha256``, the sha256 of each ended
 episode's trace followed by "\n", in task order, and ``prompt_sha256``, the
 sha256 over the sha256 of each prompt sent, in send order, as
 ``tests/test_counts.py`` pins them; and, over all methods, uncached prompt
@@ -67,9 +68,10 @@ class _CountingProvider:
     """Counts each call's prompt by role, and its uncached chars, and hashes
     it, before passing it on."""
 
-    def __init__(self, inner, state_head: str, prefixes, totals: dict, prompts):
+    def __init__(self, inner, state_head: str, reask_head: str, prefixes, totals: dict, prompts):
         self._inner = inner
         self._state_head = state_head
+        self._reask_head = reask_head
         self._prefixes = prefixes
         self._totals = totals
         self._prompts = prompts
@@ -84,6 +86,7 @@ class _CountingProvider:
         else:
             role = "router"
             self.router_prompts.add(prompt)
+            self._totals["reasks"] += self._reask_head in prompt
         self._totals["calls"][role] += 1
         self._totals["prompt_chars"][role] += len(prompt)
         uncached = self._prefixes.uncached(prompt)
@@ -97,7 +100,7 @@ def _subset(scenario) -> str:
     return scenario.instruction.subset_label or "default"
 
 
-def count(lib, tracing, tasks, methods, state_head: str) -> dict:
+def count(lib, tracing, tasks, methods, state_head: str, reask_head: str) -> dict:
     """Run every task once per method; return the counts per method."""
     loaded = [(lib.load_scenario(t.scenario_path), lib.load_policy(t.policy_path)) for t in tasks]
     out = {}
@@ -109,12 +112,12 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
             },
             "calls": dict.fromkeys(ROLES, 0), "prompt_chars": dict.fromkeys(ROLES, 0),
             "uncached_chars": 0, "uncached_chars_by_role": dict.fromkeys(ROLES, 0),
-            "distinct_router_prompts": 0, "terminals": {}, "steps": 0,
+            "reasks": 0, "distinct_router_prompts": 0, "terminals": {}, "steps": 0,
         }
         traces, prompts = hashlib.sha256(), hashlib.sha256()
         for scenario, policy in loaded:
             provider = _CountingProvider(
-                lib.ScriptedProvider(policy), state_head, tracing.PrefixIndex(), totals, prompts,
+                lib.ScriptedProvider(policy), state_head, reask_head, tracing.PrefixIndex(), totals, prompts,
             )
             try:
                 episode = lib.run_episode(
@@ -140,7 +143,7 @@ def count(lib, tracing, tasks, methods, state_head: str) -> dict:
             key: {role: value / len(loaded) for role, value in totals[key].items()}
             for key in ("calls", "prompt_chars")
         }
-        for key in ("distinct_router_prompts", "steps"):
+        for key in ("reasks", "distinct_router_prompts", "steps"):
             totals["per_episode"][key] = totals[key] / len(loaded)
         totals["terminals"] = dict(sorted(totals["terminals"].items()))
         out[method] = totals
@@ -158,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import sum2act as lib
     from sum2act.parsing import TEMPLATES
+    from sum2act.router import _REASK
 
     # flaky_live plans mechanical fallbacks; their warnings are not news here.
     logging.getLogger("sum2act").addHandler(logging.NullHandler())
@@ -170,7 +174,9 @@ def main(argv: list[str] | None = None) -> int:
             tasks = workloads.corpus_tasks(ROOT)
         else:
             tasks = workloads.generate(args.workload, args.seed, Path(tmp) / args.workload)
-        counts = count(lib, tracing, tasks, methods, TEMPLATES["state"].partition("{")[0])
+        counts = count(
+            lib, tracing, tasks, methods, TEMPLATES["state"].partition("{")[0], _REASK.partition("{")[0],
+        )
     episodes = sum(totals["episodes"] for totals in counts.values())
     print(json.dumps({
         "workload": args.workload,

@@ -35,13 +35,14 @@ from .core import (
     State,
     Step,
     Terminal,
+    args_digest,
     canonical_args,
     tool_names,
 )
 from .errors import ConfigurationError, MalformedOutput
 from .parsing import REASK_RETRIES, TEMPLATES, fill_template
 from .router import ROUTER_RULES, propose, propose_from_prompt, render_tools_block
-from .state_manager import enforce_cap, update
+from .state_manager import enforce_cap, render_observation, update
 
 SUM2ACT_STEP_BUDGET = 30
 DFSDT_STEP_BUDGET = 200
@@ -142,22 +143,47 @@ class Summary(Memory):
     distinct prompt sent once per episode); a repeated result gets its
     parsed verdict from ``verdicts`` with no prompt, and adds an entry only
     if its text left the state. Router calls go to the provider, as the
-    trace counts each one."""
+    trace counts each one.
+
+    A call that a tool answered (status Success) with a result the state
+    manager judged a Failure joins ``refused`` as (tool name, args digest),
+    and the router is re-asked whenever it proposes that call again: the
+    tool is taken to answer one call the same way every time. A call that
+    raised an error, timed out or returned a malformed response is never
+    refused, so it can be retried."""
 
     replies: _Replies = field(init=False)
     verdicts: dict = field(init=False, default_factory=dict)
+    refused: set = field(init=False, default_factory=set)
 
     def __post_init__(self):
         self.replies = _Replies(self.provider)
 
     def propose(self) -> Action:
-        return propose(self.provider, self.instruction, self.state, self.tools_block)
+        return propose(self.provider, self.instruction, self.state, self.tools_block, self.refused)
 
     def record(self, action: Action, step_index: int) -> Step:
         observation = self.executor(action.tool_name, action.args)
         state = update(self.replies, self.instruction, self.state, observation, step_index, self.verdicts)
+        if observation.status == "Success" and self._judged_failure(observation, state):
+            self.refused.add((action.tool_name, args_digest(action.args)))
         self.state = enforce_cap(state, provider=self.replies)
         return Step(action, observation, self.state)
+
+    def _judged_failure(self, observation: Observation, state: State) -> bool:
+        """Whether ``update``, turning ``self.state`` into ``state``, gave
+        ``observation`` a parsed Failure verdict. A verdict that added a
+        result is a Success, so only a step that added none looks it up:
+        ``verdicts`` holds it under the call's args digest exactly when
+        ``update`` parsed or reused it, and a mechanical verdict on a
+        Success is a Success."""
+        if len(state.current_results) > len(self.state.current_results):
+            return False
+        args, judged = self.verdicts.get(render_observation(observation), (None, None))
+        return (
+            judged is not None and judged[0] == "Failure"
+            and args_digest(args) == args_digest(observation.args_echo)
+        )
 
 
 @dataclass

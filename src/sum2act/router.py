@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .core import Action, Instruction, State, normalize_arg_value
+from .core import Action, Instruction, State, args_digest, normalize_arg_value
 from .errors import MalformedOutput
 from .parsing import TEMPLATES, ask_json, extract_first_json_object, fill_template
 from .state_manager import render_state
@@ -88,16 +88,35 @@ _REASK = (
 )
 
 
-def propose_from_prompt(provider, prompt_text: str) -> Action:
+def _refusing(refused):
+    """``parse_action``, also treating a call in ``refused`` as unusable."""
+
+    def parse(model_output: str) -> Action:
+        action = parse_action(model_output)
+        digest = args_digest(action.args)
+        if action.kind == "ToolCall" and (action.tool_name, digest) in refused:
+            raise MalformedOutput(
+                f"{action.tool_name}({digest}) already answered and was judged a failure; "
+                "propose another tool or other arguments"
+            )
+        return action
+
+    return parse
+
+
+def propose_from_prompt(provider, prompt_text: str, refused=frozenset()) -> Action:
     """Run one proposal round-trip with corrective re-asks on parse failures;
-    provider errors escape. The returned action records how many re-asks
-    were needed."""
-    action, attempt = ask_json(provider, prompt_text, parse_action, _REASK)
+    provider errors escape. A proposed call whose (tool name, args digest)
+    is in ``refused`` is re-asked like an unparseable reply. The returned
+    action records how many re-asks were needed."""
+    # With nothing refused every reply goes straight to parse_action.
+    parse = _refusing(refused) if refused else parse_action
+    action, attempt = ask_json(provider, prompt_text, parse, _REASK)
     # parse_action leaves retry_count at 0, so the happy path needs no copy.
     return action if attempt == 0 else replace(action, retry_count=attempt)
 
 
-def propose(provider, instruction: Instruction, state: State, tools_block: str) -> Action:
+def propose(provider, instruction: Instruction, state: State, tools_block: str, refused=frozenset()) -> Action:
     prompt = build_router_prompt(instruction, state, tools_block)
-    return propose_from_prompt(provider, prompt)
+    return propose_from_prompt(provider, prompt, refused)
 

@@ -46,9 +46,9 @@ PINNED = {
         "1b4f0e82958cf5e5563bfff5c7bfee595c8c73ec9e1d50e1f5d8c5020565ca8c", {},
     ),
     ("long_state", "sum2act"): (
-        521, 2_940_718, 967_033,
-        "8be2680c713237cb4bd56bb201155237c2abad6710b324dc6531299bd4814119",
-        "9890c14b1c72c64c26b3676acfef2abf9851e553903c86773b550ce13411be4c", {},
+        485, 2_739_532, 967_500,
+        "79193c976c61d5a33bacdf8bd7c13ab4a2e89927a56f52b4bd644201fc4c5b83",
+        "b50bd711e2cbba54e34c867055bbcead6ef95a8a766a9f1f2e714e93a50063e9", {},
     ),
     ("long_state", "react"): (
         317, 1_488_105, 151_090,
@@ -76,6 +76,17 @@ PINNED = {
         "16502b57dde7491a58456f3529a22b9fb20caa3e0fdcf48baea5bf44f594429a",
         "411cdc9738529a1db8e13077be9d111269becc5441850a386753c7edd473ac58", {},
     ),
+}
+
+# workload: {method: router re-asks}, the router prompts that carry the
+# router's re-ask note. flaky_live's re-asks are its planned unparseable
+# router replies. On long_state each buried chain's hidden hop answers with
+# filler that the state manager judges a Failure; sum2act refuses the
+# router's repeat of that call twice, and the episode aborts.
+REASKS = {
+    "corpus": {"sum2act": 0, "react": 0, "dfsdt": 0},
+    "long_state": {"sum2act": 4, "react": 0, "dfsdt": 0},
+    "flaky_live": {"sum2act": 12, "react": 12, "dfsdt": 12},
 }
 
 
@@ -119,3 +130,11 @@ def test_terminals_count_the_episodes_that_ended(workload_counts, workload):
         assert sum(counts["terminals"].values()) + len(counts["raised"]) == counts["episodes"]
         assert counts["terminals"].get("Finished", 0) >= counts["passes"]
         assert counts["per_episode"]["steps"] == counts["steps"] / counts["episodes"]
+
+
+@pytest.mark.parametrize("workload", sorted(EPISODES))
+def test_router_reasks_are_pinned(workload_counts, workload):
+    methods = workload_counts(workload)["methods"]
+    assert {method: counts["reasks"] for method, counts in methods.items()} == REASKS[workload]
+    for counts in methods.values():
+        assert counts["per_episode"]["reasks"] == counts["reasks"] / counts["episodes"]

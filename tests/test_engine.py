@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from sum2act import engine, state_manager
-from sum2act.core import Action, Instruction, Observation, ParamSpec, ResultEntry, State, ToolSpec, serialize_episode
+from sum2act.core import (
+    Action, Instruction, Observation, ParamSpec, ResultEntry, State, ToolSpec, args_digest, serialize_episode,
+)
 from sum2act.engine import (
     DFSDT_MAX_CHILDREN,
     REACT_WINDOW_CHARS,
@@ -26,7 +29,7 @@ from sum2act.provider import (
     ScriptedProvider,
     load_policy,
 )
-from sum2act.router import render_tools_block
+from sum2act.router import ROUTER_RULES, render_tools_block
 from sum2act.sandbox import (
     Behavior,
     PassCondition,
@@ -99,6 +102,51 @@ class SequenceProvider:
 
     def complete(self, request) -> str:
         return next(self._replies)
+
+
+class ScriptedRouter:
+    """Answers router calls with the given replies in order, the last one
+    from then on, and every other call from ``FAILOVER_POLICY``; keeps the
+    router prompts."""
+
+    def __init__(self, *replies: dict):
+        self._replies = [json.dumps(reply) for reply in replies]
+        self._other = ScriptedProvider(FAILOVER_POLICY)
+        self.router_prompts: list[str] = []
+
+    def complete(self, request) -> str:
+        if ROUTER_RULES not in request.prompt:
+            return self._other.complete(request)
+        self.router_prompts.append(request.prompt)
+        return self._replies[min(len(self.router_prompts), len(self._replies)) - 1]
+
+
+# primary_lookup answers every call with an HTTP 200 error page, which
+# FAILOVER_POLICY judges a Failure (SVCA-T1).
+ERROR_PAGE_SCENARIO = replace(FAILOVER_SCENARIO, behaviors={
+    **FAILOVER_SCENARIO.behaviors,
+    "primary_lookup": (
+        Behavior(kind="success", payload="<h1>Down for maintenance</h1> (SVCA-T1)", repeat="forever"),
+    ),
+})
+PRIMARY = _call("primary_lookup", {"dataset": "inventory"})
+BACKUP = _call("backup_lookup", {"dataset": "inventory"})
+
+
+def _counted(scenario: Scenario, invoked: list):
+    """The scenario's executor, appending each tool it runs to ``invoked``."""
+    session = ScenarioSession(scenario)
+
+    def invoke(tool_name, args):
+        invoked.append(tool_name)
+        return session.invoke(tool_name, args)
+
+    return invoke
+
+
+def _calls(episode) -> list[tuple[str, dict, int]]:
+    """(tool or Finish, args, re-asks) of every step."""
+    return [(s.action.tool_name or "Finish", s.action.args, s.action.retry_count) for s in episode.steps]
 
 
 def _transcript(prompt: str) -> list[str]:
@@ -300,6 +348,106 @@ class TestSum2Act:
         # fold leaves the state as it was, so step 3 repeats that prompt.
         assert len(unmapped_prompts) == 4
         assert unmapped == episodes
+
+    def test_call_answered_and_judged_a_failure_is_refused_until_the_episode_aborts(self):
+        # The router keeps proposing the call whose error page was judged a
+        # Failure: the tool runs once, and the next proposal is re-asked
+        # twice and then ends the episode, after 3 router calls.
+        invoked = []
+        provider = ScriptedRouter(PRIMARY)
+        episode = run_episode(
+            "sum2act", provider, INSTRUCTION, list(FAILOVER_TOOLS),
+            EngineConfig(), _counted(ERROR_PAGE_SCENARIO, invoked),
+        )
+        assert episode.terminal.status == "AbortedParseFailure"
+        assert _calls(episode) == [("primary_lookup", {"dataset": "inventory"}, 0)]
+        assert invoked == ["primary_lookup"]
+        _, *refused = provider.router_prompts
+        assert len(refused) == REASK_RETRIES + 1 == 3
+        assert "could not be parsed" not in refused[0]
+        assert refused[1] == refused[2] == refused[0] + (
+            "\n\nYour previous reply could not be parsed: "
+            f"primary_lookup({args_digest({'dataset': 'inventory'})}) already answered and was judged a "
+            'failure; propose another tool or other arguments. Reply with exactly one JSON object with '
+            'the keys "thought", "action" and "args".'
+        )
+
+    @pytest.mark.parametrize("transient", [
+        Behavior(kind="error", code=503, message="primary offline (SVCA-T1)"),
+        Behavior(kind="timeout", message="primary timed out (SVCA-T1)"),
+    ], ids=["HTTP 503", "Timeout"])
+    def test_call_is_run_again_after_an_error_or_a_timeout(self, transient):
+        # primary_lookup fails once, then answers; backup_lookup answers
+        # with an error page. The failed primary call runs again, the backup
+        # call is refused and its re-ask is answered with Finish.
+        scenario = replace(FAILOVER_SCENARIO, behaviors={
+            "primary_lookup": (
+                transient, Behavior(kind="success", payload="Primary: 73 units (SVCB-T1).", repeat="forever"),
+            ),
+            "backup_lookup": (Behavior(kind="success", payload="Error page (SVCA-T1)", repeat="forever"),),
+        })
+        episode = run_episode(
+            "sum2act", ScriptedRouter(PRIMARY, BACKUP, PRIMARY, BACKUP, _finish("73 units")),
+            INSTRUCTION, list(FAILOVER_TOOLS), EngineConfig(), ScenarioSession(scenario).invoke,
+        )
+        assert episode.terminal.status == "Finished"
+        assert _calls(episode) == [
+            ("primary_lookup", {"dataset": "inventory"}, 0),
+            ("backup_lookup", {"dataset": "inventory"}, 0),
+            ("primary_lookup", {"dataset": "inventory"}, 0),
+            ("Finish", {"Answer": "73 units"}, 1),
+        ]
+        assert [s.observation.status for s in episode.steps[:3]] == [
+            "Timeout" if transient.kind == "timeout" else "ToolError", "Success", "Success",
+        ]
+
+    def test_same_tool_with_other_args_still_runs(self):
+        other = _call("primary_lookup", {"dataset": "inventory-eu"})
+        invoked = []
+        episode = run_episode(
+            "sum2act", ScriptedRouter(PRIMARY, other, PRIMARY, _finish("none")),
+            INSTRUCTION, list(FAILOVER_TOOLS), EngineConfig(), _counted(ERROR_PAGE_SCENARIO, invoked),
+        )
+        assert episode.terminal.status == "Finished"
+        assert _calls(episode) == [
+            ("primary_lookup", {"dataset": "inventory"}, 0),
+            ("primary_lookup", {"dataset": "inventory-eu"}, 0),
+            ("Finish", {"Answer": "none"}, 1),
+        ]
+        assert invoked == ["primary_lookup", "primary_lookup"]
+
+    def test_reask_answered_with_another_call_proceeds(self):
+        provider = ScriptedRouter(PRIMARY, PRIMARY, BACKUP, _finish("The figure is 73 units."))
+        episode = run_episode(
+            "sum2act", provider, INSTRUCTION, list(FAILOVER_TOOLS),
+            EngineConfig(), ScenarioSession(ERROR_PAGE_SCENARIO).invoke,
+        )
+        assert episode.terminal.status == "Finished"
+        assert _calls(episode) == [
+            ("primary_lookup", {"dataset": "inventory"}, 0),
+            ("backup_lookup", {"dataset": "inventory"}, 1),
+            ("Finish", {"Answer": "The figure is 73 units."}, 0),
+        ]
+        assert len(provider.router_prompts) == 4
+
+    def test_react_and_dfsdt_never_refuse_a_call(self):
+        # The same endless proposal of a call judged a Failure: sum2act runs
+        # it once, react and dfsdt run it at every step.
+        runs = {}
+        for method in ("sum2act", "react", "dfsdt"):
+            invoked = []
+            provider = ScriptedRouter(PRIMARY)
+            episode = run_episode(
+                method, provider, INSTRUCTION, list(FAILOVER_TOOLS),
+                EngineConfig(step_budget=4), _counted(ERROR_PAGE_SCENARIO, invoked),
+            )
+            assert all(step.action.retry_count == 0 for step in episode.steps)
+            runs[method] = episode.terminal.status, len(episode.steps), len(invoked), len(provider.router_prompts)
+        assert runs == {
+            "sum2act": ("AbortedParseFailure", 1, 1, 4),
+            "react": ("BudgetExhausted", 4, 4, 4),
+            "dfsdt": ("BudgetExhausted", 4, 4, 4),
+        }
 
     def test_unparseable_proposals_abort(self):
         policy = ScriptedPolicy(

@@ -2,8 +2,10 @@
 by random tool behaviour and random model replies, ends in a valid terminal
 state within its budget, with a trace that round-trips byte-identically, and
 raises nothing; sum2act's state-manager shortcuts keep the first of each
-result and failure a loop without them would keep, and its failure history
-only grows, each reason clipped, however far the cap folds; react's transcript
+result and failure a loop without them would keep, it re-asks the router
+rather than run a call whose Success answer was judged a Failure and runs
+every other, and its failure history only grows, each reason clipped,
+however far the cap folds; react's transcript
 drops only a step that repeats the one before it; and dfsdt opens no search
 node for such a step, so a poll that never changes ends its search."""
 
@@ -25,6 +27,7 @@ from sum2act.core import (
 )
 from sum2act.engine import DFSDT_MAX_CHILDREN, RESTART_ACTION, EngineConfig, run_episode
 from sum2act.errors import RequestTooLarge
+from sum2act.parsing import REASK_RETRIES
 from sum2act.provider import ScriptedPolicy, ScriptedProvider
 from sum2act.router import ROUTER_RULES
 from sum2act.sandbox import Behavior, PassCondition, Scenario, ScenarioSession
@@ -214,9 +217,12 @@ def _verdict(seen: str) -> tuple[str, str]:
     return "Failure", f"the poll showed {shown!r}"
 
 
+FINISH = json.dumps({"thought": "done", "action": "Finish", "args": {"Answer": "done"}})
+
+
 class PollProvider:
-    """Proposes a poll with each of the given args in order and judges each
-    observation with ``_verdict``, counting every call."""
+    """Proposes a poll with each of the given args in order, then Finish,
+    and judges each observation with ``_verdict``, counting every call."""
 
     def __init__(self, args_list):
         self.args_list = args_list
@@ -225,51 +231,134 @@ class PollProvider:
     def complete(self, request) -> str:
         self.calls += 1
         if ROUTER_RULES in request.prompt:
-            args = self.args_list[self.router_calls]
+            index = self.router_calls
             self.router_calls += 1
-            return json.dumps({"thought": "poll", "action": "poll", "args": args})
+            if index >= len(self.args_list):
+                return FINISH
+            return json.dumps({"thought": "poll", "action": "poll", "args": self.args_list[index]})
         verdict, text = _verdict(request.prompt.rsplit("## Newest Observation\n", 1)[1].rstrip("\n"))
         return json.dumps({"verdict": verdict, "summary" if verdict == "Success" else "reason": text})
 
+    def proposed(self) -> list[dict]:
+        """The args of every poll proposed so far, in order."""
+        return self.args_list[: self.router_calls]
+
+
+def _judged_failure(observation: Observation) -> bool:
+    """Whether a tool answered the call and ``_verdict`` judged it a Failure."""
+    return observation.status == "Success" and _verdict(render_observation(observation))[0] == "Failure"
+
 
 def _reference(observations):
-    """sum2act's state manager with no shortcut and no fold: a router call
-    and a verdict call at every step, every Success verdict appended as
-    (text, step) and every Failure verdict as (tool, args digest, reason,
-    step). Returns the results, the failures and the provider calls."""
-    results, failures = [], []
-    for step, observation in enumerate(observations, 1):
+    """sum2act's state manager with no shortcut and no fold, under sum2act's
+    refusal rule: the router proposes each drawn poll in turn, and a poll
+    whose (tool, args digest) earlier got a Success judged a Failure is not
+    run but re-asked, the next drawn poll answering the re-ask; three
+    refused proposals in a row abort the episode, and once the polls run
+    out the router finishes. Each poll that runs costs a verdict call;
+    every Success verdict is appended as (text, step) and every Failure
+    verdict as (tool, args digest, reason, step). Returns the results, the
+    failures, the observations run, each step's re-asks, the terminal
+    status, and the router and verdict calls."""
+    results, failures, ran, retries = [], [], [], []
+    refused, attempt, verdict_calls = set(), 0, 0
+    for router_calls, observation in enumerate(observations, 1):
+        key = (observation.tool_name, args_digest(observation.args_echo))
+        if key in refused:
+            attempt += 1
+            if attempt > REASK_RETRIES:
+                return results, failures, ran, retries, "AbortedParseFailure", router_calls, verdict_calls
+            continue
+        ran.append(observation)
+        retries.append(attempt)
+        attempt = 0
+        verdict_calls += 1
         outcome, text = _verdict(render_observation(observation))
         if outcome == "Success":
-            results.append((text, step))
+            results.append((text, len(ran)))
         else:
-            failures.append((observation.tool_name, args_digest(observation.args_echo), text, step))
-    return results, failures, 2 * len(observations)
+            failures.append((observation.tool_name, key[1], text, len(ran)))
+            if observation.status == "Success":
+                refused.add(key)
+    if len(ran) == len(observations):  # the budget is spent
+        return results, failures, ran, retries, "BudgetExhausted", len(observations), verdict_calls
+    retries.append(attempt)  # the Finish step
+    return results, failures, ran, retries, "Finished", len(observations) + 1, verdict_calls
 
 
 @settings(max_examples=200, deadline=None)
 @given(observations=st.lists(polls, min_size=1, max_size=12))
 def test_sum2act_keeps_the_first_of_each_reference_result(observations):
     # The drawn states stay far under the cap, so no merge changes a text,
-    # and every reason is under the clip.
-    replies = iter(observations)
+    # and every reason is under the clip. The budget fits every drawn poll;
+    # each proposal is answered by the observation drawn with its args.
     provider = PollProvider([observation.args_echo for observation in observations])
     episode = run_episode(
         "sum2act", provider, Instruction(id="poll", text="report the job"),
         [ToolSpec(name="poll", description="poll a job")], EngineConfig(step_budget=len(observations)),
-        lambda tool, args: next(replies),
+        lambda tool, args: observations[provider.router_calls - 1],
     )
-    results, failures, calls = _reference(observations)
+    results, failures, ran, retries, terminal, router_calls, verdict_calls = _reference(observations)
     first_results, first_failures = {}, {}
     for text, step in results:
         first_results.setdefault(text, step)
     for tool, digest, reason, step in failures:
         first_failures.setdefault((tool, digest), (tool, digest, reason, step))
-    assert len(episode.steps) == len(observations)
+    assert episode.terminal.status == terminal
+    assert [step.observation for step in episode.steps if step.observation is not None] == ran
+    assert [step.action.retry_count for step in episode.steps] == retries
     state = episode.steps[-1].state
     assert [(e.text, e.step) for e in state.current_results] == list(first_results.items())
     assert [(f.tool, f.digest, f.reason, f.step) for f in state.failure_history] == list(first_failures.values())
-    assert provider.calls <= calls
+    assert provider.router_calls == router_calls
+    assert provider.calls <= router_calls + verdict_calls
+
+
+# Each draws the answer to a poll with the given args: a Success, one the
+# verdict judges a Failure ("error page"), or a failed call.
+answers = st.one_of(
+    st.sampled_from(["pending", "done: 42", "error page"]).map(
+        lambda payload: lambda args: Observation(status="Success", payload=payload, tool_name="poll", args_echo=args)
+    ),
+    st.sampled_from(["ToolError", "Timeout", "MalformedResponse"]).map(
+        lambda status: lambda args: Observation(
+            status=status, payload="", tool_name="poll", args_echo=args, error="HTTP 503: store down",
+        )
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    proposals=st.lists(st.sampled_from([{"job": "1"}, {"job": "2"}]), min_size=1, max_size=30),
+    drawn=st.lists(answers, min_size=1, max_size=6),
+    budget=st.integers(1, 12),
+)
+def test_sum2act_refuses_only_a_call_whose_answer_was_judged_a_failure(proposals, drawn, budget):
+    answered = cycle(drawn)
+    provider = PollProvider(proposals)
+    episode = run_episode(
+        "sum2act", provider, Instruction(id="poll", text="report the job"),
+        [ToolSpec(name="poll", description="poll a job")], EngineConfig(step_budget=budget),
+        lambda tool, args: next(answered)(args),
+    )
+    # Walk the proposals: one whose call got a Success judged a Failure is
+    # re-asked, and every other runs, a repeat after an error, a timeout or
+    # a malformed response too.
+    steps = iter(step for step in episode.steps if step.action.kind == "ToolCall")
+    refused, reasks = set(), 0
+    for args in provider.proposed():
+        key = ("poll", args_digest(args))
+        if key in refused:
+            reasks += 1
+            continue
+        step = next(steps)
+        assert (step.action.args, step.action.retry_count) == (args, reasks)
+        reasks = 0
+        if _judged_failure(step.observation):
+            refused.add(key)
+    assert next(steps, None) is None
+    assert (episode.terminal.status == "AbortedParseFailure") == (reasks > REASK_RETRIES)
 
 
 class SizedVerdictProvider:
